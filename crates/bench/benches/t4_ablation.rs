@@ -3,7 +3,7 @@
 
 use bench::experiments::Ablation;
 use bench::workloads;
-use cec::Prover;
+use cec::{Session, SharedContext};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_t4(c: &mut Criterion) {
@@ -13,8 +13,8 @@ fn bench_t4(c: &mut Criterion) {
     for config in Ablation::all() {
         group.bench_function(format!("add-16/{}", config.label()), |b| {
             b.iter(|| {
-                let outcome = Prover::new(config.options())
-                    .prove(&pair.a, &pair.b)
+                let outcome = Session::new(config.options(), &SharedContext::disabled())
+                    .check(&pair.a, &pair.b)
                     .expect("well-formed");
                 assert!(outcome.is_equivalent());
             });

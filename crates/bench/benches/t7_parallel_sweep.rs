@@ -13,7 +13,7 @@
 //! `EngineStats::workers`).
 
 use aig::gen::{kogge_stone_adder, ripple_carry_adder};
-use cec::{CecOptions, Prover};
+use cec::{EngineConfig, Session, SharedContext};
 use criterion::{criterion_group, criterion_main, Criterion};
 
 fn bench_t7(c: &mut Criterion) {
@@ -26,14 +26,14 @@ fn bench_t7(c: &mut Criterion) {
     let mut group = c.benchmark_group("t7");
     group.sample_size(10);
     for threads in [1usize, 2, 4, 8] {
-        let options = CecOptions {
+        let options = EngineConfig {
             threads,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         group.bench_function(format!("add-rca/ks-64/threads-{threads}"), |bch| {
             bch.iter(|| {
-                let outcome = Prover::new(options.clone())
-                    .prove(&a, &b)
+                let outcome = Session::new(options.clone(), &SharedContext::disabled())
+                    .check(&a, &b)
                     .expect("prove runs");
                 assert!(outcome.is_equivalent());
             });

@@ -2,7 +2,7 @@
 
 use crate::workloads::Pair;
 use cec::monolithic::{prove_monolithic, MonolithicOptions};
-use cec::{CecOptions, CecOutcome, Miter, Prover, SimClasses};
+use cec::{CecOutcome, EngineConfig, Miter, Session, SharedContext, SimClasses};
 use cnf::tseitin::{self, Partition};
 use proof::{ClauseId, Proof};
 use sat::{SolveResult, Solver};
@@ -14,8 +14,8 @@ fn ms(d: Duration) -> f64 {
 
 /// Runs the sweeping engine with default (proof-recording) options.
 pub fn sweep_prove(pair: &Pair) -> CecOutcome {
-    Prover::new(CecOptions::default())
-        .prove(&pair.a, &pair.b)
+    Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&pair.a, &pair.b)
         .expect("well-formed pair")
 }
 
@@ -233,9 +233,9 @@ impl Ablation {
         }
     }
 
-    /// The engine options for this configuration.
-    pub fn options(self) -> CecOptions {
-        let mut o = CecOptions::default();
+    /// The engine config of this ablation.
+    pub fn options(self) -> EngineConfig {
+        let mut o = EngineConfig::default();
         match self {
             Ablation::Full => {}
             Ablation::NoStructuralMerge => o.structural_merging = false,
@@ -275,8 +275,8 @@ pub fn run_t4(pairs: &[Pair]) -> Vec<T4Row> {
     for p in pairs {
         for config in Ablation::all() {
             let t = Instant::now();
-            let outcome = Prover::new(config.options())
-                .prove(&p.a, &p.b)
+            let outcome = Session::new(config.options(), &SharedContext::disabled())
+                .check(&p.a, &p.b)
                 .expect("well-formed pair");
             let solve_ms = ms(t.elapsed());
             let stats = outcome.stats();
@@ -351,11 +351,14 @@ pub fn run_t5(pairs: &[Pair]) -> Vec<T5Row> {
                 .expect("interpolation from trimmed proof");
 
             // Sweeping-proof interpolant (unshared miter).
-            let sweep_outcome = Prover::new(CecOptions {
-                share_structure: false,
-                ..CecOptions::default()
-            })
-            .prove(&p.a, &p.b)
+            let sweep_outcome = Session::new(
+                EngineConfig {
+                    share_structure: false,
+                    ..EngineConfig::default()
+                },
+                &SharedContext::disabled(),
+            )
+            .check(&p.a, &p.b)
             .expect("well-formed pair");
             let sweep_itp_gates = sweep_outcome
                 .certificate()
@@ -476,7 +479,8 @@ pub fn run_t7(pairs: &[Pair]) -> Vec<T7Row> {
         .map(|p| {
             let g = redundant_union(p);
             let t = Instant::now();
-            let reduced = cec::reduce(&g, &CecOptions::default());
+            let (reduced, _) =
+                Session::new(EngineConfig::default(), &SharedContext::disabled()).reduce(&g);
             let reduce_ms = ms(t.elapsed());
             T7Row {
                 name: p.name.clone(),
@@ -646,8 +650,8 @@ pub fn run_f3(widths: &[usize], node_limit: usize, max_sweep_width: usize) -> Ve
             };
             let sweep_ms = (width <= max_sweep_width).then(|| {
                 let t = Instant::now();
-                let outcome = Prover::new(CecOptions::default())
-                    .prove(&a, &b)
+                let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+                    .check(&a, &b)
                     .expect("well-formed pair");
                 assert!(outcome.is_equivalent());
                 ms(t.elapsed())

@@ -12,7 +12,10 @@
 //! *rejected with a diagnostic*, never accepted, never a panic.
 
 use aig::Aig;
-use cec::{miter_cnf, CecError, CecOptions, CecOutcome, CrashPoint, Durable, Miter, Prover};
+use cec::{
+    miter_cnf, CecError, CecOutcome, CrashPoint, Durable, EngineConfig, Miter, Session,
+    SharedContext,
+};
 use lint::{
     lint_bundle, lint_drat, lint_journal, read_tracecheck, Artifact, Bundle, CertificateInfo,
     LintOptions, Report, XB010, XB011,
@@ -177,7 +180,7 @@ pub fn prove_and_emit(
     dir: &Path,
     a: &Aig,
     b: &Aig,
-    options: &CecOptions,
+    config: &EngineConfig,
     crash: Option<CrashPoint>,
     resume: bool,
 ) -> Result<CecOutcome, EmitError> {
@@ -192,17 +195,21 @@ pub fn prove_and_emit(
     write_aig(&paths.b(), b)?;
 
     let mut durable = if resume {
-        Durable::resume(&paths.journal(), options, a, b)?
+        Durable::resume(&paths.journal(), config, a, b)?
     } else {
-        Durable::begin(&paths.journal(), options, a, b)?
+        Durable::begin(&paths.journal(), config, a, b)?
     };
     if let Some(c) = crash {
         durable.arm(c);
     }
-    let outcome = Prover::new(options.clone()).prove_durable(a, b, &mut durable)?;
+    let outcome = Session::new(config.clone(), &SharedContext::disabled()).check_durable(
+        a,
+        b,
+        &mut durable,
+    )?;
     drop(durable);
 
-    let miter = Miter::build(a, b, options.share_structure);
+    let miter = Miter::build(a, b, config.share_structure);
     let cnf = miter_cnf(&miter);
     let mut bytes = Vec::new();
     cnf::dimacs::write(&cnf, &mut bytes).expect("write to Vec cannot fail");
@@ -519,16 +526,12 @@ mod tests {
         p
     }
 
-    fn options() -> CecOptions {
-        CecOptions::default()
-    }
-
     #[test]
     fn emitted_bundle_checks_clean() {
         let dir = tmp("clean");
         let a = gen::ripple_carry_adder(4);
         let b = gen::carry_lookahead_adder(4);
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, false).unwrap();
         assert!(outcome.is_equivalent());
         let r = check_bundle(&dir, &LintOptions::default());
         assert!(r.is_clean(), "{:?}", r.diagnostics());
@@ -540,7 +543,7 @@ mod tests {
         let dir = tmp("ineq");
         let a = gen::parity_chain(8);
         let b = gen::mutate(&a, 7).expect("mutant");
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, false).unwrap();
         assert!(!outcome.is_equivalent());
         let r = check_bundle(&dir, &LintOptions::default());
         assert!(r.is_clean(), "{:?}", r.diagnostics());
@@ -563,7 +566,7 @@ mod tests {
         let dir = tmp("flip");
         let a = gen::ripple_carry_adder(4);
         let b = gen::kogge_stone_adder(4);
-        prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, false).unwrap();
         let paths = BundlePaths::new(&dir);
         for name in ARTIFACTS {
             let path = paths.file(name);
@@ -591,7 +594,7 @@ mod tests {
         let dir = tmp("missing");
         let a = gen::ripple_carry_adder(3);
         let b = gen::brent_kung_adder(3);
-        prove_and_emit(&dir, &a, &b, &options(), None, false).unwrap();
+        prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, false).unwrap();
         let paths = BundlePaths::new(&dir);
 
         let saved = fs::read(paths.certificate()).unwrap();
@@ -626,7 +629,8 @@ mod tests {
         let a = gen::popcount_serial(6);
         let b = gen::popcount_csa(6);
         let crash = CrashPoint::parse("sweep", cec::CrashMode::Error).unwrap();
-        let err = prove_and_emit(&dir, &a, &b, &options(), Some(crash), false).unwrap_err();
+        let err =
+            prove_and_emit(&dir, &a, &b, &EngineConfig::default(), Some(crash), false).unwrap_err();
         assert!(
             matches!(err, EmitError::Engine(CecError::CrashInjected { .. })),
             "{err}"
@@ -635,7 +639,7 @@ mod tests {
         let r = check_bundle(&dir, &LintOptions::default());
         assert!(!r.is_clean());
 
-        let outcome = prove_and_emit(&dir, &a, &b, &options(), None, true).unwrap();
+        let outcome = prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, true).unwrap();
         assert!(outcome.is_equivalent());
         let r = check_bundle(&dir, &LintOptions::default());
         assert!(r.is_clean(), "{:?}", r.diagnostics());

@@ -11,7 +11,7 @@
 
 use crate::bundle::{check_bundle, prove_and_emit, EmitError};
 use aig::{gen, Aig};
-use cec::{CecError, CecOptions, CecOutcome, CrashMode, CrashPoint};
+use cec::{CecError, CecOutcome, CrashMode, CrashPoint, EngineConfig};
 use lint::LintOptions;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -134,12 +134,12 @@ fn prove_checked(
     dir: &Path,
     a: &Aig,
     b: &Aig,
-    options: &CecOptions,
+    config: &EngineConfig,
     crash: Option<&CrashPoint>,
     report: &mut WorkloadReport,
     what: &str,
 ) -> Option<CecOutcome> {
-    let outcome = match prove_and_emit(dir, a, b, options, crash.cloned(), false) {
+    let outcome = match prove_and_emit(dir, a, b, config, crash.cloned(), false) {
         Ok(outcome) => {
             // The crash phase may simply not occur on this run (e.g.
             // `trim` on an inequivalent pair); completing is fine.
@@ -147,7 +147,7 @@ fn prove_checked(
         }
         Err(EmitError::Engine(CecError::CrashInjected { .. })) => {
             report.crashes += 1;
-            match prove_and_emit(dir, a, b, options, None, true) {
+            match prove_and_emit(dir, a, b, config, None, true) {
                 Ok(outcome) => outcome,
                 Err(e) => {
                     report.failures.push(format!("{what}: resume failed: {e}"));
@@ -188,10 +188,10 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
         let width = rng.gen_range(2..=8);
         let (a, b) = generate_pair(name, width).expect("registered pair");
         let what = format!("op {op} ({name}/{width})");
-        let cec_options = CecOptions {
+        let config = EngineConfig {
             threads: options.threads,
             seed: rng.gen(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let crash = if options.crash_every > 0 && (op + 1) % options.crash_every == 0 {
             let phase = *cec::journal::PHASES.choose(&mut rng).expect("non-empty");
@@ -215,7 +215,7 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
             &base_dir,
             &a,
             &b,
-            &cec_options,
+            &config,
             crash.as_ref(),
             &mut report,
             &what,
@@ -237,7 +237,7 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
                 &mutant_dir,
                 &a,
                 &mutant,
-                &cec_options,
+                &config,
                 None,
                 &mut report,
                 &format!("{what} mutant"),

@@ -16,7 +16,7 @@
 //! `crates/lint/tests/bundle_adversarial.rs`.
 
 use aig::gen;
-use cec::CecOptions;
+use cec::EngineConfig;
 use chaos::{check_bundle, corrupt, prove_and_emit, FAULT_MODES, MANIFEST};
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -32,7 +32,7 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 fn emit(dir: &Path, a: &aig::Aig, b: &aig::Aig) {
-    prove_and_emit(dir, a, b, &CecOptions::default(), None, false).expect("emit");
+    prove_and_emit(dir, a, b, &EngineConfig::default(), None, false).expect("emit");
     let clean = check_bundle(dir, &lint::LintOptions::default());
     assert!(
         clean.is_clean(),
@@ -118,7 +118,8 @@ fn every_corruption_of_an_inequivalent_bundle_is_rejected() {
         .filter_map(|seed| gen::mutate(&a, seed))
         .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
         .expect("some mutant differs");
-    let outcome = prove_and_emit(&dir, &a, &b, &CecOptions::default(), None, false).expect("emit");
+    let outcome =
+        prove_and_emit(&dir, &a, &b, &EngineConfig::default(), None, false).expect("emit");
     assert!(!outcome.is_equivalent());
     let clean = check_bundle(&dir, &lint::LintOptions::default());
     assert!(

@@ -84,7 +84,7 @@
 
 use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
 use cec::monolithic::{prove_monolithic, MonolithicOptions};
-use cec::{CecOptions, CecOutcome, Prover};
+use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -218,52 +218,18 @@ fn run() -> Result<i32, String> {
             },
         )
     } else {
-        let mut options = CecOptions {
+        let mut config = EngineConfig {
+            structural_merging: !args.has("no-struct"),
+            share_structure: !args.has("no-share"),
+            sweep: !args.has("no-sweep"),
             lint_proof: args.has("lint-proof"),
             lint_bundle: args.has("lint-bundle"),
             verify: args.has("check"),
-            recorder: recorder.clone(),
-            metrics: metrics.clone(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
-        if args.has("no-struct") {
-            options.structural_merging = false;
-        }
-        if args.has("no-share") {
-            options.share_structure = false;
-        }
-        if args.has("no-sweep") {
-            options.sweep = false;
-        }
-        if let Some(v) = args.value("limit") {
-            let limit: u64 = v.parse().map_err(|e| format!("--limit: {e}"))?;
-            options.pair_conflict_limit = Some(limit);
-        }
-        if let Some(v) = args.value("threads") {
-            let threads: usize = v.parse().map_err(|e| format!("--threads: {e}"))?;
-            if threads == 0 {
-                return Err("--threads: must be at least 1".into());
-            }
-            options.threads = threads;
-        }
-        if let Some(v) = args.value("pairs-per-worker") {
-            let pairs: usize = v.parse().map_err(|e| format!("--pairs-per-worker: {e}"))?;
-            if pairs == 0 {
-                return Err("--pairs-per-worker: must be at least 1".into());
-            }
-            options.pairs_per_worker = Some(pairs);
-        }
-        if let Some(v) = args.value("engine") {
-            options.engine = match v {
-                "static" => cec::EngineSelect::Static,
-                "adaptive" => cec::EngineSelect::Adaptive,
-                other => return Err(format!("--engine: unknown engine '{other}'")),
-            };
-        }
-        if args.has("share-learnts") {
-            options.share_learnts = true;
-        }
-        Prover::new(options).prove(&a, &b)
+        cec_tools::apply_engine_flags(&args, &mut config)?;
+        let ctx = SharedContext::new(recorder.clone(), metrics.clone());
+        Session::new(config, &ctx).check(&a, &b)
     }
     .map_err(|e| e.to_string())?;
 

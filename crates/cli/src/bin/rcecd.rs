@@ -98,35 +98,11 @@ fn run() -> Result<i32, String> {
         config.addr = v.to_string();
     }
     if let Some(v) = args.value("workers") {
-        let workers: usize = v.parse().map_err(|e| format!("--workers: {e}"))?;
-        if workers == 0 {
-            return Err("--workers: must be at least 1".into());
-        }
-        config.workers = workers;
+        config.workers = cec_tools::parse_count("workers", v)?;
     }
-    if let Some(v) = args.value("threads") {
-        let threads: usize = v.parse().map_err(|e| format!("--threads: {e}"))?;
-        if threads == 0 {
-            return Err("--threads: must be at least 1".into());
-        }
-        config.engine.threads = threads;
-    }
-    if let Some(v) = args.value("engine") {
-        config.engine.engine = match v {
-            "static" => cec::EngineSelect::Static,
-            "adaptive" => cec::EngineSelect::Adaptive,
-            other => return Err(format!("--engine: unknown engine '{other}'")),
-        };
-    }
-    if args.has("no-share-learnts") {
-        config.engine.share_learnts = false;
-    }
+    cec_tools::apply_engine_flags(&args, &mut config.engine)?;
     if let Some(v) = args.value("cache-capacity") {
-        let capacity: usize = v.parse().map_err(|e| format!("--cache-capacity: {e}"))?;
-        if capacity == 0 {
-            return Err("--cache-capacity: must be at least 1".into());
-        }
-        config.cache.capacity = capacity;
+        config.cache.capacity = cec_tools::parse_count("cache-capacity", v)?;
     }
     if let Some(v) = args.value("cache-dir") {
         config.cache.spill_dir = Some(std::path::PathBuf::from(v));

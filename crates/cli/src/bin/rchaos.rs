@@ -138,10 +138,10 @@ fn read_pair(paths: &BundlePaths) -> Result<(aig::Aig, aig::Aig), String> {
 fn cmd_prove(args: &Args) -> Result<i32, String> {
     let paths = dir_of(args)?;
     let (a, b) = read_pair(&paths)?;
-    let options = cec::CecOptions {
+    let config = cec::EngineConfig {
         threads: parse_u64(args, "threads", 1)? as usize,
         seed: parse_u64(args, "seed", 1)?,
-        ..cec::CecOptions::default()
+        ..cec::EngineConfig::default()
     };
     let crash = match (args.value("crash"), args.value("abort-at")) {
         (Some(_), Some(_)) => {
@@ -151,7 +151,7 @@ fn cmd_prove(args: &Args) -> Result<i32, String> {
         (None, Some(spec)) => Some(cec::CrashPoint::parse(spec, cec::CrashMode::Abort)?),
         (None, None) => None,
     };
-    let outcome = prove_and_emit(&paths.dir, &a, &b, &options, crash, args.has("resume"))
+    let outcome = prove_and_emit(&paths.dir, &a, &b, &config, crash, args.has("resume"))
         .map_err(|e| e.to_string())?;
     if outcome.is_equivalent() {
         println!("EQUIVALENT");

@@ -28,7 +28,7 @@
 //!
 //! Exit codes: 0 success, 2 error.
 
-use cec::{reduce_with_stats, CecOptions, Prover};
+use cec::{EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
@@ -78,29 +78,10 @@ fn run() -> Result<i32, String> {
     let input = aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{in_path}: {e}"))?;
 
     let recorder = trace::recorder_for(&args);
-    let mut options = CecOptions {
-        recorder: recorder.clone(),
-        ..CecOptions::default()
-    };
-    if let Some(v) = args.value("limit") {
-        let limit: u64 = v.parse().map_err(|e| format!("--limit: {e}"))?;
-        options.pair_conflict_limit = Some(limit);
-    }
-    if let Some(v) = args.value("threads") {
-        let threads: usize = v.parse().map_err(|e| format!("--threads: {e}"))?;
-        if threads == 0 {
-            return Err("--threads: must be at least 1".into());
-        }
-        options.threads = threads;
-    }
-    if let Some(v) = args.value("pairs-per-worker") {
-        let pairs: usize = v.parse().map_err(|e| format!("--pairs-per-worker: {e}"))?;
-        if pairs == 0 {
-            return Err("--pairs-per-worker: must be at least 1".into());
-        }
-        options.pairs_per_worker = Some(pairs);
-    }
-    let (reduced, stats) = reduce_with_stats(&input, &options);
+    let ctx = SharedContext::new(recorder.clone(), obs::metrics::Metrics::disabled());
+    let mut config = EngineConfig::default();
+    cec_tools::apply_engine_flags(&args, &mut config)?;
+    let (reduced, stats) = Session::new(config.clone(), &ctx).reduce(&input);
     if !args.has("quiet") {
         eprintln!(
             "reduced {} -> {} AND gates ({:.1}% removed)",
@@ -119,17 +100,17 @@ fn run() -> Result<i32, String> {
     }
 
     if args.has("verify") {
-        let outcome = Prover::new(CecOptions {
+        let config = EngineConfig {
             verify: true,
             lint_proof: args.has("lint-proof"),
             lint_bundle: args.has("lint-bundle"),
-            threads: options.threads,
-            pairs_per_worker: options.pairs_per_worker,
-            recorder: recorder.clone(),
-            ..CecOptions::default()
-        })
-        .prove(&input, &reduced)
-        .map_err(|e| e.to_string())?;
+            // The reduction's pair budget does not carry over.
+            pair_conflict_limit: None,
+            ..config
+        };
+        let outcome = Session::new(config, &ctx)
+            .check(&input, &reduced)
+            .map_err(|e| e.to_string())?;
         if !outcome.is_equivalent() {
             return Err("internal error: reduction changed the function".into());
         }

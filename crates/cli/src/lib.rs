@@ -1,5 +1,6 @@
 //! Shared plumbing for the command-line tools (`rcec`, `rsat`,
-//! `rcheck`): a tiny flag parser and file helpers. The binaries are thin
+//! `rcheck`, ...): a tiny flag parser, the engine flags the checking
+//! tools share, and file helpers. The binaries are thin
 //! wrappers over the library crates — all logic lives in `cec`, `sat`,
 //! and `proof`.
 
@@ -71,6 +72,56 @@ impl Args {
             .find(|(n, _)| n == name)
             .and_then(|(_, v)| v.as_deref())
     }
+}
+
+/// Applies whichever of the engine flags shared by `rcec`, `rfraig` and
+/// `rcecd` are present to `config`: `--limit=N`, `--threads=N`,
+/// `--pairs-per-worker=N`, `--engine=static|adaptive`,
+/// `--share-learnts` and `--no-share-learnts`. Each tool's allowed-flag
+/// list decides which of them it accepts; absent flags leave `config`
+/// as it is.
+///
+/// # Errors
+///
+/// A non-numeric count, a zero thread count or window, or an unknown
+/// engine name.
+pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result<(), String> {
+    if let Some(v) = args.value("limit") {
+        config.pair_conflict_limit = Some(v.parse().map_err(|e| format!("--limit: {e}"))?);
+    }
+    if let Some(v) = args.value("threads") {
+        config.threads = parse_count("threads", v)?;
+    }
+    if let Some(v) = args.value("pairs-per-worker") {
+        config.pairs_per_worker = Some(parse_count("pairs-per-worker", v)?);
+    }
+    if let Some(v) = args.value("engine") {
+        config.engine = match v {
+            "static" => cec::EngineSelect::Static,
+            "adaptive" => cec::EngineSelect::Adaptive,
+            other => return Err(format!("--engine: unknown engine '{other}'")),
+        };
+    }
+    if args.has("share-learnts") {
+        config.share_learnts = true;
+    }
+    if args.has("no-share-learnts") {
+        config.share_learnts = false;
+    }
+    Ok(())
+}
+
+/// Parses the value of `--flag=N` as a count of at least one.
+///
+/// # Errors
+///
+/// A non-numeric value or zero, naming the flag.
+pub fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
+    let n: usize = value.parse().map_err(|e| format!("--{flag}: {e}"))?;
+    if n == 0 {
+        return Err(format!("--{flag}: must be at least 1"));
+    }
+    Ok(n)
 }
 
 /// Shared tracing / metrics plumbing for the tracing-capable tools
@@ -261,5 +312,57 @@ mod tests {
     fn last_flag_value_wins() {
         let a = Args::parse(s(&["--k=1", "--k=2"]), &["k"]).unwrap();
         assert_eq!(a.value("k"), Some("2"));
+    }
+
+    const ENGINE_FLAGS: &[&str] = &[
+        "limit",
+        "threads",
+        "pairs-per-worker",
+        "engine",
+        "share-learnts",
+        "no-share-learnts",
+    ];
+
+    fn engine_config(raw: &[&str]) -> Result<cec::EngineConfig, String> {
+        let args = Args::parse(s(raw), ENGINE_FLAGS).unwrap();
+        let mut config = cec::EngineConfig::default();
+        apply_engine_flags(&args, &mut config)?;
+        Ok(config)
+    }
+
+    #[test]
+    fn engine_flags_apply_when_present() {
+        assert_eq!(engine_config(&[]).unwrap(), cec::EngineConfig::default());
+        let config = engine_config(&[
+            "--limit=7",
+            "--threads=3",
+            "--pairs-per-worker=5",
+            "--engine=adaptive",
+            "--share-learnts",
+        ])
+        .unwrap();
+        assert_eq!(config.pair_conflict_limit, Some(7));
+        assert_eq!(config.threads, 3);
+        assert_eq!(config.pairs_per_worker, Some(5));
+        assert_eq!(config.engine, cec::EngineSelect::Adaptive);
+        assert!(config.share_learnts);
+        let config = engine_config(&["--share-learnts", "--no-share-learnts"]).unwrap();
+        assert!(!config.share_learnts);
+    }
+
+    #[test]
+    fn engine_flags_reject_bad_values() {
+        for (raw, message) in [
+            ("--threads=0", "--threads: must be at least 1"),
+            (
+                "--pairs-per-worker=0",
+                "--pairs-per-worker: must be at least 1",
+            ),
+            ("--engine=bogus", "--engine: unknown engine 'bogus'"),
+            ("--limit=many", "--limit: invalid digit found in string"),
+            ("--threads=abc", "--threads: invalid digit found in string"),
+        ] {
+            assert_eq!(engine_config(&[raw]).unwrap_err(), message, "{raw}");
+        }
     }
 }

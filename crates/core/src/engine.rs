@@ -27,8 +27,8 @@
 
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, CecOutcome, DispatchStats, EngineStats, WorkerStats};
-use crate::session::{EngineConfig, Session, SharedContext};
+use crate::outcome::{CecError, DispatchStats, EngineStats, WorkerStats};
+use crate::session::{EngineConfig, SharedContext};
 use crate::sim::SimClasses;
 use aig::{Aig, NodeId};
 use cnf::tseitin::Partition;
@@ -45,7 +45,7 @@ use std::time::Instant;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EngineSelect {
     /// One engine for every candidate pair: SAT, budgeted uniformly by
-    /// [`CecOptions::pair_conflict_limit`] (or not at all).
+    /// [`EngineConfig::pair_conflict_limit`] (or not at all).
     #[default]
     Static,
     /// Per-pair dispatch from static hardness analysis plus the
@@ -62,358 +62,231 @@ pub enum EngineSelect {
     Adaptive,
 }
 
-/// Options controlling a [`Prover`] run.
-#[derive(Clone, Debug)]
-pub struct CecOptions {
-    /// 64-bit random simulation words used to seed the candidate
-    /// classes.
-    pub sim_words: usize,
-    /// Seed for the simulation patterns.
-    pub seed: u64,
-    /// Share the structural hash table across the two circuits when
-    /// building the miter.
-    pub share_structure: bool,
-    /// Merge nodes whose fanins are proven equivalent by pure
-    /// resolution (no SAT call).
-    pub structural_merging: bool,
-    /// Run SAT sweeping at all; with `false` the engine degenerates to
-    /// a monolithic solve of the miter (the baseline of experiment T2).
-    pub sweep: bool,
-    /// Conflict budget per sweeping SAT call. Candidate pairs whose
-    /// calls run out are *skipped* (left unmerged), which is always
-    /// sound; the final miter solve runs unbudgeted. `None` = complete
-    /// sweeping.
-    pub pair_conflict_limit: Option<u64>,
-    /// Worker threads for the sweeping phase. `1` (the default) runs the
-    /// classical sequential sweep; `> 1` deals windows of candidate
-    /// pairs round-robin onto persistent worker threads, each with a
-    /// private incremental solver kept in sync with the shared clause
-    /// database by replaying its clause feed, and stitches the workers'
-    /// derivations back into the one global proof in a fixed
-    /// worker-then-discovery order — so the verdict *and* the proof are
-    /// byte-for-byte deterministic for a given seed and thread count.
-    pub threads: usize,
-    /// Candidate pairs dealt to each worker per parallel round. The
-    /// window trades per-round synchronization cost against lemma
-    /// locality: pairs are discharged in topological order, so a small
-    /// window means a pair's fanin-cone equivalences were almost always
-    /// merged in an earlier round and reach the worker as unit-strength
-    /// lemma clauses — keeping per-pair conflict work near the
-    /// sequential level — while a large window forces workers to
-    /// re-derive in-flight predecessors from scratch.
-    ///
-    /// `None` (the default) auto-tunes the window between rounds from
-    /// the observed per-worker conflict imbalance — a deterministic
-    /// signal, so proofs stay byte-reproducible per (seed, threads).
-    /// `Some(n)` pins the window, preserving the old fixed behavior.
-    pub pairs_per_worker: Option<usize>,
-    /// Discharge-scheduling policy; see [`EngineSelect`].
-    pub engine: EngineSelect,
-    /// Share worker learnt clauses between parallel-sweep workers
-    /// through the clause feed; see
-    /// [`EngineConfig::share_learnts`](crate::EngineConfig::share_learnts).
-    /// Off by default — proofs then stay byte-identical to builds
-    /// without sharing.
-    pub share_learnts: bool,
-    /// Record a resolution proof.
-    pub proof: bool,
-    /// Run the static-analysis lint pass over the recorded proof before
-    /// returning: lint counts land in [`EngineStats::lints`] and the
-    /// full report in [`crate::Certificate::lint_report`]. Much cheaper
-    /// than [`CecOptions::verify`]'s full replay, and localizes defects
-    /// instead of rejecting wholesale.
-    pub lint_proof: bool,
-    /// Run the cross-artifact bundle lint on top of the proof lint: the
-    /// engine re-derives its own miter CNF via [`miter_cnf`] and checks
-    /// AIG↔CNF↔proof↔certificate binding with [`lint::lint_bundle`].
-    /// Implies the proof lint; counts and report land in the same
-    /// places.
-    pub lint_bundle: bool,
-    /// Re-check the recorded proof with the independent checker before
-    /// returning, and validate counterexamples by evaluation. Failures
-    /// become [`CecError`]s instead of silently wrong verdicts.
-    pub verify: bool,
-    /// Trace recorder for the run. The default is
-    /// [`obs::Recorder::disabled`] — no events, near-zero overhead.
-    /// Attach an enabled recorder to capture per-phase spans, per-call
-    /// SAT telemetry, and solver restart / reduce-DB events, then
-    /// export with [`obs::export`]. Parallel workers record on logical
-    /// thread ids `1..=threads`; the coordinator records on `0`.
-    pub recorder: Recorder,
-    /// Live metrics registry for the run. The default is
-    /// [`obs::metrics::Metrics::disabled`] — every update costs one
-    /// branch. Attach an enabled registry (and typically an
-    /// [`obs::metrics::Sampler`]) to watch the engine's counters, queue
-    /// depths, and per-worker rates as a `metrics-v1` time series while
-    /// it runs. Metric names are listed in DESIGN.md.
-    pub metrics: Metrics,
-}
-
-impl Default for CecOptions {
-    fn default() -> Self {
-        CecOptions {
-            sim_words: 16,
-            seed: 0xC0FFEE,
-            share_structure: true,
-            structural_merging: true,
-            sweep: true,
-            pair_conflict_limit: None,
-            threads: 1,
-            pairs_per_worker: None,
-            engine: EngineSelect::Static,
-            share_learnts: false,
-            proof: true,
-            lint_proof: false,
-            lint_bundle: false,
-            verify: false,
-            recorder: Recorder::disabled(),
-            metrics: Metrics::disabled(),
-        }
-    }
-}
-
-impl CecOptions {
-    /// Splits the flat options into the session layer's two halves: the
-    /// pure-knob [`EngineConfig`] and the shared-handle
-    /// [`SharedContext`]. The handles are `Arc`-backed, so the split is
-    /// cheap and the returned context observes the same recorder and
-    /// metrics registry as the original options.
-    pub fn split(&self) -> (EngineConfig, SharedContext) {
-        (
-            EngineConfig {
-                sim_words: self.sim_words,
-                seed: self.seed,
-                share_structure: self.share_structure,
-                structural_merging: self.structural_merging,
-                sweep: self.sweep,
-                pair_conflict_limit: self.pair_conflict_limit,
-                threads: self.threads,
-                pairs_per_worker: self.pairs_per_worker,
-                engine: self.engine,
-                share_learnts: self.share_learnts,
-                proof: self.proof,
-                lint_proof: self.lint_proof,
-                lint_bundle: self.lint_bundle,
-                verify: self.verify,
-            },
-            SharedContext::new(self.recorder.clone(), self.metrics.clone()),
-        )
-    }
-
-    /// Reassembles flat options from the two session-layer halves —
-    /// the inverse of [`CecOptions::split`].
-    pub fn from_parts(config: &EngineConfig, ctx: &SharedContext) -> Self {
-        CecOptions {
-            sim_words: config.sim_words,
-            seed: config.seed,
-            share_structure: config.share_structure,
-            structural_merging: config.structural_merging,
-            sweep: config.sweep,
-            pair_conflict_limit: config.pair_conflict_limit,
-            threads: config.threads,
-            pairs_per_worker: config.pairs_per_worker,
-            engine: config.engine,
-            share_learnts: config.share_learnts,
-            proof: config.proof,
-            lint_proof: config.lint_proof,
-            lint_bundle: config.lint_bundle,
-            verify: config.verify,
-            recorder: ctx.recorder.clone(),
-            metrics: ctx.metrics.clone(),
-        }
-    }
-}
-
-/// The equivalence checker.
-///
-/// # Example
-///
-/// ```
-/// use aig::gen::{kogge_stone_adder, ripple_carry_adder};
-/// use cec::{CecOptions, Prover};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let a = ripple_carry_adder(8);
-/// let b = kogge_stone_adder(8);
-/// let outcome = Prover::new(CecOptions::default()).prove(&a, &b)?;
-/// let cert = outcome.certificate().expect("adders are equivalent");
-/// proof::check::check_refutation(cert.proof.as_ref().unwrap())?;
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct Prover {
-    options: CecOptions,
-}
-
-impl Prover {
-    /// Creates a prover with the given options.
-    pub fn new(options: CecOptions) -> Self {
-        Prover { options }
-    }
-
-    /// The options this prover runs with.
-    pub fn options(&self) -> &CecOptions {
-        &self.options
-    }
-
-    /// Checks whether `a` and `b` are combinationally equivalent.
-    ///
-    /// # Errors
-    ///
-    /// [`CecError::InterfaceMismatch`] / [`CecError::NoOutputs`] for
-    /// malformed inputs; with [`CecOptions::verify`] also
-    /// [`CecError::ProofRejected`] / [`CecError::BogusCounterexample`]
-    /// if the engine's own output fails independent validation.
-    pub fn prove(&self, a: &Aig, b: &Aig) -> Result<CecOutcome, CecError> {
-        self.prove_durable(a, b, &mut Durable::disabled())
-    }
-
-    /// [`Prover::prove`] with a [`Durable`] run-state handle: phase
-    /// checkpoints are journaled (or, on resume, validated against the
-    /// journal's prefix) and any armed crash point fires at its phase.
-    /// With [`Durable::disabled`] this is exactly `prove`.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Prover::prove`] reports, plus
-    /// [`CecError::CrashInjected`] / [`CecError::Journal`] /
-    /// [`CecError::ReplayDivergence`] from the durability machinery.
-    pub fn prove_durable(
-        &self,
-        a: &Aig,
-        b: &Aig,
-        durable: &mut Durable,
-    ) -> Result<CecOutcome, CecError> {
-        let (config, ctx) = self.options.split();
-        Session::new(config, &ctx).check_durable(a, b, durable)
-    }
-}
-
-/// Functionally reduces a circuit by SAT sweeping (FRAIG): nodes proven
-/// equivalent (up to complement) are merged onto one representative and
-/// the graph is rebuilt over the survivors.
-///
-/// This is the classical dual use of the equivalence-checking engine —
-/// the same simulation / SAT / structural-merge machinery, pointed at a
-/// single circuit instead of a miter. The result is functionally
-/// equivalent to the input on every output (verify with
-/// [`Prover::prove`] if desired) and never larger after cleanup.
-///
-/// Proof logging is disabled internally: there is no refutation to
-/// certify, only a rewritten circuit. The `proof` and `verify` fields of
-/// `options` are ignored.
-///
-/// # Example
-///
-/// ```
-/// use aig::Aig;
-/// use cec::{reduce, CecOptions};
-///
-/// // Build a graph with two structurally different copies of x XOR y:
-/// // !((x&y) | (!x&!y)) and (x&!y) | (!x&y).
-/// let mut g = Aig::new();
-/// let x = g.add_input();
-/// let y = g.add_input();
-/// let a = g.xor(x, y);
-/// let b = {
-///     let t0 = g.and(x, !y);
-///     let t1 = g.and(!x, y);
-///     g.or(t0, t1)
-/// };
-/// g.add_output(a);
-/// g.add_output(b);
-///
-/// let reduced = reduce(&g, &CecOptions::default());
-/// assert!(reduced.num_ands() < g.num_ands());
-/// assert_eq!(aig::sim::exhaustive_diff(&g, &reduced, 4), None);
-/// ```
-pub fn reduce(graph: &Aig, options: &CecOptions) -> Aig {
-    reduce_with_stats(graph, options).0
-}
-
-/// [`reduce`] with the sweep's run counters: SAT calls, merges,
-/// refinements, per-phase times, and (in parallel mode) per-worker
-/// stats, exactly as [`Prover::prove`] reports them. The stats'
-/// `elapsed` covers the sweep and the rebuild.
-pub fn reduce_with_stats(graph: &Aig, options: &CecOptions) -> (Aig, EngineStats) {
-    let start = Instant::now();
-    let (mut local, ctx) = options.split();
-    local.proof = false;
-    local.verify = false;
-    let rec = &ctx.recorder;
-    let mut sweep = Sweep::new(graph, &local, &ctx, None);
-    sweep.stats.miter_nodes = graph.len();
-    sweep.stats.circuit_nodes = graph.len();
-    if local.sweep {
-        let sweep_start = Instant::now();
-        // A disabled durable never journals and never crashes, so the
-        // sweep cannot fail here.
-        let mut durable = Durable::disabled();
-        if local.threads > 1 {
-            sweep
-                .run_parallel(local.threads, &mut durable)
-                .expect("disabled durable cannot fail");
-        } else {
-            sweep.solver.set_conflict_budget(local.pair_conflict_limit);
-            sweep
-                .run(&mut durable)
-                .expect("disabled durable cannot fail");
-        }
-        let sweep_time = sweep_start.elapsed();
-        rec.complete("sweep", TID_COORDINATOR, sweep_start, sweep_time);
-        sweep.stats.phases.sweep = sweep_time.saturating_sub(sweep.stats.phases.sim);
-    }
-    // Rebuild the graph over representatives.
-    let mut out = Aig::with_capacity(graph.len());
-    let mut map: Vec<aig::Lit> = vec![aig::Lit::FALSE; graph.len()];
-    for (id, node) in graph.iter() {
-        match *node {
-            aig::Node::Const => {}
-            aig::Node::Input { .. } => map[id.as_usize()] = out.add_input(),
-            aig::Node::And { a, b } => {
-                let (root, phase, _) = sweep.find(id);
-                if root != id {
-                    map[id.as_usize()] = map[root.as_usize()].xor_complement(phase);
-                } else {
-                    let la = map[a.node().as_usize()].xor_complement(a.is_complemented());
-                    let lb = map[b.node().as_usize()].xor_complement(b.is_complemented());
-                    map[id.as_usize()] = out.and(la, lb);
-                }
-            }
-        }
-    }
-    for o in graph.outputs() {
-        let l = map[o.node().as_usize()].xor_complement(o.is_complemented());
-        out.add_output(l);
-    }
-    let reduced = out.cleanup();
-    let mut stats = sweep.finish(start);
-    stats.elapsed = start.elapsed();
-    (reduced, stats)
-}
-
-/// Why a candidate pair could not be merged.
-enum PairFailure {
-    /// The pair is genuinely inequivalent; refine with this pattern.
-    Counterexample(Vec<bool>),
-    /// The per-pair conflict budget ran out; skip the pair.
-    BudgetExhausted,
-}
-
-/// A parallel-sweep worker's verdict on one sharded candidate pair.
-/// Clause ids are in the worker's private proof id space.
+/// A [`Discharger`]'s verdict on one candidate pair. Clause ids are in
+/// the proof id space of the solver that discharged it.
 enum PairVerdict {
-    /// Both implications proven; the canonical lemma steps are the
-    /// roots to stitch into the global proof.
+    /// Both implications proven; the canonical lemma steps (the roots a
+    /// parallel worker's proof is stitched from).
     Proved {
         fwd: Option<ClauseId>,
         bwd: Option<ClauseId>,
     },
-    /// A model distinguished the pair; refine the classes with it.
+    /// A model or a BDD probe distinguished the pair; refine the classes
+    /// with this pattern.
     Refuted { pattern: Vec<bool> },
-    /// The per-pair conflict budget ran out.
+    /// The per-pair conflict budget ran out. Leaving the pair unmerged
+    /// is always sound: the final miter solve does not depend on it.
     Skipped,
+}
+
+/// The live counters a [`Discharger`] ticks: per SAT call, per conflict,
+/// and per committed lemma.
+struct LiveCounters {
+    sat_calls: metrics::Counter,
+    conflicts: metrics::Counter,
+    lemmas: metrics::Counter,
+}
+
+impl LiveCounters {
+    /// The sequential sweep's engine-wide `cec.sat_calls` /
+    /// `cec.conflicts`. Its lemma counter stays disconnected:
+    /// `cec.lemmas` counts the lemmas of merged pairs, ticked by
+    /// [`Sweep::record_merge`].
+    fn coordinator(m: &Metrics) -> Self {
+        LiveCounters {
+            sat_calls: m.counter("cec.sat_calls"),
+            conflicts: m.counter("cec.conflicts"),
+            lemmas: metrics::Counter::default(),
+        }
+    }
+
+    /// Parallel worker `w`'s own `cec.worker<w>.*` cells, ticked from the
+    /// worker thread so the sampler sees intra-round progress.
+    fn worker(m: &Metrics, w: usize) -> Self {
+        LiveCounters {
+            sat_calls: m.counter(&format!("cec.worker{w}.sat_calls")),
+            conflicts: m.counter(&format!("cec.worker{w}.conflicts")),
+            lemmas: m.counter(&format!("cec.worker{w}.lemmas")),
+        }
+    }
+}
+
+/// Discharges candidate pairs on one incremental solver: the optional
+/// BDD probe, the pair's conflict budget, two SAT calls under
+/// assumptions, and the commit of each proven direction as a canonical
+/// lemma clause that later calls resolve against. The sequential sweep
+/// owns one on the coordinator's solver; each parallel worker owns one
+/// on its private solver.
+pub(crate) struct Discharger {
+    pub(crate) solver: Solver,
+    /// Trace recorder and this solver's logical thread id in the trace.
+    recorder: Recorder,
+    tid: u32,
+    /// Counters of the calls made since the owner last took them
+    /// ([`Discharger::take_tally`]). `conflicts` and `elapsed` are left
+    /// to the owner.
+    tally: WorkerStats,
+    /// BDD-probe and budget counters since the last take.
+    dispatch: DispatchStats,
+    live: LiveCounters,
+}
+
+impl Discharger {
+    /// A discharger on a fresh solver over `num_vars` variables, with
+    /// the recorder attached so the solver's restart / reduce-DB events
+    /// land in the trace.
+    fn new(
+        proof_mode: bool,
+        num_vars: u32,
+        recorder: &Recorder,
+        tid: u32,
+        live: LiveCounters,
+    ) -> Self {
+        let mut solver = if proof_mode {
+            Solver::with_proof()
+        } else {
+            Solver::new()
+        };
+        solver.ensure_vars(num_vars);
+        solver.set_recorder(recorder.clone(), tid);
+        Discharger {
+            solver,
+            recorder: recorder.clone(),
+            tid,
+            tally: WorkerStats::default(),
+            dispatch: DispatchStats::default(),
+            live,
+        }
+    }
+
+    /// Hands over the counters accumulated since the last take.
+    fn take_tally(&mut self) -> (WorkerStats, DispatchStats) {
+        (
+            std::mem::take(&mut self.tally),
+            std::mem::take(&mut self.dispatch),
+        )
+    }
+
+    /// Discharges `v_n ≡ target` as routed: optional BDD probe, the
+    /// pair's conflict budget, then the two-call SAT proof.
+    fn dispatch_pair(&mut self, graph: &Aig, n: NodeId, target: Lit, d: Dispatch) -> PairVerdict {
+        let budget = if d.try_bdd {
+            self.dispatch.bdd_calls += 1;
+            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
+                BddProbe::Refuted(pattern) => {
+                    self.dispatch.bdd_refuted += 1;
+                    return PairVerdict::Refuted { pattern };
+                }
+                BddProbe::Confirmed => {
+                    // The pair is equivalent; extract the lemmas
+                    // unbudgeted so the confirmation cannot be wasted.
+                    self.dispatch.bdd_confirmed += 1;
+                    None
+                }
+                BddProbe::Inconclusive => {
+                    self.dispatch.bdd_overflow += 1;
+                    d.budget
+                }
+            }
+        } else {
+            d.budget
+        };
+        record_budget(&mut self.dispatch, budget);
+        self.solver.set_conflict_budget(budget);
+        self.prove_pair(graph, n, target)
+    }
+
+    /// Attempts to prove `v_n ≡ target` with two incremental SAT calls,
+    /// one per lemma clause `(¬v_n ∨ target)` and `(v_n ∨ ¬target)`:
+    /// each is proven by refuting its negation under assumptions, then
+    /// committed in canonical form (so later pairs reuse it).
+    fn prove_pair(&mut self, graph: &Aig, n: NodeId, target: Lit) -> PairVerdict {
+        let vn = Var::new(n.index());
+        let mut lemmas = [None; 2];
+        for (lemma, canonical) in lemmas
+            .iter_mut()
+            .zip([[vn.negative(), target], [vn.positive(), !target]])
+        {
+            match self.traced_solve(&[!canonical[0], !canonical[1]], n) {
+                SolveResult::Sat => {
+                    self.tally.sat_cex += 1;
+                    return PairVerdict::Refuted {
+                        pattern: self.model_pattern(graph),
+                    };
+                }
+                SolveResult::Unknown => return PairVerdict::Skipped,
+                SolveResult::Unsat => self.tally.sat_unsat += 1,
+            }
+            *lemma = self.commit_lemma(&canonical);
+        }
+        self.tally.merges += 1;
+        let [fwd, bwd] = lemmas;
+        PairVerdict::Proved { fwd, bwd }
+    }
+
+    /// One sweeping SAT call with per-call telemetry: the conflict delta
+    /// is always recorded into the tally's histogram (cheap) and into
+    /// the live call/conflict counters (one branch each when metrics are
+    /// off); a `sat_call` span with node / verdict / conflict / decision
+    /// / propagation args is recorded when tracing is enabled.
+    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
+        self.tally.sat_calls += 1;
+        let before = *self.solver.stats();
+        let mut span = self.recorder.span("sat_call", self.tid);
+        let result = self.solver.solve_with(assumptions);
+        let after = self.solver.stats();
+        let conflicts = after.conflicts - before.conflicts;
+        self.tally.conflict_hist.record(conflicts);
+        self.live.sat_calls.inc();
+        self.live.conflicts.add(conflicts);
+        if span.is_enabled() {
+            span.arg("node", u64::from(n.index()));
+            span.arg(
+                "verdict",
+                match result {
+                    SolveResult::Sat => "sat",
+                    SolveResult::Unsat => "unsat",
+                    SolveResult::Unknown => "unknown",
+                },
+            );
+            span.arg("conflicts", conflicts);
+            span.arg("decisions", after.decisions - before.decisions);
+            span.arg("propagations", after.propagations - before.propagations);
+        }
+        result
+    }
+
+    /// Commits the solver's final conflict clause and derives the
+    /// canonical two-literal lemma from it by weakening.
+    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
+        let committed = self.solver.commit_final_clause();
+        self.tally.lemmas += 1;
+        self.live.lemmas.inc();
+        if self.solver.proof_logging() {
+            let id = committed.expect("proof mode final clause id");
+            if let Some(p) = self.solver.proof() {
+                self.tally
+                    .lemma_chain_hist
+                    .record(p.step(id).antecedents.len() as u64);
+            }
+            let lemma = self.solver.add_derived_clause(canonical, &[id]);
+            self.solver.tag_proof_step(lemma, StepRole::Lemma);
+            Some(lemma)
+        } else {
+            // Still add the canonical form for propagation strength.
+            self.solver.add_clause(canonical);
+            None
+        }
+    }
+
+    /// The input pattern of the solver's current model.
+    pub(crate) fn model_pattern(&self, graph: &Aig) -> Vec<bool> {
+        graph
+            .inputs()
+            .iter()
+            .map(|node| self.solver.model_value(Var::new(node.index())))
+            .collect()
+    }
 }
 
 /// One clause of the shared database feed: the global clause stream
@@ -441,16 +314,6 @@ const SHARE_LEARNT_MAX_LEN: usize = 8;
 /// growth (every export is replayed by every other worker).
 const SHARE_LEARNT_MAX_PER_ROUND: usize = 32;
 
-/// What [`WorkerState::round`] hands back: verdicts in discovery order,
-/// the round's counters, dispatch/import counters, and any learnt
-/// clauses drained for sharing.
-type RoundOutput = (
-    Vec<(usize, PairVerdict)>,
-    WorkerStats,
-    DispatchStats,
-    Vec<(Vec<Lit>, Option<ClauseId>)>,
-);
-
 /// One round's work order for a parallel-sweep worker thread: the
 /// worker's own state (shipped back and forth so the sequential merge
 /// phase can read its proof), the feed entries added since the last
@@ -464,11 +327,12 @@ struct WorkerJob {
 /// What a worker thread sends back after a round.
 struct WorkerReport {
     state: WorkerState,
+    /// Verdicts in discovery order, keyed by index into the round's
+    /// pair list.
     results: Vec<(usize, PairVerdict)>,
     stats: WorkerStats,
-    /// BDD-probe counters of this round (budget counters are recorded
-    /// by the coordinator, which issues the dispatches), plus this
-    /// round's learnt import count.
+    /// BDD-probe and budget counters of this round, plus its learnt
+    /// import count.
     dispatch: DispatchStats,
     /// Learnt clauses drained from the worker's solver this round for
     /// cross-worker sharing, as `(literals, local proof id)`. Empty
@@ -476,79 +340,37 @@ struct WorkerReport {
     learnts: Vec<(Vec<Lit>, Option<ClauseId>)>,
 }
 
-/// A persistent parallel-sweep worker: a private incremental SAT solver
-/// that lives across rounds (keeping its learnt clauses and saved
-/// phases), synced with the shared clause database by replaying the
-/// feed, plus the local→global proof id translation accumulated over
-/// all merges so far. Fully deterministic given its shard and feed
-/// history.
+/// A persistent parallel-sweep worker: a [`Discharger`] whose private
+/// incremental solver lives across rounds (keeping its learnt clauses
+/// and saved phases), synced with the shared clause database by
+/// replaying the feed, plus the local→global proof id translation
+/// accumulated over all merges so far. Fully deterministic given its
+/// shard and feed history.
 struct WorkerState {
-    solver: Solver,
+    discharger: Discharger,
     /// Local proof step id → global proof id. Originals are filled on
     /// sync; derived steps are filled by [`proof::Proof::merge_cone`].
     translation: Vec<Option<ClauseId>>,
-    proof_mode: bool,
     /// Export learnt clauses for cross-worker sharing each round.
     share_learnts: bool,
-    /// Trace recorder (shared with the coordinator) and this worker's
-    /// logical thread id in the trace.
-    recorder: Recorder,
-    tid: u32,
-    /// This worker's live `cec.worker<w>.*` counters, updated from the
-    /// worker thread itself so the sampler sees intra-round progress.
-    m_sat_calls: metrics::Counter,
-    m_conflicts: metrics::Counter,
-    m_lemmas: metrics::Counter,
 }
 
 impl WorkerState {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        proof_mode: bool,
-        share_learnts: bool,
-        num_vars: u32,
-        budget: Option<u64>,
-        recorder: Recorder,
-        tid: u32,
-        metrics: &Metrics,
-        w: usize,
-    ) -> Self {
-        let mut solver = if proof_mode {
-            Solver::with_proof()
-        } else {
-            Solver::new()
-        };
-        solver.ensure_vars(num_vars);
-        solver.set_conflict_budget(budget);
-        solver.set_recorder(recorder.clone(), tid);
-        WorkerState {
-            solver,
-            translation: Vec::new(),
-            proof_mode,
-            share_learnts,
-            recorder,
-            tid,
-            m_sat_calls: metrics.counter(&format!("cec.worker{w}.sat_calls")),
-            m_conflicts: metrics.counter(&format!("cec.worker{w}.conflicts")),
-            m_lemmas: metrics.counter(&format!("cec.worker{w}.lemmas")),
-        }
-    }
-
     /// Replays the feed entries added since the last round, skipping
     /// the clauses this worker proved itself (already present locally;
-    /// their proof steps are translated at merge time instead).
-    /// Returns the number of learnt-flagged clauses imported.
-    fn sync(&mut self, me: usize, delta: &[FeedClause]) -> u64 {
-        let mut learnts_imported = 0;
+    /// their proof steps are translated at merge time instead), and
+    /// counts the learnt-flagged clauses imported.
+    fn sync(&mut self, me: usize, delta: &[FeedClause]) {
+        let d = &mut self.discharger;
         for fc in delta {
             if fc.origin == Some(me) {
                 continue;
             }
             if fc.learnt {
-                learnts_imported += 1;
+                d.dispatch.learnts_imported += 1;
             }
-            let local = self.solver.add_clause(&fc.lits);
-            if self.proof_mode {
+            let local = d.solver.add_clause(&fc.lits);
+            if d.solver.proof_logging() {
                 let local = local.expect("feed holds no tautologies").as_usize();
                 if self.translation.len() <= local {
                     self.translation.resize(local + 1, None);
@@ -557,217 +379,55 @@ impl WorkerState {
                 self.translation[local] = fc.id;
             }
         }
-        learnts_imported
     }
 
     /// Runs one round: catches up with the feed, then discharges the
-    /// shard of `(index into the round's pair list, node, target)`
-    /// entries. Returns the verdicts in discovery order and this
-    /// round's counters.
+    /// shard of `(index into the round's pair list, node, target,
+    /// dispatch)` entries.
     fn round(
-        &mut self,
+        mut self,
         me: usize,
         graph: &Aig,
         delta: &[FeedClause],
         shard: &[(usize, NodeId, Lit, Dispatch)],
-    ) -> RoundOutput {
+    ) -> WorkerReport {
         let start = Instant::now();
-        let mut span = self.recorder.span("worker_round", self.tid);
+        let mut span = self
+            .discharger
+            .recorder
+            .span("worker_round", self.discharger.tid);
         span.arg("pairs", shard.len());
         span.arg("feed_delta", delta.len());
-        let conflicts_before = self.solver.stats().conflicts;
-        let mut stats = WorkerStats::default();
-        let mut dstats = DispatchStats {
-            learnts_imported: self.sync(me, delta),
-            ..DispatchStats::default()
-        };
-        let mut results = Vec::with_capacity(shard.len());
-        for &(pair_idx, n, target, d) in shard {
-            let verdict = self.dispatch_pair(graph, n, target, d, &mut stats, &mut dstats);
-            results.push((pair_idx, verdict));
-        }
+        let conflicts_before = self.discharger.solver.stats().conflicts;
+        self.sync(me, delta);
+        let results = shard
+            .iter()
+            .map(|&(pair_idx, n, target, d)| {
+                (pair_idx, self.discharger.dispatch_pair(graph, n, target, d))
+            })
+            .collect();
         // Offer this round's freshly learnt clauses for cross-worker
         // sharing. The drain cursor is monotone, so a clause is only
         // ever offered once; short clauses first-come (insertion order),
         // which is deterministic given the shard and feed history.
         let learnts = if self.share_learnts {
-            self.solver
+            self.discharger
+                .solver
                 .drain_new_learnts(SHARE_LEARNT_MAX_LEN, SHARE_LEARNT_MAX_PER_ROUND)
         } else {
             Vec::new()
         };
-        stats.conflicts = self.solver.stats().conflicts - conflicts_before;
+        let (mut stats, dispatch) = self.discharger.take_tally();
+        stats.conflicts = self.discharger.solver.stats().conflicts - conflicts_before;
         stats.elapsed = start.elapsed();
-        (results, stats, dstats, learnts)
-    }
-
-    /// The worker-side counterpart of [`Sweep::dispatch_pair`]: optional
-    /// BDD probe, per-pair conflict budget, then the SAT proof.
-    fn dispatch_pair(
-        &mut self,
-        graph: &Aig,
-        n: NodeId,
-        target: Lit,
-        d: Dispatch,
-        stats: &mut WorkerStats,
-        dstats: &mut DispatchStats,
-    ) -> PairVerdict {
-        let budget = if d.try_bdd {
-            dstats.bdd_calls += 1;
-            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
-                    dstats.bdd_refuted += 1;
-                    return PairVerdict::Refuted { pattern };
-                }
-                BddProbe::Confirmed => {
-                    dstats.bdd_confirmed += 1;
-                    None
-                }
-                BddProbe::Inconclusive => {
-                    dstats.bdd_overflow += 1;
-                    d.budget
-                }
-            }
-        } else {
-            d.budget
-        };
-        record_budget(dstats, budget);
-        self.solver.set_conflict_budget(budget);
-        self.prove_pair(graph, n, target, stats)
-    }
-
-    /// The worker-side counterpart of [`Sweep::prove_pair`]: two
-    /// incremental SAT calls, committing each proven direction as a
-    /// canonical lemma in the worker's private solver (so later pairs
-    /// of the same shard reuse it).
-    fn prove_pair(
-        &mut self,
-        graph: &Aig,
-        n: NodeId,
-        target: Lit,
-        stats: &mut WorkerStats,
-    ) -> PairVerdict {
-        let vn = Var::new(n.index());
-        stats.sat_calls += 1;
-        match self.traced_solve(&[vn.positive(), !target], n, stats) {
-            SolveResult::Sat => {
-                stats.sat_cex += 1;
-                return PairVerdict::Refuted {
-                    pattern: worker_model_pattern(&self.solver, graph),
-                };
-            }
-            SolveResult::Unknown => return PairVerdict::Skipped,
-            SolveResult::Unsat => stats.sat_unsat += 1,
-        }
-        let fwd = self.commit_lemma(&[vn.negative(), target], stats);
-        stats.sat_calls += 1;
-        match self.traced_solve(&[vn.negative(), target], n, stats) {
-            SolveResult::Sat => {
-                stats.sat_cex += 1;
-                return PairVerdict::Refuted {
-                    pattern: worker_model_pattern(&self.solver, graph),
-                };
-            }
-            SolveResult::Unknown => return PairVerdict::Skipped,
-            SolveResult::Unsat => stats.sat_unsat += 1,
-        }
-        let bwd = self.commit_lemma(&[vn.positive(), !target], stats);
-        stats.merges += 1;
-        PairVerdict::Proved { fwd, bwd }
-    }
-
-    /// One sweeping SAT call with its per-call telemetry (conflict
-    /// histogram always; a `sat_call` span when tracing is enabled).
-    fn traced_solve(
-        &mut self,
-        assumptions: &[Lit],
-        n: NodeId,
-        stats: &mut WorkerStats,
-    ) -> SolveResult {
-        traced_solve(
-            &mut self.solver,
-            assumptions,
-            n,
-            &self.recorder,
-            self.tid,
-            &mut stats.conflict_hist,
-            &self.m_sat_calls,
-            &self.m_conflicts,
-        )
-    }
-
-    /// Commits the worker solver's final conflict clause and derives the
-    /// canonical two-literal lemma by weakening (mirrors
-    /// [`Sweep::commit_lemma`]).
-    fn commit_lemma(&mut self, canonical: &[Lit], stats: &mut WorkerStats) -> Option<ClauseId> {
-        let committed = self.solver.commit_final_clause();
-        stats.lemmas += 1;
-        self.m_lemmas.inc();
-        if self.proof_mode {
-            let id = committed.expect("proof mode final clause id");
-            if let Some(p) = self.solver.proof() {
-                stats
-                    .lemma_chain_hist
-                    .record(p.step(id).antecedents.len() as u64);
-            }
-            let lemma = self.solver.add_derived_clause(canonical, &[id]);
-            self.solver.tag_proof_step(lemma, StepRole::Lemma);
-            Some(lemma)
-        } else {
-            self.solver.add_clause(canonical);
-            None
+        WorkerReport {
+            state: self,
+            results,
+            stats,
+            dispatch,
+            learnts,
         }
     }
-}
-
-/// One sweeping SAT call with per-call telemetry: the conflict delta is
-/// always recorded into `conflict_hist` (cheap) and into the live
-/// call/conflict counters (one branch each when metrics are off); a
-/// `sat_call` span with node / verdict / conflict / decision /
-/// propagation args is recorded when tracing is enabled.
-#[allow(clippy::too_many_arguments)]
-fn traced_solve(
-    solver: &mut Solver,
-    assumptions: &[Lit],
-    n: NodeId,
-    recorder: &Recorder,
-    tid: u32,
-    conflict_hist: &mut obs::LogHistogram,
-    m_calls: &metrics::Counter,
-    m_conflicts: &metrics::Counter,
-) -> SolveResult {
-    let before = *solver.stats();
-    let mut span = recorder.span("sat_call", tid);
-    let result = solver.solve_with(assumptions);
-    let conflicts = solver.stats().conflicts - before.conflicts;
-    conflict_hist.record(conflicts);
-    m_calls.inc();
-    m_conflicts.add(conflicts);
-    if span.is_enabled() {
-        let after = solver.stats();
-        span.arg("node", u64::from(n.index()));
-        span.arg(
-            "verdict",
-            match result {
-                SolveResult::Sat => "sat",
-                SolveResult::Unsat => "unsat",
-                SolveResult::Unknown => "unknown",
-            },
-        );
-        span.arg("conflicts", conflicts);
-        span.arg("decisions", after.decisions - before.decisions);
-        span.arg("propagations", after.propagations - before.propagations);
-    }
-    result
-}
-
-/// Extracts the input pattern from a worker solver's current model.
-fn worker_model_pattern(solver: &Solver, graph: &Aig) -> Vec<bool> {
-    graph
-        .inputs()
-        .iter()
-        .map(|node| solver.model_value(Var::new(node.index())))
-        .collect()
 }
 
 /// How one candidate pair is to be discharged, decided by the
@@ -941,12 +601,23 @@ struct MergeLink {
     bwd: Option<ClauseId>, // (v_node ∨ ¬v_parent^phase)
 }
 
+impl MergeLink {
+    /// Node `n`'s two lemma clauses under this link, with their proof
+    /// ids: `fwd` then `bwd`.
+    fn clauses(&self, n: NodeId) -> [([Lit; 2], Option<ClauseId>); 2] {
+        let vn = Var::new(n.index());
+        let parent = Var::new(self.parent.index()).lit(self.phase);
+        [
+            ([vn.negative(), parent], self.fwd),
+            ([vn.positive(), !parent], self.bwd),
+        ]
+    }
+}
+
 /// Live-metrics handles resolved once per sweep run. Every handle is
 /// disconnected (one branch per update) when the registry is disabled,
 /// so the engine updates them unconditionally.
 struct SweepMetrics {
-    sat_calls: metrics::Counter,
-    conflicts: metrics::Counter,
     lemmas: metrics::Counter,
     structural_merges: metrics::Counter,
     refinements: metrics::Counter,
@@ -965,8 +636,6 @@ struct SweepMetrics {
 impl SweepMetrics {
     fn new(m: &Metrics) -> Self {
         SweepMetrics {
-            sat_calls: m.counter("cec.sat_calls"),
-            conflicts: m.counter("cec.conflicts"),
             lemmas: m.counter("cec.lemmas"),
             structural_merges: m.counter("cec.structural_merges"),
             refinements: m.counter("cec.refinements"),
@@ -985,7 +654,10 @@ pub(crate) struct Sweep<'g> {
     graph: &'g Aig,
     config: &'g EngineConfig,
     ctx: &'g SharedContext,
-    pub(crate) solver: Solver,
+    /// The coordinator's discharger: its solver holds the global clause
+    /// database and proof, and discharges every pair of the sequential
+    /// sweep.
+    pub(crate) discharger: Discharger,
     /// Tseitin definition clause ids per AND node: `[t1, t2, t3]` for
     /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`.
     and_defs: Vec<Option<[Option<ClauseId>; 3]>>,
@@ -1008,12 +680,14 @@ impl<'g> Sweep<'g> {
         ctx: &'g SharedContext,
         a_boundary: Option<usize>,
     ) -> Self {
-        let mut solver = if config.proof {
-            Solver::with_proof()
-        } else {
-            Solver::new()
-        };
-        solver.ensure_vars(graph.len() as u32);
+        let mut discharger = Discharger::new(
+            config.proof,
+            graph.len() as u32,
+            &ctx.recorder,
+            TID_COORDINATOR,
+            LiveCounters::coordinator(&ctx.metrics),
+        );
+        let solver = &mut discharger.solver;
         let mut sides = a_boundary.filter(|_| config.proof).map(|b| (b, Vec::new()));
         let mut record = |id: Option<ClauseId>, node: usize| {
             if let (Some((boundary, sides)), Some(id)) = (&mut sides, id) {
@@ -1046,7 +720,7 @@ impl<'g> Sweep<'g> {
             graph,
             config,
             ctx,
-            solver,
+            discharger,
             and_defs,
             rep: vec![None; graph.len()],
             struct_table: HashMap::new(),
@@ -1054,11 +728,6 @@ impl<'g> Sweep<'g> {
             stats: EngineStats::default(),
             metrics: SweepMetrics::new(&ctx.metrics),
         }
-    }
-
-    /// Solver literal of an AIG edge.
-    pub(crate) fn lit(&self, l: aig::Lit) -> Lit {
-        node_lit(l)
     }
 
     /// Follows merge links to the root, path-compressing and composing
@@ -1095,13 +764,19 @@ impl<'g> Sweep<'g> {
                 ([lf, pb], [lb, pf])
             };
             let fwd = self
+                .discharger
                 .solver
                 .add_derived_clause(&[vn.negative(), root_lit], &fwd_ants);
             let bwd = self
+                .discharger
                 .solver
                 .add_derived_clause(&[vn.positive(), !root_lit], &bwd_ants);
-            self.solver.tag_proof_step(fwd, StepRole::Composition);
-            self.solver.tag_proof_step(bwd, StepRole::Composition);
+            self.discharger
+                .solver
+                .tag_proof_step(fwd, StepRole::Composition);
+            self.discharger
+                .solver
+                .tag_proof_step(bwd, StepRole::Composition);
             Some((fwd, bwd))
         } else {
             None
@@ -1172,7 +847,7 @@ impl<'g> Sweep<'g> {
 
     /// Checkpoints the end-of-sweep state shared by both sweep modes.
     fn sweep_checkpoint(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        let proof_len = self.solver.proof().map_or(0, |p| p.len() as u64);
+        let proof_len = self.discharger.solver.proof().map_or(0, |p| p.len() as u64);
         durable.checkpoint(
             "sweep",
             &[
@@ -1206,7 +881,54 @@ impl<'g> Sweep<'g> {
         Some(policy)
     }
 
+    /// Runs the sweep the config asks for, if any: the single-pass
+    /// sequential sweep at one thread, the round engine at more. Times
+    /// it into the `sweep` phase and span, then lifts the pair budget
+    /// off the coordinator's solver for the final miter solve.
     pub(crate) fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+        if !self.config.sweep {
+            return Ok(());
+        }
+        let start = Instant::now();
+        if self.config.threads > 1 {
+            self.run_parallel(durable)?;
+        } else {
+            self.run_sequential(durable)?;
+        }
+        self.discharger.solver.set_conflict_budget(None);
+        let time = start.elapsed();
+        self.ctx
+            .recorder
+            .complete("sweep", TID_COORDINATOR, start, time);
+        // Simulation was timed inside the run; keep the phases disjoint.
+        self.stats.phases.sweep = time.saturating_sub(self.stats.phases.sim);
+        Ok(())
+    }
+
+    /// Records a proven merge: the node's rep link and its two lemmas.
+    fn record_merge(&mut self, n: NodeId, link: MergeLink) {
+        self.rep[n.as_usize()] = Some(link);
+        self.stats.lemmas += 2;
+        self.metrics.lemmas.add(2);
+    }
+
+    /// Folds a discharger's tally into the run's counters.
+    fn absorb(&mut self, calls: &WorkerStats, dispatch: &DispatchStats) {
+        self.stats.sat_calls += calls.sat_calls;
+        self.stats.sat_unsat += calls.sat_unsat;
+        self.stats.sat_cex += calls.sat_cex;
+        self.stats.sat_conflict_hist.merge(&calls.conflict_hist);
+        self.stats.lemma_chain_hist.merge(&calls.lemma_chain_hist);
+        if let Some(ds) = self.stats.dispatch.as_mut() {
+            self.metrics.bdd_calls.add(dispatch.bdd_calls);
+            ds.absorb(dispatch);
+        }
+    }
+
+    /// The single-pass sequential sweep: every node in topological
+    /// order, discharged against its class leader on the coordinator's
+    /// solver.
+    fn run_sequential(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         let policy = self.adaptive_policy();
@@ -1245,33 +967,34 @@ impl<'g> Sweep<'g> {
                 debug_assert!(root < n, "roots precede the node being processed");
                 let phase = pm ^ compl;
                 let target = Var::new(root.index()).lit(phase);
+                // The conflicts observed so far are this run's tally.
                 let dispatch = policy.as_ref().map_or_else(
                     || Dispatch::fixed(self.config.pair_conflict_limit),
-                    |p| p.dispatch(n, root, &self.stats.sat_conflict_hist),
+                    |p| p.dispatch(n, root, &self.discharger.tally.conflict_hist),
                 );
-                match self.dispatch_pair(n, target, dispatch) {
-                    Ok((fwd, bwd)) => {
-                        self.rep[n.as_usize()] = Some(MergeLink {
+                match self
+                    .discharger
+                    .dispatch_pair(self.graph, n, target, dispatch)
+                {
+                    PairVerdict::Proved { fwd, bwd } => {
+                        let link = MergeLink {
                             parent: root,
                             phase,
                             fwd,
                             bwd,
-                        });
-                        self.stats.lemmas += 2;
-                        self.metrics.lemmas.add(2);
+                        };
+                        self.record_merge(n, link);
                         classes.remove(n);
                         break;
                     }
-                    Err(PairFailure::Counterexample(pattern)) => {
+                    PairVerdict::Refuted { pattern } => {
                         self.record_refinement(n);
                         classes.refine_with_pattern(self.graph, &pattern);
                         // The candidate is recomputed; the class of `n`
                         // necessarily split, so this loop terminates.
                     }
-                    Err(PairFailure::BudgetExhausted) => {
-                        // Sound to leave the pair undecided: the final
-                        // miter solve does not depend on any merge. In
-                        // adaptive mode the pair gets one more shot.
+                    PairVerdict::Skipped => {
+                        // In adaptive mode the pair gets one more shot.
                         if let Some(ds) = self.stats.dispatch.as_mut() {
                             ds.deferred += 1;
                             self.metrics.deferred.inc();
@@ -1303,74 +1026,34 @@ impl<'g> Sweep<'g> {
                     self.metrics.retried.inc();
                     self.metrics.queue_hard.add(-1);
                 }
-                match self.dispatch_pair(n, target, dispatch) {
-                    Ok((fwd, bwd)) => {
-                        self.rep[n.as_usize()] = Some(MergeLink {
+                match self
+                    .discharger
+                    .dispatch_pair(self.graph, n, target, dispatch)
+                {
+                    PairVerdict::Proved { fwd, bwd } => {
+                        let link = MergeLink {
                             parent: r,
                             phase,
                             fwd,
                             bwd,
-                        });
-                        self.stats.lemmas += 2;
-                        self.metrics.lemmas.add(2);
+                        };
+                        self.record_merge(n, link);
                     }
-                    Err(PairFailure::Counterexample(_)) => {
+                    PairVerdict::Refuted { .. } => {
                         // Genuinely inequivalent; the node already left
                         // its class, so there is nothing to refine.
                         self.record_refinement(n);
                     }
-                    Err(PairFailure::BudgetExhausted) => {
+                    PairVerdict::Skipped => {
                         // Only reachable under an explicit user limit.
                         self.stats.pairs_skipped += 1;
                     }
                 }
             }
         }
+        let (calls, dispatch) = self.discharger.take_tally();
+        self.absorb(&calls, &dispatch);
         self.sweep_checkpoint(durable)
-    }
-
-    /// Discharges one candidate pair as routed: optional BDD probe,
-    /// per-pair conflict budget, then the two-call SAT proof.
-    fn dispatch_pair(
-        &mut self,
-        n: NodeId,
-        target: Lit,
-        d: Dispatch,
-    ) -> Result<(Option<ClauseId>, Option<ClauseId>), PairFailure> {
-        if d.try_bdd {
-            if let Some(ds) = self.stats.dispatch.as_mut() {
-                ds.bdd_calls += 1;
-                self.metrics.bdd_calls.inc();
-            }
-            match bdd_probe(self.graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_refuted += 1;
-                    }
-                    return Err(PairFailure::Counterexample(pattern));
-                }
-                BddProbe::Confirmed => {
-                    // The pair is equivalent; run the lemma extraction
-                    // unbudgeted so the confirmation cannot be wasted.
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_confirmed += 1;
-                        record_budget(ds, None);
-                    }
-                    self.solver.set_conflict_budget(None);
-                    return self.prove_pair(n, target);
-                }
-                BddProbe::Inconclusive => {
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.bdd_overflow += 1;
-                    }
-                }
-            }
-        }
-        if let Some(ds) = self.stats.dispatch.as_mut() {
-            record_budget(ds, d.budget);
-        }
-        self.solver.set_conflict_budget(d.budget);
-        self.prove_pair(n, target)
     }
 
     /// The round-based parallel sweep.
@@ -1382,7 +1065,7 @@ impl<'g> Sweep<'g> {
     ///    (reps move between rounds, so stale keys must not survive).
     /// 2. **Collect**: a *window* of the topologically first candidate
     ///    pairs `(n, root, phase)` of the live classes —
-    ///    [`CecOptions::pairs_per_worker`] per worker. Class members
+    ///    [`EngineConfig::pairs_per_worker`] per worker. Class members
     ///    always have `rep = None` (merged nodes are removed from their
     ///    class), so targets are class leaders and no node is sharded
     ///    twice. The small window preserves lemma locality: a pair's
@@ -1407,19 +1090,15 @@ impl<'g> Sweep<'g> {
     /// candidate work (merged/skipped nodes leave their classes; each
     /// applied refutation either splits a class or was subsumed by an
     /// earlier split this round), so the loop terminates.
-    pub(crate) fn run_parallel(
-        &mut self,
-        threads: usize,
-        durable: &mut Durable,
-    ) -> Result<(), CecError> {
+    fn run_parallel(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+        let threads = self.config.threads;
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         self.stats.workers = vec![WorkerStats::default(); threads];
 
-        let num_vars = self.solver.num_vars();
+        let num_vars = self.discharger.solver.num_vars();
         let proof_mode = self.config.proof;
         let share_learnts = self.config.share_learnts;
-        let budget = self.config.pair_conflict_limit;
         let graph = self.graph;
         let policy = self.adaptive_policy();
         if share_learnts {
@@ -1437,7 +1116,7 @@ impl<'g> Sweep<'g> {
         // rounds from the observed conflict imbalance.
         let pinned = self.config.pairs_per_worker;
         let mut per_worker = pinned.unwrap_or(8).max(1);
-        if let Some(p) = self.solver.proof() {
+        if let Some(p) = self.discharger.solver.proof() {
             // Anchor of the stitch segments: everything appended between
             // here and the end of the last round is parallel-merge
             // output, which the RP007 lint cross-checks.
@@ -1447,6 +1126,7 @@ impl<'g> Sweep<'g> {
         }
 
         let mut feed: Vec<FeedClause> = self
+            .discharger
             .solver
             .live_clauses()
             .map(|(ls, id)| FeedClause {
@@ -1464,16 +1144,17 @@ impl<'g> Sweep<'g> {
         // and report of each round.
         let mut states: Vec<Option<WorkerState>> = (0..threads)
             .map(|w| {
-                Some(WorkerState::new(
-                    proof_mode,
+                Some(WorkerState {
+                    discharger: Discharger::new(
+                        proof_mode,
+                        num_vars,
+                        &self.ctx.recorder,
+                        worker_tid(w),
+                        LiveCounters::worker(&self.ctx.metrics, w),
+                    ),
+                    translation: Vec::new(),
                     share_learnts,
-                    num_vars,
-                    budget,
-                    self.ctx.recorder.clone(),
-                    worker_tid(w),
-                    &self.ctx.metrics,
-                    w,
-                ))
+                })
             })
             .collect();
 
@@ -1491,23 +1172,8 @@ impl<'g> Sweep<'g> {
                 from_worker.push(report_rx);
                 scope.spawn(move || {
                     for job in job_rx {
-                        let WorkerJob {
-                            mut state,
-                            delta,
-                            shard,
-                        } = job;
-                        let (results, stats, dispatch, learnts) =
-                            state.round(w, graph, &delta, &shard);
-                        if report_tx
-                            .send(WorkerReport {
-                                state,
-                                results,
-                                stats,
-                                dispatch,
-                                learnts,
-                            })
-                            .is_err()
-                        {
+                        let report = job.state.round(w, graph, &job.delta, &job.shard);
+                        if report_tx.send(report).is_err() {
                             return;
                         }
                     }
@@ -1531,20 +1197,12 @@ impl<'g> Sweep<'g> {
                         if self.try_structural_merge(n).is_some() {
                             classes.remove(n);
                             let link = self.rep[n.as_usize()].expect("merged just now");
-                            let vn = Var::new(n.index());
-                            let root = Var::new(link.parent.index()).lit(link.phase);
-                            feed.push(FeedClause {
-                                lits: vec![vn.negative(), root],
-                                id: link.fwd,
+                            feed.extend(link.clauses(n).map(|(lits, id)| FeedClause {
+                                lits: lits.to_vec(),
+                                id,
                                 origin: None,
                                 learnt: false,
-                            });
-                            feed.push(FeedClause {
-                                lits: vec![vn.positive(), !root],
-                                id: link.bwd,
-                                origin: None,
-                                learnt: false,
-                            });
+                            }));
                         } else {
                             self.register_structure(n);
                         }
@@ -1617,7 +1275,7 @@ impl<'g> Sweep<'g> {
                     .map(|&(n, root, _)| match &policy {
                         Some(p) if retry_round => p.retry_dispatch(),
                         Some(p) => p.dispatch(n, root, &self.stats.sat_conflict_hist),
-                        None => Dispatch::fixed(budget),
+                        None => Dispatch::fixed(self.config.pair_conflict_limit),
                     })
                     .collect();
 
@@ -1659,47 +1317,16 @@ impl<'g> Sweep<'g> {
                     } = report;
                     states[w] = Some(state);
                     round_conflicts.push(round_stats.conflicts);
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        self.metrics.bdd_calls.add(wd.bdd_calls);
-                        ds.sat_budgeted += wd.sat_budgeted;
-                        ds.sat_unbudgeted += wd.sat_unbudgeted;
-                        ds.bdd_calls += wd.bdd_calls;
-                        ds.bdd_refuted += wd.bdd_refuted;
-                        ds.bdd_confirmed += wd.bdd_confirmed;
-                        ds.bdd_overflow += wd.bdd_overflow;
-                        ds.learnts_imported += wd.learnts_imported;
-                        if wd.budget_min != 0
-                            && (ds.budget_min == 0 || wd.budget_min < ds.budget_min)
-                        {
-                            ds.budget_min = wd.budget_min;
-                        }
-                        ds.budget_max = ds.budget_max.max(wd.budget_max);
-                    }
-                    let ws = &mut self.stats.workers[w];
-                    ws.sat_calls += round_stats.sat_calls;
-                    ws.sat_unsat += round_stats.sat_unsat;
-                    ws.sat_cex += round_stats.sat_cex;
-                    ws.conflicts += round_stats.conflicts;
-                    ws.merges += round_stats.merges;
-                    ws.lemmas += round_stats.lemmas;
-                    ws.elapsed += round_stats.elapsed;
-                    ws.conflict_hist.merge(&round_stats.conflict_hist);
-                    ws.lemma_chain_hist.merge(&round_stats.lemma_chain_hist);
-                    self.stats.sat_calls += round_stats.sat_calls;
-                    self.stats.sat_unsat += round_stats.sat_unsat;
-                    self.stats.sat_cex += round_stats.sat_cex;
+                    self.absorb(&round_stats, &wd);
+                    self.stats.workers[w].absorb(&round_stats);
                     // Workers tick only their own cec.worker{w}.* cells
                     // live; fold this round into the engine-wide
-                    // aggregates so cec.sat_calls / cec.conflicts mean
-                    // the same thing under both sweep modes.
-                    self.metrics.sat_calls.add(round_stats.sat_calls);
-                    self.metrics.conflicts.add(round_stats.conflicts);
-                    self.stats
-                        .sat_conflict_hist
-                        .merge(&round_stats.conflict_hist);
-                    self.stats
-                        .lemma_chain_hist
-                        .merge(&round_stats.lemma_chain_hist);
+                    // aggregates (the coordinator's live counters) so
+                    // cec.sat_calls / cec.conflicts mean the same thing
+                    // under both sweep modes.
+                    let live = &self.discharger.live;
+                    live.sat_calls.add(round_stats.sat_calls);
+                    live.conflicts.add(round_stats.conflicts);
 
                     if proof_mode {
                         let mut roots: Vec<ClauseId> = results
@@ -1716,50 +1343,42 @@ impl<'g> Sweep<'g> {
                         // global proof before the clause is fed onward.
                         roots.extend(learnts.iter().filter_map(|(_, id)| *id));
                         let WorkerState {
-                            solver,
+                            discharger,
                             translation,
                             ..
                         } = states[w].as_mut().expect("report returned the state");
-                        let local = solver.proof().expect("proof-mode worker logs");
-                        self.solver.merge_proof_cone(local, &roots, translation);
+                        let local = discharger.solver.proof().expect("proof-mode worker logs");
+                        self.discharger
+                            .solver
+                            .merge_proof_cone(local, &roots, translation);
                     }
                     let translation = &states[w].as_ref().expect("state parked").translation;
                     for (pair_idx, verdict) in results {
                         let (n, root, phase) = pairs[pair_idx];
                         match verdict {
                             PairVerdict::Proved { fwd, bwd } => {
-                                let vn = Var::new(n.index());
-                                let target = Var::new(root.index()).lit(phase);
                                 let translate = |id: Option<ClauseId>| {
                                     id.map(|id| {
                                         translation[id.as_usize()]
                                             .expect("proved lemma is a merge root")
                                     })
                                 };
-                                let (fwd, bwd) = (translate(fwd), translate(bwd));
-                                self.solver.add_proved_clause(&[vn.negative(), target], fwd);
-                                self.solver
-                                    .add_proved_clause(&[vn.positive(), !target], bwd);
-                                feed.push(FeedClause {
-                                    lits: vec![vn.negative(), target],
-                                    id: fwd,
-                                    origin: Some(w),
-                                    learnt: false,
-                                });
-                                feed.push(FeedClause {
-                                    lits: vec![vn.positive(), !target],
-                                    id: bwd,
-                                    origin: Some(w),
-                                    learnt: false,
-                                });
-                                self.rep[n.as_usize()] = Some(MergeLink {
+                                let link = MergeLink {
                                     parent: root,
                                     phase,
-                                    fwd,
-                                    bwd,
-                                });
-                                self.stats.lemmas += 2;
-                                self.metrics.lemmas.add(2);
+                                    fwd: translate(fwd),
+                                    bwd: translate(bwd),
+                                };
+                                for (lits, id) in link.clauses(n) {
+                                    self.discharger.solver.add_proved_clause(&lits, id);
+                                    feed.push(FeedClause {
+                                        lits: lits.to_vec(),
+                                        id,
+                                        origin: Some(w),
+                                        learnt: false,
+                                    });
+                                }
+                                self.record_merge(n, link);
                                 classes.remove(n);
                             }
                             PairVerdict::Refuted { pattern } => {
@@ -1801,7 +1420,7 @@ impl<'g> Sweep<'g> {
                             } else {
                                 None
                             };
-                            self.solver.add_proved_clause(&lits, gid);
+                            self.discharger.solver.add_proved_clause(&lits, gid);
                             feed.push(FeedClause {
                                 lits,
                                 id: gid,
@@ -1839,12 +1458,12 @@ impl<'g> Sweep<'g> {
                         }
                     }
                 }
-                if let Some(p) = self.solver.proof() {
+                if let Some(p) = self.discharger.solver.proof() {
                     self.stats
                         .stitch_boundaries
                         .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
                 }
-                let proof_len = self.solver.proof().map_or(0, |p| p.len() as u64);
+                let proof_len = self.discharger.solver.proof().map_or(0, |p| p.len() as u64);
                 durable.checkpoint(
                     "round",
                     &[
@@ -1864,83 +1483,6 @@ impl<'g> Sweep<'g> {
         });
         rounds?;
         self.sweep_checkpoint(durable)
-    }
-
-    /// Attempts to prove `v_n ≡ target` with two incremental SAT calls.
-    /// On success returns the canonical lemma clause ids.
-    fn prove_pair(
-        &mut self,
-        n: NodeId,
-        target: Lit,
-    ) -> Result<(Option<ClauseId>, Option<ClauseId>), PairFailure> {
-        let vn = Var::new(n.index());
-        // v_n ∧ ¬target unsatisfiable?
-        self.stats.sat_calls += 1;
-        match self.traced_solve(&[vn.positive(), !target], n) {
-            SolveResult::Sat => {
-                self.stats.sat_cex += 1;
-                return Err(PairFailure::Counterexample(self.model_pattern()));
-            }
-            SolveResult::Unknown => return Err(PairFailure::BudgetExhausted),
-            SolveResult::Unsat => self.stats.sat_unsat += 1,
-        }
-        let fwd = self.commit_lemma(&[vn.negative(), target]);
-        // ¬v_n ∧ target unsatisfiable?
-        self.stats.sat_calls += 1;
-        match self.traced_solve(&[vn.negative(), target], n) {
-            SolveResult::Sat => {
-                self.stats.sat_cex += 1;
-                return Err(PairFailure::Counterexample(self.model_pattern()));
-            }
-            SolveResult::Unknown => return Err(PairFailure::BudgetExhausted),
-            SolveResult::Unsat => self.stats.sat_unsat += 1,
-        }
-        let bwd = self.commit_lemma(&[vn.positive(), !target]);
-        Ok((fwd, bwd))
-    }
-
-    /// One sweeping SAT call with its per-call telemetry.
-    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
-        traced_solve(
-            &mut self.solver,
-            assumptions,
-            n,
-            &self.ctx.recorder,
-            TID_COORDINATOR,
-            &mut self.stats.sat_conflict_hist,
-            &self.metrics.sat_calls,
-            &self.metrics.conflicts,
-        )
-    }
-
-    /// Commits the solver's final conflict clause and derives the
-    /// canonical two-literal lemma form by weakening.
-    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
-        let committed = self.solver.commit_final_clause();
-        if self.config.proof {
-            let id = committed.expect("proof mode final clause id");
-            if let Some(p) = self.solver.proof() {
-                self.stats
-                    .lemma_chain_hist
-                    .record(p.step(id).antecedents.len() as u64);
-            }
-            let lemma = self.solver.add_derived_clause(canonical, &[id]);
-            self.solver.tag_proof_step(lemma, StepRole::Lemma);
-            Some(lemma)
-        } else {
-            // Still add the canonical form for propagation strength.
-            self.solver.add_clause(canonical);
-            None
-        }
-    }
-
-    /// Extracts the input pattern from the solver's current model.
-    fn model_pattern(&self) -> Vec<bool> {
-        self.graph
-            .inputs()
-            .iter()
-            .map(|node| self.solver.model_value(Var::new(node.index())))
-            .collect()
     }
 
     /// If `n`'s rep-normalized structure matches an already-processed
@@ -1975,36 +1517,40 @@ impl<'g> Sweep<'g> {
                 let vn = Var::new(n.index());
                 let root_lit = Var::new(root.index()).lit(pm);
                 let fwd = self
+                    .discharger
                     .solver
                     .add_derived_clause(&[vn.negative(), root_lit], &[nf, mf]);
                 let bwd = self
+                    .discharger
                     .solver
                     .add_derived_clause(&[vn.positive(), !root_lit], &[nb, mb]);
-                self.solver.tag_proof_step(fwd, StepRole::Composition);
-                self.solver.tag_proof_step(bwd, StepRole::Composition);
+                self.discharger
+                    .solver
+                    .tag_proof_step(fwd, StepRole::Composition);
+                self.discharger
+                    .solver
+                    .tag_proof_step(bwd, StepRole::Composition);
                 (Some(fwd), Some(bwd))
             }
             Some((nf, nb)) => (Some(nf), Some(nb)),
             None => (None, None),
         };
-        if !self.config.proof {
-            // Without proofs we still need the lemma clauses in the
-            // database for later calls to use.
-            let vn = Var::new(n.index());
-            let root_lit = Var::new(root.index()).lit(pm);
-            self.solver.add_clause(&[vn.negative(), root_lit]);
-            self.solver.add_clause(&[vn.positive(), !root_lit]);
-        }
-        self.rep[n.as_usize()] = Some(MergeLink {
+        let link = MergeLink {
             parent: root,
             phase: pm,
             fwd,
             bwd,
-        });
+        };
+        if !self.config.proof {
+            // Without proofs we still need the lemma clauses in the
+            // database for later calls to use.
+            for (lits, _) in link.clauses(n) {
+                self.discharger.solver.add_clause(&lits);
+            }
+        }
+        self.record_merge(n, link);
         self.stats.structural_merges += 1;
-        self.stats.lemmas += 2;
         self.metrics.structural_merges.inc();
-        self.metrics.lemmas.add(2);
         self.ctx.recorder.instant(
             "structural_merge",
             TID_COORDINATOR,
@@ -2070,9 +1616,12 @@ impl<'g> Sweep<'g> {
         chain.push(t1);
         chain.push(t2);
         let fwd = self
+            .discharger
             .solver
             .add_derived_clause(&[vn.negative(), vm.positive()], &chain);
-        self.solver.tag_proof_step(fwd, StepRole::Structural);
+        self.discharger
+            .solver
+            .tag_proof_step(fwd, StepRole::Structural);
 
         // bwd: (v_n ∨ ¬v_m) from t3 = (v_n ∨ ¬a_n ∨ ¬b_n):
         //   a_n → ra → a_m, b_n → rb → b_m, then u1, u2.
@@ -2092,9 +1641,12 @@ impl<'g> Sweep<'g> {
         chain.push(u1);
         chain.push(u2);
         let bwd = self
+            .discharger
             .solver
             .add_derived_clause(&[vn.positive(), vm.negative()], &chain);
-        self.solver.tag_proof_step(bwd, StepRole::Structural);
+        self.discharger
+            .solver
+            .tag_proof_step(bwd, StepRole::Structural);
 
         (fwd, bwd)
     }
@@ -2118,24 +1670,55 @@ impl<'g> Sweep<'g> {
         self.struct_table.entry(structure_key(ra, rb)).or_insert(n);
     }
 
-    pub(crate) fn finish(&mut self, _start: Instant) -> EngineStats {
+    /// Rebuilds the graph over the merge representatives: every merged
+    /// node is replaced by its root, then dangling logic is cleaned up.
+    pub(crate) fn rebuild(&mut self) -> Aig {
+        let graph = self.graph;
+        let mut out = Aig::with_capacity(graph.len());
+        let mut map: Vec<aig::Lit> = vec![aig::Lit::FALSE; graph.len()];
+        for (id, node) in graph.iter() {
+            match *node {
+                aig::Node::Const => {}
+                aig::Node::Input { .. } => map[id.as_usize()] = out.add_input(),
+                aig::Node::And { a, b } => {
+                    let (root, phase, _) = self.find(id);
+                    if root != id {
+                        map[id.as_usize()] = map[root.as_usize()].xor_complement(phase);
+                    } else {
+                        let la = map[a.node().as_usize()].xor_complement(a.is_complemented());
+                        let lb = map[b.node().as_usize()].xor_complement(b.is_complemented());
+                        map[id.as_usize()] = out.and(la, lb);
+                    }
+                }
+            }
+        }
+        for o in graph.outputs() {
+            out.add_output(map[o.node().as_usize()].xor_complement(o.is_complemented()));
+        }
+        out.cleanup()
+    }
+
+    /// Hands over the run's counters, with the coordinator solver's.
+    pub(crate) fn finish(&mut self) -> EngineStats {
         let mut stats = std::mem::take(&mut self.stats);
-        stats.solver = *self.solver.stats();
+        stats.solver = *self.discharger.solver.stats();
         stats
     }
 }
 
+/// Solver literal of an AIG edge: variable `i` is AIG node `i`.
 #[inline]
-fn node_lit(l: aig::Lit) -> Lit {
+pub(crate) fn node_lit(l: aig::Lit) -> Lit {
     Var::new(l.node().index()).lit(l.is_complemented())
 }
 
-/// The CNF a [`Prover`] run refutes for this miter: the Tseitin encoding
-/// of the miter graph under the identity node-to-variable map, plus the
-/// unit clause asserting the miter output — exactly the clauses
-/// [`Sweep`] feeds its solver, in the same order. This is the formula to
-/// hand to `lint::lint_bundle` or to export as DIMACS next to the
-/// proof so a third party can audit the whole pipeline.
+/// The CNF a [`Session`](crate::Session) check refutes for this miter:
+/// the Tseitin encoding of the miter graph under the identity
+/// node-to-variable map, plus the unit clause asserting the miter
+/// output — exactly the clauses the sweep feeds its solver, in the same
+/// order. This is the formula to hand to `lint::lint_bundle` or to
+/// export as DIMACS next to the proof so a third party can audit the
+/// whole pipeline.
 pub fn miter_cnf(miter: &Miter) -> cnf::Cnf {
     let mut f = cnf::tseitin::encode(&miter.graph).cnf;
     f.add_clause(vec![node_lit(miter.output)]);
@@ -2160,14 +1743,23 @@ mod tests {
         ripple_carry_adder,
     };
 
-    fn prove(a: &Aig, b: &Aig, options: CecOptions) -> CecOutcome {
-        Prover::new(options).prove(a, b).expect("prove runs")
+    use crate::outcome::CecOutcome;
+    use crate::Session;
+
+    fn prove(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
+        Session::new(config, &SharedContext::disabled())
+            .check(a, b)
+            .expect("prove runs")
     }
 
-    fn verified() -> CecOptions {
-        CecOptions {
+    fn reduce(g: &Aig, config: EngineConfig) -> Aig {
+        Session::new(config, &SharedContext::disabled()).reduce(g).0
+    }
+
+    fn verified() -> EngineConfig {
+        EngineConfig {
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         }
     }
 
@@ -2221,10 +1813,10 @@ mod tests {
 
     #[test]
     fn no_sweep_mode_still_correct() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             sweep: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(3);
         let b = carry_select_adder(3, 2);
@@ -2236,9 +1828,9 @@ mod tests {
 
     #[test]
     fn no_proof_mode_answers_without_proof() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             proof: false,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(4);
         let b = kogge_stone_adder(4);
@@ -2249,10 +1841,10 @@ mod tests {
 
     #[test]
     fn no_structural_merging_ablation() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             structural_merging: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = parity_chain(5);
         let b = parity_tree(5);
@@ -2264,10 +1856,10 @@ mod tests {
 
     #[test]
     fn unshared_miter_ablation() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             share_structure: false,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         // Same circuit twice: without sharing, everything must be proven.
         let a = ripple_carry_adder(3);
@@ -2286,10 +1878,10 @@ mod tests {
         // A brutal 1-conflict budget forces most multiplier pairs to be
         // skipped, yet the final (unbudgeted) solve must still reach the
         // correct verdict with a checkable proof.
-        let opts = CecOptions {
+        let opts = EngineConfig {
             pair_conflict_limit: Some(1),
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
@@ -2312,10 +1904,10 @@ mod tests {
         let a = ripple_carry_adder(6);
         let b = kogge_stone_adder(6);
         for threads in [2, 4] {
-            let opts = CecOptions {
+            let opts = EngineConfig {
                 threads,
                 verify: true,
-                ..CecOptions::default()
+                ..EngineConfig::default()
             };
             let outcome = prove(&a, &b, opts);
             let cert = outcome.certificate().expect("equivalent");
@@ -2332,9 +1924,9 @@ mod tests {
     fn parallel_sweep_is_deterministic() {
         let a = ripple_carry_adder(5);
         let b = kogge_stone_adder(5);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 3,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let run = || {
             let outcome = prove(&a, &b, opts.clone());
@@ -2351,10 +1943,10 @@ mod tests {
             .filter_map(|s| mutate(&a, s))
             .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
             .expect("differing mutant");
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cex = outcome.counterexample().expect("inequivalent");
@@ -2364,11 +1956,11 @@ mod tests {
     #[test]
     fn parallel_sweep_respects_pair_budget() {
         use aig::gen::{array_multiplier, carry_save_multiplier};
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             pair_conflict_limit: Some(1),
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
@@ -2382,12 +1974,12 @@ mod tests {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         let a = array_multiplier(4);
         let b = carry_save_multiplier(4);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 3,
             share_learnts: true,
             verify: true,
             lint_bundle: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cert = outcome.certificate().expect("equivalent");
@@ -2414,10 +2006,10 @@ mod tests {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             share_learnts: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let run = || {
             let outcome = prove(&a, &b, opts.clone());
@@ -2434,11 +2026,11 @@ mod tests {
             .filter_map(|s| mutate(&a, s))
             .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
             .expect("differing mutant");
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 2,
             share_learnts: true,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let outcome = prove(&a, &b, opts);
         let cex = outcome.counterexample().expect("inequivalent");
@@ -2469,11 +2061,11 @@ mod tests {
                 g.add_output(map[o.node().as_usize()].xor_complement(o.is_complemented()));
             }
         }
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 4,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
-        let reduced = reduce(&g, &opts);
+        let reduced = reduce(&g, opts);
         reduced.check().unwrap();
         assert!(reduced.num_ands() < g.num_ands());
         assert_eq!(aig::sim::exhaustive_diff(&g, &reduced, 8), None);
@@ -2542,7 +2134,7 @@ mod tests {
     fn interface_mismatch_reported() {
         let a = ripple_carry_adder(2);
         let b = ripple_carry_adder(3);
-        match Prover::new(CecOptions::default()).prove(&a, &b) {
+        match Session::new(EngineConfig::default(), &SharedContext::disabled()).check(&a, &b) {
             Err(CecError::InterfaceMismatch { .. }) => {}
             other => panic!("expected interface mismatch, got {other:?}"),
         }
@@ -2582,7 +2174,7 @@ mod tests {
             g.add_output(l);
         }
 
-        let reduced = reduce(&g, &CecOptions::default());
+        let reduced = reduce(&g, EngineConfig::default());
         reduced.check().unwrap();
         assert!(
             reduced.num_ands() < g.num_ands(),
@@ -2600,8 +2192,8 @@ mod tests {
     fn reduce_is_identity_on_already_reduced_graphs() {
         use aig::gen::kogge_stone_adder;
         let g = kogge_stone_adder(6);
-        let r1 = reduce(&g, &CecOptions::default());
-        let r2 = reduce(&r1, &CecOptions::default());
+        let r1 = reduce(&g, EngineConfig::default());
+        let r2 = reduce(&r1, EngineConfig::default());
         assert_eq!(aig::sim::exhaustive_diff(&g, &r1, 12), None);
         assert!(r2.num_ands() <= r1.num_ands());
         // Idempotence up to a couple of nodes (sim seeds differ).
@@ -2623,16 +2215,18 @@ mod tests {
     #[test]
     fn recorder_captures_phases_and_worker_tids() {
         let recorder = Recorder::new();
-        let options = CecOptions {
+        let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
+        let config = EngineConfig {
             threads: 2,
             verify: true,
             lint_proof: true,
-            recorder: recorder.clone(),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let a = ripple_carry_adder(5);
         let b = kogge_stone_adder(5);
-        let outcome = prove(&a, &b, options);
+        let outcome = Session::new(config, &ctx)
+            .check(&a, &b)
+            .expect("prove runs");
         let cert = outcome.certificate().expect("equivalent");
 
         let events = recorder.take_events();
@@ -2674,5 +2268,19 @@ mod tests {
         // Histograms were fed by the run.
         assert_eq!(cert.stats.sat_conflict_hist.count(), cert.stats.sat_calls);
         assert_eq!(cert.stats.lemma_chain_hist.count(), cert.stats.lemmas);
+
+        // The sequential sweep's solver records its restarts too: a t1
+        // multiplier check restarts on the coordinator's tid.
+        let (a, b) = aig::gen::family_pair("mul", 5).expect("known family");
+        let outcome = Session::new(EngineConfig::default(), &ctx)
+            .check(&a, &b)
+            .expect("prove runs");
+        assert!(outcome.is_equivalent());
+        let restarts = recorder
+            .take_events()
+            .iter()
+            .filter(|e| e.name == "restart" && e.tid == TID_COORDINATOR)
+            .count();
+        assert!(restarts > 0, "t1 run recorded no solver restarts");
     }
 }

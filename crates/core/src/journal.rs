@@ -15,7 +15,7 @@
 //! solver state from the journal — it *re-executes* deterministically
 //! and cross-validates every checkpoint it reaches against the
 //! journaled prefix. A journal whose header does not match the inputs
-//! or options is rejected up front ([`CecError::Journal`]); a
+//! or engine config is rejected up front ([`CecError::Journal`]); a
 //! checkpoint that disagrees with its journaled twin is a
 //! [`CecError::ReplayDivergence`]. Once the prefix is exhausted, new
 //! checkpoints append to the same journal, so the resumed run's
@@ -25,7 +25,7 @@
 //! assumption.
 
 use crate::outcome::CecError;
-use crate::CecOptions;
+use crate::EngineConfig;
 use aig::Aig;
 use obs::hash::fnv1a64_hex;
 use obs::journal::{read_journal_file, JournalWriter, Record};
@@ -100,7 +100,7 @@ pub const PHASES: &[&str] = &["miter", "sim", "round", "sweep", "final_solve", "
 /// Durable run-state handle threaded through one engine run.
 ///
 /// Comes in three flavors: [`Durable::disabled`] (zero-cost no-op, what
-/// plain [`crate::Prover::prove`] uses), [`Durable::begin`] (fresh
+/// plain [`crate::Session::check`] uses), [`Durable::begin`] (fresh
 /// journal), and [`Durable::resume`] (validated replay against an
 /// existing journal, then append).
 #[derive(Debug, Default)]
@@ -122,14 +122,14 @@ pub struct Durable {
     m_replayed: obs::metrics::Counter,
 }
 
-/// Canonical header body for an input pair + option set.
-fn header_body(options: &CecOptions, a: &Aig, b: &Aig) -> Value {
+/// Canonical header body for an input pair + engine config.
+fn header_body(config: &EngineConfig, a: &Aig, b: &Aig) -> Value {
     let hash_of = |g: &Aig| {
         let mut bytes = Vec::new();
         aig::aiger::write_ascii(g, &mut bytes).expect("write to Vec cannot fail");
         Value::Str(fnv1a64_hex(&bytes))
     };
-    let limit = match options.pair_conflict_limit {
+    let limit = match config.pair_conflict_limit {
         Some(n) => Value::U64(n),
         None => Value::Null,
     };
@@ -138,33 +138,33 @@ fn header_body(options: &CecOptions, a: &Aig, b: &Aig) -> Value {
         ("format".into(), Value::U64(JOURNAL_FORMAT)),
         ("a_hash".into(), hash_of(a)),
         ("b_hash".into(), hash_of(b)),
-        ("threads".into(), Value::U64(options.threads as u64)),
-        ("sim_words".into(), Value::U64(options.sim_words as u64)),
-        ("seed".into(), Value::U64(options.seed)),
+        ("threads".into(), Value::U64(config.threads as u64)),
+        ("sim_words".into(), Value::U64(config.sim_words as u64)),
+        ("seed".into(), Value::U64(config.seed)),
         (
             "pairs_per_worker".into(),
-            match options.pairs_per_worker {
+            match config.pairs_per_worker {
                 Some(n) => Value::U64(n as u64),
                 None => Value::Null,
             },
         ),
         (
             "engine".into(),
-            Value::str(match options.engine {
+            Value::str(match config.engine {
                 crate::EngineSelect::Static => "static",
                 crate::EngineSelect::Adaptive => "adaptive",
             }),
         ),
         (
             "share_structure".into(),
-            Value::Bool(options.share_structure),
+            Value::Bool(config.share_structure),
         ),
         (
             "structural_merging".into(),
-            Value::Bool(options.structural_merging),
+            Value::Bool(config.structural_merging),
         ),
-        ("sweep".into(), Value::Bool(options.sweep)),
-        ("proof".into(), Value::Bool(options.proof)),
+        ("sweep".into(), Value::Bool(config.sweep)),
+        ("proof".into(), Value::Bool(config.proof)),
         ("pair_conflict_limit".into(), limit),
     ])
 }
@@ -177,16 +177,21 @@ impl Durable {
     }
 
     /// Starts a fresh journal at `path`, writing and syncing the header
-    /// record for `(options, a, b)`.
+    /// record for `(config, a, b)`.
     ///
     /// # Errors
     ///
     /// [`CecError::Journal`] on I/O failure.
-    pub fn begin(path: &Path, options: &CecOptions, a: &Aig, b: &Aig) -> Result<Durable, CecError> {
+    pub fn begin(
+        path: &Path,
+        config: &EngineConfig,
+        a: &Aig,
+        b: &Aig,
+    ) -> Result<Durable, CecError> {
         let mut writer = JournalWriter::create(path)
             .map_err(|e| CecError::Journal(format!("create {}: {e}", path.display())))?;
         writer
-            .write(&header_body(options, a, b))
+            .write(&header_body(config, a, b))
             .and_then(|_| writer.sync())
             .map_err(|e| CecError::Journal(format!("write header: {e}")))?;
         Ok(Durable {
@@ -196,16 +201,16 @@ impl Durable {
     }
 
     /// Loads the journal at `path`, validates its header against
-    /// `(options, a, b)`, and returns a handle that replays the
+    /// `(config, a, b)`, and returns a handle that replays the
     /// remaining records as validation before appending new ones.
     ///
     /// # Errors
     ///
     /// [`CecError::Journal`] on I/O failure, mid-file corruption, or a
-    /// header that does not match the inputs and options being resumed.
+    /// header that does not match the inputs and config being resumed.
     pub fn resume(
         path: &Path,
-        options: &CecOptions,
+        config: &EngineConfig,
         a: &Aig,
         b: &Aig,
     ) -> Result<Durable, CecError> {
@@ -217,7 +222,7 @@ impl Durable {
                 path.display()
             )));
         };
-        let expected = header_body(options, a, b);
+        let expected = header_body(config, a, b);
         if header.body != expected {
             return Err(CecError::Journal(format!(
                 "{}: header does not match the inputs/options being resumed \

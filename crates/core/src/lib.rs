@@ -7,11 +7,10 @@
 //! contributes inferences to a single resolution proof that an
 //! independent, trivially simple checker can replay.
 //!
-//! - [`Prover`] / [`CecOptions`]: the sweeping engine (see
-//!   [`engine`](crate::Prover) for the algorithm).
-//! - [`Session`] / [`EngineConfig`] / [`SharedContext`]: the session
-//!   layer — one check as a cheap object over shared immutable state,
-//!   for services that run many checks per process.
+//! - [`Session`] / [`EngineConfig`] / [`SharedContext`]: the sweeping
+//!   engine's one entry point — a check (or a FRAIG reduction) as a
+//!   cheap object over shared state, so services can run many checks
+//!   per process.
 //! - [`monolithic::prove_monolithic`]: the single-SAT-call baseline.
 //! - [`Miter`]: both circuits in one AIG over shared inputs.
 //! - [`SimClasses`]: simulation-derived candidate equivalence classes.
@@ -24,12 +23,13 @@
 //!
 //! ```
 //! use aig::gen::{carry_select_adder, ripple_carry_adder};
-//! use cec::{CecOptions, Prover};
+//! use cec::{EngineConfig, Session, SharedContext};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let a = ripple_carry_adder(8);
 //! let b = carry_select_adder(8, 3);
-//! let outcome = Prover::new(CecOptions::default()).prove(&a, &b)?;
+//! let ctx = SharedContext::disabled();
+//! let outcome = Session::new(EngineConfig::default(), &ctx).check(&a, &b)?;
 //! let cert = outcome.certificate().expect("equivalent");
 //! // The verdict is auditable: replay the proof independently.
 //! proof::check::check_refutation(cert.proof.as_ref().unwrap())?;
@@ -49,7 +49,7 @@ mod session;
 mod sim;
 mod stats_json;
 
-pub use engine::{miter_cnf, reduce, reduce_with_stats, CecOptions, EngineSelect, Prover};
+pub use engine::{miter_cnf, EngineSelect};
 pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
 pub use outcome::{

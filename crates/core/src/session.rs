@@ -1,14 +1,14 @@
-//! The session layer: one equivalence check as an object over shared
-//! immutable state.
+//! The engine's entry point: one equivalence check, or one FRAIG
+//! reduction, as an object over shared state.
 //!
-//! [`crate::CecOptions`] conflates two different things: the *knobs* of
-//! a run (seeds, budgets, thread counts — plain data, cheap to clone)
-//! and the *process-wide handles* a run reports into (the trace
-//! recorder and the live metrics registry — shared, reference-counted
-//! state). A long-running service that checks many pairs concurrently
-//! wants to build the handles once and the knobs once, then spin up an
-//! arbitrary number of independent checks against them without
-//! re-initializing either. This module is that split:
+//! A run takes two different kinds of input: the *knobs* (seeds,
+//! budgets, thread counts — plain data, cheap to clone) and the
+//! *process-wide handles* it reports into (the trace recorder and the
+//! live metrics registry — shared, reference-counted state). A
+//! long-running service that checks many pairs concurrently wants to
+//! build the handles once and the knobs once, then spin up an arbitrary
+//! number of independent checks against them without re-initializing
+//! either. This module keeps the two apart:
 //!
 //! - [`EngineConfig`] is the pure-knob half: `Clone + Send + Sync`
 //!   plain data with no interior state, so a server can stamp out one
@@ -18,23 +18,23 @@
 //!   `Arc`s, and *all* clones observe the same registry — which is
 //!   exactly what a metrics sampler wants.
 //! - [`Session`] borrows a context and owns a config; its
-//!   [`check`](Session::check) is one equivalence query. Sessions are
-//!   cheap (two pointers and a config struct) and independent: many can
-//!   run concurrently over one context from different threads.
+//!   [`check`](Session::check) is one equivalence query and its
+//!   [`reduce`](Session::reduce) one FRAIG reduction. Sessions are cheap
+//!   (two pointers and a config struct) and independent: many can run
+//!   concurrently over one context from different threads.
 //!
-//! [`crate::Prover`] remains as the one-shot convenience wrapper: it
-//! splits its options into the two halves and runs a single session.
-//! Anything that re-parses or re-initializes per check — the `rcecd`
-//! daemon, the load generator's in-process mode, batch drivers — should
-//! hold a [`SharedContext`] and create sessions instead.
+//! A one-shot caller runs a single session over
+//! [`SharedContext::disabled`] (or a context built from its flags).
+//! Anything that checks many pairs per process — the `rcecd` daemon,
+//! the load generator's in-process mode, batch drivers — holds one
+//! [`SharedContext`] and creates a session per check.
 
-use crate::engine::{miter_cnf, EngineSelect, Sweep};
+use crate::engine::{miter_cnf, node_lit, EngineSelect, Sweep};
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample};
+use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample, EngineStats};
 use aig::Aig;
 use cnf::tseitin::Partition;
-use cnf::Var;
 use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::{Recorder, TID_COORDINATOR};
@@ -59,16 +59,35 @@ pub struct EngineConfig {
     /// resolution (no SAT call).
     pub structural_merging: bool,
     /// Run SAT sweeping at all; with `false` the engine degenerates to
-    /// a monolithic solve of the miter.
+    /// a monolithic solve of the miter (the baseline of experiment T2).
     pub sweep: bool,
-    /// Conflict budget per sweeping SAT call (`None` = complete
-    /// sweeping).
+    /// Conflict budget per sweeping SAT call. Candidate pairs whose
+    /// calls run out are *skipped* (left unmerged), which is always
+    /// sound; the final miter solve runs unbudgeted. `None` = complete
+    /// sweeping.
     pub pair_conflict_limit: Option<u64>,
-    /// Worker threads for the sweeping phase (see
-    /// [`crate::CecOptions::threads`]).
+    /// Worker threads for the sweeping phase. `1` (the default) runs the
+    /// classical sequential sweep; `> 1` deals windows of candidate
+    /// pairs round-robin onto persistent worker threads, each with a
+    /// private incremental solver kept in sync with the shared clause
+    /// database by replaying its clause feed, and stitches the workers'
+    /// derivations back into the one global proof in a fixed
+    /// worker-then-discovery order — so the verdict *and* the proof are
+    /// byte-for-byte deterministic for a given seed and thread count.
     pub threads: usize,
-    /// Candidate pairs dealt to each worker per parallel round; `None`
-    /// auto-tunes (see [`crate::CecOptions::pairs_per_worker`]).
+    /// Candidate pairs dealt to each worker per parallel round. The
+    /// window trades per-round synchronization cost against lemma
+    /// locality: pairs are discharged in topological order, so a small
+    /// window means a pair's fanin-cone equivalences were almost always
+    /// merged in an earlier round and reach the worker as unit-strength
+    /// lemma clauses — keeping per-pair conflict work near the
+    /// sequential level — while a large window forces workers to
+    /// re-derive in-flight predecessors from scratch.
+    ///
+    /// `None` (the default) auto-tunes the window between rounds from
+    /// the observed per-worker conflict imbalance — a deterministic
+    /// signal, so proofs stay byte-reproducible per (seed, threads).
+    /// `Some(n)` pins the window.
     pub pairs_per_worker: Option<usize>,
     /// Discharge-scheduling policy; see [`EngineSelect`].
     pub engine: EngineSelect,
@@ -83,12 +102,21 @@ pub struct EngineConfig {
     pub share_learnts: bool,
     /// Record a resolution proof.
     pub proof: bool,
-    /// Run the static-analysis lint pass over the recorded proof.
+    /// Run the static-analysis lint pass over the recorded proof before
+    /// returning: lint counts land in [`EngineStats::lints`] and the
+    /// full report in [`crate::Certificate::lint_report`]. Much cheaper
+    /// than [`EngineConfig::verify`]'s full replay, and localizes
+    /// defects instead of rejecting wholesale.
     pub lint_proof: bool,
-    /// Run the cross-artifact bundle lint (implies the proof lint).
+    /// Run the cross-artifact bundle lint on top of the proof lint: the
+    /// engine re-derives its own miter CNF via [`miter_cnf`] and checks
+    /// AIG↔CNF↔proof↔certificate binding with [`lint::lint_bundle`].
+    /// Implies the proof lint; counts and report land in the same
+    /// places.
     pub lint_bundle: bool,
-    /// Re-check the proof / counterexample independently before
-    /// returning.
+    /// Re-check the recorded proof with the independent checker before
+    /// returning, and validate counterexamples by evaluation. Failures
+    /// become [`CecError`]s instead of silently wrong verdicts.
     pub verify: bool,
 }
 
@@ -120,11 +148,20 @@ impl Default for EngineConfig {
 /// and observed by every concurrent session.
 #[derive(Clone, Debug)]
 pub struct SharedContext {
-    /// Trace recorder (spans, per-call SAT telemetry). Disabled by
-    /// default.
+    /// Trace recorder. The default is [`obs::Recorder::disabled`] — no
+    /// events, near-zero overhead. Attach an enabled recorder to capture
+    /// per-phase spans, per-call SAT telemetry, and solver restart /
+    /// reduce-DB events, then export with [`obs::export`]. Parallel
+    /// workers record on logical thread ids `1..=threads`; the
+    /// coordinator records on `0`.
     pub recorder: Recorder,
-    /// Live metrics registry (`cec.*` counters, queue gauges, cache
-    /// counters). Disabled by default.
+    /// Live metrics registry. The default is
+    /// [`obs::metrics::Metrics::disabled`] — every update costs one
+    /// branch. Attach an enabled registry (and typically an
+    /// [`obs::metrics::Sampler`]) to watch the engine's `cec.*`
+    /// counters, queue depths, per-worker rates and cache counters as a
+    /// `metrics-v1` time series while it runs. Metric names are listed
+    /// in DESIGN.md.
     pub metrics: Metrics,
 }
 
@@ -151,7 +188,8 @@ impl SharedContext {
 
 /// One equivalence check bound to a [`SharedContext`]. Create one per
 /// query; run it with [`check`](Session::check) (or
-/// [`check_durable`](Session::check_durable) for journaled runs).
+/// [`check_durable`](Session::check_durable) for journaled runs), or
+/// reduce a single circuit with [`reduce`](Session::reduce).
 ///
 /// # Example
 ///
@@ -251,32 +289,16 @@ impl<'c> Session<'c> {
         sweep.stats.miter_nodes = miter.graph.len();
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
-
-        if self.config.sweep {
-            let sweep_start = Instant::now();
-            if self.config.threads > 1 {
-                sweep.run_parallel(self.config.threads, durable)?;
-            } else {
-                sweep
-                    .solver
-                    .set_conflict_budget(self.config.pair_conflict_limit);
-                sweep.run(durable)?;
-                sweep.solver.set_conflict_budget(None);
-            }
-            let sweep_time = sweep_start.elapsed();
-            rec.complete("sweep", TID_COORDINATOR, sweep_start, sweep_time);
-            // Simulation was timed inside run(); keep the phases disjoint.
-            sweep.stats.phases.sweep = sweep_time.saturating_sub(sweep.stats.phases.sim);
-        }
+        sweep.run(durable)?;
 
         // Assert the miter output and ask for the final verdict.
-        let out_lit = sweep.lit(miter.output);
-        let out_id = sweep.solver.add_clause(&[out_lit]);
+        let solver = &mut sweep.discharger.solver;
+        let out_id = solver.add_clause(&[node_lit(miter.output)]);
         if let (Some(sides), Some(id)) = (&mut sweep.sides, out_id) {
             sides.push((id, Partition::B));
         }
         let final_start = Instant::now();
-        let result = sweep.solver.solve();
+        let result = solver.solve();
         sweep.stats.phases.final_solve = final_start.elapsed();
         rec.complete(
             "final_solve",
@@ -295,14 +317,14 @@ impl<'c> Session<'c> {
                 }),
             )],
         )?;
-        let mut stats = sweep.finish(start);
+        let mut stats = sweep.finish();
 
         match result {
             SolveResult::Unknown => unreachable!("final solve runs without a budget"),
             SolveResult::Unsat => {
-                let empty = sweep.solver.empty_clause_id();
+                let empty = sweep.discharger.solver.empty_clause_id();
                 let partition = sweep.sides.take();
-                let proof = sweep.solver.into_proof();
+                let proof = sweep.discharger.solver.into_proof();
                 let mut lint_report = None;
                 if let Some(p) = &proof {
                     stats.proof = Some(p.stats());
@@ -374,12 +396,7 @@ impl<'c> Session<'c> {
                 })))
             }
             SolveResult::Sat => {
-                let pattern: Vec<bool> = miter
-                    .graph
-                    .inputs()
-                    .iter()
-                    .map(|n| sweep.solver.model_value(Var::new(n.index())))
-                    .collect();
+                let pattern = sweep.discharger.model_pattern(&miter.graph);
                 let outputs_a = a.evaluate(&pattern);
                 let outputs_b = b.evaluate(&pattern);
                 let counterexample = Counterexample {
@@ -400,6 +417,69 @@ impl<'c> Session<'c> {
                 })
             }
         }
+    }
+
+    /// Functionally reduces a circuit by SAT sweeping (FRAIG): nodes
+    /// proven equivalent (up to complement) are merged onto one
+    /// representative and the graph is rebuilt over the survivors.
+    ///
+    /// This is the classical dual use of the equivalence-checking
+    /// engine — the same simulation / SAT / structural-merge machinery,
+    /// pointed at a single circuit instead of a miter. The result is
+    /// functionally equivalent to the input on every output (verify
+    /// with [`Session::check`] if desired) and never larger after
+    /// cleanup. Returns the sweep's counters with it: SAT calls, merges,
+    /// refinements, per-phase times, and (in parallel mode) per-worker
+    /// stats; `elapsed` covers the sweep and the rebuild.
+    ///
+    /// Proof logging is disabled internally: there is no refutation to
+    /// certify, only a rewritten circuit. The config's `proof` and
+    /// `verify` fields are ignored.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use aig::Aig;
+    /// use cec::{EngineConfig, Session, SharedContext};
+    ///
+    /// // Build a graph with two structurally different copies of x XOR y:
+    /// // !((x&y) | (!x&!y)) and (x&!y) | (!x&y).
+    /// let mut g = Aig::new();
+    /// let x = g.add_input();
+    /// let y = g.add_input();
+    /// let a = g.xor(x, y);
+    /// let b = {
+    ///     let t0 = g.and(x, !y);
+    ///     let t1 = g.and(!x, y);
+    ///     g.or(t0, t1)
+    /// };
+    /// g.add_output(a);
+    /// g.add_output(b);
+    ///
+    /// let ctx = SharedContext::disabled();
+    /// let (reduced, _stats) = Session::new(EngineConfig::default(), &ctx).reduce(&g);
+    /// assert!(reduced.num_ands() < g.num_ands());
+    /// assert_eq!(aig::sim::exhaustive_diff(&g, &reduced, 4), None);
+    /// ```
+    pub fn reduce(&self, graph: &Aig) -> (Aig, EngineStats) {
+        let start = Instant::now();
+        let config = EngineConfig {
+            proof: false,
+            verify: false,
+            ..self.config.clone()
+        };
+        let mut sweep = Sweep::new(graph, &config, self.ctx, None);
+        sweep.stats.miter_nodes = graph.len();
+        sweep.stats.circuit_nodes = graph.len();
+        // A disabled durable never journals and never crashes, so the
+        // sweep cannot fail here.
+        sweep
+            .run(&mut Durable::disabled())
+            .expect("disabled durable cannot fail");
+        let reduced = sweep.rebuild();
+        let mut stats = sweep.finish();
+        stats.elapsed = start.elapsed();
+        (reduced, stats)
     }
 }
 
@@ -457,22 +537,5 @@ mod tests {
             assert!(eq.join().unwrap());
             assert!(!ne.join().unwrap());
         });
-    }
-
-    #[test]
-    fn prover_and_session_agree_byte_for_byte() {
-        let a = ripple_carry_adder(4);
-        let b = kogge_stone_adder(4);
-        let opts = crate::CecOptions::default();
-        let from_prover = crate::Prover::new(opts.clone()).prove(&a, &b).unwrap();
-        let (config, ctx) = opts.split();
-        let from_session = Session::new(config, &ctx).check(&a, &b).unwrap();
-        let bytes = |o: &CecOutcome| {
-            let mut buf = Vec::new();
-            let cert = o.certificate().expect("equivalent");
-            proof::export::write_tracecheck(cert.proof.as_ref().unwrap(), &mut buf).unwrap();
-            buf
-        };
-        assert_eq!(bytes(&from_prover), bytes(&from_session));
     }
 }

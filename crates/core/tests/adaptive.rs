@@ -6,16 +6,18 @@
 
 use aig::gen;
 use aig::Aig;
-use cec::{CecOptions, CecOutcome, EngineSelect, Prover};
+use cec::{CecOutcome, EngineConfig, EngineSelect, Session, SharedContext};
 
-fn prove(a: &Aig, b: &Aig, options: CecOptions) -> CecOutcome {
-    Prover::new(options).prove(a, b).expect("prove runs")
+fn prove(a: &Aig, b: &Aig, options: EngineConfig) -> CecOutcome {
+    Session::new(options, &SharedContext::disabled())
+        .check(a, b)
+        .expect("prove runs")
 }
 
-fn adaptive() -> CecOptions {
-    CecOptions {
+fn adaptive() -> EngineConfig {
+    EngineConfig {
         engine: EngineSelect::Adaptive,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
 }
 
@@ -78,7 +80,7 @@ fn certify(name: &str, outcome: &CecOutcome) {
 #[test]
 fn adaptive_matches_static_across_zoo() {
     for (name, a, b) in zoo() {
-        let s = prove(&a, &b, CecOptions::default());
+        let s = prove(&a, &b, EngineConfig::default());
         let d = prove(&a, &b, adaptive());
         assert_eq!(
             s.is_equivalent(),
@@ -138,7 +140,7 @@ fn adaptive_parallel_is_deterministic_per_thread_count() {
     let a = gen::ripple_carry_adder(8);
     let b = gen::kogge_stone_adder(8);
     for threads in [2, 3] {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads,
             ..adaptive()
         };
@@ -163,9 +165,9 @@ fn adaptive_parallel_is_deterministic_per_thread_count() {
 fn auto_tuned_window_stays_in_bounds() {
     let a = gen::array_multiplier(4);
     let b = gen::carry_save_multiplier(4);
-    let opts = CecOptions {
+    let opts = EngineConfig {
         threads: 4,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
     let outcome = prove(&a, &b, opts);
     let cert = outcome.certificate().expect("equivalent");
@@ -176,10 +178,10 @@ fn auto_tuned_window_stays_in_bounds() {
     let pinned = prove(
         &a,
         &b,
-        CecOptions {
+        EngineConfig {
             threads: 4,
             pairs_per_worker: Some(5),
-            ..CecOptions::default()
+            ..EngineConfig::default()
         },
     );
     let cert = pinned.certificate().expect("equivalent");
@@ -192,7 +194,7 @@ fn hard_queue_recovers_deferred_pairs() {
     // the same limit) must leave the verdict and proof sound anyway.
     let a = gen::array_multiplier(3);
     let b = gen::carry_save_multiplier(3);
-    let opts = CecOptions {
+    let opts = EngineConfig {
         pair_conflict_limit: Some(2),
         ..adaptive()
     };

@@ -9,7 +9,9 @@
 use aig::gen;
 use aig::Aig;
 use cec::journal::PHASES;
-use cec::{CecError, CecOptions, CecOutcome, CrashMode, CrashPoint, Durable, Prover};
+use cec::{
+    CecError, CecOutcome, CrashMode, CrashPoint, Durable, EngineConfig, Session, SharedContext,
+};
 use std::path::PathBuf;
 
 fn tmp(name: &str) -> PathBuf {
@@ -18,10 +20,10 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn options(threads: usize) -> CecOptions {
-    CecOptions {
+fn options(threads: usize) -> EngineConfig {
+    EngineConfig {
         threads,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
 }
 
@@ -39,11 +41,14 @@ fn tc_bytes(outcome: &CecOutcome) -> Vec<u8> {
 /// and journal each time.
 fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
     let opts = options(threads);
-    let prover = Prover::new(opts.clone());
+    let ctx = SharedContext::disabled();
+    let session = Session::new(opts.clone(), &ctx);
 
     let base_path = tmp(&format!("{name}-t{threads}-base.journal"));
     let mut base = Durable::begin(&base_path, &opts, a, b).expect("begin");
-    let outcome = prover.prove_durable(a, b, &mut base).expect("baseline run");
+    let outcome = session
+        .check_durable(a, b, &mut base)
+        .expect("baseline run");
     let base_proof = tc_bytes(&outcome);
     let base_journal = std::fs::read(&base_path).expect("baseline journal");
 
@@ -59,7 +64,7 @@ fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
             hit: 1,
             mode: CrashMode::Error,
         });
-        match prover.prove_durable(a, b, &mut d) {
+        match session.check_durable(a, b, &mut d) {
             Err(CecError::CrashInjected { phase: p, hit: 1 }) => assert_eq!(&p, phase),
             other => panic!("{name} t{threads} {phase}: expected injected crash, got {other:?}"),
         }
@@ -70,8 +75,8 @@ fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
             resumed.pending_replay() > 0,
             "{phase}: crash left no checkpoints"
         );
-        let outcome = prover
-            .prove_durable(a, b, &mut resumed)
+        let outcome = session
+            .check_durable(a, b, &mut resumed)
             .unwrap_or_else(|e| panic!("{name} t{threads} {phase}: resume failed: {e}"));
         assert_eq!(
             tc_bytes(&outcome),
@@ -113,13 +118,13 @@ fn resume_rejects_mismatched_options() {
     let opts = options(1);
     let path = tmp("mismatch.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
-    Prover::new(opts.clone())
-        .prove_durable(&a, &b, &mut d)
+    Session::new(opts.clone(), &SharedContext::disabled())
+        .check_durable(&a, &b, &mut d)
         .expect("run");
     drop(d);
 
     // Different seed → different header → refuse to resume.
-    let other = CecOptions {
+    let other = EngineConfig {
         seed: 7,
         ..opts.clone()
     };
@@ -156,7 +161,7 @@ fn resume_detects_checkpoint_divergence() {
     drop(w);
 
     let mut resumed = Durable::resume(&path, &opts, &a, &b).expect("resume");
-    match Prover::new(opts).prove_durable(&a, &b, &mut resumed) {
+    match Session::new(opts, &SharedContext::disabled()).check_durable(&a, &b, &mut resumed) {
         Err(CecError::ReplayDivergence { seq: 1, .. }) => {}
         other => panic!("expected divergence at seq 1, got {other:?}"),
     }
@@ -174,8 +179,8 @@ fn inequivalent_runs_journal_the_counterexample() {
     let opts = options(1);
     let path = tmp("sat.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
-    let outcome = Prover::new(opts)
-        .prove_durable(&a, &b, &mut d)
+    let outcome = Session::new(opts.clone(), &SharedContext::disabled())
+        .check_durable(&a, &b, &mut d)
         .expect("run");
     assert!(outcome.counterexample().is_some());
     drop(d);

@@ -8,7 +8,7 @@
 
 use aig::gen;
 use cec::monolithic::{prove_monolithic, MonolithicOptions};
-use cec::{miter_cnf, CecOptions, CecOutcome, Miter, Prover};
+use cec::{miter_cnf, CecOutcome, EngineConfig, Miter, Session, SharedContext};
 use cnf::{dimacs, tseitin, Cnf, Var};
 use lint::{fix_proof, lint_bundle, Bundle, CertificateInfo, LintOptions};
 use proof::export::{write_drat, write_tracecheck};
@@ -26,11 +26,13 @@ struct EngineBundle {
 fn engine_bundle() -> EngineBundle {
     let a = gen::ripple_carry_adder(6);
     let b = gen::kogge_stone_adder(6);
-    let options = CecOptions {
+    let options = EngineConfig {
         threads: 2,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
-    let outcome = Prover::new(options).prove(&a, &b).expect("prove");
+    let outcome = Session::new(options, &SharedContext::disabled())
+        .check(&a, &b)
+        .expect("prove");
     let CecOutcome::Equivalent(cert) = outcome else {
         panic!("adders are equivalent");
     };

@@ -33,7 +33,7 @@
 //!
 //! Everything here rides on the repo's certified-proof discipline:
 //! every request the driver counts as *completed* was a full
-//! [`cec::Prover`] run producing a checkable verdict, so the published
+//! [`cec::Session`] check producing a checkable verdict, so the published
 //! rates are rates of **certified** answers, not of optimistic guesses.
 
 #![warn(missing_docs)]

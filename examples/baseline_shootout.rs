@@ -13,7 +13,7 @@
 use resolution_cec::aig::gen;
 use resolution_cec::cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
 use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 use std::time::Instant;
 
@@ -60,7 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Sweeping with stitched proof.
         let t = Instant::now();
-        let sweep = Prover::new(CecOptions::default()).prove(a, b)?;
+        let sweep =
+            Session::new(EngineConfig::default(), &SharedContext::disabled()).check(a, b)?;
         let cert = sweep.certificate().expect("equivalent");
         let sweep_proof = cert.proof.as_ref().expect("proof");
         proof::check::check_refutation(sweep_proof)?;

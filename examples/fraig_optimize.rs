@@ -3,7 +3,7 @@
 //!
 //! A redundancy-rich design is built (a datapath computing the same
 //! arithmetic twice in different architectures, as naive HLS output
-//! often does), reduced with `cec::reduce`, and the optimization itself
+//! often does), reduced with `cec::Session::reduce`, and the optimization itself
 //! is then *verified* by running the proof-producing checker on the
 //! before/after pair — optimizing and signing off with the same
 //! machinery.
@@ -12,7 +12,7 @@
 
 use resolution_cec::aig::gen::{brent_kung_adder, ripple_carry_adder};
 use resolution_cec::aig::{Aig, Lit, Node};
-use resolution_cec::cec::{reduce, CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
 /// Imports `src` into `g` over `inputs` without structural hashing.
@@ -52,8 +52,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bloated.num_outputs()
     );
 
+    let ctx = SharedContext::disabled();
     let t = std::time::Instant::now();
-    let optimized = reduce(&bloated, &CecOptions::default());
+    let (optimized, _) = Session::new(EngineConfig::default(), &ctx).reduce(&bloated);
     println!(
         "fraig reduce:   {} AND gates ({:.0}% removed) in {:?}",
         optimized.num_ands(),
@@ -62,11 +63,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Sign off the optimization with a checkable proof.
-    let outcome = Prover::new(CecOptions {
+    let config = EngineConfig {
         verify: true,
-        ..CecOptions::default()
-    })
-    .prove(&bloated, &optimized)?;
+        ..EngineConfig::default()
+    };
+    let outcome = Session::new(config, &ctx).check(&bloated, &optimized)?;
     let cert = outcome
         .certificate()
         .expect("reduction must preserve the function");

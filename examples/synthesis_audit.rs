@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example synthesis_audit`
 
 use resolution_cec::aig::gen::{alu, AluArch};
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 use std::io::Write;
 
@@ -33,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         synthesized.depth()
     );
 
-    let options = CecOptions {
+    let config = EngineConfig {
         verify: true, // engine re-checks its own proof before answering
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
-    let outcome = Prover::new(options).prove(&golden, &synthesized)?;
+    let outcome = Session::new(config, &SharedContext::disabled()).check(&golden, &synthesized)?;
 
     let Some(cert) = outcome.certificate() else {
         let cex = outcome.counterexample().expect("inequivalent");

@@ -17,12 +17,13 @@
 //!
 //! ```
 //! use resolution_cec::aig::gen;
-//! use resolution_cec::cec::{CecOptions, Prover};
+//! use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let a = gen::ripple_carry_adder(8);
 //! let b = gen::carry_lookahead_adder(8);
-//! let outcome = Prover::new(CecOptions::default()).prove(&a, &b)?;
+//! let ctx = SharedContext::disabled();
+//! let outcome = Session::new(EngineConfig::default(), &ctx).check(&a, &b)?;
 //! assert!(outcome.is_equivalent());
 //! # Ok(())
 //! # }

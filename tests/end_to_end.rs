@@ -5,7 +5,7 @@
 use resolution_cec::aig::gen;
 use resolution_cec::aig::{sim, Aig};
 use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::cnf::tseitin;
 use resolution_cec::proof;
 
@@ -75,18 +75,18 @@ fn equivalent_pairs() -> Vec<(&'static str, Aig, Aig)> {
     ]
 }
 
-fn verified_options() -> CecOptions {
-    CecOptions {
+fn verified_options() -> EngineConfig {
+    EngineConfig {
         verify: true,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
 }
 
 #[test]
 fn sweeping_engine_proves_the_whole_zoo() {
     for (name, a, b) in equivalent_pairs() {
-        let outcome = Prover::new(verified_options())
-            .prove(&a, &b)
+        let outcome = Session::new(verified_options(), &SharedContext::disabled())
+            .check(&a, &b)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let cert = outcome
             .certificate()
@@ -123,7 +123,9 @@ fn stitched_proofs_are_smaller_than_monolithic_on_adders() {
     // monolithic one.
     let a = gen::ripple_carry_adder(10);
     let b = gen::kogge_stone_adder(10);
-    let sweep = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let sweep = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let mono = prove_monolithic(&a, &b, &MonolithicOptions::default()).unwrap();
     let rs = sweep
         .certificate()
@@ -146,16 +148,18 @@ fn every_engine_configuration_is_sound() {
     for share in [false, true] {
         for structural in [false, true] {
             for sweep in [false, true] {
-                let opts = CecOptions {
+                let opts = EngineConfig {
                     share_structure: share,
                     structural_merging: structural,
                     sweep,
                     verify: true,
-                    ..CecOptions::default()
+                    ..EngineConfig::default()
                 };
-                let outcome = Prover::new(opts).prove(&a, &b).unwrap_or_else(|e| {
-                    panic!("share={share} structural={structural} sweep={sweep}: {e}")
-                });
+                let outcome = Session::new(opts, &SharedContext::disabled())
+                    .check(&a, &b)
+                    .unwrap_or_else(|e| {
+                        panic!("share={share} structural={structural} sweep={sweep}: {e}")
+                    });
                 let cert = outcome.certificate().unwrap_or_else(|| {
                     panic!("share={share} structural={structural} sweep={sweep}: not equivalent")
                 });
@@ -178,8 +182,8 @@ fn mutants_are_caught_by_both_engines() {
         // Ground truth by exhaustive evaluation (8 inputs).
         let truly_equal = sim::exhaustive_diff(&golden, &mutant, 8).is_none();
         tried += 1;
-        let sweep = Prover::new(verified_options())
-            .prove(&golden, &mutant)
+        let sweep = Session::new(verified_options(), &SharedContext::disabled())
+            .check(&golden, &mutant)
             .unwrap();
         assert_eq!(sweep.is_equivalent(), truly_equal, "sweep seed {seed}");
         if !sweep.is_equivalent() {
@@ -218,8 +222,8 @@ fn aiger_round_trip_preserves_equivalence_verdicts() {
             aiger::write_ascii(&original, &mut buf).unwrap();
         }
         let reread = aiger::read(&buf[..]).unwrap();
-        let outcome = Prover::new(verified_options())
-            .prove(&original, &reread)
+        let outcome = Session::new(verified_options(), &SharedContext::disabled())
+            .check(&original, &reread)
             .unwrap();
         assert!(outcome.is_equivalent(), "binary={binary}");
     }
@@ -231,7 +235,9 @@ fn rewritten_circuits_prove_equivalent_with_structural_merges() {
     // discharge a large share of the work structurally.
     let a = gen::random_aig(10, 120, 4, 7);
     let b = a.shuffle_rebuild(99);
-    let outcome = Prover::new(verified_options()).prove(&a, &b).unwrap();
+    let outcome = Session::new(verified_options(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("rewrite preserves function");
     proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
 }
@@ -249,15 +255,17 @@ fn parallel_sweep_agrees_with_sequential_on_the_zoo() {
     // verdict, and every recorded proof passes both independent
     // checkers (strict chain replay and RUP).
     for (name, a, b) in equivalent_pairs() {
-        let sequential = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+        let sequential = Session::new(EngineConfig::default(), &SharedContext::disabled())
+            .check(&a, &b)
+            .unwrap();
         assert!(sequential.is_equivalent(), "{name}: sequential");
         for threads in [2usize, 4] {
-            let opts = CecOptions {
+            let opts = EngineConfig {
                 threads,
-                ..CecOptions::default()
+                ..EngineConfig::default()
             };
-            let outcome = Prover::new(opts)
-                .prove(&a, &b)
+            let outcome = Session::new(opts, &SharedContext::disabled())
+                .check(&a, &b)
                 .unwrap_or_else(|e| panic!("{name} threads={threads}: {e}"));
             assert_eq!(
                 outcome.is_equivalent(),
@@ -279,13 +287,15 @@ fn parallel_sweep_is_reproducible_across_runs() {
     // Determinism: two same-seed 4-worker runs over the whole zoo
     // produce byte-identical trimmed proofs.
     for (name, a, b) in equivalent_pairs() {
-        let opts = CecOptions {
+        let opts = EngineConfig {
             threads: 4,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
         let trimmed: Vec<Vec<u8>> = (0..2)
             .map(|_| {
-                let outcome = Prover::new(opts.clone()).prove(&a, &b).unwrap();
+                let outcome = Session::new(opts.clone(), &SharedContext::disabled())
+                    .check(&a, &b)
+                    .unwrap();
                 let cert = outcome.certificate().unwrap_or_else(|| panic!("{name}"));
                 let trim = proof::trim_refutation(cert.proof.as_ref().unwrap());
                 tracecheck_bytes(&trim.proof)
@@ -305,11 +315,13 @@ fn tracecheck_round_trip_preserves_checkability() {
     // independent checkers.
     let a = gen::ripple_carry_adder(6);
     let b = gen::carry_select_adder(6, 2);
-    let opts = CecOptions {
+    let opts = EngineConfig {
         threads: 2,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
-    let outcome = Prover::new(opts).prove(&a, &b).unwrap();
+    let outcome = Session::new(opts, &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().unwrap();
     let original = cert.proof.as_ref().unwrap();
 
@@ -327,7 +339,9 @@ fn tracecheck_round_trip_preserves_checkability() {
 fn unsat_core_identifies_needed_lemmas() {
     let a = gen::ripple_carry_adder(6);
     let b = gen::brent_kung_adder(6);
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().unwrap();
     let p = cert.proof.as_ref().unwrap();
     let trimmed = proof::trim_refutation(p);
@@ -346,12 +360,14 @@ fn sweep_proof_interpolants_are_valid() {
 
     let a = gen::ripple_carry_adder(4);
     let b = gen::brent_kung_adder(4);
-    let opts = CecOptions {
+    let opts = EngineConfig {
         share_structure: false, // required for clause-side labels
         verify: true,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
-    let outcome = Prover::new(opts).prove(&a, &b).unwrap();
+    let outcome = Session::new(opts, &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("equivalent");
     let itp = cert
         .interpolant()

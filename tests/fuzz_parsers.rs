@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use resolution_cec::aig::{aiger, gen};
-use resolution_cec::cec::{miter_cnf, CecOptions, Miter, Prover};
+use resolution_cec::cec::{miter_cnf, EngineConfig, Miter, Session, SharedContext};
 use resolution_cec::cnf::dimacs;
 use resolution_cec::proof::{export, import};
 
@@ -63,7 +63,9 @@ fn regressions_never_panic() {
 fn valid_artifacts() -> Vec<Vec<u8>> {
     let a = gen::ripple_carry_adder(3);
     let b = gen::carry_lookahead_adder(3);
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("adders are equivalent");
     let proof = cert.proof.as_ref().expect("proof logging is on");
 

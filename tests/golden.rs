@@ -12,7 +12,7 @@
 
 use resolution_cec::aig::{self, gen, Aig};
 use resolution_cec::cec::{
-    self, CecOptions, CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
+    CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
 };
 use resolution_cec::proof;
 use std::fmt::Write as _;
@@ -184,11 +184,11 @@ fn actual() -> String {
     }
     let g = redundant_graph();
     for threads in [1, 4] {
-        let options = CecOptions {
+        let config = EngineConfig {
             threads,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
-        let (reduced, stats) = cec::reduce_with_stats(&g, &options);
+        let (reduced, stats) = Session::new(config, &ctx).reduce(&g);
         let mut bytes = Vec::new();
         aig::aiger::write_ascii(&reduced, &mut bytes).unwrap();
         writeln!(

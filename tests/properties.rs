@@ -9,13 +9,13 @@
 use proptest::prelude::*;
 use resolution_cec::aig::gen::{mutate, random_aig};
 use resolution_cec::aig::sim::exhaustive_diff;
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
-fn verified() -> CecOptions {
-    CecOptions {
+fn verified() -> EngineConfig {
+    EngineConfig {
         verify: true,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
 }
 
@@ -39,7 +39,7 @@ proptest! {
         let a = random_aig(inputs, gates, outputs, seed);
         let b = if balance { a.balance() } else { a.shuffle_rebuild(rewrite_seed) };
         prop_assert_eq!(exhaustive_diff(&a, &b, 8), None);
-        let outcome = Prover::new(verified()).prove(&a, &b).unwrap();
+        let outcome = Session::new(verified(), &SharedContext::disabled()).check(&a, &b).unwrap();
         let cert = outcome.certificate().expect("rewrite preserves function");
         prop_assert!(proof::check::check_refutation(cert.proof.as_ref().unwrap()).is_ok());
     }
@@ -57,7 +57,7 @@ proptest! {
             return Ok(());
         };
         let truth_equal = exhaustive_diff(&a, &b, 8).is_none();
-        let outcome = Prover::new(verified()).prove(&a, &b).unwrap();
+        let outcome = Session::new(verified(), &SharedContext::disabled()).check(&a, &b).unwrap();
         prop_assert_eq!(outcome.is_equivalent(), truth_equal);
         if let Some(cex) = outcome.counterexample() {
             prop_assert_eq!(&a.evaluate(&cex.pattern), &cex.outputs_a);
@@ -86,14 +86,14 @@ proptest! {
             },
         };
         let truth_equal = exhaustive_diff(&a, &b, 8).is_none();
-        let opts = CecOptions {
+        let opts = EngineConfig {
             share_structure: share,
             structural_merging: structural,
             sim_words,
             verify: true,
-            ..CecOptions::default()
+            ..EngineConfig::default()
         };
-        let outcome = Prover::new(opts).prove(&a, &b).unwrap();
+        let outcome = Session::new(opts, &SharedContext::disabled()).check(&a, &b).unwrap();
         prop_assert_eq!(outcome.is_equivalent(), truth_equal);
     }
 
@@ -107,7 +107,7 @@ proptest! {
     ) {
         let a = random_aig(inputs, gates, 2, seed);
         let b = a.shuffle_rebuild(rewrite_seed);
-        let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+        let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled()).check(&a, &b).unwrap();
         let cert = outcome.certificate().expect("equivalent");
         let p = cert.proof.as_ref().unwrap();
         let t = proof::trim_refutation(p);

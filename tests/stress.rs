@@ -3,13 +3,13 @@
 //! `cargo test --release --test stress -- --ignored`.
 
 use resolution_cec::aig::gen;
-use resolution_cec::cec::{CecOptions, Prover};
+use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 
-fn verified() -> CecOptions {
-    CecOptions {
+fn verified() -> EngineConfig {
+    EngineConfig {
         verify: true,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     }
 }
 
@@ -17,7 +17,9 @@ fn verified() -> CecOptions {
 fn adder_48bit_proof_checks() {
     let a = gen::ripple_carry_adder(48);
     let b = gen::kogge_stone_adder(48);
-    let outcome = Prover::new(verified()).prove(&a, &b).unwrap();
+    let outcome = Session::new(verified(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("equivalent");
     let p = cert.proof.as_ref().unwrap();
     proof::check::check_refutation(p).unwrap();
@@ -29,12 +31,14 @@ fn adder_48bit_proof_checks() {
 fn wide_alu_with_budget() {
     let a = gen::alu(24, gen::AluArch::Ripple);
     let b = gen::alu(24, gen::AluArch::BrentKung);
-    let opts = CecOptions {
+    let opts = EngineConfig {
         pair_conflict_limit: Some(1000),
         verify: true,
-        ..CecOptions::default()
+        ..EngineConfig::default()
     };
-    let outcome = Prover::new(opts).prove(&a, &b).unwrap();
+    let outcome = Session::new(opts, &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     assert!(outcome.is_equivalent());
 }
 
@@ -48,7 +52,9 @@ fn adder_64bit_all_architectures() {
         ("carry-select", gen::carry_select_adder(64, 8)),
         ("carry-skip", gen::carry_skip_adder(64, 8)),
     ] {
-        let outcome = Prover::new(verified()).prove(&reference, &other).unwrap();
+        let outcome = Session::new(verified(), &SharedContext::disabled())
+            .check(&reference, &other)
+            .unwrap();
         let cert = outcome
             .certificate()
             .unwrap_or_else(|| panic!("{name}: expected equivalent"));
@@ -64,7 +70,9 @@ fn adder_64bit_all_architectures() {
 fn multiplier_8bit_with_checked_proof() {
     let a = gen::array_multiplier(8);
     let b = gen::carry_save_multiplier(8);
-    let outcome = Prover::new(CecOptions::default()).prove(&a, &b).unwrap();
+    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check(&a, &b)
+        .unwrap();
     let cert = outcome.certificate().expect("equivalent");
     let p = cert.proof.as_ref().unwrap();
     proof::check::check_refutation(p).unwrap();
@@ -78,7 +86,9 @@ fn rewrite_campaign() {
     for seed in 0..40 {
         let g = gen::random_aig(14, 300, 6, seed);
         let h = g.shuffle_rebuild(seed.wrapping_mul(7919));
-        let outcome = Prover::new(verified()).prove(&g, &h).unwrap();
+        let outcome = Session::new(verified(), &SharedContext::disabled())
+            .check(&g, &h)
+            .unwrap();
         assert!(outcome.is_equivalent(), "seed {seed}");
     }
 }
