@@ -9,7 +9,15 @@
 //! the fingerprint of a reduced AIGER graph. Times are left out; nothing
 //! else is. A refactor of the engine must leave `golden_expected.txt`
 //! unchanged. On a mismatch the test prints the lines it computed.
+//!
+//! The same runs, each reporting into a fresh live metrics registry,
+//! pin the contract between the two counter outputs: every engine
+//! counter of the final `metrics-v1` snapshot equals its `stats-v1`
+//! source, and turning metrics on changes no golden line.
 
+use obs::json::Value;
+use obs::metrics::Metrics;
+use obs::Recorder;
 use resolution_cec::aig::{self, gen, Aig};
 use resolution_cec::cec::{
     CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
@@ -171,15 +179,29 @@ fn redundant_graph() -> Aig {
     g
 }
 
-fn actual() -> String {
-    let ctx = SharedContext::disabled();
+/// Runs every check of the grid and both reductions, each on a fresh
+/// context from `ctx`, and returns their golden lines. `inspect` sees
+/// each run's line, stats and context, and the verdict counter a check
+/// ticks (`None` for a reduction).
+fn run_golden(
+    ctx: impl Fn() -> SharedContext,
+    mut inspect: impl FnMut(&str, &EngineStats, Option<&str>, &SharedContext),
+) -> String {
     let mut out = String::new();
     for (name, a, b) in pairs() {
         for (label, config) in configs() {
+            let ctx = ctx();
             let outcome = Session::new(config, &ctx)
                 .check(&a, &b)
                 .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
-            writeln!(out, "{}", check_line(&name, &label, &outcome)).unwrap();
+            let line = check_line(&name, &label, &outcome);
+            let verdict = if outcome.is_equivalent() {
+                "cec.certificates_emitted"
+            } else {
+                "cec.counterexamples"
+            };
+            inspect(&line, outcome.stats(), Some(verdict), &ctx);
+            writeln!(out, "{line}").unwrap();
         }
     }
     let g = redundant_graph();
@@ -188,24 +210,24 @@ fn actual() -> String {
             threads,
             ..EngineConfig::default()
         };
+        let ctx = ctx();
         let (reduced, stats) = Session::new(config, &ctx).reduce(&g);
         let mut bytes = Vec::new();
         aig::aiger::write_ascii(&reduced, &mut bytes).unwrap();
-        writeln!(
-            out,
+        let line = format!(
             "reduce t{threads}: aig={} ands={} {}",
             fnv(&bytes),
             reduced.num_ands(),
             counters(&stats)
-        )
-        .unwrap();
+        );
+        inspect(&line, &stats, None, &ctx);
+        writeln!(out, "{line}").unwrap();
     }
     out
 }
 
-#[test]
-fn engine_fingerprints_match_golden() {
-    let actual = actual();
+/// Asserts the computed lines equal `golden_expected.txt`.
+fn assert_golden(actual: &str) {
     // Shown by the harness only when the test fails.
     print!("{actual}");
     let expected: Vec<&str> = EXPECTED.lines().filter(|l| !l.starts_with('#')).collect();
@@ -214,4 +236,66 @@ fn engine_fingerprints_match_golden() {
         assert_eq!(e, g, "golden line {} differs", i + 1);
     }
     assert_eq!(expected.len(), got.len(), "golden line count differs");
+}
+
+#[test]
+fn engine_fingerprints_match_golden() {
+    assert_golden(&run_golden(SharedContext::disabled, |_, _, _, _| {}));
+}
+
+/// The counters a run's final snapshot must hold, sorted by name: each
+/// engine counter with its stats source, the per-worker cells, and a
+/// check's three lifecycle counters.
+fn mirrored(stats: &EngineStats, verdict: Option<&str>) -> Vec<(String, u64)> {
+    let d = stats.dispatch.unwrap_or_default();
+    let mut want: Vec<(String, u64)> = [
+        ("cec.sat_calls", stats.sat_calls),
+        ("cec.conflicts", stats.sat_conflict_hist.sum()),
+        ("cec.lemmas", stats.lemmas),
+        ("cec.structural_merges", stats.structural_merges),
+        ("cec.refinements", stats.refinements),
+        ("cec.rounds", stats.rounds),
+        ("cec.dispatch.deferred", d.deferred),
+        ("cec.dispatch.retried", d.retried),
+        ("cec.dispatch.bdd_calls", d.bdd_calls),
+        ("cec.learnts_shared", d.learnts_shared),
+    ]
+    .into_iter()
+    .map(|(name, v)| (name.to_string(), v))
+    .collect();
+    for (w, ws) in stats.workers.iter().enumerate() {
+        want.push((format!("cec.worker{w}.sat_calls"), ws.sat_calls));
+        want.push((format!("cec.worker{w}.conflicts"), ws.conflicts));
+        want.push((format!("cec.worker{w}.lemmas"), ws.lemmas));
+    }
+    if let Some(verdict) = verdict {
+        for name in ["cec.checks_started", "cec.checks_completed", verdict] {
+            want.push((name.to_string(), 1));
+        }
+    }
+    want.sort();
+    want
+}
+
+#[test]
+fn live_counters_mirror_the_run_stats() {
+    let mut runs = 0;
+    let actual = run_golden(
+        || SharedContext::new(Recorder::disabled(), Metrics::new()),
+        |line, stats, verdict, ctx| {
+            let snapshot = ctx.metrics.snapshot(0).expect("metrics enabled");
+            let got: Vec<(String, u64)> = snapshot
+                .get("counters")
+                .and_then(Value::as_object)
+                .expect("snapshot has counters")
+                .iter()
+                .map(|(name, v)| (name.clone(), v.as_u64().expect("counter is a u64")))
+                .collect();
+            assert_eq!(got, mirrored(stats, verdict), "{line}");
+            runs += 1;
+        },
+    );
+    assert_eq!(runs, 114);
+    // Turning metrics on changes no proof, counterexample or counter.
+    assert_golden(&actual);
 }
