@@ -34,7 +34,7 @@ use aig::{Aig, NodeId};
 use cnf::tseitin::Partition;
 use cnf::{Lit, Var};
 use obs::json::Value;
-use obs::metrics::{self, Metrics};
+use obs::metrics::{Gauge, Mirror};
 use obs::{worker_tid, ArgVal, Recorder, TID_COORDINATOR};
 use proof::{ClauseId, StepRole};
 use sat::{SolveResult, Solver};
@@ -79,37 +79,9 @@ enum PairVerdict {
     Skipped,
 }
 
-/// The live counters a [`Discharger`] ticks: per SAT call, per conflict,
-/// and per committed lemma.
-struct LiveCounters {
-    sat_calls: metrics::Counter,
-    conflicts: metrics::Counter,
-    lemmas: metrics::Counter,
-}
-
-impl LiveCounters {
-    /// The sequential sweep's engine-wide `cec.sat_calls` /
-    /// `cec.conflicts`. Its lemma counter stays disconnected:
-    /// `cec.lemmas` counts the lemmas of merged pairs, ticked by
-    /// [`Sweep::record_merge`].
-    fn coordinator(m: &Metrics) -> Self {
-        LiveCounters {
-            sat_calls: m.counter("cec.sat_calls"),
-            conflicts: m.counter("cec.conflicts"),
-            lemmas: metrics::Counter::default(),
-        }
-    }
-
-    /// Parallel worker `w`'s own `cec.worker<w>.*` cells, ticked from the
-    /// worker thread so the sampler sees intra-round progress.
-    fn worker(m: &Metrics, w: usize) -> Self {
-        LiveCounters {
-            sat_calls: m.counter(&format!("cec.worker{w}.sat_calls")),
-            conflicts: m.counter(&format!("cec.worker{w}.conflicts")),
-            lemmas: m.counter(&format!("cec.worker{w}.lemmas")),
-        }
-    }
-}
+/// A candidate pair `(node, root, phase)`: the claim `node ≡ root ^
+/// phase`.
+type Pair = (NodeId, NodeId, bool);
 
 /// Discharges candidate pairs on one incremental solver: the optional
 /// BDD probe, the pair's conflict budget, two SAT calls under
@@ -128,20 +100,13 @@ pub(crate) struct Discharger {
     tally: WorkerStats,
     /// BDD-probe and budget counters since the last take.
     dispatch: DispatchStats,
-    live: LiveCounters,
 }
 
 impl Discharger {
     /// A discharger on a fresh solver over `num_vars` variables, with
     /// the recorder attached so the solver's restart / reduce-DB events
     /// land in the trace.
-    fn new(
-        proof_mode: bool,
-        num_vars: u32,
-        recorder: &Recorder,
-        tid: u32,
-        live: LiveCounters,
-    ) -> Self {
+    fn new(proof_mode: bool, num_vars: u32, recorder: &Recorder, tid: u32) -> Self {
         let mut solver = if proof_mode {
             Solver::with_proof()
         } else {
@@ -155,7 +120,6 @@ impl Discharger {
             tid,
             tally: WorkerStats::default(),
             dispatch: DispatchStats::default(),
-            live,
         }
     }
 
@@ -225,10 +189,9 @@ impl Discharger {
     }
 
     /// One sweeping SAT call with per-call telemetry: the conflict delta
-    /// is always recorded into the tally's histogram (cheap) and into
-    /// the live call/conflict counters (one branch each when metrics are
-    /// off); a `sat_call` span with node / verdict / conflict / decision
-    /// / propagation args is recorded when tracing is enabled.
+    /// is always recorded into the tally's histogram (cheap); a
+    /// `sat_call` span with node / verdict / conflict / decision /
+    /// propagation args is recorded when tracing is enabled.
     fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
         self.tally.sat_calls += 1;
         let before = *self.solver.stats();
@@ -237,8 +200,6 @@ impl Discharger {
         let after = self.solver.stats();
         let conflicts = after.conflicts - before.conflicts;
         self.tally.conflict_hist.record(conflicts);
-        self.live.sat_calls.inc();
-        self.live.conflicts.add(conflicts);
         if span.is_enabled() {
             span.arg("node", u64::from(n.index()));
             span.arg(
@@ -261,7 +222,6 @@ impl Discharger {
     fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
         let committed = self.solver.commit_final_clause();
         self.tally.lemmas += 1;
-        self.live.lemmas.inc();
         if self.solver.proof_logging() {
             let id = committed.expect("proof mode final clause id");
             if let Some(p) = self.solver.proof() {
@@ -614,41 +574,39 @@ impl MergeLink {
     }
 }
 
-/// Live-metrics handles resolved once per sweep run. Every handle is
-/// disconnected (one branch per update) when the registry is disabled,
-/// so the engine updates them unconditionally.
-struct SweepMetrics {
-    lemmas: metrics::Counter,
-    structural_merges: metrics::Counter,
-    refinements: metrics::Counter,
-    rounds: metrics::Counter,
-    deferred: metrics::Counter,
-    retried: metrics::Counter,
-    bdd_calls: metrics::Counter,
-    /// Learnt clauses exported to the feed for cross-worker sharing.
-    learnts_shared: metrics::Counter,
-    /// Live candidate pairs remaining in the simulation classes.
-    queue_candidates: metrics::Gauge,
-    /// Budget-exhausted pairs parked in the adaptive hard queue.
-    queue_hard: metrics::Gauge,
-}
+/// A live counter's name and its source in a stats struct.
+type CounterSource<S> = (&'static str, fn(&S) -> u64);
 
-impl SweepMetrics {
-    fn new(m: &Metrics) -> Self {
-        SweepMetrics {
-            lemmas: m.counter("cec.lemmas"),
-            structural_merges: m.counter("cec.structural_merges"),
-            refinements: m.counter("cec.refinements"),
-            rounds: m.counter("cec.rounds"),
-            deferred: m.counter("cec.dispatch.deferred"),
-            retried: m.counter("cec.dispatch.retried"),
-            bdd_calls: m.counter("cec.dispatch.bdd_calls"),
-            learnts_shared: m.counter("cec.learnts_shared"),
-            queue_candidates: m.gauge("cec.queue.candidates"),
-            queue_hard: m.gauge("cec.queue.hard"),
-        }
-    }
-}
+/// The engine-wide live counters, each with its source in the run's
+/// stats.
+const ENGINE_COUNTERS: [CounterSource<EngineStats>; 10] = [
+    ("cec.sat_calls", |s| s.sat_calls),
+    ("cec.conflicts", |s| s.sat_conflict_hist.sum()),
+    ("cec.lemmas", |s| s.lemmas),
+    ("cec.structural_merges", |s| s.structural_merges),
+    ("cec.refinements", |s| s.refinements),
+    ("cec.rounds", |s| s.rounds),
+    ("cec.dispatch.deferred", |s| {
+        s.dispatch.unwrap_or_default().deferred
+    }),
+    ("cec.dispatch.retried", |s| {
+        s.dispatch.unwrap_or_default().retried
+    }),
+    ("cec.dispatch.bdd_calls", |s| {
+        s.dispatch.unwrap_or_default().bdd_calls
+    }),
+    ("cec.learnts_shared", |s| {
+        s.dispatch.unwrap_or_default().learnts_shared
+    }),
+];
+
+/// Each parallel worker's live counters, named after the worker, each
+/// with its source in the worker's stats.
+const WORKER_COUNTERS: [CounterSource<WorkerStats>; 3] = [
+    ("sat_calls", |w| w.sat_calls),
+    ("conflicts", |w| w.conflicts),
+    ("lemmas", |w| w.lemmas),
+];
 
 pub(crate) struct Sweep<'g> {
     graph: &'g Aig,
@@ -668,7 +626,12 @@ pub(crate) struct Sweep<'g> {
     /// circuit-A boundary is given and proofs are on).
     pub(crate) sides: Option<Vec<(ClauseId, Partition)>>,
     pub(crate) stats: EngineStats,
-    metrics: SweepMetrics,
+    /// Publishes the live counters from the stats.
+    mirror: Mirror,
+    /// Live candidate pairs remaining in the simulation classes.
+    queue_candidates: Gauge,
+    /// Budget-exhausted pairs parked in the adaptive hard queue.
+    queue_hard: Gauge,
 }
 
 impl<'g> Sweep<'g> {
@@ -685,7 +648,6 @@ impl<'g> Sweep<'g> {
             graph.len() as u32,
             &ctx.recorder,
             TID_COORDINATOR,
-            LiveCounters::coordinator(&ctx.metrics),
         );
         let solver = &mut discharger.solver;
         let mut sides = a_boundary.filter(|_| config.proof).map(|b| (b, Vec::new()));
@@ -716,6 +678,8 @@ impl<'g> Sweep<'g> {
             record(t3, id.as_usize());
             and_defs[id.as_usize()] = Some([t1, t2, t3]);
         }
+        let mut mirror = Mirror::default();
+        mirror.register(&ctx.metrics, ENGINE_COUNTERS.iter().map(|(name, _)| name));
         Sweep {
             graph,
             config,
@@ -726,7 +690,9 @@ impl<'g> Sweep<'g> {
             struct_table: HashMap::new(),
             sides: sides.map(|(_, v)| v),
             stats: EngineStats::default(),
-            metrics: SweepMetrics::new(&ctx.metrics),
+            mirror,
+            queue_candidates: ctx.metrics.gauge("cec.queue.candidates"),
+            queue_hard: ctx.metrics.gauge("cec.queue.hard"),
         }
     }
 
@@ -819,11 +785,9 @@ impl<'g> Sweep<'g> {
         classes
     }
 
-    /// Marks one class refinement in the stats, the metrics, and the
-    /// trace.
+    /// Marks one class refinement in the stats and the trace.
     fn record_refinement(&mut self, n: NodeId) {
         self.stats.refinements += 1;
-        self.metrics.refinements.inc();
         self.ctx.recorder.instant(
             "refine",
             TID_COORDINATOR,
@@ -890,11 +854,13 @@ impl<'g> Sweep<'g> {
             return Ok(());
         }
         let start = Instant::now();
-        if self.config.threads > 1 {
-            self.run_parallel(durable)?;
+        let swept = if self.config.threads > 1 {
+            self.run_parallel(durable)
         } else {
-            self.run_sequential(durable)?;
-        }
+            self.run_sequential(durable)
+        };
+        self.publish();
+        swept?;
         self.discharger.solver.set_conflict_budget(None);
         let time = start.elapsed();
         self.ctx
@@ -905,11 +871,21 @@ impl<'g> Sweep<'g> {
         Ok(())
     }
 
+    /// Adds each live counter's growth since the last publish.
+    fn publish(&mut self) {
+        let stats = &self.stats;
+        let engine = ENGINE_COUNTERS.iter().map(|(_, count)| count(stats));
+        let workers = stats
+            .workers
+            .iter()
+            .flat_map(|w| WORKER_COUNTERS.iter().map(move |(_, count)| count(w)));
+        self.mirror.publish(engine.chain(workers));
+    }
+
     /// Records a proven merge: the node's rep link and its two lemmas.
     fn record_merge(&mut self, n: NodeId, link: MergeLink) {
         self.rep[n.as_usize()] = Some(link);
         self.stats.lemmas += 2;
-        self.metrics.lemmas.add(2);
     }
 
     /// Folds a discharger's tally into the run's counters.
@@ -920,9 +896,73 @@ impl<'g> Sweep<'g> {
         self.stats.sat_conflict_hist.merge(&calls.conflict_hist);
         self.stats.lemma_chain_hist.merge(&calls.lemma_chain_hist);
         if let Some(ds) = self.stats.dispatch.as_mut() {
-            self.metrics.bdd_calls.add(dispatch.bdd_calls);
             ds.absorb(dispatch);
         }
+    }
+
+    /// Discharges one pair on the coordinator's solver and folds the
+    /// calls into the run's counters.
+    fn discharge(&mut self, (n, root, phase): Pair, dispatch: Dispatch) -> PairVerdict {
+        let target = Var::new(root.index()).lit(phase);
+        let verdict = self
+            .discharger
+            .dispatch_pair(self.graph, n, target, dispatch);
+        let (calls, dispatch) = self.discharger.take_tally();
+        self.absorb(&calls, &dispatch);
+        verdict
+    }
+
+    /// Applies one pair's verdict. A proof merges the node into the
+    /// pair's root; a refutation refines the classes. A skip defers the
+    /// pair into `hard` when a hard queue is passed, and otherwise
+    /// counts it as skipped. Merged, deferred and skipped nodes leave
+    /// their class.
+    fn apply_verdict(
+        &mut self,
+        classes: &mut SimClasses,
+        (n, root, phase): Pair,
+        verdict: PairVerdict,
+        hard: Option<&mut Vec<Pair>>,
+    ) {
+        match verdict {
+            PairVerdict::Proved { fwd, bwd } => {
+                let link = MergeLink {
+                    parent: root,
+                    phase,
+                    fwd,
+                    bwd,
+                };
+                self.record_merge(n, link);
+                classes.remove(n);
+            }
+            PairVerdict::Refuted { pattern } => {
+                self.record_refinement(n);
+                classes.refine_with_pattern(self.graph, &pattern);
+            }
+            PairVerdict::Skipped => {
+                if let Some(hard) = hard {
+                    if let Some(ds) = self.stats.dispatch.as_mut() {
+                        ds.deferred += 1;
+                    }
+                    self.queue_hard.add(1);
+                    hard.push((n, root, phase));
+                } else {
+                    self.stats.pairs_skipped += 1;
+                }
+                classes.remove(n);
+            }
+        }
+    }
+
+    /// Takes a deferred pair off the hard queue for its retry. Its root
+    /// may have merged since, so it is re-resolved.
+    fn retry(&mut self, (n, root, phase): Pair) -> Pair {
+        let (r, pm, _) = self.find(root);
+        if let Some(ds) = self.stats.dispatch.as_mut() {
+            ds.retried += 1;
+        }
+        self.queue_hard.add(-1);
+        (n, r, pm ^ phase)
     }
 
     /// The single-pass sequential sweep: every node in topological
@@ -932,15 +972,13 @@ impl<'g> Sweep<'g> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         let policy = self.adaptive_policy();
-        // Adaptive hard queue: `(node, root, phase)` pairs whose budget
-        // ran out, retried after the main sweep instead of being lost.
-        let mut deferred: Vec<(NodeId, NodeId, bool)> = Vec::new();
+        // Adaptive hard queue: pairs whose budget ran out, retried after
+        // the main sweep instead of being lost.
+        let mut deferred: Vec<Pair> = Vec::new();
         let watch_queues = self.ctx.metrics.is_enabled();
         if watch_queues {
             #[allow(clippy::cast_possible_wrap)]
-            self.metrics
-                .queue_candidates
-                .set(classes.num_candidates() as i64);
+            self.queue_candidates.set(classes.num_candidates() as i64);
         }
 
         for idx in 1..self.graph.len() {
@@ -949,64 +987,29 @@ impl<'g> Sweep<'g> {
             // the class scan off the hot path.
             if watch_queues && idx % 256 == 0 {
                 #[allow(clippy::cast_possible_wrap)]
-                self.metrics
-                    .queue_candidates
-                    .set(classes.num_candidates() as i64);
+                self.queue_candidates.set(classes.num_candidates() as i64);
+                self.publish();
             }
             // Structural merging first: free if the fanins' reps match a
             // previously processed node.
-            if self.config.structural_merging {
-                if let Some(()) = self.try_structural_merge(n) {
-                    classes.remove(n);
-                    continue;
-                }
+            if self.config.structural_merging && self.try_structural_merge(n).is_some() {
+                classes.remove(n);
             }
-            // Sweeping against the class leader.
+            // Sweeping against the class leader. A merged, deferred or
+            // skipped node has left its class; after a refutation the
+            // class of `n` necessarily split, so this loop terminates.
             while let Some((leader, compl)) = classes.candidate(n) {
                 let (root, pm, _) = self.find(leader);
                 debug_assert!(root < n, "roots precede the node being processed");
-                let phase = pm ^ compl;
-                let target = Var::new(root.index()).lit(phase);
-                // The conflicts observed so far are this run's tally.
                 let dispatch = policy.as_ref().map_or_else(
                     || Dispatch::fixed(self.config.pair_conflict_limit),
-                    |p| p.dispatch(n, root, &self.discharger.tally.conflict_hist),
+                    |p| p.dispatch(n, root, &self.stats.sat_conflict_hist),
                 );
-                match self
-                    .discharger
-                    .dispatch_pair(self.graph, n, target, dispatch)
-                {
-                    PairVerdict::Proved { fwd, bwd } => {
-                        let link = MergeLink {
-                            parent: root,
-                            phase,
-                            fwd,
-                            bwd,
-                        };
-                        self.record_merge(n, link);
-                        classes.remove(n);
-                        break;
-                    }
-                    PairVerdict::Refuted { pattern } => {
-                        self.record_refinement(n);
-                        classes.refine_with_pattern(self.graph, &pattern);
-                        // The candidate is recomputed; the class of `n`
-                        // necessarily split, so this loop terminates.
-                    }
-                    PairVerdict::Skipped => {
-                        // In adaptive mode the pair gets one more shot.
-                        if let Some(ds) = self.stats.dispatch.as_mut() {
-                            ds.deferred += 1;
-                            self.metrics.deferred.inc();
-                            self.metrics.queue_hard.add(1);
-                            deferred.push((n, root, phase));
-                        } else {
-                            self.stats.pairs_skipped += 1;
-                        }
-                        classes.remove(n);
-                        break;
-                    }
-                }
+                let pair = (n, root, pm ^ compl);
+                let verdict = self.discharge(pair, dispatch);
+                let hard = policy.is_some().then_some(&mut deferred);
+                self.apply_verdict(&mut classes, pair, verdict, hard);
+                self.publish();
             }
             self.register_structure(n);
         }
@@ -1016,43 +1019,13 @@ impl<'g> Sweep<'g> {
         // the budgeted attempt could not.
         if let Some(policy) = &policy {
             let dispatch = policy.retry_dispatch();
-            for (n, root, phase) in deferred {
-                // The root may itself have merged since; re-resolve.
-                let (r, pm, _) = self.find(root);
-                let phase = pm ^ phase;
-                let target = Var::new(r.index()).lit(phase);
-                if let Some(ds) = self.stats.dispatch.as_mut() {
-                    ds.retried += 1;
-                    self.metrics.retried.inc();
-                    self.metrics.queue_hard.add(-1);
-                }
-                match self
-                    .discharger
-                    .dispatch_pair(self.graph, n, target, dispatch)
-                {
-                    PairVerdict::Proved { fwd, bwd } => {
-                        let link = MergeLink {
-                            parent: r,
-                            phase,
-                            fwd,
-                            bwd,
-                        };
-                        self.record_merge(n, link);
-                    }
-                    PairVerdict::Refuted { .. } => {
-                        // Genuinely inequivalent; the node already left
-                        // its class, so there is nothing to refine.
-                        self.record_refinement(n);
-                    }
-                    PairVerdict::Skipped => {
-                        // Only reachable under an explicit user limit.
-                        self.stats.pairs_skipped += 1;
-                    }
-                }
+            for pair in deferred {
+                let pair = self.retry(pair);
+                let verdict = self.discharge(pair, dispatch);
+                self.apply_verdict(&mut classes, pair, verdict, None);
+                self.publish();
             }
         }
-        let (calls, dispatch) = self.discharger.take_tally();
-        self.absorb(&calls, &dispatch);
         self.sweep_checkpoint(durable)
     }
 
@@ -1095,6 +1068,12 @@ impl<'g> Sweep<'g> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         self.stats.workers = vec![WorkerStats::default(); threads];
+        let worker_counters = (0..threads).flat_map(|w| {
+            WORKER_COUNTERS
+                .iter()
+                .map(move |(name, _)| format!("cec.worker{w}.{name}"))
+        });
+        self.mirror.register(&self.ctx.metrics, worker_counters);
 
         let num_vars = self.discharger.solver.num_vars();
         let proof_mode = self.config.proof;
@@ -1150,7 +1129,6 @@ impl<'g> Sweep<'g> {
                         num_vars,
                         &self.ctx.recorder,
                         worker_tid(w),
-                        LiveCounters::worker(&self.ctx.metrics, w),
                     ),
                     translation: Vec::new(),
                     share_learnts,
@@ -1183,7 +1161,7 @@ impl<'g> Sweep<'g> {
             // Adaptive hard queue: over-budget pairs wait here and are
             // retried in dedicated rounds once the candidate classes
             // run dry.
-            let mut deferred: Vec<(NodeId, NodeId, bool)> = Vec::new();
+            let mut deferred: Vec<Pair> = Vec::new();
             loop {
                 // Phase 1: structural merges over a rebuilt table.
                 if self.config.structural_merging {
@@ -1217,7 +1195,7 @@ impl<'g> Sweep<'g> {
 
                 // Phase 2: collect this round's window of candidate pairs.
                 let window = threads * per_worker;
-                let mut pairs: Vec<(NodeId, NodeId, bool)> = Vec::new();
+                let mut pairs: Vec<Pair> = Vec::new();
                 for idx in 1..self.graph.len() {
                     let n = NodeId::new(idx as u32);
                     if self.rep[n.as_usize()].is_some() {
@@ -1234,34 +1212,23 @@ impl<'g> Sweep<'g> {
                 }
                 // Hard-queue retry rounds: once the classes run dry,
                 // deferred pairs go through the same round machinery,
-                // unbudgeted. Their stored roots may have merged since,
-                // so re-resolve them.
+                // unbudgeted.
                 let retry_round = pairs.is_empty() && !deferred.is_empty();
                 if retry_round {
                     let take = deferred.len().min(window.max(1));
-                    for (n, root, phase) in deferred.drain(..take) {
-                        let (r, pm, _) = self.find(root);
-                        pairs.push((n, r, pm ^ phase));
-                    }
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.retried += pairs.len() as u64;
-                        self.metrics.retried.add(pairs.len() as u64);
+                    for pair in deferred.drain(..take) {
+                        pairs.push(self.retry(pair));
                     }
                 }
                 if pairs.is_empty() {
                     break;
                 }
                 self.stats.rounds += 1;
-                self.metrics.rounds.inc();
                 if self.ctx.metrics.is_enabled() {
                     // num_candidates is a class scan; only pay it when
                     // someone is watching.
                     #[allow(clippy::cast_possible_wrap)]
-                    self.metrics
-                        .queue_candidates
-                        .set(classes.num_candidates() as i64);
-                    #[allow(clippy::cast_possible_wrap)]
-                    self.metrics.queue_hard.set(deferred.len() as i64);
+                    self.queue_candidates.set(classes.num_candidates() as i64);
                 }
                 self.stats.pair_windows.push(per_worker as u32);
                 let mut round_span = self.ctx.recorder.span("round", TID_COORDINATOR);
@@ -1319,14 +1286,6 @@ impl<'g> Sweep<'g> {
                     round_conflicts.push(round_stats.conflicts);
                     self.absorb(&round_stats, &wd);
                     self.stats.workers[w].absorb(&round_stats);
-                    // Workers tick only their own cec.worker{w}.* cells
-                    // live; fold this round into the engine-wide
-                    // aggregates (the coordinator's live counters) so
-                    // cec.sat_calls / cec.conflicts mean the same thing
-                    // under both sweep modes.
-                    let live = &self.discharger.live;
-                    live.sat_calls.add(round_stats.sat_calls);
-                    live.conflicts.add(round_stats.conflicts);
 
                     if proof_mode {
                         let mut roots: Vec<ClauseId> = results
@@ -1353,51 +1312,33 @@ impl<'g> Sweep<'g> {
                             .merge_proof_cone(local, &roots, translation);
                     }
                     let translation = &states[w].as_ref().expect("state parked").translation;
-                    for (pair_idx, verdict) in results {
-                        let (n, root, phase) = pairs[pair_idx];
-                        match verdict {
-                            PairVerdict::Proved { fwd, bwd } => {
-                                let translate = |id: Option<ClauseId>| {
-                                    id.map(|id| {
-                                        translation[id.as_usize()]
-                                            .expect("proved lemma is a merge root")
-                                    })
-                                };
-                                let link = MergeLink {
-                                    parent: root,
-                                    phase,
-                                    fwd: translate(fwd),
-                                    bwd: translate(bwd),
-                                };
-                                for (lits, id) in link.clauses(n) {
-                                    self.discharger.solver.add_proved_clause(&lits, id);
-                                    feed.push(FeedClause {
-                                        lits: lits.to_vec(),
-                                        id,
-                                        origin: Some(w),
-                                        learnt: false,
-                                    });
-                                }
-                                self.record_merge(n, link);
-                                classes.remove(n);
-                            }
-                            PairVerdict::Refuted { pattern } => {
-                                self.record_refinement(n);
-                                classes.refine_with_pattern(self.graph, &pattern);
-                            }
-                            PairVerdict::Skipped => {
-                                if policy.is_some() && !retry_round {
-                                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                                        ds.deferred += 1;
-                                        self.metrics.deferred.inc();
-                                    }
-                                    deferred.push((n, root, phase));
-                                } else {
-                                    self.stats.pairs_skipped += 1;
-                                }
-                                classes.remove(n);
+                    let translate = |id: Option<ClauseId>| {
+                        id.map(|id| {
+                            translation[id.as_usize()].expect("proved lemma is a merge root")
+                        })
+                    };
+                    for (pair_idx, mut verdict) in results {
+                        let pair @ (n, parent, phase) = pairs[pair_idx];
+                        if let PairVerdict::Proved { fwd, bwd } = &mut verdict {
+                            (*fwd, *bwd) = (translate(*fwd), translate(*bwd));
+                            let link = MergeLink {
+                                parent,
+                                phase,
+                                fwd: *fwd,
+                                bwd: *bwd,
+                            };
+                            for (lits, id) in link.clauses(n) {
+                                self.discharger.solver.add_proved_clause(&lits, id);
+                                feed.push(FeedClause {
+                                    lits: lits.to_vec(),
+                                    id,
+                                    origin: Some(w),
+                                    learnt: false,
+                                });
                             }
                         }
+                        let hard = (policy.is_some() && !retry_round).then_some(&mut deferred);
+                        self.apply_verdict(&mut classes, pair, verdict, hard);
                     }
                     // Publish this worker's drained learnt clauses: the
                     // derivations were already stitched above (the ids
@@ -1429,15 +1370,13 @@ impl<'g> Sweep<'g> {
                             });
                             shared_now += 1;
                         }
-                        if shared_now > 0 {
-                            if let Some(ds) = self.stats.dispatch.as_mut() {
-                                ds.learnts_shared += shared_now;
-                            }
-                            self.metrics.learnts_shared.add(shared_now);
+                        if let Some(ds) = self.stats.dispatch.as_mut() {
+                            ds.learnts_shared += shared_now;
                         }
                     }
                 }
                 drop(stitch_span);
+                self.publish();
 
                 // Auto-tune the next round's window from this round's
                 // per-worker conflict imbalance (a deterministic signal):
@@ -1550,7 +1489,6 @@ impl<'g> Sweep<'g> {
         }
         self.record_merge(n, link);
         self.stats.structural_merges += 1;
-        self.metrics.structural_merges.inc();
         self.ctx.recorder.instant(
             "structural_merge",
             TID_COORDINATOR,
@@ -1745,6 +1683,7 @@ mod tests {
 
     use crate::outcome::CecOutcome;
     use crate::Session;
+    use obs::metrics::Metrics;
 
     fn prove(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
         Session::new(config, &SharedContext::disabled())

@@ -384,6 +384,42 @@ impl Histogram {
     }
 }
 
+/// Publishes counts kept elsewhere, such as a run's stats struct, as
+/// registry counters. Each cell remembers the count it last published,
+/// so [`Mirror::publish`] adds only the growth since then, and many
+/// mirrors can feed one shared counter. On a disabled registry the
+/// mirror holds no cells and publishing does nothing.
+#[derive(Debug, Default)]
+pub struct Mirror {
+    cells: Vec<(Counter, u64)>,
+}
+
+impl Mirror {
+    /// Appends one cell per name, registered on `metrics`. A disabled
+    /// registry adds none and never evaluates `names`.
+    pub fn register<S: AsRef<str>>(
+        &mut self,
+        metrics: &Metrics,
+        names: impl IntoIterator<Item = S>,
+    ) {
+        if metrics.is_enabled() {
+            let cells = names.into_iter().map(|n| (metrics.counter(n.as_ref()), 0));
+            self.cells.extend(cells);
+        }
+    }
+
+    /// Adds each count's growth since the last publish to its cell.
+    /// `counts` come in registration order and never shrink.
+    pub fn publish(&mut self, counts: impl IntoIterator<Item = u64>) {
+        for ((counter, last), count) in self.cells.iter_mut().zip(counts) {
+            if count != *last {
+                counter.add(count - *last);
+                *last = count;
+            }
+        }
+    }
+}
+
 /// Resident set size of the current process in bytes, when the platform
 /// exposes it (`/proc/self/statm` on Linux); `None` elsewhere.
 pub fn process_rss_bytes() -> Option<u64> {
@@ -585,6 +621,25 @@ mod tests {
         g1.add(2);
         g2.add(-1);
         assert_eq!(g1.get(), 1);
+    }
+
+    #[test]
+    fn mirrors_publish_only_the_growth() {
+        let m = Metrics::new();
+        let mut one = Mirror::default();
+        let mut two = Mirror::default();
+        one.register(&m, ["a", "b"]);
+        two.register(&m, ["a"]);
+        one.publish([3, 5]);
+        one.publish([4, 5]);
+        two.publish([2]);
+        assert_eq!(m.counter("a").get(), 6);
+        assert_eq!(m.counter("b").get(), 5);
+
+        let mut off = Mirror::default();
+        off.register(&Metrics::disabled(), ["a"]);
+        assert!(off.cells.is_empty());
+        off.publish([9]);
     }
 
     #[test]

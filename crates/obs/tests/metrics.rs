@@ -3,7 +3,7 @@
 //! and the disabled mode's zero-allocation guarantee.
 
 use obs::json::Value;
-use obs::metrics::{Metrics, Sampler};
+use obs::metrics::{Metrics, Mirror, Sampler};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::time::Duration;
@@ -230,12 +230,15 @@ fn disabled_mode_does_not_allocate() {
     let counter = metrics.counter("hot.counter");
     let gauge = metrics.gauge("hot.gauge");
     let hist = metrics.histogram("hot.hist");
+    let mut mirror = Mirror::default();
+    mirror.register(&metrics, (0..4).map(|w| format!("hot.worker{w}")));
     for i in 0..1000 {
         counter.inc();
         counter.add(3);
         gauge.set(7);
         gauge.add(-1);
         hist.record(i);
+        mirror.publish([i, 2 * i]);
     }
     assert!(metrics.snapshot(0).is_none(), "disabled never snapshots");
     let end = ALLOCATIONS.with(Cell::get);
