@@ -24,6 +24,9 @@ impl Client {
     /// surface them uniformly).
     pub fn connect(addr: &str) -> Result<Client, String> {
         let stream = TcpStream::connect(addr).map_err(|e| format!("{addr}: {e}"))?;
+        // Large requests leave in several writes; see the server's
+        // `handle_connection` for why Nagle's algorithm must be off.
+        stream.set_nodelay(true).map_err(|e| e.to_string())?;
         let reader = BufReader::new(stream.try_clone().map_err(|e| e.to_string())?);
         Ok(Client {
             reader,

@@ -168,6 +168,10 @@ fn handle_connection(
     stop: &AtomicBool,
     local: std::net::SocketAddr,
 ) -> io::Result<()> {
+    // A reply over the buffer size leaves in several writes; with
+    // Nagle's algorithm on, each write after the first would wait for
+    // the client's delayed ACK (about 40 ms).
+    stream.set_nodelay(true)?;
     let reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
     for line in reader.lines() {

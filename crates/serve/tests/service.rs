@@ -5,6 +5,7 @@ use aig::gen::{kogge_stone_adder, mutate, ripple_carry_adder};
 use obs::json::Value;
 use obs::metrics::Metrics;
 use serve::{Client, Server, ServerConfig};
+use std::time::{Duration, Instant};
 
 fn start(config: ServerConfig) -> (String, std::thread::JoinHandle<()>) {
     let server = Server::bind(config).expect("bind");
@@ -70,6 +71,33 @@ fn repeated_batch_hits_cache_with_byte_identical_certificates() {
     assert_eq!(counter("cec.cache.misses"), 2);
     assert!(counter("serve.checks") >= 4);
 
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn persistent_connection_round_trips_do_not_stall() {
+    let (addr, handle) = start(loopback_config(&Metrics::disabled()));
+    let mut client = Client::connect(&addr).expect("connect");
+    let a = ripple_carry_adder(8);
+    let b = kogge_stone_adder(8);
+    assert!(!client.check(&a, &b).expect("cold check").cache_hit);
+    // Each reply carries a certificate over 8 KiB, so it leaves the
+    // server in several writes; with Nagle's algorithm on, every write
+    // after the first waits for the client's delayed ACK (~40 ms).
+    let mut times: Vec<Duration> = (0..11)
+        .map(|_| {
+            let start = Instant::now();
+            assert!(client.check(&a, &b).expect("warm check").cache_hit);
+            start.elapsed()
+        })
+        .collect();
+    times.sort();
+    assert!(
+        times[5] < Duration::from_millis(20),
+        "median round trip {:?} over one connection",
+        times[5]
+    );
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
