@@ -119,7 +119,6 @@ pub fn prove_monolithic(
                     let check_start = Instant::now();
                     proof::check::check_refutation(p).map_err(CecError::ProofRejected)?;
                     stats.phases.check = check_start.elapsed();
-                    stats.check_elapsed = Some(stats.phases.check);
                     rec.complete("check", TID_COORDINATOR, check_start, stats.phases.check);
                 }
                 let trim_start = Instant::now();

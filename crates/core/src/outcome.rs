@@ -230,8 +230,6 @@ pub struct EngineStats {
     pub solver: SolverStats,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
-    /// Wall-clock time spent checking the proof, when verification ran.
-    pub check_elapsed: Option<Duration>,
     /// Per-phase wall-clock breakdown of [`EngineStats::elapsed`].
     pub phases: PhaseTimes,
     /// Distribution of CDCL conflicts per sweeping SAT call (parallel

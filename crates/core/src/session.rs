@@ -332,7 +332,6 @@ impl<'c> Session<'c> {
                         let check_start = Instant::now();
                         proof::check::check_refutation(p).map_err(CecError::ProofRejected)?;
                         stats.phases.check = check_start.elapsed();
-                        stats.check_elapsed = Some(stats.phases.check);
                         rec.complete("check", TID_COORDINATOR, check_start, stats.phases.check);
                     }
                     let trim_start = Instant::now();

@@ -132,9 +132,6 @@ impl EngineStats {
             ("lemma_chain_hist", self.lemma_chain_hist.to_json()),
             ("solver", solver_json(&self.solver)),
         ];
-        if let Some(d) = self.check_elapsed {
-            members.push(("check_elapsed_us", us(d)));
-        }
         if let Some(p) = &self.proof {
             members.push(("proof", proof_json(p)));
         }
@@ -244,9 +241,9 @@ mod tests {
             phases: PhaseTimes {
                 miter: Duration::from_micros(200),
                 sweep: Duration::from_micros(900),
+                check: Duration::from_micros(55),
                 ..PhaseTimes::default()
             },
-            check_elapsed: Some(Duration::from_micros(55)),
             ..EngineStats::default()
         };
         s.sat_conflict_hist.record(0);
@@ -277,14 +274,14 @@ mod tests {
             assert!(phases.get(key).is_some(), "missing phase key {key}");
         }
         assert_eq!(phases.get("miter_us").and_then(Value::as_u64), Some(200));
-        assert_eq!(phases.get("sum_us").and_then(Value::as_u64), Some(1100));
+        assert_eq!(phases.get("check_us").and_then(Value::as_u64), Some(55));
+        assert_eq!(phases.get("sum_us").and_then(Value::as_u64), Some(1155));
         assert_eq!(
             v.get("sat_conflict_hist")
                 .and_then(|h| h.get("count"))
                 .and_then(Value::as_u64),
             Some(2)
         );
-        assert_eq!(v.get("check_elapsed_us").and_then(Value::as_u64), Some(55));
         let workers = v.get("workers").and_then(Value::as_array).unwrap();
         assert_eq!(workers.len(), 1);
         assert_eq!(
