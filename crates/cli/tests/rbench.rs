@@ -265,19 +265,33 @@ fn rcec_metrics_out_writes_metrics_v1_jsonl() {
     assert_eq!(counter("cec.checks_started"), 1);
     assert_eq!(counter("cec.checks_completed"), 1);
     assert_eq!(counter("cec.certificates_emitted"), 1);
-    // The final snapshot's engine-wide aggregates agree with the
+    // Every final engine counter agrees with its source in the
     // post-mortem stats tree, parallel mode included.
+    let field = |v: &Value, key: &str| v.get(key).and_then(Value::as_u64).expect(key);
     assert_eq!(
-        Some(counter("cec.sat_calls")),
-        stats.get("sat_calls").and_then(Value::as_u64)
+        counter("cec.conflicts"),
+        field(stats.get("sat_conflict_hist").unwrap(), "sum")
     );
-    assert_eq!(
-        Some(counter("cec.lemmas")),
-        stats.get("lemmas").and_then(Value::as_u64)
-    );
-    // Per-worker cells exist for both workers.
-    assert!(counters.get("cec.worker0.sat_calls").is_some());
-    assert!(counters.get("cec.worker1.sat_calls").is_some());
+    for key in [
+        "sat_calls",
+        "lemmas",
+        "structural_merges",
+        "refinements",
+        "rounds",
+    ] {
+        assert_eq!(counter(&format!("cec.{key}")), field(&stats, key), "{key}");
+    }
+    let workers = stats.get("workers").and_then(Value::as_array).unwrap();
+    assert_eq!(workers.len(), 2);
+    for (w, ws) in workers.iter().enumerate() {
+        for key in ["sat_calls", "conflicts", "lemmas"] {
+            let name = format!("cec.worker{w}.{key}");
+            assert_eq!(
+                counters.get(&name).and_then(Value::as_u64),
+                Some(field(ws, key))
+            );
+        }
+    }
 
     for p in [a_path, b_path, metrics_path, stats_path] {
         let _ = fs::remove_file(p);
