@@ -27,16 +27,16 @@
 //! external daemon; without it `rbench` starts an in-process one on a
 //! loopback port for the duration of the run.
 //!
-//! `snapshot` is the `bench-v1`-compatible path `scripts/
-//! bench_snapshot.sh` now delegates to: the t7 mixed-hardness zoo,
-//! every pair × {static, adaptive} × {1, 4} threads, run in-process
-//! with the host census taken from `std::thread::available_parallelism`
-//! (the old Python fold-up recorded the sandboxed interpreter's
-//! `os.cpu_count()`, which is how the seeded snapshot came to claim
-//! `"cpus": 1`). `--share-learnts` turns on worker-to-worker
-//! learnt-clause sharing for the multi-threaded cells, so a pair of
-//! snapshots (without, then with) isolates the sharing effect — the
-//! EXPERIMENTS.md before/after comparison.
+//! `snapshot` is the `bench-v1`-compatible zoo snapshot: the t7
+//! mixed-hardness zoo, every pair × {static, adaptive} × {1, 4}
+//! threads, run in-process with the host census taken from
+//! `std::thread::available_parallelism` (the old Python fold-up
+//! recorded the sandboxed interpreter's `os.cpu_count()`, which is how
+//! the seeded snapshot came to claim `"cpus": 1`). `--share-learnts`
+//! turns on worker-to-worker learnt-clause sharing for the
+//! multi-threaded cells, so a pair of snapshots (without, then with)
+//! isolates the sharing effect — the EXPERIMENTS.md before/after
+//! comparison.
 //!
 //! `compare` diffs two trajectories (`bench-v1` or `bench-v2`, mixed
 //! freely): run cells on `stats.elapsed_us`, scenario cells on

@@ -22,8 +22,8 @@
 //! - [`trajectory`]: `bench-v2` documents — a superset of `bench-v1`
 //!   (the `runs` array is unchanged) adding a `scenarios` array with the
 //!   ramp results and embedded `metrics-v1` snapshots, plus the
-//!   in-process bench snapshotter that replaces the Python fold-up in
-//!   `scripts/bench_snapshot.sh` (and records the *real* CPU census via
+//!   in-process bench snapshotter behind `rbench snapshot` (which
+//!   records the *real* CPU census via
 //!   `std::thread::available_parallelism`).
 //! - [`compare`]: trajectory diffing for CI gating — per-cell regression
 //!   detection beyond a threshold, with new/removed cells reported but

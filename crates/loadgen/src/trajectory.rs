@@ -8,21 +8,18 @@
 //! ramping-load results of [`crate::ramp`] — each with its embedded
 //! `metrics-v1` snapshot series.
 //!
-//! The snapshotter here replaces the Python fold-up that
-//! `scripts/bench_snapshot.sh` used to carry. Besides dropping the
-//! Python dependency, it fixes the host census: the old path recorded
-//! `os.cpu_count()` as seen by a sandboxed interpreter, which produced
-//! `"cpus": 1` on multi-core CI hosts (see `BENCH_2026-08-09.json`);
-//! this one asks [`std::thread::available_parallelism`] in-process.
+//! The snapshotter behind `rbench snapshot` takes the host census from
+//! [`std::thread::available_parallelism`] in-process: `os.cpu_count()`
+//! as seen by a sandboxed interpreter produced `"cpus": 1` on
+//! multi-core CI hosts (see `BENCH_2026-08-09.json`).
 
 use obs::json::Value;
 
 /// Schema tag stamped on trajectory documents produced here.
 pub const SCHEMA: &str = "bench-v2";
 
-/// The t7 mixed-hardness zoo: the same (family, width) spread
-/// `scripts/bench_snapshot.sh` has always run — easy tree-shaped pairs
-/// through the multiplier wall.
+/// The t7 mixed-hardness zoo: (family, width) pairs from easy
+/// tree-shaped pairs through the multiplier wall.
 pub const ZOO: &[(&str, usize)] = &[
     ("adder", 16),
     ("bk", 24),
