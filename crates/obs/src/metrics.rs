@@ -624,25 +624,6 @@ mod tests {
     }
 
     #[test]
-    fn mirrors_publish_only_the_growth() {
-        let m = Metrics::new();
-        let mut one = Mirror::default();
-        let mut two = Mirror::default();
-        one.register(&m, ["a", "b"]);
-        two.register(&m, ["a"]);
-        one.publish([3, 5]);
-        one.publish([4, 5]);
-        two.publish([2]);
-        assert_eq!(m.counter("a").get(), 6);
-        assert_eq!(m.counter("b").get(), 5);
-
-        let mut off = Mirror::default();
-        off.register(&Metrics::disabled(), ["a"]);
-        assert!(off.cells.is_empty());
-        off.publish([9]);
-    }
-
-    #[test]
     #[should_panic(expected = "already registered as a counter")]
     fn kind_mismatch_is_reported_eagerly() {
         let m = Metrics::new();

@@ -88,6 +88,22 @@ fn contended_counters_are_exact() {
 }
 
 #[test]
+fn mirrors_publish_only_the_growth() {
+    // Two mirrors feeding one counter, as concurrent sessions over one
+    // registry do: each adds only what its own source grew by.
+    let metrics = Metrics::new();
+    let mut one = Mirror::default();
+    let mut two = Mirror::default();
+    one.register(&metrics, ["a", "b"]);
+    two.register(&metrics, ["a"]);
+    one.publish([3, 5]);
+    one.publish([4, 5]);
+    two.publish([2]);
+    assert_eq!(metrics.counter("a").get(), 6);
+    assert_eq!(metrics.counter("b").get(), 5);
+}
+
+#[test]
 fn snapshots_are_deterministic_under_fake_clock() {
     let build = || {
         let (metrics, clock) = Metrics::with_fake_clock();
