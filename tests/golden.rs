@@ -14,18 +14,27 @@
 //! pin the contract between the two counter outputs: every engine
 //! counter of the final `metrics-v1` snapshot equals its `stats-v1`
 //! source, and turning metrics on changes no golden line.
+//!
+//! The monolithic baseline has its own lines in
+//! `golden_monolithic.txt`: each pair under three settings, pinning the
+//! proof or counterexample fingerprint, the empty clause, the
+//! interpolation partition, the trimmed proof, the lint counts, the
+//! solver counters and the miter size.
 
 use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::Recorder;
 use resolution_cec::aig::{self, gen, Aig};
+use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
 use resolution_cec::cec::{
     CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
 };
+use resolution_cec::cnf::tseitin::Partition;
 use resolution_cec::proof;
 use std::fmt::Write as _;
 
 const EXPECTED: &str = include_str!("golden_expected.txt");
+const EXPECTED_MONOLITHIC: &str = include_str!("golden_monolithic.txt");
 
 /// The checked pairs: six family pairs and one inequivalent mutant.
 fn pairs() -> Vec<(String, Aig, Aig)> {
@@ -226,11 +235,11 @@ fn run_golden(
     out
 }
 
-/// Asserts the computed lines equal `golden_expected.txt`.
-fn assert_golden(actual: &str) {
+/// Asserts the computed lines equal the expected file's.
+fn assert_golden_against(expected: &str, actual: &str) {
     // Shown by the harness only when the test fails.
     print!("{actual}");
-    let expected: Vec<&str> = EXPECTED.lines().filter(|l| !l.starts_with('#')).collect();
+    let expected: Vec<&str> = expected.lines().filter(|l| !l.starts_with('#')).collect();
     let got: Vec<&str> = actual.lines().collect();
     for (i, (e, g)) in expected.iter().zip(&got).enumerate() {
         assert_eq!(e, g, "golden line {} differs", i + 1);
@@ -238,9 +247,93 @@ fn assert_golden(actual: &str) {
     assert_eq!(expected.len(), got.len(), "golden line count differs");
 }
 
+/// Asserts the computed lines equal `golden_expected.txt`.
+fn assert_golden(actual: &str) {
+    assert_golden_against(EXPECTED, actual);
+}
+
 #[test]
 fn engine_fingerprints_match_golden() {
     assert_golden(&run_golden(SharedContext::disabled, |_, _, _, _| {}));
+}
+
+/// The monolithic baseline's settings: `(label, proof, lint_proof,
+/// verify)`.
+const MONOLITHIC_SETTINGS: [(&str, bool, bool, bool); 3] = [
+    ("default", true, false, false),
+    ("verify+lint", true, true, true),
+    ("proof=off", false, false, false),
+];
+
+/// A monolithic check's line: the verdict fingerprint, the empty
+/// clause, the partition size and A-side count, the trimmed proof's
+/// original/derived/resolution counts, the lint counts, the solver's
+/// conflicts/propagations/decisions and the miter node count.
+fn monolithic_line(name: &str, label: &str, outcome: &CecOutcome) -> String {
+    let show = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
+    let s = outcome.stats();
+    let (verdict, empty, partition) = match outcome {
+        CecOutcome::Equivalent(cert) => {
+            let verdict = cert.proof.as_ref().map_or("proof=none".to_string(), |p| {
+                let mut bytes = Vec::new();
+                proof::export::write_tracecheck(p, &mut bytes).unwrap();
+                format!("proof={}", fnv(&bytes))
+            });
+            let partition = cert.partition.as_ref().map(|sides| {
+                let a_side = sides.iter().filter(|(_, s)| *s == Partition::A).count();
+                format!("{}/{a_side}", sides.len())
+            });
+            (
+                verdict,
+                cert.empty_clause.map(|id| id.index().to_string()),
+                partition,
+            )
+        }
+        CecOutcome::Inequivalent { counterexample, .. } => {
+            let bits: String = counterexample
+                .pattern
+                .iter()
+                .map(|&b| if b { '1' } else { '0' })
+                .collect();
+            (format!("cex={}", fnv(bits.as_bytes())), None, None)
+        }
+    };
+    let trimmed = s
+        .trimmed
+        .map(|t| format!("{}/{}/{}", t.original, t.derived, t.resolutions));
+    let lints = s
+        .lints
+        .map(|l| format!("{}/{}/{}", l.errors, l.warnings, l.infos));
+    format!(
+        "{name} {label}: {verdict} empty={} partition={} trimmed={} lints={} solver={}/{}/{} nodes={}",
+        show(empty),
+        show(partition),
+        show(trimmed),
+        show(lints),
+        s.solver.conflicts,
+        s.solver.propagations,
+        s.solver.decisions,
+        s.miter_nodes,
+    )
+}
+
+#[test]
+fn monolithic_fingerprints_match_golden() {
+    let mut out = String::new();
+    for (name, a, b) in pairs() {
+        for (label, proof, lint_proof, verify) in MONOLITHIC_SETTINGS {
+            let options = MonolithicOptions {
+                proof,
+                lint_proof,
+                verify,
+                ..MonolithicOptions::default()
+            };
+            let outcome = prove_monolithic(&a, &b, &options)
+                .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
+            writeln!(out, "{}", monolithic_line(&name, label, &outcome)).unwrap();
+        }
+    }
+    assert_golden_against(EXPECTED_MONOLITHIC, &out);
 }
 
 /// The counters a run's final snapshot must hold, sorted by name: each
