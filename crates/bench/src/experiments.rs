@@ -1,7 +1,6 @@
 //! Experiment runners for every table and figure (see `EXPERIMENTS.md`).
 
 use crate::workloads::Pair;
-use cec::monolithic::{prove_monolithic, MonolithicOptions};
 use cec::{CecOutcome, EngineConfig, Miter, Session, SharedContext, SimClasses};
 use cnf::tseitin::{self, Partition};
 use proof::{ClauseId, Proof};
@@ -21,7 +20,9 @@ pub fn sweep_prove(pair: &Pair) -> CecOutcome {
 
 /// Runs the monolithic baseline with proof recording.
 pub fn mono_prove(pair: &Pair) -> CecOutcome {
-    prove_monolithic(&pair.a, &pair.b, &MonolithicOptions::default()).expect("well-formed pair")
+    Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check_monolithic(&pair.a, &pair.b)
+        .expect("well-formed pair")
 }
 
 // ---------------------------------------------------------------- T1 --

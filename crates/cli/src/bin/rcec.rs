@@ -83,7 +83,6 @@
 //! 2 error.
 
 use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
-use cec::monolithic::{prove_monolithic, MonolithicOptions};
 use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
@@ -206,30 +205,22 @@ fn run() -> Result<i32, String> {
         };
     }
 
+    let mut config = EngineConfig {
+        structural_merging: !args.has("no-struct"),
+        share_structure: !args.has("no-share"),
+        sweep: !args.has("no-sweep"),
+        lint_proof: args.has("lint-proof"),
+        lint_bundle: args.has("lint-bundle"),
+        verify: args.has("check"),
+        ..EngineConfig::default()
+    };
+    cec_tools::apply_engine_flags(&args, &mut config)?;
+    let ctx = SharedContext::new(recorder.clone(), metrics.clone());
+    let session = Session::new(config, &ctx);
     let outcome = if args.has("monolithic") {
-        prove_monolithic(
-            &a,
-            &b,
-            &MonolithicOptions {
-                lint_proof: args.has("lint-proof"),
-                verify: args.has("check"),
-                recorder: recorder.clone(),
-                ..MonolithicOptions::default()
-            },
-        )
+        session.check_monolithic(&a, &b)
     } else {
-        let mut config = EngineConfig {
-            structural_merging: !args.has("no-struct"),
-            share_structure: !args.has("no-share"),
-            sweep: !args.has("no-sweep"),
-            lint_proof: args.has("lint-proof"),
-            lint_bundle: args.has("lint-bundle"),
-            verify: args.has("check"),
-            ..EngineConfig::default()
-        };
-        cec_tools::apply_engine_flags(&args, &mut config)?;
-        let ctx = SharedContext::new(recorder.clone(), metrics.clone());
-        Session::new(config, &ctx).check(&a, &b)
+        session.check(&a, &b)
     }
     .map_err(|e| e.to_string())?;
 

@@ -93,15 +93,7 @@ impl BddVerdict {
 /// # }
 /// ```
 pub fn prove_bdd(a: &Aig, b: &Aig, options: &BddOptions) -> Result<BddVerdict, CecError> {
-    if a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs() {
-        return Err(CecError::InterfaceMismatch {
-            a: (a.num_inputs(), a.num_outputs()),
-            b: (b.num_inputs(), b.num_outputs()),
-        });
-    }
-    if a.num_outputs() == 0 {
-        return Err(CecError::NoOutputs);
-    }
+    CecError::check_interface(a, b)?;
     let start = Instant::now();
     let n = a.num_inputs();
     let ordering = match options.ordering {

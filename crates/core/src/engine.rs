@@ -240,7 +240,7 @@ impl Discharger {
     }
 
     /// The input pattern of the solver's current model.
-    pub(crate) fn model_pattern(&self, graph: &Aig) -> Vec<bool> {
+    fn model_pattern(&self, graph: &Aig) -> Vec<bool> {
         graph
             .inputs()
             .iter()
@@ -615,7 +615,7 @@ pub(crate) struct Sweep<'g> {
     /// The coordinator's discharger: its solver holds the global clause
     /// database and proof, and discharges every pair of the sequential
     /// sweep.
-    pub(crate) discharger: Discharger,
+    discharger: Discharger,
     /// Tseitin definition clause ids per AND node: `[t1, t2, t3]` for
     /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`.
     and_defs: Vec<Option<[Option<ClauseId>; 3]>>,
@@ -624,7 +624,7 @@ pub(crate) struct Sweep<'g> {
     struct_table: HashMap<(u64, u64), NodeId>,
     /// Interpolation partition of the original clauses (tracked when a
     /// circuit-A boundary is given and proofs are on).
-    pub(crate) sides: Option<Vec<(ClauseId, Partition)>>,
+    sides: Option<Vec<(ClauseId, Partition)>>,
     pub(crate) stats: EngineStats,
     /// Publishes the live counters from the stats.
     mirror: Mirror,
@@ -1636,11 +1636,10 @@ impl<'g> Sweep<'g> {
         out.cleanup()
     }
 
-    /// Hands over the run's counters, with the coordinator solver's.
-    pub(crate) fn finish(&mut self) -> EngineStats {
-        let mut stats = std::mem::take(&mut self.stats);
-        stats.solver = *self.discharger.solver.stats();
-        stats
+    /// Hands over the coordinator's solver (the global clause database
+    /// and proof), the run's counters and the interpolation labels.
+    pub(crate) fn into_parts(self) -> (Solver, EngineStats, Option<Vec<(ClauseId, Partition)>>) {
+        (self.discharger.solver, self.stats, self.sides)
     }
 }
 

@@ -7,11 +7,14 @@
 //! contributes inferences to a single resolution proof that an
 //! independent, trivially simple checker can replay.
 //!
-//! - [`Session`] / [`EngineConfig`] / [`SharedContext`]: the sweeping
-//!   engine's one entry point — a check (or a FRAIG reduction) as a
-//!   cheap object over shared state, so services can run many checks
-//!   per process.
-//! - [`monolithic::prove_monolithic`]: the single-SAT-call baseline.
+//! - [`Session`] / [`EngineConfig`] / [`SharedContext`]: the engine's
+//!   one entry point — a check (or a FRAIG reduction) as a cheap object
+//!   over shared state, so services can run many checks per process.
+//!   [`Session::check`] sweeps; [`Session::check_monolithic`] is the
+//!   single-SAT-call baseline. Both verdicts leave through the same
+//!   final solve and the same proof / counterexample checks.
+//! - [`bdd_baseline::prove_bdd`]: the canonical-form baseline, with no
+//!   certificate.
 //! - [`Miter`]: both circuits in one AIG over shared inputs.
 //! - [`SimClasses`]: simulation-derived candidate equivalence classes.
 //! - [`CecOutcome`]: an [`Equivalent`](CecOutcome::Equivalent) verdict
@@ -43,7 +46,6 @@ pub mod bdd_baseline;
 mod engine;
 pub mod journal;
 mod miter;
-pub mod monolithic;
 mod outcome;
 mod session;
 mod sim;

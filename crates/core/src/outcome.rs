@@ -1,5 +1,6 @@
 //! Results of an equivalence check.
 
+use aig::Aig;
 use obs::LogHistogram;
 use proof::{ClauseId, Proof, ProofStats};
 use sat::SolverStats;
@@ -281,9 +282,11 @@ pub struct Certificate {
     /// The empty clause's step id inside [`Certificate::proof`].
     pub empty_clause: Option<ClauseId>,
     /// Craig-interpolation partition of the original proof clauses:
-    /// which side of the miter each input clause encodes. Present only
-    /// when the engine ran with proofs on and *without* cross-circuit
-    /// structural sharing (shared nodes would make sides ambiguous).
+    /// which side of the miter each input clause encodes. Always present
+    /// for a [`crate::Session::check_monolithic`] check with proofs on;
+    /// the sweeping engine has it only when it ran with proofs on and
+    /// *without* cross-circuit structural sharing (shared nodes would
+    /// make sides ambiguous).
     pub partition: Option<Vec<(ClauseId, cnf::tseitin::Partition)>>,
     /// Run counters.
     pub stats: EngineStats,
@@ -438,6 +441,23 @@ pub enum CecError {
         /// Human-readable account of the mismatch.
         detail: String,
     },
+}
+
+impl CecError {
+    /// Rejects a pair that cannot be compared: different input or
+    /// output counts, or no outputs at all.
+    pub(crate) fn check_interface(a: &Aig, b: &Aig) -> Result<(), CecError> {
+        if a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs() {
+            return Err(CecError::InterfaceMismatch {
+                a: (a.num_inputs(), a.num_outputs()),
+                b: (b.num_inputs(), b.num_outputs()),
+            });
+        }
+        if a.num_outputs() == 0 {
+            return Err(CecError::NoOutputs);
+        }
+        Ok(())
+    }
 }
 
 impl fmt::Display for CecError {

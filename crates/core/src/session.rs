@@ -34,12 +34,13 @@ use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample, EngineStats};
 use aig::Aig;
-use cnf::tseitin::Partition;
+use cnf::tseitin::{self, Partition};
+use cnf::Var;
 use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::{Recorder, TID_COORDINATOR};
 use proof::ClauseId;
-use sat::SolveResult;
+use sat::{SolveResult, Solver, SolverConfig};
 use std::time::Instant;
 
 /// The pure-knob half of a check: everything that decides *what the
@@ -258,23 +259,16 @@ impl<'c> Session<'c> {
         b: &Aig,
         durable: &mut Durable,
     ) -> Result<CecOutcome, CecError> {
-        if a.num_inputs() != b.num_inputs() || a.num_outputs() != b.num_outputs() {
-            return Err(CecError::InterfaceMismatch {
-                a: (a.num_inputs(), a.num_outputs()),
-                b: (b.num_inputs(), b.num_outputs()),
-            });
-        }
-        if a.num_outputs() == 0 {
-            return Err(CecError::NoOutputs);
-        }
+        CecError::check_interface(a, b)?;
         let start = Instant::now();
         let m = &self.ctx.metrics;
         m.counter("cec.checks_started").inc();
         durable.bind_metrics(m);
-        let rec = &self.ctx.recorder;
         let miter = Miter::build(a, b, self.config.share_structure);
         let miter_time = start.elapsed();
-        rec.complete("miter", TID_COORDINATOR, start, miter_time);
+        self.ctx
+            .recorder
+            .complete("miter", TID_COORDINATOR, start, miter_time);
         durable.checkpoint(
             "miter",
             &[
@@ -290,21 +284,142 @@ impl<'c> Session<'c> {
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
         sweep.run(durable)?;
+        let (mut solver, stats, mut sides) = sweep.into_parts();
 
-        // Assert the miter output and ask for the final verdict.
-        let solver = &mut sweep.discharger.solver;
+        // Assert the miter output; the final solve asks for the verdict.
         let out_id = solver.add_clause(&[node_lit(miter.output)]);
-        if let (Some(sides), Some(id)) = (&mut sweep.sides, out_id) {
+        if let (Some(sides), Some(id)) = (&mut sides, out_id) {
             sides.push((id, Partition::B));
         }
+        let inputs: Vec<Var> = miter
+            .graph
+            .inputs()
+            .iter()
+            .map(|node| Var::new(node.index()))
+            .collect();
+        let outcome = self.certify(a, b, solver, &inputs, stats, sides, Some(&miter), durable)?;
+        match &outcome {
+            CecOutcome::Equivalent(cert) => {
+                let proof_hash = cert.proof.as_ref().map(|p| {
+                    let mut bytes = Vec::new();
+                    proof::export::write_tracecheck(p, &mut bytes)
+                        .expect("write to Vec cannot fail");
+                    obs::hash::fnv1a64_hex(&bytes)
+                });
+                durable.verdict(true, proof_hash.as_deref(), None)?;
+            }
+            CecOutcome::Inequivalent { counterexample, .. } => {
+                durable.verdict(false, None, Some(&counterexample.pattern))?;
+            }
+        }
+        Ok(self.deliver(outcome, start))
+    }
+
+    /// Decides equivalence with the monolithic baseline of experiment
+    /// T2: one SAT call on the Tseitin encoding of the whole miter
+    /// ([`cnf::tseitin::encode_miter`]), with no structural hashing
+    /// across the circuits, no simulation and no intermediate lemmas.
+    /// The verdict passes the same checks as [`Session::check`]'s, and
+    /// an equivalent verdict always carries the interpolation
+    /// partition when proofs are on.
+    ///
+    /// Reads [`EngineConfig::proof`], [`EngineConfig::lint_proof`] and
+    /// [`EngineConfig::verify`]. Ignores `lint_bundle` (this CNF is not
+    /// [`miter_cnf`]) and every simulation, sweep, scheduling and thread
+    /// field: `sim_words`, `seed`, `share_structure`,
+    /// `structural_merging`, `sweep`, `pair_conflict_limit`, `threads`,
+    /// `pairs_per_worker`, `engine` and `share_learnts`.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Session::check`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use aig::gen::{brent_kung_adder, ripple_carry_adder};
+    /// use cec::{EngineConfig, Session, SharedContext};
+    ///
+    /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+    /// let a = ripple_carry_adder(6);
+    /// let b = brent_kung_adder(6);
+    /// let ctx = SharedContext::disabled();
+    /// let outcome = Session::new(EngineConfig::default(), &ctx).check_monolithic(&a, &b)?;
+    /// assert!(outcome.is_equivalent());
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn check_monolithic(&self, a: &Aig, b: &Aig) -> Result<CecOutcome, CecError> {
+        CecError::check_interface(a, b)?;
+        let start = Instant::now();
+        self.ctx.metrics.counter("cec.checks_started").inc();
+        let rec = &self.ctx.recorder;
+        let enc = tseitin::encode_miter(a, b);
+        let mut solver = Solver::with_config(SolverConfig {
+            proof_logging: self.config.proof,
+            ..SolverConfig::default()
+        });
+        solver.set_recorder(rec.clone(), TID_COORDINATOR);
+        solver.ensure_vars(enc.cnf.num_vars());
+        let mut sides = Vec::new();
+        for (clause, side) in enc.cnf.clauses().iter().zip(&enc.partition) {
+            if let Some(id) = solver.add_clause(clause) {
+                sides.push((id, *side));
+            }
+        }
+        let mut stats = EngineStats {
+            miter_nodes: a.len() + b.len(),
+            circuit_nodes: a.len() + b.len(),
+            ..EngineStats::default()
+        };
+        stats.phases.miter = start.elapsed();
+        rec.complete("miter", TID_COORDINATOR, start, stats.phases.miter);
+        // Original clauses were added in `enc.cnf` order; ids and labels
+        // line up one-to-one (a Tseitin encoding has no tautologies).
+        let sides = self.config.proof.then_some(sides);
+        let outcome = self.certify(
+            a,
+            b,
+            solver,
+            &enc.shared_inputs,
+            stats,
+            sides,
+            None,
+            &mut Durable::disabled(),
+        )?;
+        Ok(self.deliver(outcome, start))
+    }
+
+    /// The end of every SAT-decided check: the final solve of the
+    /// asserted `solver`, then every check its verdict passes before it
+    /// leaves. UNSAT records the proof's size, replays it under
+    /// [`EngineConfig::verify`], trims it and runs the proof lint —
+    /// plus, with [`EngineConfig::lint_bundle`] and a `miter`, the
+    /// bundle lint. SAT reads the counterexample off the model of the
+    /// primary-input variables `inputs` and, under `verify`, rejects one
+    /// that does not separate `a` from `b`. `sides` labels the original
+    /// clauses for interpolation.
+    #[allow(clippy::too_many_arguments)]
+    fn certify(
+        &self,
+        a: &Aig,
+        b: &Aig,
+        mut solver: Solver,
+        inputs: &[Var],
+        mut stats: EngineStats,
+        sides: Option<Vec<(ClauseId, Partition)>>,
+        miter: Option<&Miter>,
+        durable: &mut Durable,
+    ) -> Result<CecOutcome, CecError> {
+        let rec = &self.ctx.recorder;
         let final_start = Instant::now();
         let result = solver.solve();
-        sweep.stats.phases.final_solve = final_start.elapsed();
+        stats.phases.final_solve = final_start.elapsed();
         rec.complete(
             "final_solve",
             TID_COORDINATOR,
             final_start,
-            sweep.stats.phases.final_solve,
+            stats.phases.final_solve,
         );
         durable.checkpoint(
             "final_solve",
@@ -317,105 +432,104 @@ impl<'c> Session<'c> {
                 }),
             )],
         )?;
-        let mut stats = sweep.finish();
+        stats.solver = *solver.stats();
 
         match result {
-            SolveResult::Unknown => unreachable!("final solve runs without a budget"),
-            SolveResult::Unsat => {
-                let empty = sweep.discharger.solver.empty_clause_id();
-                let partition = sweep.sides.take();
-                let proof = sweep.discharger.solver.into_proof();
-                let mut lint_report = None;
-                if let Some(p) = &proof {
-                    stats.proof = Some(p.stats());
-                    if self.config.verify {
-                        let check_start = Instant::now();
-                        proof::check::check_refutation(p).map_err(CecError::ProofRejected)?;
-                        stats.phases.check = check_start.elapsed();
-                        rec.complete("check", TID_COORDINATOR, check_start, stats.phases.check);
-                    }
-                    let trim_start = Instant::now();
-                    let t = proof::trim_refutation(p);
-                    stats.trimmed = Some(t.proof.stats());
-                    stats.phases.trim = trim_start.elapsed();
-                    rec.complete("trim", TID_COORDINATOR, trim_start, stats.phases.trim);
-                    durable.checkpoint("trim", &[("steps", Value::U64(t.proof.len() as u64))])?;
-                    if self.config.lint_proof || self.config.lint_bundle {
-                        let lint_start = Instant::now();
-                        let lint_opts = lint::LintOptions {
-                            expect_refutation: true,
-                            stitch_boundaries: stats.stitch_boundaries.clone(),
-                            ..lint::LintOptions::default()
-                        };
-                        let mut report = lint::lint_proof(p, &lint_opts);
-                        if self.config.lint_bundle {
-                            let bundle_cnf = miter_cnf(&miter);
-                            let info = lint::CertificateInfo {
-                                empty_clause: empty.map(ClauseId::index),
-                                rounds: Some(stats.rounds),
-                                stitch_boundaries: stats.stitch_boundaries.clone(),
-                                original: Some(p.num_original()),
-                                derived: Some(p.num_derived()),
-                                resolutions: Some(p.num_resolutions()),
-                            };
-                            let mut bundle = lint::lint_bundle(
-                                &lint::Bundle {
-                                    aig: Some(&miter.graph),
-                                    cnf: Some(&bundle_cnf),
-                                    proof: Some(p),
-                                    certificate: Some(&info),
-                                },
-                                &lint_opts,
-                            );
-                            bundle.absorb(report);
-                            report = bundle;
-                        }
-                        stats.lints = Some(report.counts());
-                        lint_report = Some(report);
-                        stats.phases.lint = lint_start.elapsed();
-                        rec.complete("lint", TID_COORDINATOR, lint_start, stats.phases.lint);
-                    }
-                }
-                let proof_hash = proof.as_ref().map(|p| {
-                    let mut bytes = Vec::new();
-                    proof::export::write_tracecheck(p, &mut bytes)
-                        .expect("write to Vec cannot fail");
-                    obs::hash::fnv1a64_hex(&bytes)
-                });
-                durable.verdict(true, proof_hash.as_deref(), None)?;
-                m.counter("cec.checks_completed").inc();
-                m.counter("cec.certificates_emitted").inc();
-                stats.elapsed = start.elapsed();
-                Ok(CecOutcome::Equivalent(Box::new(Certificate {
-                    proof,
-                    empty_clause: empty,
-                    partition,
-                    stats,
-                    lint_report,
-                })))
-            }
+            SolveResult::Unknown => unreachable!("the final solve runs without a budget"),
             SolveResult::Sat => {
-                let pattern = sweep.discharger.model_pattern(&miter.graph);
-                let outputs_a = a.evaluate(&pattern);
-                let outputs_b = b.evaluate(&pattern);
+                let pattern: Vec<bool> = inputs.iter().map(|&v| solver.model_value(v)).collect();
                 let counterexample = Counterexample {
+                    outputs_a: a.evaluate(&pattern),
+                    outputs_b: b.evaluate(&pattern),
                     pattern,
-                    outputs_a,
-                    outputs_b,
                 };
                 if self.config.verify && counterexample.outputs_a == counterexample.outputs_b {
                     return Err(CecError::BogusCounterexample(counterexample));
                 }
-                durable.verdict(false, None, Some(&counterexample.pattern))?;
-                m.counter("cec.checks_completed").inc();
-                m.counter("cec.counterexamples").inc();
-                stats.elapsed = start.elapsed();
                 Ok(CecOutcome::Inequivalent {
                     counterexample,
                     stats,
                 })
             }
+            SolveResult::Unsat => {
+                let mut cert = Certificate {
+                    empty_clause: solver.empty_clause_id(),
+                    proof: solver.into_proof(),
+                    partition: sides,
+                    stats,
+                    lint_report: None,
+                };
+                let Some(p) = &cert.proof else {
+                    return Ok(CecOutcome::Equivalent(Box::new(cert)));
+                };
+                cert.stats.proof = Some(p.stats());
+                if self.config.verify {
+                    let check_start = Instant::now();
+                    proof::check::check_refutation(p).map_err(CecError::ProofRejected)?;
+                    cert.stats.phases.check = check_start.elapsed();
+                    rec.complete(
+                        "check",
+                        TID_COORDINATOR,
+                        check_start,
+                        cert.stats.phases.check,
+                    );
+                }
+                let trim_start = Instant::now();
+                let t = proof::trim_refutation(p);
+                cert.stats.trimmed = Some(t.proof.stats());
+                cert.stats.phases.trim = trim_start.elapsed();
+                rec.complete("trim", TID_COORDINATOR, trim_start, cert.stats.phases.trim);
+                durable.checkpoint("trim", &[("steps", Value::U64(t.proof.len() as u64))])?;
+                let bundle_miter = miter.filter(|_| self.config.lint_bundle);
+                if self.config.lint_proof || bundle_miter.is_some() {
+                    let lint_start = Instant::now();
+                    let lint_opts = lint::LintOptions {
+                        expect_refutation: true,
+                        stitch_boundaries: cert.stats.stitch_boundaries.clone(),
+                        ..lint::LintOptions::default()
+                    };
+                    let mut report = lint::lint_proof(p, &lint_opts);
+                    if let Some(miter) = bundle_miter {
+                        let bundle_cnf = miter_cnf(miter);
+                        let mut bundle = lint::lint_bundle(
+                            &lint::Bundle {
+                                aig: Some(&miter.graph),
+                                cnf: Some(&bundle_cnf),
+                                proof: Some(p),
+                                certificate: Some(&cert.info()),
+                            },
+                            &lint_opts,
+                        );
+                        bundle.absorb(report);
+                        report = bundle;
+                    }
+                    cert.stats.lints = Some(report.counts());
+                    cert.lint_report = Some(report);
+                    cert.stats.phases.lint = lint_start.elapsed();
+                    rec.complete("lint", TID_COORDINATOR, lint_start, cert.stats.phases.lint);
+                }
+                Ok(CecOutcome::Equivalent(Box::new(cert)))
+            }
         }
+    }
+
+    /// Counts a verdict that passed its checks as delivered, and stamps
+    /// the check's wall-clock time on it.
+    fn deliver(&self, mut outcome: CecOutcome, start: Instant) -> CecOutcome {
+        let m = &self.ctx.metrics;
+        m.counter("cec.checks_completed").inc();
+        let stats = match &mut outcome {
+            CecOutcome::Equivalent(cert) => {
+                m.counter("cec.certificates_emitted").inc();
+                &mut cert.stats
+            }
+            CecOutcome::Inequivalent { stats, .. } => {
+                m.counter("cec.counterexamples").inc();
+                stats
+            }
+        };
+        stats.elapsed = start.elapsed();
+        outcome
     }
 
     /// Functionally reduces a circuit by SAT sweeping (FRAIG): nodes
@@ -476,7 +590,8 @@ impl<'c> Session<'c> {
             .run(&mut Durable::disabled())
             .expect("disabled durable cannot fail");
         let reduced = sweep.rebuild();
-        let mut stats = sweep.finish();
+        let (solver, mut stats, _) = sweep.into_parts();
+        stats.solver = *solver.stats();
         stats.elapsed = start.elapsed();
         (reduced, stats)
     }
@@ -536,5 +651,52 @@ mod tests {
             assert!(eq.join().unwrap());
             assert!(!ne.join().unwrap());
         });
+    }
+
+    fn monolithic(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
+        Session::new(config, &SharedContext::disabled())
+            .check_monolithic(a, b)
+            .unwrap()
+    }
+
+    #[test]
+    fn monolithic_equivalent_adders_unsat_with_proof() {
+        let a = ripple_carry_adder(4);
+        let b = kogge_stone_adder(4);
+        let config = EngineConfig {
+            verify: true,
+            ..EngineConfig::default()
+        };
+        let outcome = monolithic(&a, &b, config);
+        let cert = outcome.certificate().expect("equivalent");
+        proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
+    }
+
+    #[test]
+    fn monolithic_mutant_found_sat() {
+        let a = ripple_carry_adder(3);
+        let b = (0..30)
+            .filter_map(|s| mutate(&a, s))
+            .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
+            .expect("differing mutant");
+        let outcome = monolithic(&a, &b, EngineConfig::default());
+        let cex = outcome.counterexample().expect("inequivalent");
+        assert_ne!(cex.outputs_a, cex.outputs_b);
+    }
+
+    #[test]
+    fn monolithic_agrees_with_sweeping_engine() {
+        let ctx = SharedContext::disabled();
+        let pairs: Vec<(Aig, Aig)> = vec![
+            (ripple_carry_adder(3), kogge_stone_adder(3)),
+            (aig::gen::parity_chain(5), aig::gen::parity_tree(5)),
+        ];
+        for (a, b) in &pairs {
+            let mono = monolithic(a, b, EngineConfig::default());
+            let sweep = Session::new(EngineConfig::default(), &ctx)
+                .check(a, b)
+                .unwrap();
+            assert_eq!(mono.is_equivalent(), sweep.is_equivalent());
+        }
     }
 }

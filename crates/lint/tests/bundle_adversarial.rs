@@ -7,7 +7,6 @@
 //! while the pristine bundle lints clean.
 
 use aig::gen;
-use cec::monolithic::{prove_monolithic, MonolithicOptions};
 use cec::{miter_cnf, CecOutcome, EngineConfig, Miter, Session, SharedContext};
 use cnf::{dimacs, tseitin, Cnf, Var};
 use lint::{fix_proof, lint_bundle, Bundle, CertificateInfo, LintOptions};
@@ -194,7 +193,9 @@ fn monolithic_bundle() -> MonolithicBundle {
             && enc.partition.contains(&tseitin::Partition::B),
         "partition labels must cover both circuits"
     );
-    let outcome = prove_monolithic(&a, &b, &MonolithicOptions::default()).expect("prove");
+    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
+        .check_monolithic(&a, &b)
+        .expect("prove");
     let CecOutcome::Equivalent(cert) = outcome else {
         panic!("adders are equivalent");
     };

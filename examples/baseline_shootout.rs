@@ -12,7 +12,6 @@
 
 use resolution_cec::aig::gen;
 use resolution_cec::cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
-use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
 use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 use std::time::Instant;
@@ -48,7 +47,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Monolithic SAT with proof.
         let t = Instant::now();
-        let mono = prove_monolithic(a, b, &MonolithicOptions::default())?;
+        let mono = Session::new(EngineConfig::default(), &SharedContext::disabled())
+            .check_monolithic(a, b)?;
         let cert = mono.certificate().expect("equivalent");
         let mono_proof = cert.proof.as_ref().expect("proof");
         proof::check::check_refutation(mono_proof)?;

@@ -4,8 +4,7 @@
 
 use resolution_cec::aig::gen;
 use resolution_cec::aig::{sim, Aig};
-use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
-use resolution_cec::cec::{EngineConfig, Session, SharedContext};
+use resolution_cec::cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use resolution_cec::cnf::tseitin;
 use resolution_cec::proof;
 
@@ -96,14 +95,19 @@ fn sweeping_engine_proves_the_whole_zoo() {
     }
 }
 
+/// Runs the monolithic baseline.
+fn monolithic(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
+    Session::new(config, &SharedContext::disabled())
+        .check_monolithic(a, b)
+        .unwrap()
+}
+
 #[test]
 fn monolithic_baseline_agrees_on_the_zoo() {
-    let opts = MonolithicOptions {
-        verify: true,
-        ..MonolithicOptions::default()
-    };
     for (name, a, b) in equivalent_pairs() {
-        let outcome = prove_monolithic(&a, &b, &opts).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let outcome = Session::new(verified_options(), &SharedContext::disabled())
+            .check_monolithic(&a, &b)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(outcome.is_equivalent(), "{name}");
         let p = outcome
             .certificate()
@@ -126,7 +130,7 @@ fn stitched_proofs_are_smaller_than_monolithic_on_adders() {
     let sweep = Session::new(EngineConfig::default(), &SharedContext::disabled())
         .check(&a, &b)
         .unwrap();
-    let mono = prove_monolithic(&a, &b, &MonolithicOptions::default()).unwrap();
+    let mono = monolithic(&a, &b, EngineConfig::default());
     let rs = sweep
         .certificate()
         .unwrap()
@@ -189,15 +193,7 @@ fn mutants_are_caught_by_both_engines() {
         if !sweep.is_equivalent() {
             caught_sweep += 1;
         }
-        let mono = prove_monolithic(
-            &golden,
-            &mutant,
-            &MonolithicOptions {
-                verify: true,
-                ..MonolithicOptions::default()
-            },
-        )
-        .unwrap();
+        let mono = monolithic(&golden, &mutant, verified_options());
         assert_eq!(mono.is_equivalent(), truly_equal, "mono seed {seed}");
         if !mono.is_equivalent() {
             caught_mono += 1;

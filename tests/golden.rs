@@ -25,7 +25,6 @@ use obs::json::Value;
 use obs::metrics::Metrics;
 use obs::Recorder;
 use resolution_cec::aig::{self, gen, Aig};
-use resolution_cec::cec::monolithic::{prove_monolithic, MonolithicOptions};
 use resolution_cec::cec::{
     CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
 };
@@ -322,13 +321,14 @@ fn monolithic_fingerprints_match_golden() {
     let mut out = String::new();
     for (name, a, b) in pairs() {
         for (label, proof, lint_proof, verify) in MONOLITHIC_SETTINGS {
-            let options = MonolithicOptions {
+            let config = EngineConfig {
                 proof,
                 lint_proof,
                 verify,
-                ..MonolithicOptions::default()
+                ..EngineConfig::default()
             };
-            let outcome = prove_monolithic(&a, &b, &options)
+            let outcome = Session::new(config, &SharedContext::disabled())
+                .check_monolithic(&a, &b)
                 .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
             writeln!(out, "{}", monolithic_line(&name, label, &outcome)).unwrap();
         }
