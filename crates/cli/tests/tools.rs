@@ -172,8 +172,11 @@ fn rcec_detects_inequivalence() {
 
 #[test]
 fn rcec_monolithic_mode_agrees() {
+    use obs::json::{parse, Value};
     let a_path = tmp("mono-a.aag");
     let b_path = tmp("mono-b.aag");
+    let metrics_path = tmp("mono-metrics.jsonl");
+    let stats_path = tmp("mono-stats.json");
     write_aiger(&aig::gen::parity_chain(8), &a_path);
     write_aiger(&aig::gen::parity_tree(8), &b_path);
     let out = run(
@@ -183,12 +186,43 @@ fn rcec_monolithic_mode_agrees() {
             b_path.to_str().unwrap(),
             "--monolithic",
             "--check",
+            &format!("--metrics-out={}", metrics_path.display()),
+            &format!("--stats-json={}", stats_path.display()),
             "--quiet",
         ],
     );
     assert_eq!(out.status.code(), Some(0), "{out:?}");
-    let _ = fs::remove_file(a_path);
-    let _ = fs::remove_file(b_path);
+
+    // The baseline reports into the session's registry: the check's
+    // three lifecycle counters, and no engine counter.
+    let text = fs::read_to_string(&metrics_path).unwrap();
+    let last = parse(text.lines().last().expect("a final snapshot")).unwrap();
+    let counters: Vec<(String, u64)> = last
+        .get("counters")
+        .and_then(Value::as_object)
+        .expect("snapshot has counters")
+        .iter()
+        .map(|(name, v)| (name.clone(), v.as_u64().expect("counter is a u64")))
+        .collect();
+    let want: Vec<(String, u64)> = [
+        "cec.certificates_emitted",
+        "cec.checks_completed",
+        "cec.checks_started",
+    ]
+    .iter()
+    .map(|name| (name.to_string(), 1))
+    .collect();
+    assert_eq!(counters, want);
+    let stats = parse(&fs::read_to_string(&stats_path).unwrap()).unwrap();
+    let final_solve = stats
+        .get("phases")
+        .and_then(|p| p.get("final_solve_us"))
+        .and_then(Value::as_u64);
+    assert!(final_solve > Some(0), "{final_solve:?}");
+
+    for p in [a_path, b_path, metrics_path, stats_path] {
+        let _ = fs::remove_file(p);
+    }
 }
 
 #[test]
