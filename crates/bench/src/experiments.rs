@@ -516,20 +516,12 @@ pub struct T8Row {
 /// BDDs decide adder-like pairs instantly but hit the node limit on
 /// multipliers under any variable order — and never produce a proof.
 pub fn run_t8(pairs: &[Pair], node_limit: usize) -> Vec<T8Row> {
-    use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
+    use cec::bdd_baseline::{prove_bdd, BddVerdict};
     pairs
         .iter()
         .map(|p| {
             let t = Instant::now();
-            let verdict = prove_bdd(
-                &p.a,
-                &p.b,
-                &BddOptions {
-                    node_limit,
-                    ..BddOptions::default()
-                },
-            )
-            .expect("well-formed pair");
+            let verdict = prove_bdd(&p.a, &p.b, node_limit).expect("well-formed pair");
             let bdd_ms = ms(t.elapsed());
             let (bdd_decided, bdd_nodes) = match &verdict {
                 BddVerdict::Equivalent { nodes, .. } => (true, Some(*nodes)),
@@ -627,22 +619,14 @@ pub struct F3Point {
 /// bounds the (expensive) SAT points so the harness stays interactive —
 /// the skipped points are reported as skipped, never silently dropped.
 pub fn run_f3(widths: &[usize], node_limit: usize, max_sweep_width: usize) -> Vec<F3Point> {
-    use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
+    use cec::bdd_baseline::{prove_bdd, BddVerdict};
     widths
         .iter()
         .map(|&width| {
             let a = aig::gen::array_multiplier(width);
             let b = aig::gen::carry_save_multiplier(width);
             let t = Instant::now();
-            let verdict = prove_bdd(
-                &a,
-                &b,
-                &BddOptions {
-                    node_limit,
-                    ..BddOptions::default()
-                },
-            )
-            .expect("well-formed pair");
+            let verdict = prove_bdd(&a, &b, node_limit).expect("well-formed pair");
             let bdd_ms = ms(t.elapsed());
             let bdd_nodes = match verdict {
                 BddVerdict::Equivalent { nodes, .. } => Some(nodes),

@@ -82,7 +82,7 @@
 //! Exit codes: 0 equivalent, 1 inequivalent (counterexample printed),
 //! 2 error.
 
-use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
+use cec::bdd_baseline::{prove_bdd, BddVerdict, DEFAULT_NODE_LIMIT};
 use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use cec_tools::{exit, trace, Args};
 use std::fs::File;
@@ -182,7 +182,7 @@ fn run() -> Result<i32, String> {
     let b = read(&args.positional[1])?;
 
     if args.has("bdd") {
-        let verdict = prove_bdd(&a, &b, &BddOptions::default()).map_err(|e| e.to_string())?;
+        let verdict = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).map_err(|e| e.to_string())?;
         return match verdict {
             BddVerdict::Equivalent { nodes, elapsed } => {
                 if !quiet {

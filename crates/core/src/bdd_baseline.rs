@@ -13,34 +13,8 @@ use aig::Aig;
 use bdd::{interleaved_ordering, natural_ordering, BddOverflow, BddRef, Manager};
 use std::time::{Duration, Instant};
 
-/// Variable-ordering strategy for the baseline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum BddOrdering {
-    /// Inputs in declaration order.
-    Natural,
-    /// Interleave the two operand words (`a0 b0 a1 b1 …`) — required
-    /// for linear-size adder BDDs. Falls back to natural order when the
-    /// input count is odd.
-    Interleaved,
-}
-
-/// Options for the BDD baseline.
-#[derive(Clone, Debug)]
-pub struct BddOptions {
-    /// Hard node limit; exceeding it yields [`BddVerdict::Overflow`].
-    pub node_limit: usize,
-    /// Variable ordering strategy.
-    pub ordering: BddOrdering,
-}
-
-impl Default for BddOptions {
-    fn default() -> Self {
-        BddOptions {
-            node_limit: 1 << 22,
-            ordering: BddOrdering::Interleaved,
-        }
-    }
-}
+/// The default node limit of [`prove_bdd`].
+pub const DEFAULT_NODE_LIMIT: usize = 1 << 22;
 
 /// Outcome of the BDD baseline.
 #[derive(Debug)]
@@ -70,7 +44,12 @@ impl BddVerdict {
     }
 }
 
-/// Decides equivalence by building and comparing ROBDDs.
+/// Decides equivalence by building and comparing ROBDDs, giving up
+/// with [`BddVerdict::Overflow`] past `node_limit` nodes.
+///
+/// The variable order interleaves the two operand words (`a0 b0 a1 b1
+/// …`), which keeps adder BDDs linear; with an odd input count it falls
+/// back to the inputs' declaration order.
 ///
 /// # Errors
 ///
@@ -82,24 +61,24 @@ impl BddVerdict {
 ///
 /// ```
 /// use aig::gen::{brent_kung_adder, ripple_carry_adder};
-/// use cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
+/// use cec::bdd_baseline::{prove_bdd, BddVerdict, DEFAULT_NODE_LIMIT};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let a = ripple_carry_adder(16);
 /// let b = brent_kung_adder(16);
-/// let verdict = prove_bdd(&a, &b, &BddOptions::default())?;
+/// let verdict = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT)?;
 /// assert!(matches!(verdict, BddVerdict::Equivalent { .. }));
 /// # Ok(())
 /// # }
 /// ```
-pub fn prove_bdd(a: &Aig, b: &Aig, options: &BddOptions) -> Result<BddVerdict, CecError> {
+pub fn prove_bdd(a: &Aig, b: &Aig, node_limit: usize) -> Result<BddVerdict, CecError> {
     CecError::check_interface(a, b)?;
     let start = Instant::now();
     let n = a.num_inputs();
-    let ordering = match options.ordering {
-        BddOrdering::Natural => natural_ordering(n),
-        BddOrdering::Interleaved if n.is_multiple_of(2) => interleaved_ordering(n / 2),
-        BddOrdering::Interleaved => natural_ordering(n),
+    let ordering = if n.is_multiple_of(2) {
+        interleaved_ordering(n / 2)
+    } else {
+        natural_ordering(n)
     };
     // level -> input index, for counterexample extraction.
     let mut input_of_level = vec![0usize; n];
@@ -107,7 +86,7 @@ pub fn prove_bdd(a: &Aig, b: &Aig, options: &BddOptions) -> Result<BddVerdict, C
         input_of_level[level as usize] = input;
     }
 
-    let mut m = Manager::new(options.node_limit);
+    let mut m = Manager::new(node_limit);
     let oa = match m.from_aig(a, &ordering) {
         Ok(v) => v,
         Err(e) => return Ok(BddVerdict::Overflow(e)),
@@ -158,7 +137,7 @@ mod tests {
     fn adders_equivalent_by_canonical_form() {
         let a = gen::ripple_carry_adder(8);
         let b = gen::carry_select_adder(8, 3);
-        let v = prove_bdd(&a, &b, &BddOptions::default()).unwrap();
+        let v = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).unwrap();
         match v {
             BddVerdict::Equivalent { nodes, .. } => assert!(nodes > 2),
             other => panic!("expected equivalent, got {other:?}"),
@@ -172,7 +151,7 @@ mod tests {
             .filter_map(|s| gen::mutate(&a, s))
             .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
             .expect("differing mutant");
-        let v = prove_bdd(&a, &b, &BddOptions::default()).unwrap();
+        let v = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).unwrap();
         match v {
             BddVerdict::Inequivalent { counterexample, .. } => {
                 assert_ne!(counterexample.outputs_a, counterexample.outputs_b);
@@ -193,11 +172,7 @@ mod tests {
     fn multiplier_overflow_is_a_verdict_not_an_error() {
         let a = gen::array_multiplier(7);
         let b = gen::carry_save_multiplier(7);
-        let opts = BddOptions {
-            node_limit: 20_000,
-            ..BddOptions::default()
-        };
-        let v = prove_bdd(&a, &b, &opts).unwrap();
+        let v = prove_bdd(&a, &b, 20_000).unwrap();
         assert!(!v.decided());
     }
 
@@ -206,7 +181,7 @@ mod tests {
         use crate::{EngineConfig, Session, SharedContext};
         let a = gen::alu(4, gen::AluArch::Ripple);
         let b = gen::alu(4, gen::AluArch::KoggeStone);
-        let bddv = prove_bdd(&a, &b, &BddOptions::default()).unwrap();
+        let bddv = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).unwrap();
         let ctx = SharedContext::disabled();
         let satv = Session::new(EngineConfig::default(), &ctx)
             .check(&a, &b)
@@ -222,12 +197,12 @@ mod tests {
         a.add_output(Lit::TRUE);
         let b = a.clone();
         assert!(matches!(
-            prove_bdd(&a, &b, &BddOptions::default()).unwrap(),
+            prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).unwrap(),
             BddVerdict::Equivalent { .. }
         ));
         let mut c = Aig::new();
         c.add_output(Lit::FALSE);
-        match prove_bdd(&a, &c, &BddOptions::default()).unwrap() {
+        match prove_bdd(&a, &c, DEFAULT_NODE_LIMIT).unwrap() {
             BddVerdict::Inequivalent { counterexample, .. } => {
                 assert!(counterexample.pattern.is_empty());
             }
@@ -239,6 +214,6 @@ mod tests {
     fn interface_checks() {
         let a = gen::parity_tree(3);
         let b = gen::parity_tree(4);
-        assert!(prove_bdd(&a, &b, &BddOptions::default()).is_err());
+        assert!(prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).is_err());
     }
 }

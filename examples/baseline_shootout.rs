@@ -11,7 +11,7 @@
 //! Run with: `cargo run --release --example baseline_shootout`
 
 use resolution_cec::aig::gen;
-use resolution_cec::cec::bdd_baseline::{prove_bdd, BddOptions, BddVerdict};
+use resolution_cec::cec::bdd_baseline::{prove_bdd, BddVerdict, DEFAULT_NODE_LIMIT};
 use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 use resolution_cec::proof;
 use std::time::Instant;
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // BDD baseline.
         let t = Instant::now();
-        let verdict = prove_bdd(a, b, &BddOptions::default())?;
+        let verdict = prove_bdd(a, b, DEFAULT_NODE_LIMIT)?;
         match verdict {
             BddVerdict::Equivalent { nodes, .. } => println!(
                 "  bdd:        EQUIVALENT in {:>10.3?}  ({nodes} nodes, no proof object)",
