@@ -34,7 +34,7 @@
 //! so hard instances do not change the exit code.
 
 use analysis::HardnessReport;
-use cec_tools::{exit, Args};
+use cec_tools::{exit, read_aig, Args};
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::ExitCode;
@@ -65,11 +65,6 @@ fn kind_of(path: &str, forced: Option<Kind>) -> Kind {
     } else {
         Kind::Aig
     }
-}
-
-fn read_aig(path: &str) -> Result<aig::Aig, String> {
-    let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
 }
 
 fn read_cnf(path: &str) -> Result<cnf::Cnf, String> {

@@ -84,9 +84,9 @@
 
 use cec::bdd_baseline::{prove_bdd, BddVerdict, DEFAULT_NODE_LIMIT};
 use cec::{CecOutcome, EngineConfig, Session, SharedContext};
-use cec_tools::{exit, trace, Args};
+use cec_tools::{exit, read_aig, trace, Args};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -174,12 +174,8 @@ fn run() -> Result<i32, String> {
     let verbose = args.has("verbose");
     let recorder = trace::recorder_for(&args);
     let (metrics, samplers) = trace::metrics_for(&args)?;
-    let read = |path: &str| -> Result<aig::Aig, String> {
-        let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = read(&args.positional[0])?;
-    let b = read(&args.positional[1])?;
+    let a = read_aig(&args.positional[0])?;
+    let b = read_aig(&args.positional[1])?;
 
     if args.has("bdd") {
         let verdict = prove_bdd(&a, &b, DEFAULT_NODE_LIMIT).map_err(|e| e.to_string())?;
@@ -353,12 +349,8 @@ fn run_query(args: &Args) -> Result<i32, String> {
         return Err("usage: rcec query ADDR A.aag B.aag [--proof=FILE] [--quiet]".into());
     };
     let quiet = args.has("quiet");
-    let read = |path: &str| -> Result<aig::Aig, String> {
-        let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-        aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))
-    };
-    let a = read(path_a)?;
-    let b = read(path_b)?;
+    let a = read_aig(path_a)?;
+    let b = read_aig(path_b)?;
     let mut client = serve::Client::connect(addr)?;
     let reply = client.check(&a, &b)?;
     if !quiet {

@@ -32,7 +32,7 @@
 //! 1 rejected; `run` 0 all ops clean / 1 failures; anything else
 //! (usage, I/O, injected crash) 2.
 
-use cec_tools::{exit, Args};
+use cec_tools::{exit, read_aig, Args};
 use chaos::{check_bundle, corrupt, prove_and_emit, BundlePaths, FaultMode};
 use std::fs;
 use std::process::ExitCode;
@@ -128,11 +128,7 @@ fn cmd_gen(args: &Args) -> Result<i32, String> {
 }
 
 fn read_pair(paths: &BundlePaths) -> Result<(aig::Aig, aig::Aig), String> {
-    let read = |path: &std::path::Path| -> Result<aig::Aig, String> {
-        let f = fs::File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        aig::aiger::read(std::io::BufReader::new(f)).map_err(|e| format!("{}: {e}", path.display()))
-    };
-    Ok((read(&paths.a())?, read(&paths.b())?))
+    Ok((read_aig(paths.a())?, read_aig(paths.b())?))
 }
 
 fn cmd_prove(args: &Args) -> Result<i32, String> {

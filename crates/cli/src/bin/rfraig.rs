@@ -29,9 +29,9 @@
 //! Exit codes: 0 success, 2 error.
 
 use cec::{EngineConfig, Session, SharedContext};
-use cec_tools::{exit, trace, Args};
+use cec_tools::{exit, read_aig, trace, Args};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -74,8 +74,7 @@ fn run() -> Result<i32, String> {
     }
     let in_path = &args.positional[0];
     let out_path = &args.positional[1];
-    let f = File::open(in_path).map_err(|e| format!("{in_path}: {e}"))?;
-    let input = aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{in_path}: {e}"))?;
+    let input = read_aig(in_path)?;
 
     let recorder = trace::recorder_for(&args);
     let ctx = SharedContext::new(recorder.clone(), obs::metrics::Metrics::disabled());

@@ -7,6 +7,9 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::fs::File;
+use std::io::BufReader;
+use std::path::Path;
 
 /// Parsed command line: positional arguments and `--flag[=value]`
 /// options, in order.
@@ -122,6 +125,17 @@ pub fn parse_count(flag: &str, value: &str) -> Result<usize, String> {
         return Err(format!("--{flag}: must be at least 1"));
     }
     Ok(n)
+}
+
+/// Reads an AIGER file, naming `path` in the error.
+///
+/// # Errors
+///
+/// The file cannot be opened or does not parse.
+pub fn read_aig(path: impl AsRef<Path>) -> Result<aig::Aig, String> {
+    let path = path.as_ref();
+    let f = File::open(path).map_err(|e| format!("{}: {e}", path.display()))?;
+    aig::aiger::read(BufReader::new(f)).map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Shared tracing / metrics plumbing for the tracing-capable tools
