@@ -18,7 +18,9 @@
 //!   `Arc`s, and *all* clones observe the same registry — which is
 //!   exactly what a metrics sampler wants.
 //! - [`Session`] borrows a context and owns a config; its
-//!   [`check`](Session::check) is one equivalence query and its
+//!   [`check`](Session::check) is one equivalence query (and
+//!   [`check_monolithic`](Session::check_monolithic) the same query by
+//!   the single-SAT-call baseline) and its
 //!   [`reduce`](Session::reduce) one FRAIG reduction. Sessions are cheap
 //!   (two pointers and a config struct) and independent: many can run
 //!   concurrently over one context from different threads.
@@ -59,8 +61,11 @@ pub struct EngineConfig {
     /// Merge nodes whose fanins are proven equivalent by pure
     /// resolution (no SAT call).
     pub structural_merging: bool,
-    /// Run SAT sweeping at all; with `false` the engine degenerates to
-    /// a monolithic solve of the miter (the baseline of experiment T2).
+    /// Run SAT sweeping at all; with `false` the engine goes straight
+    /// from the structurally hashed miter to its final solve — the
+    /// `-sweep` ablation of experiment T4. (T2's monolithic baseline is
+    /// [`Session::check_monolithic`], which encodes the miter
+    /// differently.)
     pub sweep: bool,
     /// Conflict budget per sweeping SAT call. Candidate pairs whose
     /// calls run out are *skipped* (left unmerged), which is always
@@ -113,7 +118,8 @@ pub struct EngineConfig {
     /// engine re-derives its own miter CNF via [`miter_cnf`] and checks
     /// AIG↔CNF↔proof↔certificate binding with [`lint::lint_bundle`].
     /// Implies the proof lint; counts and report land in the same
-    /// places.
+    /// places. [`Session::check_monolithic`] ignores it: its CNF is not
+    /// [`miter_cnf`].
     pub lint_bundle: bool,
     /// Re-check the recorded proof with the independent checker before
     /// returning, and validate counterexamples by evaluation. Failures
@@ -189,8 +195,10 @@ impl SharedContext {
 
 /// One equivalence check bound to a [`SharedContext`]. Create one per
 /// query; run it with [`check`](Session::check) (or
-/// [`check_durable`](Session::check_durable) for journaled runs), or
-/// reduce a single circuit with [`reduce`](Session::reduce).
+/// [`check_durable`](Session::check_durable) for journaled runs, or
+/// [`check_monolithic`](Session::check_monolithic) for the
+/// single-SAT-call baseline), or reduce a single circuit with
+/// [`reduce`](Session::reduce).
 ///
 /// # Example
 ///
