@@ -272,11 +272,10 @@ impl<'c> Session<'c> {
         let m = &self.ctx.metrics;
         m.counter("cec.checks_started").inc();
         durable.bind_metrics(m);
+        let rec = &self.ctx.recorder;
         let miter = Miter::build(a, b, self.config.share_structure);
         let miter_time = start.elapsed();
-        self.ctx
-            .recorder
-            .complete("miter", TID_COORDINATOR, start, miter_time);
+        rec.complete("miter", TID_COORDINATOR, start, miter_time);
         durable.checkpoint(
             "miter",
             &[
