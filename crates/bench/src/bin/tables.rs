@@ -177,17 +177,7 @@ fn t3() {
 
 fn t4() {
     println!("== T4: ablation (hashing / structural merging / sweeping) =====");
-    let pairs = suite();
-    let interesting: Vec<_> = pairs
-        .into_iter()
-        .filter(|p| {
-            matches!(
-                p.name.as_str(),
-                "add-rca/ks-16" | "mul-arr/csa-5" | "parity-ch/tr-32" | "rewrite-rand-400"
-            )
-        })
-        .collect();
-    let rows: Vec<Vec<String>> = exp::run_t4(&interesting)
+    let rows: Vec<Vec<String>> = exp::run_t4(&exp::select(exp::T4_PAIRS, &[]))
         .into_iter()
         .map(|r| {
             vec![
@@ -220,12 +210,7 @@ fn t4() {
 
 fn t5() {
     println!("== T5: Craig interpolants from miter refutations ==============");
-    let pairs = suite();
-    let small: Vec<_> = pairs
-        .into_iter()
-        .filter(|p| p.family == "adder" || p.family == "parity" || p.family == "comparator")
-        .collect();
-    let rows: Vec<Vec<String>> = exp::run_t5(&small)
+    let rows: Vec<Vec<String>> = exp::run_t5(&exp::select(&[], exp::T5_FAMILIES))
         .into_iter()
         .map(|r| {
             vec![
@@ -258,22 +243,8 @@ fn t5() {
 
 fn t6() {
     println!("== T6: trimmed proof composition by reasoning mechanism =======");
-    let pairs = suite();
-    let chosen: Vec<_> = pairs
-        .into_iter()
-        .filter(|p| {
-            matches!(
-                p.name.as_str(),
-                "add-rca/ks-16"
-                    | "add-rca/ks-32"
-                    | "mul-arr/csa-5"
-                    | "alu-rca/ks-8"
-                    | "rewrite-rand-400"
-            )
-        })
-        .collect();
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for r in exp::run_t6(&chosen) {
+    for r in exp::run_t6(&exp::select(exp::T6_PAIRS, &[])) {
         for (role, steps, resolutions) in &r.breakdown {
             if *steps == 0 {
                 continue;
@@ -298,22 +269,7 @@ fn t6() {
 
 fn t7() {
     println!("== T7: FRAIG reduction (sweeping as an optimizer) =============");
-    let pairs = suite();
-    let chosen: Vec<_> = pairs
-        .into_iter()
-        .filter(|p| {
-            matches!(
-                p.name.as_str(),
-                "add-rca/ks-16"
-                    | "add-rca/bk-32"
-                    | "mul-arr/csa-5"
-                    | "alu-rca/ks-8"
-                    | "parity-ch/tr-32"
-                    | "pop-ser/csa-24"
-            )
-        })
-        .collect();
-    let rows: Vec<Vec<String>> = exp::run_t7(&chosen)
+    let rows: Vec<Vec<String>> = exp::run_t7(&exp::select(exp::T7_PAIRS, &[]))
         .into_iter()
         .map(|r| {
             vec![
@@ -336,7 +292,7 @@ fn t7() {
 
 fn t8() {
     println!("== T8: BDD canonical-form baseline vs proof-producing sweep ===");
-    let rows: Vec<Vec<String>> = exp::run_t8(&suite(), 1 << 21)
+    let rows: Vec<Vec<String>> = exp::run_t8(&suite(), exp::BDD_NODE_LIMIT)
         .into_iter()
         .map(|r| {
             vec![
@@ -370,8 +326,7 @@ fn t8() {
 
 fn f1() {
     println!("== F1: scaling with adder width (rca vs kogge-stone) ==========");
-    let widths = [4usize, 8, 16, 24, 32, 48, 64];
-    let rows: Vec<Vec<String>> = exp::run_f1(&widths)
+    let rows: Vec<Vec<String>> = exp::run_f1(exp::F1_WIDTHS)
         .into_iter()
         .map(|p| {
             vec![
@@ -396,7 +351,7 @@ fn f1() {
 fn f3() {
     println!("== F3: the BDD multiplier cliff (array vs carry-save) =========");
     let widths = [4usize, 5, 6, 7, 8, 10, 12];
-    let rows: Vec<Vec<String>> = exp::run_f3(&widths, 1 << 21, 8)
+    let rows: Vec<Vec<String>> = exp::run_f3(&widths, exp::BDD_NODE_LIMIT, 8)
         .into_iter()
         .map(|p| {
             vec![
@@ -423,18 +378,7 @@ fn f3() {
 
 fn f2() {
     println!("== F2: candidate survival vs simulation effort ================");
-    let pairs = suite();
-    let chosen: Vec<_> = pairs
-        .into_iter()
-        .filter(|p| {
-            matches!(
-                p.name.as_str(),
-                "add-rca/ks-16" | "mul-arr/csa-5" | "alu-rca/ks-8"
-            )
-        })
-        .collect();
-    let words = [1usize, 2, 4, 8, 16, 32, 64];
-    let rows: Vec<Vec<String>> = exp::run_f2(&chosen, &words)
+    let rows: Vec<Vec<String>> = exp::run_f2(&exp::select(exp::F2_PAIRS, &[]), exp::F2_WORDS)
         .into_iter()
         .map(|p| {
             vec![

@@ -25,6 +25,55 @@ pub fn mono_prove(pair: &Pair) -> CecOutcome {
         .expect("well-formed pair")
 }
 
+// --------------------------------------------------------- selections --
+//
+// What each table runs on. T1–T3 and T8 take the whole suite; the
+// `tables` binary and the tables golden read the rest from here.
+
+/// Suite pairs of T4.
+pub const T4_PAIRS: &[&str] = &[
+    "add-rca/ks-16",
+    "mul-arr/csa-5",
+    "parity-ch/tr-32",
+    "rewrite-rand-400",
+];
+/// Suite families of T5.
+pub const T5_FAMILIES: &[&str] = &["adder", "parity", "comparator"];
+/// Suite pairs of T6.
+pub const T6_PAIRS: &[&str] = &[
+    "add-rca/ks-16",
+    "add-rca/ks-32",
+    "mul-arr/csa-5",
+    "alu-rca/ks-8",
+    "rewrite-rand-400",
+];
+/// Suite pairs whose unions T7 reduces.
+pub const T7_PAIRS: &[&str] = &[
+    "add-rca/ks-16",
+    "add-rca/bk-32",
+    "mul-arr/csa-5",
+    "alu-rca/ks-8",
+    "parity-ch/tr-32",
+    "pop-ser/csa-24",
+];
+/// BDD node limit of T8 and F3.
+pub const BDD_NODE_LIMIT: usize = 1 << 21;
+/// Adder widths of F1.
+pub const F1_WIDTHS: &[usize] = &[4, 8, 16, 24, 32, 48, 64];
+/// Suite pairs of F2.
+pub const F2_PAIRS: &[&str] = &["add-rca/ks-16", "mul-arr/csa-5", "alu-rca/ks-8"];
+/// Simulation efforts of F2, in 64-bit words.
+pub const F2_WORDS: &[usize] = &[1, 2, 4, 8, 16, 32, 64];
+
+/// The suite pairs named in `names` or of a family in `families`, in
+/// suite order.
+pub fn select(names: &[&str], families: &[&str]) -> Vec<Pair> {
+    crate::suite()
+        .into_iter()
+        .filter(|p| names.contains(&p.name.as_str()) || families.contains(&p.family))
+        .collect()
+}
+
 // ---------------------------------------------------------------- T1 --
 
 /// One row of table T1 (benchmark characteristics).
