@@ -6,49 +6,43 @@
 //! cargo run -p bench --bin tables --release            # everything
 //! cargo run -p bench --bin tables --release -- t2 f1   # selected
 //! ```
+//!
+//! An unknown key exits with status 2 and lists the valid keys.
 
 use bench::experiments as exp;
 use bench::{render_table, suite};
 
+/// Every key, in the order a run without keys prints them.
+const TABLES: &[(&str, fn())] = &[
+    ("t1", t1),
+    ("t2", t2),
+    ("t3", t3),
+    ("t4", t4),
+    ("t5", t5),
+    ("t6", t6),
+    ("t7", t7),
+    ("t8", t8),
+    ("f1", f1),
+    ("f2", f2),
+    ("f3", f3),
+    ("stats-json", stats_json),
+];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let want = |k: &str| args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(k));
-
-    if want("t1") {
-        t1();
+    let known = |a: &String| TABLES.iter().any(|(k, _)| a.eq_ignore_ascii_case(k));
+    if let Some(bad) = args.iter().find(|a| !known(a)) {
+        let keys: Vec<&str> = TABLES.iter().map(|(k, _)| *k).collect();
+        eprintln!(
+            "tables: unknown key `{bad}`; valid keys: {}",
+            keys.join(", ")
+        );
+        std::process::exit(2);
     }
-    if want("t2") {
-        t2();
-    }
-    if want("t3") {
-        t3();
-    }
-    if want("t4") {
-        t4();
-    }
-    if want("t5") {
-        t5();
-    }
-    if want("t6") {
-        t6();
-    }
-    if want("t7") {
-        t7();
-    }
-    if want("t8") {
-        t8();
-    }
-    if want("f1") {
-        f1();
-    }
-    if want("f2") {
-        f2();
-    }
-    if want("f3") {
-        f3();
-    }
-    if want("stats-json") {
-        stats_json();
+    for (key, run) in TABLES {
+        if args.is_empty() || args.iter().any(|a| a.eq_ignore_ascii_case(key)) {
+            run();
+        }
     }
 }
 
