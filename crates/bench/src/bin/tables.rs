@@ -1,10 +1,11 @@
-//! Regenerates every table and figure of `EXPERIMENTS.md`.
+//! Regenerates every table and figure of `EXPERIMENTS.md`, and the
+//! `threads`, `trace-overhead` and `lint-cost` series of `DESIGN.md`.
 //!
 //! Usage:
 //!
 //! ```text
-//! cargo run -p bench --bin tables --release            # everything
-//! cargo run -p bench --bin tables --release -- t2 f1   # selected
+//! cargo run -p bench --bin tables --release                 # everything
+//! cargo run -p bench --bin tables --release -- t2 threads   # selected
 //! ```
 //!
 //! An unknown key exits with status 2 and lists the valid keys.
@@ -25,6 +26,9 @@ const TABLES: &[(&str, fn())] = &[
     ("f1", f1),
     ("f2", f2),
     ("f3", f3),
+    ("threads", threads),
+    ("trace-overhead", trace_overhead),
+    ("lint-cost", lint_cost),
     ("stats-json", stats_json),
 ];
 
@@ -387,4 +391,71 @@ fn f2() {
         "{}",
         render_table(&["pair", "words", "classes", "candidates"], &rows)
     );
+}
+
+fn threads() {
+    println!("== threads: parallel sweep on add-rca/ks-64, 10 checks each ====");
+    println!(
+        "host: {} hardware thread(s)",
+        std::thread::available_parallelism().map_or(0, std::num::NonZero::get)
+    );
+    let rows: Vec<Vec<String>> = exp::run_threads(10)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.threads.to_string(),
+                format!("{:.1}", r.time.best_ms),
+                format!("{:.1}", r.time.median_ms),
+                format!("{:.1}", r.busy_ms),
+                r.rounds.to_string(),
+                r.resolutions.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &[
+                "threads",
+                "best-ms",
+                "median-ms",
+                "busy-ms",
+                "rounds",
+                "resolutions"
+            ],
+            &rows
+        )
+    );
+}
+
+fn trace_overhead() {
+    println!("== trace-overhead: recorder cost on add-rca/ks-32, 20 rounds ===");
+    let rows: Vec<Vec<String>> = exp::run_trace_overhead(20)
+        .into_iter()
+        .map(|r| {
+            vec![
+                r.setting.to_string(),
+                format!("{:.2}", r.time.best_ms),
+                format!("{:.2}", r.time.median_ms),
+                format!("{:+.1}%", 100.0 * r.vs_disabled),
+                r.events.to_string(),
+            ]
+        })
+        .collect();
+    println!(
+        "{}",
+        render_table(
+            &["recorder", "best-ms", "median-ms", "vs-disabled", "events"],
+            &rows
+        )
+    );
+}
+
+fn lint_cost() {
+    println!("== lint-cost: bundle lint vs proof replay on add-64, best of 20 =");
+    let rows: Vec<Vec<String>> = exp::run_lint_cost(20)
+        .into_iter()
+        .map(|r| vec![r.pass.to_string(), format!("{:.2}", r.best_ms)])
+        .collect();
+    println!("{}", render_table(&["pass", "best-ms"], &rows));
 }

@@ -733,6 +733,230 @@ pub fn run_f2(pairs: &[Pair], word_counts: &[usize]) -> Vec<F2Point> {
     points
 }
 
+// ------------------------------------------------------------ timing --
+
+/// Best and median of a series of wall times.
+#[derive(Clone, Copy, Debug)]
+pub struct Timing {
+    /// Fastest run (ms).
+    pub best_ms: f64,
+    /// Median run (ms).
+    pub median_ms: f64,
+}
+
+impl Timing {
+    fn of(times: impl IntoIterator<Item = f64>) -> Timing {
+        let mut t: Vec<f64> = times.into_iter().collect();
+        t.sort_by(f64::total_cmp);
+        let n = t.len();
+        Timing {
+            best_ms: t[0],
+            median_ms: (t[(n - 1) / 2] + t[n / 2]) / 2.0,
+        }
+    }
+}
+
+/// Runs `run` on every config in turn, `rounds` times over, and returns
+/// per config the wall time (ms) and result of each run. Taking the
+/// configs in turn makes warm-up and drift hit all of them alike.
+fn interleave<C, T>(
+    configs: &[C],
+    rounds: usize,
+    mut run: impl FnMut(&C) -> T,
+) -> Vec<Vec<(f64, T)>> {
+    let mut out: Vec<Vec<(f64, T)>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..rounds {
+        for (config, runs) in configs.iter().zip(&mut out) {
+            let t = Instant::now();
+            let result = std::hint::black_box(run(config));
+            runs.push((ms(t.elapsed()), result));
+        }
+    }
+    out
+}
+
+// ----------------------------------------------------------- threads --
+
+/// Thread counts of the `threads` table.
+pub const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
+
+/// One row of the `threads` table (the parallel sweep at one thread
+/// count).
+#[derive(Clone, Debug)]
+pub struct ThreadsRow {
+    /// Worker threads.
+    pub threads: usize,
+    /// Wall time of one check.
+    pub time: Timing,
+    /// Median over the checks of the workers' summed busy time (ms);
+    /// zero for the sequential sweep, which has no workers.
+    pub busy_ms: f64,
+    /// Parallel sweep rounds.
+    pub rounds: u64,
+    /// Resolution steps in the proof.
+    pub resolutions: u64,
+}
+
+/// The `threads` table: the 64-bit rca/Kogge-Stone pair checked
+/// `samples` times at each of [`THREAD_COUNTS`], the thread counts
+/// taken in turn. On a host with fewer hardware threads than workers
+/// the wall times measure total CPU work; the busy time is what a host
+/// with enough cores runs concurrently. Rounds and resolutions are
+/// deterministic per thread count, and asserted equal across samples.
+pub fn run_threads(samples: usize) -> Vec<ThreadsRow> {
+    let pair = crate::workloads::adder_scaling_pairs(&[64]).remove(0);
+    let runs = interleave(THREAD_COUNTS, samples, |&threads| {
+        let config = EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        };
+        let outcome = Session::new(config, &SharedContext::disabled())
+            .check(&pair.a, &pair.b)
+            .expect("well-formed pair");
+        let stats = &outcome.certificate().expect("equivalent pair").stats;
+        let busy = ms(stats.workers.iter().map(|w| w.elapsed).sum());
+        let resolutions = stats.proof.map(|s| s.resolutions).unwrap_or_default();
+        (busy, stats.rounds, resolutions)
+    });
+    THREAD_COUNTS
+        .iter()
+        .zip(runs)
+        .map(|(&threads, runs)| {
+            let (_, (_, rounds, resolutions)) = runs[0];
+            let stable = runs
+                .iter()
+                .all(|&(_, (_, r, s))| (r, s) == (rounds, resolutions));
+            assert!(stable, "threads={threads}: rounds or resolutions vary");
+            ThreadsRow {
+                threads,
+                time: Timing::of(runs.iter().map(|&(t, _)| t)),
+                busy_ms: Timing::of(runs.iter().map(|&(_, (busy, ..))| busy)).median_ms,
+                rounds,
+                resolutions,
+            }
+        })
+        .collect()
+}
+
+// ---------------------------------------------------- trace-overhead --
+
+/// One row of the `trace-overhead` table (one recorder setting).
+#[derive(Clone, Debug)]
+pub struct TraceRow {
+    /// Recorder setting: `disabled`, `enabled` (events recorded and
+    /// drained) or `enabled+jsonl` (drained events also exported as
+    /// JSONL to a sink).
+    pub setting: &'static str,
+    /// Wall time of one check, including the drain and export.
+    pub time: Timing,
+    /// Relative change of the median against the disabled setting.
+    pub vs_disabled: f64,
+    /// Events recorded per check.
+    pub events: usize,
+}
+
+/// The `trace-overhead` table: the 32-bit rca/Kogge-Stone pair checked
+/// under three recorder settings, each of `rounds` rounds running all
+/// three in turn. The disabled setting is what every untraced check
+/// pays.
+pub fn run_trace_overhead(rounds: usize) -> Vec<TraceRow> {
+    let pair = crate::workloads::adder_scaling_pairs(&[32]).remove(0);
+    let recorder = obs::Recorder::new();
+    let traced = SharedContext::new(recorder.clone(), obs::metrics::Metrics::disabled());
+    let untraced = SharedContext::disabled();
+    let settings = [
+        ("disabled", &untraced, false),
+        ("enabled", &traced, false),
+        ("enabled+jsonl", &traced, true),
+    ];
+    let runs = interleave(&settings, rounds, |&(_, ctx, jsonl)| {
+        let outcome = Session::new(EngineConfig::default(), ctx)
+            .check(&pair.a, &pair.b)
+            .expect("well-formed pair");
+        assert!(outcome.is_equivalent());
+        let events = recorder.take_events();
+        if jsonl {
+            obs::export::write_jsonl(&events, &mut std::io::sink()).expect("sink write");
+        }
+        events.len()
+    });
+    let timings: Vec<Timing> = runs
+        .iter()
+        .map(|r| Timing::of(r.iter().map(|&(t, _)| t)))
+        .collect();
+    settings
+        .iter()
+        .zip(&runs)
+        .zip(&timings)
+        .map(|((&(setting, ..), runs), &time)| TraceRow {
+            setting,
+            time,
+            vs_disabled: time.median_ms / timings[0].median_ms - 1.0,
+            events: runs[0].1,
+        })
+        .collect()
+}
+
+// --------------------------------------------------------- lint-cost --
+
+/// One row of the `lint-cost` table.
+#[derive(Clone, Debug)]
+pub struct LintCostRow {
+    /// The pass timed.
+    pub pass: &'static str,
+    /// Best wall time (ms).
+    pub best_ms: f64,
+}
+
+/// The `lint-cost` table: on the 64-bit adder pair's sweeping proof,
+/// the bundle lint (miter AIG, CNF, proof and certificate), the bundle
+/// lint with the miter CNF re-derived first (as `rcec --lint-bundle`
+/// and `rplint <aig> <proof>` must), and strict proof replay
+/// (`check_refutation`); best of `samples`, the passes taken in turn.
+pub fn run_lint_cost(samples: usize) -> Vec<LintCostRow> {
+    use lint::{Bundle, LintOptions};
+    let pair = crate::workloads::adder_scaling_pairs(&[64]).remove(0);
+    let outcome = sweep_prove(&pair);
+    let cert = outcome.certificate().expect("equivalent pair");
+    let p = cert.proof.as_ref().expect("proof recorded");
+    let info = cert.info();
+    let miter = Miter::build(&pair.a, &pair.b, true);
+    let formula = cec::miter_cnf(&miter);
+    let opts = LintOptions::default();
+    let bundle = Bundle {
+        aig: Some(&miter.graph),
+        cnf: Some(&formula),
+        proof: Some(p),
+        certificate: Some(&info),
+    };
+    let report = lint::lint_bundle(&bundle, &opts);
+    assert_eq!(report.counts().errors, 0, "{:?}", report.diagnostics());
+    let passes = ["lint_bundle", "lint_bundle+cnf", "check_refutation"];
+    let runs = interleave(&passes, samples, |&pass| match pass {
+        "lint_bundle" => lint::lint_bundle(&bundle, &opts).counts().errors,
+        "lint_bundle+cnf" => {
+            let cnf = cec::miter_cnf(&miter);
+            let with_cnf = Bundle {
+                cnf: Some(&cnf),
+                ..bundle
+            };
+            lint::lint_bundle(&with_cnf, &opts).counts().errors
+        }
+        _ => {
+            proof::check::check_refutation(p).expect("proof checks");
+            0
+        }
+    });
+    passes
+        .iter()
+        .zip(runs)
+        .map(|(&pass, runs)| LintCostRow {
+            pass,
+            best_ms: Timing::of(runs.iter().map(|&(t, _)| t)).best_ms,
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -834,6 +1058,31 @@ mod tests {
             points[1].sweep_ms.is_none(),
             "sweep point skipped as configured"
         );
+    }
+
+    #[test]
+    fn threads_rows_count_rounds_only_in_parallel() {
+        let rows = run_threads(1);
+        assert_eq!(rows.len(), THREAD_COUNTS.len());
+        assert_eq!((rows[0].rounds, rows[0].busy_ms), (0, 0.0), "sequential");
+        assert!(rows[1..].iter().all(|r| r.rounds > 0 && r.busy_ms > 0.0));
+        assert!(rows.iter().all(|r| r.resolutions > 0));
+    }
+
+    #[test]
+    fn trace_overhead_records_events_only_when_enabled() {
+        let rows = run_trace_overhead(1);
+        assert_eq!(rows.len(), 3);
+        assert_eq!((rows[0].events, rows[0].vs_disabled), (0, 0.0));
+        assert!(rows[1].events > 0);
+        assert_eq!(rows[1].events, rows[2].events);
+    }
+
+    #[test]
+    fn lint_cost_times_every_pass() {
+        let rows = run_lint_cost(1);
+        assert_eq!(rows.len(), 3);
+        assert!(rows.iter().all(|r| r.best_ms > 0.0));
     }
 
     #[test]

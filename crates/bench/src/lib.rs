@@ -1,10 +1,11 @@
 //! The experiment harness: workload definitions and experiment runners
-//! for every table and figure in `EXPERIMENTS.md`.
+//! for every table and figure in `EXPERIMENTS.md`, and for the thread,
+//! tracing and lint-cost series `DESIGN.md` cites.
 //!
 //! Each `run_*` function returns structured rows so that the `tables`
-//! binary can print them, the Criterion benches can time their hot
-//! paths, and the integration tests can assert the *shape* of each
-//! result (who wins, by roughly what factor) without parsing text.
+//! binary can print them and the tests can pin their non-time columns
+//! and assert the *shape* of each result (who wins, by roughly what
+//! factor) without parsing text.
 
 #![warn(missing_docs)]
 

@@ -1,5 +1,6 @@
-//! Tables golden: every non-time column of `tables` T1–T8, F1 and F2,
-//! one line per row, pinned in `tables_golden.txt`.
+//! Tables golden: every non-time column of `tables` T1–T8, F1, F2,
+//! `threads` and `trace-overhead`, one line per row, pinned in
+//! `tables_golden.txt`. (`lint-cost` has only time columns.)
 //!
 //! The rows come from the same `bench::experiments` runners and pair
 //! selections the `tables` binary prints, so a change that moves a proof
@@ -129,6 +130,15 @@ fn computed() -> String {
             "f2 {} words={} classes={} candidates={}",
             p.name, p.words, p.classes, p.candidates
         ));
+    }
+    for r in exp::run_threads(1) {
+        line(format!(
+            "threads {} rounds={} resolutions={}",
+            r.threads, r.rounds, r.resolutions
+        ));
+    }
+    for r in exp::run_trace_overhead(1) {
+        line(format!("trace-overhead {} events={}", r.setting, r.events));
     }
     out
 }
