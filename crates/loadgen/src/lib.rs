@@ -25,7 +25,7 @@
 //!   in-process bench snapshotter behind `rbench snapshot` (which
 //!   records the *real* CPU census via
 //!   `std::thread::available_parallelism`).
-//! - [`compare`]: trajectory diffing for CI gating — per-cell regression
+//! - [`compare`](mod@compare): trajectory diffing for CI gating — per-cell regression
 //!   detection beyond a threshold, with new/removed cells reported but
 //!   never failing the gate.
 //! - [`report`]: markdown rendering of a trajectory (the auto-generated

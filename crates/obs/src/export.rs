@@ -1,7 +1,7 @@
 //! Trace exporters: JSONL event journal and Chrome `trace_event` JSON.
 //!
-//! Both operate on the events drained from a [`Recorder`] via
-//! [`Recorder::take_events`](crate::Recorder::take_events):
+//! Both operate on the events drained from a [`Recorder`](crate::Recorder)
+//! via [`Recorder::take_events`](crate::Recorder::take_events):
 //!
 //! - [`write_jsonl`] emits one JSON object per line — a grep/`jq`
 //!   friendly journal of everything that happened, in start order.

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-/// Length specification for [`vec`]: a half-open or inclusive range.
+/// Length specification for [`vec`](fn@vec): a half-open or inclusive range.
 #[derive(Clone, Debug)]
 pub struct SizeRange {
     low: usize,
@@ -47,7 +47,7 @@ pub fn vec<S: Strategy>(element: S, size: impl Into<SizeRange>) -> VecStrategy<S
     }
 }
 
-/// See [`vec`].
+/// See [`vec`](fn@vec).
 #[derive(Clone, Debug)]
 pub struct VecStrategy<S> {
     element: S,

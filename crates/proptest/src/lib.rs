@@ -6,8 +6,8 @@
 //!
 //! - the [`proptest!`] macro with an optional
 //!   `#![proptest_config(...)]` header,
-//! - [`Strategy`] with `prop_map` / `prop_flat_map`, integer-range and
-//!   tuple strategies, [`any`], and [`collection::vec`],
+//! - [`Strategy`](strategy::Strategy) with `prop_map` / `prop_flat_map`, integer-range and
+//!   tuple strategies, [`any`](strategy::any), and [`collection::vec`],
 //! - `prop_assert!` / `prop_assert_eq!` / `prop_assert_ne!` /
 //!   `prop_assume!`.
 //!
