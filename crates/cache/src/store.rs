@@ -4,7 +4,7 @@
 
 use crate::canon::{CacheKey, CanonicalPair};
 use cec::{miter_cnf, Miter};
-use obs::metrics::{self, Metrics};
+use obs::metrics::{self, Metrics, Mirror};
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
@@ -54,7 +54,8 @@ pub enum CachedVerdict {
     },
 }
 
-/// Verdict counters, mirrored into `cec.cache.*` metrics.
+/// Verdict counters. The cache publishes each field as the live
+/// counter `cec.cache.<field>`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from cache (after successful replay validation).
@@ -68,6 +69,15 @@ pub struct CacheStats {
     /// Entries inserted (fresh proofs recorded).
     pub insertions: u64,
 }
+
+/// The live counter of each [`CacheStats`] field, in field order.
+const COUNTERS: [&str; 5] = [
+    "cec.cache.hits",
+    "cec.cache.misses",
+    "cec.cache.evictions",
+    "cec.cache.replay_rejects",
+    "cec.cache.insertions",
+];
 
 struct Entry {
     verdict: CachedVerdict,
@@ -88,11 +98,8 @@ pub struct CertCache {
     map: HashMap<String, Entry>,
     tick: u64,
     stats: CacheStats,
-    m_hits: metrics::Counter,
-    m_misses: metrics::Counter,
-    m_evictions: metrics::Counter,
-    m_replay_rejects: metrics::Counter,
-    m_insertions: metrics::Counter,
+    /// Publishes `stats` as the `cec.cache.*` counters.
+    mirror: Mirror,
     m_entries: metrics::Gauge,
 }
 
@@ -105,16 +112,14 @@ impl CertCache {
         if let Some(dir) = &config.spill_dir {
             std::fs::create_dir_all(dir)?;
         }
+        let mut mirror = Mirror::default();
+        mirror.register(metrics, COUNTERS);
         Ok(CertCache {
             config,
             map: HashMap::new(),
             tick: 0,
             stats: CacheStats::default(),
-            m_hits: metrics.counter("cec.cache.hits"),
-            m_misses: metrics.counter("cec.cache.misses"),
-            m_evictions: metrics.counter("cec.cache.evictions"),
-            m_replay_rejects: metrics.counter("cec.cache.replay_rejects"),
-            m_insertions: metrics.counter("cec.cache.insertions"),
+            mirror,
             m_entries: metrics.gauge("cec.cache.entries"),
         })
     }
@@ -149,36 +154,51 @@ impl CertCache {
         } else {
             self.read_spill(&pair.key)
         };
-        let Some(verdict) = candidate else {
-            self.miss();
-            return None;
-        };
-        if validate(pair, &verdict, self.config.share_structure) {
-            // A disk-tier hit is promoted into memory.
-            if !self.map.contains_key(&key) {
-                self.install(key, verdict.clone());
+        let served = match candidate {
+            Some(verdict) if validate(pair, &verdict, self.config.share_structure) => {
+                // A disk-tier hit is promoted into memory.
+                if !self.map.contains_key(&key) {
+                    self.install(key, verdict.clone());
+                }
+                Some(verdict)
             }
+            Some(_) => {
+                // Poisoned or stale: drop both tiers, report a miss.
+                self.map.remove(&key);
+                self.remove_spill(&pair.key);
+                self.update_entries_gauge();
+                self.stats.replay_rejects += 1;
+                None
+            }
+            None => None,
+        };
+        if served.is_some() {
             self.stats.hits += 1;
-            self.m_hits.inc();
-            Some(verdict)
         } else {
-            // Poisoned or stale: drop both tiers, report a miss.
-            self.map.remove(&key);
-            self.remove_spill(&pair.key);
-            self.update_entries_gauge();
-            self.stats.replay_rejects += 1;
-            self.m_replay_rejects.inc();
-            self.miss();
-            None
+            self.stats.misses += 1;
         }
+        self.publish();
+        served
     }
 
     /// Records a freshly proven verdict for `pair`.
     pub fn insert(&mut self, pair: &CanonicalPair, verdict: CachedVerdict) {
         self.tick += 1;
         self.stats.insertions += 1;
-        self.m_insertions.inc();
         self.install(pair.key.as_hex().to_string(), verdict);
+        self.publish();
+    }
+
+    /// Publishes `stats` to the live counters, in `COUNTERS` order.
+    fn publish(&mut self) {
+        let s = self.stats;
+        self.mirror.publish([
+            s.hits,
+            s.misses,
+            s.evictions,
+            s.replay_rejects,
+            s.insertions,
+        ]);
     }
 
     fn install(&mut self, key: String, verdict: CachedVerdict) {
@@ -208,12 +228,6 @@ impl CertCache {
         let entry = self.map.remove(&victim).expect("victim present");
         self.write_spill(&victim, &entry.verdict);
         self.stats.evictions += 1;
-        self.m_evictions.inc();
-    }
-
-    fn miss(&mut self) {
-        self.stats.misses += 1;
-        self.m_misses.inc();
     }
 
     #[allow(clippy::cast_possible_wrap)]
@@ -443,6 +457,16 @@ mod tests {
         assert_eq!(cache.stats().replay_rejects, 1);
     }
 
+    /// Each live `cec.cache.*` counter equals its `CacheStats` field.
+    fn assert_counters_mirror(metrics: &Metrics, stats: CacheStats) {
+        let counter = |name: &str| metrics.counter(name).get();
+        assert_eq!(counter("cec.cache.hits"), stats.hits);
+        assert_eq!(counter("cec.cache.misses"), stats.misses);
+        assert_eq!(counter("cec.cache.evictions"), stats.evictions);
+        assert_eq!(counter("cec.cache.replay_rejects"), stats.replay_rejects);
+        assert_eq!(counter("cec.cache.insertions"), stats.insertions);
+    }
+
     #[test]
     fn lru_evicts_to_spill_and_promotes_back() {
         let dir = std::env::temp_dir().join(format!("rcec-cache-test-{}", std::process::id()));
@@ -452,7 +476,8 @@ mod tests {
             spill_dir: Some(dir.clone()),
             share_structure: true,
         };
-        let mut cache = CertCache::new(config, &Metrics::disabled()).unwrap();
+        let metrics = Metrics::new();
+        let mut cache = CertCache::new(config, &metrics).unwrap();
         let p1 = CanonicalPair::new(&ripple_carry_adder(4), &kogge_stone_adder(4));
         let p2 = CanonicalPair::new(&ripple_carry_adder(5), &kogge_stone_adder(5));
         let v1 = prove_verdict(&p1);
@@ -462,9 +487,12 @@ mod tests {
         assert_eq!(cache.len(), 1);
         let spilled = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(spilled, 1, "evicted entry landed on disk");
-        // Disk-tier hit, validated and promoted.
+        // Disk-tier hit, validated and promoted (evicting p2).
         assert_eq!(cache.lookup(&p1).as_ref(), Some(&v1));
         assert_eq!(cache.stats().hits, 1);
+        assert_eq!(cache.stats().evictions, 2);
+        assert_eq!(cache.stats().insertions, 2);
+        assert_counters_mirror(&metrics, cache.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -477,7 +505,8 @@ mod tests {
             spill_dir: Some(dir.clone()),
             share_structure: true,
         };
-        let mut cache = CertCache::new(config, &Metrics::disabled()).unwrap();
+        let metrics = Metrics::new();
+        let mut cache = CertCache::new(config, &metrics).unwrap();
         let p1 = CanonicalPair::new(&ripple_carry_adder(4), &kogge_stone_adder(4));
         let p2 = CanonicalPair::new(&ripple_carry_adder(5), &kogge_stone_adder(5));
         cache.insert(&p1, prove_verdict(&p1));
@@ -500,6 +529,9 @@ mod tests {
             // The reject dropped the spill file; restore for next mode.
             std::fs::write(&path, &pristine).unwrap();
         }
+        let modes = chaos::FAULT_MODES.len() as u64;
+        assert_eq!(cache.stats().misses, modes);
+        assert_counters_mirror(&metrics, cache.stats());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
