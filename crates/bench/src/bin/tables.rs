@@ -50,6 +50,12 @@ fn main() {
     }
 }
 
+/// Prints `rows` under `header` as an aligned table and a blank line.
+fn print_table(header: &[&str], rows: impl IntoIterator<Item = Vec<String>>) {
+    let rows: Vec<Vec<String>> = rows.into_iter().collect();
+    println!("{}", render_table(header, &rows));
+}
+
 /// Machine-readable stats record per suite pair: one JSON Lines row
 /// `{"pair": ..., "stats": <EngineStats::to_json()>}` on stdout, the
 /// same tree as `rcec --stats-json`. Pipe to a file to archive a run.
@@ -71,111 +77,93 @@ fn stats_json() {
 
 fn t1() {
     println!("== T1: benchmark characteristics ==============================");
-    let rows: Vec<Vec<String>> = exp::run_t1(&suite())
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.name,
-                r.family.to_string(),
-                r.inputs.to_string(),
-                r.outputs.to_string(),
-                r.ands.0.to_string(),
-                r.ands.1.to_string(),
-                r.depth.0.to_string(),
-                r.depth.1.to_string(),
-                r.miter_nodes.to_string(),
-                r.miter_nodes_unshared.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair",
-                "family",
-                "pi",
-                "po",
-                "and(A)",
-                "and(B)",
-                "dep(A)",
-                "dep(B)",
-                "miter",
-                "miter-nosh"
-            ],
-            &rows
-        )
+    let rows = exp::run_t1(&suite()).into_iter().map(|r| {
+        vec![
+            r.name,
+            r.family.to_string(),
+            r.inputs.to_string(),
+            r.outputs.to_string(),
+            r.ands.0.to_string(),
+            r.ands.1.to_string(),
+            r.depth.0.to_string(),
+            r.depth.1.to_string(),
+            r.miter_nodes.to_string(),
+            r.miter_nodes_unshared.to_string(),
+        ]
+    });
+    print_table(
+        &[
+            "pair",
+            "family",
+            "pi",
+            "po",
+            "and(A)",
+            "and(B)",
+            "dep(A)",
+            "dep(B)",
+            "miter",
+            "miter-nosh",
+        ],
+        rows,
     );
 }
 
 fn t2() {
     println!("== T2: sweeping vs monolithic (proof-producing) ===============");
-    let rows: Vec<Vec<String>> = exp::run_t2(&suite())
-        .into_iter()
-        .map(|r| {
-            let ratio = r.proof_ratio();
-            vec![
-                r.name,
-                format!("{:.1}", r.sweep.solve_ms),
-                r.sweep.resolutions.to_string(),
-                r.sweep.trimmed_resolutions.to_string(),
-                format!("{:.1}", r.sweep.check_ms),
-                format!("{:.1}", r.mono.solve_ms),
-                r.mono.resolutions.to_string(),
-                r.mono.trimmed_resolutions.to_string(),
-                format!("{:.1}", r.mono.check_ms),
-                format!("{ratio:.1}x"),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair", "sw-ms", "sw-res", "sw-trim", "sw-chk", "mn-ms", "mn-res", "mn-trim",
-                "mn-chk", "mono/sw"
-            ],
-            &rows
-        )
+    let rows = exp::run_t2(&suite()).into_iter().map(|r| {
+        let ratio = r.proof_ratio();
+        vec![
+            r.name,
+            format!("{:.1}", r.sweep.solve_ms),
+            r.sweep.resolutions.to_string(),
+            r.sweep.trimmed_resolutions.to_string(),
+            format!("{:.1}", r.sweep.check_ms),
+            format!("{:.1}", r.mono.solve_ms),
+            r.mono.resolutions.to_string(),
+            r.mono.trimmed_resolutions.to_string(),
+            format!("{:.1}", r.mono.check_ms),
+            format!("{ratio:.1}x"),
+        ]
+    });
+    print_table(
+        &[
+            "pair", "sw-ms", "sw-res", "sw-trim", "sw-chk", "mn-ms", "mn-res", "mn-trim", "mn-chk",
+            "mono/sw",
+        ],
+        rows,
     );
 }
 
 fn t3() {
     println!("== T3: backward proof trimming ================================");
-    let rows: Vec<Vec<String>> = exp::run_t3(&suite())
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.name.clone(),
-                r.recorded.to_string(),
-                r.trimmed.to_string(),
-                r.compacted.to_string(),
-                format!("{:.1}%", 100.0 * r.removed_fraction()),
-                format!("{}/{}", r.core_originals, r.originals),
-                format!("{:.2}", r.trim_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair",
-                "recorded",
-                "trimmed",
-                "compact",
-                "removed",
-                "core-orig",
-                "trim-ms"
-            ],
-            &rows
-        )
+    let rows = exp::run_t3(&suite()).into_iter().map(|r| {
+        vec![
+            r.name.clone(),
+            r.recorded.to_string(),
+            r.trimmed.to_string(),
+            r.compacted.to_string(),
+            format!("{:.1}%", 100.0 * r.removed_fraction()),
+            format!("{}/{}", r.core_originals, r.originals),
+            format!("{:.2}", r.trim_ms),
+        ]
+    });
+    print_table(
+        &[
+            "pair",
+            "recorded",
+            "trimmed",
+            "compact",
+            "removed",
+            "core-orig",
+            "trim-ms",
+        ],
+        rows,
     );
 }
 
 fn t4() {
     println!("== T4: ablation (hashing / structural merging / sweeping) =====");
-    let rows: Vec<Vec<String>> = exp::run_t4(&exp::select(exp::T4_PAIRS, &[]))
+    let rows = exp::run_t4(&exp::select(exp::T4_PAIRS, &[]))
         .into_iter()
         .map(|r| {
             vec![
@@ -187,28 +175,24 @@ fn t4() {
                 r.resolutions.to_string(),
                 format!("{:.1}", r.solve_ms),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair",
-                "config",
-                "sat",
-                "cex",
-                "struct",
-                "resolutions",
-                "ms"
-            ],
-            &rows
-        )
+        });
+    print_table(
+        &[
+            "pair",
+            "config",
+            "sat",
+            "cex",
+            "struct",
+            "resolutions",
+            "ms",
+        ],
+        rows,
     );
 }
 
 fn t5() {
     println!("== T5: Craig interpolants from miter refutations ==============");
-    let rows: Vec<Vec<String>> = exp::run_t5(&exp::select(&[], exp::T5_FAMILIES))
+    let rows = exp::run_t5(&exp::select(&[], exp::T5_FAMILIES))
         .into_iter()
         .map(|r| {
             vec![
@@ -220,22 +204,18 @@ fn t5() {
                 r.sweep_itp_gates.to_string(),
                 r.itp_inputs.to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair",
-                "raw-res",
-                "raw-itp",
-                "trim-res",
-                "trim-itp",
-                "sweep-itp",
-                "itp-vars"
-            ],
-            &rows
-        )
+        });
+    print_table(
+        &[
+            "pair",
+            "raw-res",
+            "raw-itp",
+            "trim-res",
+            "trim-itp",
+            "sweep-itp",
+            "itp-vars",
+        ],
+        rows,
     );
 }
 
@@ -256,18 +236,15 @@ fn t6() {
             ]);
         }
     }
-    println!(
-        "{}",
-        render_table(
-            &["pair", "mechanism", "steps", "share", "resolutions"],
-            &rows
-        )
+    print_table(
+        &["pair", "mechanism", "steps", "share", "resolutions"],
+        rows,
     );
 }
 
 fn t7() {
     println!("== T7: FRAIG reduction (sweeping as an optimizer) =============");
-    let rows: Vec<Vec<String>> = exp::run_t7(&exp::select(exp::T7_PAIRS, &[]))
+    let rows = exp::run_t7(&exp::select(exp::T7_PAIRS, &[]))
         .into_iter()
         .map(|r| {
             vec![
@@ -277,20 +254,16 @@ fn t7() {
                 format!("{:.1}%", 100.0 * r.removed_fraction()),
                 format!("{:.1}", r.reduce_ms),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["union of pair", "gates", "reduced", "removed", "ms"],
-            &rows
-        )
+        });
+    print_table(
+        &["union of pair", "gates", "reduced", "removed", "ms"],
+        rows,
     );
 }
 
 fn t8() {
     println!("== T8: BDD canonical-form baseline vs proof-producing sweep ===");
-    let rows: Vec<Vec<String>> = exp::run_t8(&suite(), exp::BDD_NODE_LIMIT)
+    let rows = exp::run_t8(&suite(), exp::BDD_NODE_LIMIT)
         .into_iter()
         .map(|r| {
             vec![
@@ -304,52 +277,42 @@ fn t8() {
                 format!("{:.1}", r.sweep_ms),
                 if r.bdd_decided { "yes" } else { "NO" }.into(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "pair",
-                "family",
-                "bdd-nodes",
-                "bdd-ms",
-                "sweep-ms",
-                "bdd-verdict"
-            ],
-            &rows
-        )
+        });
+    print_table(
+        &[
+            "pair",
+            "family",
+            "bdd-nodes",
+            "bdd-ms",
+            "sweep-ms",
+            "bdd-verdict",
+        ],
+        rows,
     );
 }
 
 fn f1() {
     println!("== F1: scaling with adder width (rca vs kogge-stone) ==========");
-    let rows: Vec<Vec<String>> = exp::run_f1(exp::F1_WIDTHS)
-        .into_iter()
-        .map(|p| {
-            vec![
-                p.width.to_string(),
-                format!("{:.1}", p.sweep.0),
-                p.sweep.1.to_string(),
-                format!("{:.1}", p.mono.0),
-                p.mono.1.to_string(),
-                format!("{:.1}x", p.mono.1.max(1) as f64 / p.sweep.1.max(1) as f64),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["width", "sw-ms", "sw-res", "mn-ms", "mn-res", "mono/sw"],
-            &rows
-        )
+    let rows = exp::run_f1(exp::F1_WIDTHS).into_iter().map(|p| {
+        vec![
+            p.width.to_string(),
+            format!("{:.1}", p.sweep.0),
+            p.sweep.1.to_string(),
+            format!("{:.1}", p.mono.0),
+            p.mono.1.to_string(),
+            format!("{:.1}x", p.mono.1.max(1) as f64 / p.sweep.1.max(1) as f64),
+        ]
+    });
+    print_table(
+        &["width", "sw-ms", "sw-res", "mn-ms", "mn-res", "mono/sw"],
+        rows,
     );
 }
 
 fn f3() {
     println!("== F3: the BDD multiplier cliff (array vs carry-save) =========");
     let widths = [4usize, 5, 6, 7, 8, 10, 12];
-    let rows: Vec<Vec<String>> = exp::run_f3(&widths, exp::BDD_NODE_LIMIT, 8)
+    let rows = exp::run_f3(&widths, exp::BDD_NODE_LIMIT, 8)
         .into_iter()
         .map(|p| {
             vec![
@@ -364,19 +327,15 @@ fn f3() {
                     None => "(skipped)".into(),
                 },
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["width", "bdd-nodes", "bdd-ms", "sweep-ms"], &rows)
-    );
+        });
+    print_table(&["width", "bdd-nodes", "bdd-ms", "sweep-ms"], rows);
     println!("note: sweep points above width 8 are skipped to keep the harness fast;");
     println!("      the SAT engine still terminates there, only slowly (see stress tests).\n");
 }
 
 fn f2() {
     println!("== F2: candidate survival vs simulation effort ================");
-    let rows: Vec<Vec<String>> = exp::run_f2(&exp::select(exp::F2_PAIRS, &[]), exp::F2_WORDS)
+    let rows = exp::run_f2(&exp::select(exp::F2_PAIRS, &[]), exp::F2_WORDS)
         .into_iter()
         .map(|p| {
             vec![
@@ -385,12 +344,8 @@ fn f2() {
                 p.classes.to_string(),
                 p.candidates.to_string(),
             ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["pair", "words", "classes", "candidates"], &rows)
-    );
+        });
+    print_table(&["pair", "words", "classes", "candidates"], rows);
 }
 
 fn threads() {
@@ -399,63 +354,50 @@ fn threads() {
         "host: {} hardware thread(s)",
         std::thread::available_parallelism().map_or(0, std::num::NonZero::get)
     );
-    let rows: Vec<Vec<String>> = exp::run_threads(10)
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.threads.to_string(),
-                format!("{:.1}", r.time.best_ms),
-                format!("{:.1}", r.time.median_ms),
-                format!("{:.1}", r.busy_ms),
-                r.rounds.to_string(),
-                r.resolutions.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "threads",
-                "best-ms",
-                "median-ms",
-                "busy-ms",
-                "rounds",
-                "resolutions"
-            ],
-            &rows
-        )
+    let rows = exp::run_threads(10).into_iter().map(|r| {
+        vec![
+            r.threads.to_string(),
+            format!("{:.1}", r.time.best_ms),
+            format!("{:.1}", r.time.median_ms),
+            format!("{:.1}", r.busy_ms),
+            r.rounds.to_string(),
+            r.resolutions.to_string(),
+        ]
+    });
+    print_table(
+        &[
+            "threads",
+            "best-ms",
+            "median-ms",
+            "busy-ms",
+            "rounds",
+            "resolutions",
+        ],
+        rows,
     );
 }
 
 fn trace_overhead() {
     println!("== trace-overhead: recorder cost on add-rca/ks-32, 20 rounds ===");
-    let rows: Vec<Vec<String>> = exp::run_trace_overhead(20)
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.setting.to_string(),
-                format!("{:.2}", r.time.best_ms),
-                format!("{:.2}", r.time.median_ms),
-                format!("{:+.1}%", 100.0 * r.vs_disabled),
-                r.events.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &["recorder", "best-ms", "median-ms", "vs-disabled", "events"],
-            &rows
-        )
+    let rows = exp::run_trace_overhead(20).into_iter().map(|r| {
+        vec![
+            r.setting.to_string(),
+            format!("{:.2}", r.time.best_ms),
+            format!("{:.2}", r.time.median_ms),
+            format!("{:+.1}%", 100.0 * r.vs_disabled),
+            r.events.to_string(),
+        ]
+    });
+    print_table(
+        &["recorder", "best-ms", "median-ms", "vs-disabled", "events"],
+        rows,
     );
 }
 
 fn lint_cost() {
     println!("== lint-cost: bundle lint vs proof replay on add-64, best of 20 =");
-    let rows: Vec<Vec<String>> = exp::run_lint_cost(20)
+    let rows = exp::run_lint_cost(20)
         .into_iter()
-        .map(|r| vec![r.pass.to_string(), format!("{:.2}", r.best_ms)])
-        .collect();
-    println!("{}", render_table(&["pass", "best-ms"], &rows));
+        .map(|r| vec![r.pass.to_string(), format!("{:.2}", r.best_ms)]);
+    print_table(&["pass", "best-ms"], rows);
 }
