@@ -778,7 +778,7 @@ fn interleave<C, T>(
 // ----------------------------------------------------------- threads --
 
 /// Thread counts of the `threads` table.
-pub const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
+const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
 /// One row of the `threads` table (the parallel sweep at one thread
 /// count).
@@ -931,26 +931,29 @@ pub fn run_lint_cost(samples: usize) -> Vec<LintCostRow> {
     };
     let report = lint::lint_bundle(&bundle, &opts);
     assert_eq!(report.counts().errors, 0, "{:?}", report.diagnostics());
-    let passes = ["lint_bundle", "lint_bundle+cnf", "check_refutation"];
-    let runs = interleave(&passes, samples, |&pass| match pass {
-        "lint_bundle" => lint::lint_bundle(&bundle, &opts).counts().errors,
-        "lint_bundle+cnf" => {
+    let passes: [(&str, &dyn Fn() -> usize); 3] = [
+        ("lint_bundle", &|| {
+            lint::lint_bundle(&bundle, &opts).counts().errors
+        }),
+        ("lint_bundle+cnf", &|| {
             let cnf = cec::miter_cnf(&miter);
             let with_cnf = Bundle {
                 cnf: Some(&cnf),
                 ..bundle
             };
             lint::lint_bundle(&with_cnf, &opts).counts().errors
-        }
-        _ => {
-            proof::check::check_refutation(p).expect("proof checks");
-            0
-        }
-    });
+        }),
+        ("check_refutation", &|| {
+            proof::check::check_refutation(p)
+                .expect("proof checks")
+                .as_usize()
+        }),
+    ];
+    let runs = interleave(&passes, samples, |(_, pass)| pass());
     passes
         .iter()
         .zip(runs)
-        .map(|(&pass, runs)| LintCostRow {
+        .map(|(&(pass, _), runs)| LintCostRow {
             pass,
             best_ms: Timing::of(runs.iter().map(|&(t, _)| t)).best_ms,
         })
