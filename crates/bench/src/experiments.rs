@@ -798,8 +798,8 @@ pub struct ThreadsRow {
 }
 
 /// The `threads` table: the 64-bit rca/Kogge-Stone pair checked
-/// `samples` times at each of [`THREAD_COUNTS`], the thread counts
-/// taken in turn. On a host with fewer hardware threads than workers
+/// `samples` times at 1, 2, 4 and 8 threads, the thread counts taken
+/// in turn. On a host with fewer hardware threads than workers
 /// the wall times measure total CPU work; the busy time is what a host
 /// with enough cores runs concurrently. Rounds and resolutions are
 /// deterministic per thread count, and asserted equal across samples.
