@@ -9,7 +9,9 @@
 //!
 //! Like [`crate::lint_tracecheck`], the pass is a *lenient* scanner: a
 //! malformed line is a `DR001` diagnostic, not a hard error, and the
-//! remaining lines are still processed. Semantic checks:
+//! remaining lines are still processed. The clause after the optional
+//! `d` is read by [`proof::import::parse_clause`], the parser a
+//! TraceCheck step starts with. Semantic checks:
 //!
 //! - `DR002`: with a formula present and [`LintOptions::chain`] set,
 //!   every non-tautological addition is checked to be a reverse unit
@@ -34,9 +36,9 @@ use crate::{
     DR002, DR003, DR004, DR005,
 };
 use cnf::{Cnf, Lit};
+use proof::import::parse_clause;
 use std::collections::HashMap;
 use std::io::{self, BufRead};
-use std::num::NonZeroI32;
 
 /// Scans a DRAT file. `formula` is the CNF the trace refutes; without
 /// it, only the grammar and the addition/deletion bookkeeping
@@ -77,36 +79,16 @@ pub fn lint_drat<R: BufRead>(
         if deleting {
             tokens.next();
         }
-        let mut lits = Vec::new();
-        let mut terminated = false;
-        let mut bad = false;
-        for tok in tokens {
-            if terminated {
-                report.emit(DR001, loc, cap, || {
-                    format!("trailing token `{tok}` after the terminating 0")
-                });
-                bad = true;
-                break;
+        let lits = match parse_clause(&mut tokens) {
+            Ok(lits) => lits,
+            Err(message) => {
+                report.emit(DR001, loc, cap, || message);
+                continue;
             }
-            match tok.parse::<i32>() {
-                Ok(0) => terminated = true,
-                Ok(v) => {
-                    let nz = NonZeroI32::new(v).expect("zero handled above");
-                    lits.push(Lit::from_dimacs(nz));
-                }
-                Err(e) => {
-                    report.emit(DR001, loc, cap, || format!("bad literal `{tok}`: {e}"));
-                    bad = true;
-                    break;
-                }
-            }
-        }
-        if bad {
-            continue;
-        }
-        if !terminated {
+        };
+        if let Some(tok) = tokens.next() {
             report.emit(DR001, loc, cap, || {
-                "clause line is missing the terminating 0".to_owned()
+                format!("trailing token `{tok}` after the terminating 0")
             });
             continue;
         }

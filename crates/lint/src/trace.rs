@@ -4,17 +4,17 @@
 //! reference violation aborts the whole read, which is the right call
 //! for a checker but useless for triage — the defects the importer
 //! rejects (forward references, id gaps) are exactly the ones a lint
-//! pass should *report*. This scanner mirrors the importer's grammar but
-//! turns every violation into a diagnostic ([`RP008`] for grammar,
-//! [`RP009`] for id order, [`RP001`] for bad references) and keeps
-//! going. When the file level is clean, the steps are loaded into a
-//! [`proof::Proof`] and the full [`crate::lint_proof`] pass runs on top.
+//! pass should *report*. This scanner reads each line with the
+//! importer's own [`parse_step`], turns every violation into a
+//! diagnostic ([`RP008`] for grammar, [`RP009`] for id order, [`RP001`]
+//! for bad references) and keeps going. When the file level is clean,
+//! the steps are loaded into a [`proof::Proof`] and the full
+//! [`crate::lint_proof`] pass runs on top.
 
 use crate::{Artifact, LintOptions, Location, Report, RP001, RP008, RP009};
-use cnf::Lit;
-use proof::{ClauseId, Proof};
+use proof::import::parse_step;
+use proof::Proof;
 use std::io::{self, BufRead};
-use std::num::NonZeroI32;
 
 /// Lints a TraceCheck file. File-level defects become diagnostics; if
 /// there are none, the parsed proof additionally goes through
@@ -49,124 +49,52 @@ pub fn read_tracecheck<R: BufRead>(
 ) -> io::Result<(Report, Option<Proof>)> {
     let mut report = Report::new(Artifact::Proof);
     let cap = opts.max_per_lint;
-    let mut steps: Vec<(Vec<Lit>, Vec<ClauseId>)> = Vec::new();
+    let mut proof = Proof::new();
     let mut expected: u64 = 1;
     let mut file_ok = true;
 
     for (line_no, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
         let here = Some(Location::Line(line_no as u32 + 1));
-        let mut tokens = line.split_whitespace();
-        let Some(id_tok) = tokens.next() else {
-            continue;
+        let (id, parsed) = match parse_step(&line?) {
+            Ok(None) => continue,
+            Ok(Some(step)) => (Some(step.id), Ok(step)),
+            Err(e) => (e.id, Err(e.message)),
         };
-        let id: u64 = match id_tok.parse() {
-            Ok(id) if id >= 1 => id,
-            _ => {
-                report.emit(RP008, here, cap, || format!("bad step id `{id_tok}`"));
+        if let Some(id) = id {
+            if id != expected {
+                report.emit(RP009, here, cap, || {
+                    format!("expected step id {expected}, found {id}")
+                });
+                file_ok = false;
+            }
+            // Count the step under its *declared* id so later antecedent
+            // references still resolve the way the author intended.
+            expected = id.saturating_add(1);
+        }
+        let step = match parsed {
+            Ok(step) => step,
+            Err(message) => {
+                report.emit(RP008, here, cap, || message);
                 file_ok = false;
                 continue;
             }
         };
-        if id != expected {
-            report.emit(RP009, here, cap, || {
-                format!("expected step id {expected}, found {id}")
+        for &v in &step.dangling {
+            let what = match u64::try_from(v) {
+                Ok(cited) if cited == step.id => "itself",
+                Ok(_) => "a later step",
+                Err(_) => "a nonexistent step",
+            };
+            report.emit(RP001, here, cap, || {
+                format!("step {} cites {what} (antecedent {v})", step.id)
             });
             file_ok = false;
         }
-        // Count the step under its *declared* id so later antecedent
-        // references still resolve the way the author intended.
-        expected = id + 1;
-
-        let mut lits: Vec<Lit> = Vec::new();
-        let mut ants: Vec<ClauseId> = Vec::new();
-        let mut bad_line = false;
-        let mut saw_zero = false;
-        for tok in tokens.by_ref() {
-            match tok.parse::<i32>().ok().map(NonZeroI32::new) {
-                Some(None) => {
-                    saw_zero = true;
-                    break;
-                }
-                Some(Some(nz)) => lits.push(Lit::from_dimacs(nz)),
-                None => {
-                    report.emit(RP008, here, cap, || format!("bad literal `{tok}`"));
-                    bad_line = true;
-                    break;
-                }
-            }
-        }
-        if !bad_line && !saw_zero {
-            report.emit(RP008, here, cap, || "clause not terminated by 0".into());
-            bad_line = true;
-        }
-        if !bad_line {
-            saw_zero = false;
-            for tok in tokens.by_ref() {
-                let v: i64 = match tok.parse() {
-                    Ok(v) => v,
-                    Err(_) => {
-                        report.emit(RP008, here, cap, || format!("bad antecedent `{tok}`"));
-                        bad_line = true;
-                        break;
-                    }
-                };
-                if v == 0 {
-                    saw_zero = true;
-                    break;
-                }
-                if v < 1 || v as u64 >= id {
-                    let what = if v as u64 == id {
-                        "itself"
-                    } else if v >= 1 {
-                        "a later step"
-                    } else {
-                        "a nonexistent step"
-                    };
-                    report.emit(RP001, here, cap, || {
-                        format!("step {id} cites {what} (antecedent {v})")
-                    });
-                    file_ok = false;
-                } else {
-                    ants.push(ClauseId::new((v - 1) as u32));
-                }
-            }
-            if !bad_line && !saw_zero {
-                report.emit(RP008, here, cap, || {
-                    "antecedent list not terminated by 0".into()
-                });
-                bad_line = true;
-            }
-            if !bad_line && tokens.next().is_some() {
-                report.emit(RP008, here, cap, || {
-                    "trailing tokens after antecedent terminator".into()
-                });
-                bad_line = true;
-            }
-        }
-        if bad_line {
-            file_ok = false;
-        } else {
-            steps.push((lits, ants));
+        if file_ok {
+            step.add_to(&mut proof);
         }
     }
-
-    let proof = file_ok.then(|| {
-        let mut p = Proof::new();
-        for (lits, ants) in steps {
-            if ants.is_empty() {
-                p.add_original(lits);
-            } else {
-                p.add_derived(lits, ants);
-            }
-        }
-        p
-    });
-    Ok((report, proof))
+    Ok((report, file_ok.then_some(proof)))
 }
 
 #[cfg(test)]

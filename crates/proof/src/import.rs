@@ -13,6 +13,9 @@
 //! order as long as antecedents refer to earlier *lines* after
 //! topological reordering is unnecessary — this reader requires ids to
 //! be ordered (the common case and what the writer produces).
+//!
+//! [`parse_step`] reads one such line and [`parse_clause`] its clause;
+//! the lenient `lint` front-ends call them too.
 
 use crate::{ClauseId, Proof};
 use cnf::Lit;
@@ -53,6 +56,107 @@ impl From<io::Error> for ParseTraceError {
     }
 }
 
+/// One TraceCheck step line, as [`parse_step`] reads it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct TraceStep {
+    /// The 1-based step id the line declares.
+    pub id: u64,
+    /// The step's clause.
+    pub clause: Vec<Lit>,
+    /// The antecedents that cite earlier steps.
+    pub antecedents: Vec<ClauseId>,
+    /// The antecedents that do not: the step itself, a later step, or
+    /// an id below 1. Whether they are fatal is the caller's decision.
+    pub dangling: Vec<i64>,
+}
+
+impl TraceStep {
+    /// Appends the step to `proof`, as an original clause when it cites
+    /// no earlier step and as a derived one otherwise.
+    pub fn add_to(self, proof: &mut Proof) -> ClauseId {
+        if self.antecedents.is_empty() {
+            proof.add_original(self.clause)
+        } else {
+            proof.add_derived(self.clause, self.antecedents)
+        }
+    }
+}
+
+/// A TraceCheck line that breaks the grammar.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct StepError {
+    /// The step id the line declares, when that much of it is readable.
+    pub id: Option<u64>,
+    /// What is wrong with the line.
+    pub message: String,
+}
+
+/// Parses one TraceCheck line, `<id> <lit>* 0 <antecedent-id>* 0`.
+///
+/// Returns `Ok(None)` for a blank line or a `c` comment.
+///
+/// # Errors
+///
+/// Returns a [`StepError`] when the line breaks the grammar.
+pub fn parse_step(line: &str) -> Result<Option<TraceStep>, StepError> {
+    let mut tokens = line.split_whitespace();
+    let Some(id_tok) = tokens.next().filter(|t| !t.starts_with('c')) else {
+        return Ok(None);
+    };
+    let id = id_tok.parse::<u64>().ok().filter(|&id| id >= 1);
+    let err = |message: String| StepError { id, message };
+    let Some(id) = id else {
+        return Err(err(format!("bad step id `{id_tok}`")));
+    };
+    let clause = parse_clause(&mut tokens).map_err(err)?;
+    let mut antecedents = Vec::new();
+    let mut dangling = Vec::new();
+    loop {
+        let Some(tok) = tokens.next() else {
+            return Err(err("antecedent list not terminated by 0".into()));
+        };
+        let v: i64 = tok
+            .parse()
+            .map_err(|e| err(format!("bad antecedent `{tok}`: {e}")))?;
+        match v {
+            0 => break,
+            1.. if v.unsigned_abs() < id => antecedents.push(ClauseId::new((v - 1) as u32)),
+            _ => dangling.push(v),
+        }
+    }
+    if tokens.next().is_some() {
+        return Err(err("trailing tokens after antecedent terminator".into()));
+    }
+    Ok(Some(TraceStep {
+        id,
+        clause,
+        antecedents,
+        dangling,
+    }))
+}
+
+/// Parses the DIMACS clause `<lit>* 0` at the front of `tokens`, the
+/// part a TraceCheck step shares with a DRAT line. Consumes the
+/// terminating `0` and nothing after it.
+///
+/// # Errors
+///
+/// Returns a message when a token is not a 32-bit integer or the
+/// terminating `0` is missing.
+pub fn parse_clause<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Vec<Lit>, String> {
+    let mut lits = Vec::new();
+    for tok in tokens {
+        let v: i32 = tok
+            .parse()
+            .map_err(|e| format!("bad literal `{tok}`: {e}"))?;
+        match NonZeroI32::new(v) {
+            None => return Ok(lits),
+            Some(nz) => lits.push(Lit::from_dimacs(nz)),
+        }
+    }
+    Err("clause not terminated by 0".into())
+}
+
 /// Reads a TraceCheck proof.
 ///
 /// Step ids must be 1-based, strictly increasing, and antecedents must
@@ -78,70 +182,19 @@ impl From<io::Error> for ParseTraceError {
 /// ```
 pub fn read_tracecheck<R: BufRead>(r: R) -> Result<Proof, ParseTraceError> {
     let mut proof = Proof::new();
-    let mut expected: u64 = 1;
     for (line_no, line) in r.lines().enumerate() {
-        let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('c') {
-            continue;
-        }
         let err = |m: String| ParseTraceError::Format(format!("line {}: {m}", line_no + 1));
-        let mut tokens = line.split_whitespace();
-        let id: u64 = tokens
-            .next()
-            .ok_or_else(|| err("missing step id".into()))?
-            .parse()
-            .map_err(|e| err(format!("bad step id: {e}")))?;
+        let Some(step) = parse_step(&line?).map_err(|e| err(e.message))? else {
+            continue;
+        };
+        let (id, expected) = (step.id, proof.len() as u64 + 1);
         if id != expected {
             return Err(err(format!("expected step id {expected}, found {id}")));
         }
-        expected += 1;
-
-        // Literals up to the first 0.
-        let mut lits: Vec<Lit> = Vec::new();
-        let mut saw_zero = false;
-        for tok in tokens.by_ref() {
-            let v: i32 = tok
-                .parse()
-                .map_err(|e| err(format!("bad literal `{tok}`: {e}")))?;
-            match NonZeroI32::new(v) {
-                None => {
-                    saw_zero = true;
-                    break;
-                }
-                Some(nz) => lits.push(Lit::from_dimacs(nz)),
-            }
+        if let Some(v) = step.dangling.first() {
+            return Err(err(format!("antecedent {v} out of range for step {id}")));
         }
-        if !saw_zero {
-            return Err(err("clause not terminated by 0".into()));
-        }
-        // Antecedents up to the second 0.
-        let mut ants: Vec<ClauseId> = Vec::new();
-        let mut saw_zero = false;
-        for tok in tokens.by_ref() {
-            let v: i64 = tok
-                .parse()
-                .map_err(|e| err(format!("bad antecedent `{tok}`: {e}")))?;
-            if v == 0 {
-                saw_zero = true;
-                break;
-            }
-            if v < 1 || v as u64 >= id {
-                return Err(err(format!("antecedent {v} out of range for step {id}")));
-            }
-            ants.push(ClauseId::new((v - 1) as u32));
-        }
-        if !saw_zero {
-            return Err(err("antecedent list not terminated by 0".into()));
-        }
-        if tokens.next().is_some() {
-            return Err(err("trailing tokens after antecedent terminator".into()));
-        }
-        if ants.is_empty() {
-            proof.add_original(lits);
-        } else {
-            proof.add_derived(lits, ants);
-        }
+        step.add_to(&mut proof);
     }
     Ok(proof)
 }
