@@ -1,67 +1,20 @@
 //! Lenient triage scanner for durability run-state journals.
 //!
 //! Where `obs::journal::read_journal` is the *strict* loader (first
-//! defect wins, typed error), this pass reads the whole file and maps
-//! every defect class to a stable `JN` code, so a corrupted journal can
-//! be triaged line by line. A journal left behind by a crash is
-//! *supposed* to look a particular way — at most a torn final line
-//! ([`JN005`](crate::JN005), warning) and no verdict record
-//! ([`JN006`](crate::JN006), info) — so only damage that a clean crash
-//! cannot produce is an error.
+//! defect wins, typed error), this pass reads the whole file with the
+//! same [`parse_record`] and maps every defect class to a stable `JN`
+//! code, so a corrupted journal can be triaged line by line. A journal
+//! left behind by a crash is *supposed* to look a particular way — at
+//! most a torn final line ([`JN005`](crate::JN005), warning) and no
+//! verdict record ([`JN006`](crate::JN006), info) — so only damage that
+//! a clean crash cannot produce is an error.
 
 use crate::{
     Artifact, LintOptions, Location, Report, JN001, JN002, JN003, JN004, JN005, JN006, JN007,
 };
-use obs::hash::fnv1a64_hex;
-use obs::json::{self, Value};
+use obs::journal::{parse_record, RecordDefect};
+use obs::json::Value;
 use std::io::{self, BufRead};
-
-/// Record types the engine writes.
-const RECORD_TYPES: &[&str] = &["header", "checkpoint", "verdict"];
-
-/// What one journal line failed at, if anything.
-enum LineDefect {
-    Parse(String),
-    Checksum { recorded: String, actual: String },
-    SequenceGap { expected: u64, found: u64 },
-}
-
-/// Scans one line; `Ok` carries the record type on success.
-fn scan_line(line: &str, expected_seq: u64) -> Result<String, LineDefect> {
-    let v = json::parse(line).map_err(|e| LineDefect::Parse(format!("not a JSON record: {e}")))?;
-    let seq = v
-        .get("seq")
-        .and_then(Value::as_u64)
-        .ok_or_else(|| LineDefect::Parse("missing `seq` field".into()))?;
-    let crc = v
-        .get("crc")
-        .and_then(Value::as_str)
-        .ok_or_else(|| LineDefect::Parse("missing `crc` field".into()))?;
-    let body = v
-        .get("body")
-        .ok_or_else(|| LineDefect::Parse("missing `body` field".into()))?;
-    let actual = fnv1a64_hex(body.to_string().as_bytes());
-    if actual != crc {
-        return Err(LineDefect::Checksum {
-            recorded: crc.to_string(),
-            actual,
-        });
-    }
-    if seq != expected_seq {
-        return Err(LineDefect::SequenceGap {
-            expected: expected_seq,
-            found: seq,
-        });
-    }
-    let kind = body.get("type").and_then(Value::as_str).unwrap_or("");
-    if !RECORD_TYPES.contains(&kind) {
-        return Err(LineDefect::Parse(format!(
-            "unknown record type `{kind}` (expected one of {})",
-            RECORD_TYPES.join(", ")
-        )));
-    }
-    Ok(kind.to_string())
-}
 
 /// Lints a durability journal read from `r`.
 ///
@@ -85,40 +38,42 @@ pub fn lint_journal<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> 
     let mut saw_header = false;
     let mut saw_verdict = false;
     for (i, (line_no, line)) in lines.iter().enumerate() {
-        let last = i + 1 == lines.len();
-        match scan_line(line, intact) {
-            Ok(kind) => {
-                match kind.as_str() {
-                    "header" if intact == 0 => saw_header = true,
-                    "header" => report.emit(JN007, Some(Location::Line(*line_no)), cap, || {
-                        "header record after the first record".into()
-                    }),
-                    "verdict" => saw_verdict = true,
-                    _ => {}
-                }
-                intact += 1;
-            }
+        let here = Some(Location::Line(*line_no));
+        let record = match parse_record(line, intact) {
+            Ok(record) => record,
             // A torn final line is the expected shape of a crash.
-            Err(LineDefect::Parse(_) | LineDefect::Checksum { .. }) if last => {
-                report.emit(JN005, Some(Location::Line(*line_no)), cap, || {
-                    "final line is torn (dropped on load)".into()
+            Err(defect) if i + 1 == lines.len() && defect.is_torn_write() => {
+                report.emit(JN005, here, cap, || {
+                    format!("final line is torn (dropped on load): {defect}")
                 });
+                continue;
             }
-            Err(LineDefect::Parse(msg)) => {
-                report.emit(JN001, Some(Location::Line(*line_no)), cap, || msg);
+            Err(defect) => {
+                let lint = match defect {
+                    RecordDefect::Malformed(_) => JN001,
+                    RecordDefect::Checksum { .. } => JN002,
+                    RecordDefect::SequenceGap { found, .. } => {
+                        // Resynchronize so one gap doesn't cascade down the file.
+                        intact = found.saturating_add(1);
+                        JN003
+                    }
+                };
+                report.emit(lint, here, cap, || defect.to_string());
+                continue;
             }
-            Err(LineDefect::Checksum { recorded, actual }) => {
-                report.emit(JN002, Some(Location::Line(*line_no)), cap, || {
-                    format!("recorded checksum {recorded}, actual {actual}")
-                });
-            }
-            Err(LineDefect::SequenceGap { expected, found }) => {
-                report.emit(JN003, Some(Location::Line(*line_no)), cap, || {
-                    format!("expected seq {expected}, found {found}")
-                });
-                // Resynchronize so one gap doesn't cascade down the file.
-                intact = found + 1;
-            }
+        };
+        intact = record.seq.saturating_add(1);
+        let kind = record.body.get("type").and_then(Value::as_str);
+        match kind.unwrap_or("") {
+            "header" if record.seq == 0 => saw_header = true,
+            "header" => report.emit(JN007, here, cap, || {
+                "header record after the first record".into()
+            }),
+            "verdict" => saw_verdict = true,
+            "checkpoint" => {}
+            kind => report.emit(JN001, here, cap, || {
+                format!("unknown record type `{kind}` (expected header, checkpoint or verdict)")
+            }),
         }
     }
 

@@ -43,9 +43,9 @@ pub struct Record {
 pub enum JournalError {
     /// Underlying I/O failure.
     Io(io::Error),
-    /// A record *before the final line* is malformed — JSON damage, a
-    /// checksum mismatch, or a sequence gap. Unlike a torn tail this is
-    /// never the result of a clean crash, so it is a hard error.
+    /// A damaged record that a clean crash cannot leave behind: JSON
+    /// damage or a checksum mismatch *before the final line*, or a
+    /// sequence gap on any line. It is a hard error.
     Corrupt {
         /// 1-based line number of the damaged record.
         line: usize,
@@ -91,28 +91,84 @@ pub struct JournalContents {
     pub truncated_tail: bool,
 }
 
-/// Parses one journal line into its record, or says why not.
-fn parse_line(line: &str, expected_seq: u64) -> Result<Record, String> {
-    let v = json::parse(line).map_err(|e| format!("not a JSON record: {e}"))?;
+/// Why a journal line is not the record expected next.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RecordDefect {
+    /// Not a JSON object with `seq`, `crc` and `body` fields.
+    Malformed(String),
+    /// The body does not hash to the recorded checksum.
+    Checksum {
+        /// The checksum the record carries.
+        recorded: String,
+        /// The checksum of the body as read.
+        actual: String,
+    },
+    /// An intact record with the wrong sequence number.
+    SequenceGap {
+        /// The sequence number due at this line.
+        expected: u64,
+        /// The sequence number the record carries.
+        found: u64,
+    },
+}
+
+impl RecordDefect {
+    /// Whether a crash mid-write can leave this defect on the final
+    /// line. A torn write breaks the JSON or the checksum; it cannot
+    /// produce an intact record under a wrong sequence number.
+    #[must_use]
+    pub fn is_torn_write(&self) -> bool {
+        !matches!(self, RecordDefect::SequenceGap { .. })
+    }
+}
+
+impl fmt::Display for RecordDefect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            RecordDefect::Malformed(m) => f.write_str(m),
+            RecordDefect::Checksum { recorded, actual } => {
+                write!(f, "checksum mismatch: recorded {recorded}, actual {actual}")
+            }
+            RecordDefect::SequenceGap { expected, found } => {
+                write!(f, "sequence gap: expected seq {expected}, found {found}")
+            }
+        }
+    }
+}
+
+/// Parses one journal line as the record with sequence number
+/// `expected_seq`.
+///
+/// # Errors
+///
+/// Returns the [`RecordDefect`] that makes the line something else.
+pub fn parse_record(line: &str, expected_seq: u64) -> Result<Record, RecordDefect> {
+    let malformed = |m: &str| RecordDefect::Malformed(m.to_string());
+    let v = json::parse(line)
+        .map_err(|e| RecordDefect::Malformed(format!("not a JSON record: {e}")))?;
     let seq = v
         .get("seq")
         .and_then(Value::as_u64)
-        .ok_or("missing `seq` field")?;
+        .ok_or_else(|| malformed("missing `seq` field"))?;
     let crc = v
         .get("crc")
         .and_then(Value::as_str)
-        .ok_or("missing `crc` field")?;
-    let body = v.get("body").ok_or("missing `body` field")?;
+        .ok_or_else(|| malformed("missing `crc` field"))?;
+    let body = v
+        .get("body")
+        .ok_or_else(|| malformed("missing `body` field"))?;
     let actual = fnv1a64_hex(body.to_string().as_bytes());
     if actual != crc {
-        return Err(format!(
-            "checksum mismatch: recorded {crc}, actual {actual}"
-        ));
+        return Err(RecordDefect::Checksum {
+            recorded: crc.to_string(),
+            actual,
+        });
     }
     if seq != expected_seq {
-        return Err(format!(
-            "sequence gap: expected seq {expected_seq}, found {seq}"
-        ));
+        return Err(RecordDefect::SequenceGap {
+            expected: expected_seq,
+            found: seq,
+        });
     }
     Ok(Record {
         seq,
@@ -122,13 +178,14 @@ fn parse_line(line: &str, expected_seq: u64) -> Result<Record, String> {
 
 /// Reads and validates a journal from `r`.
 ///
-/// A damaged *final* line (torn write) is dropped and reported via
-/// [`JournalContents::truncated_tail`]; damage anywhere else is a
+/// A final line torn by a crash mid-write (see
+/// [`RecordDefect::is_torn_write`]) is dropped and reported via
+/// [`JournalContents::truncated_tail`]; any other defect is a
 /// [`JournalError::Corrupt`].
 ///
 /// # Errors
 ///
-/// I/O failures and mid-file corruption.
+/// I/O failures and corruption.
 pub fn read_journal<R: Read>(mut r: R) -> Result<JournalContents, JournalError> {
     let mut text = String::new();
     r.read_to_string(&mut text)
@@ -137,18 +194,15 @@ pub fn read_journal<R: Read>(mut r: R) -> Result<JournalContents, JournalError> 
     let mut records = Vec::with_capacity(lines.len());
     let mut truncated_tail = false;
     for (i, line) in lines.iter().enumerate() {
-        match parse_line(line, records.len() as u64) {
+        match parse_record(line, records.len() as u64) {
             Ok(rec) => records.push(rec),
-            Err(reason) if i + 1 == lines.len() => {
-                // Only the final line may legitimately be damaged (torn
-                // mid-write by a crash); drop it.
-                let _ = reason;
+            Err(defect) if i + 1 == lines.len() && defect.is_torn_write() => {
                 truncated_tail = true;
             }
-            Err(reason) => {
+            Err(defect) => {
                 return Err(JournalError::Corrupt {
                     line: i + 1,
-                    reason,
+                    reason: defect.to_string(),
                 })
             }
         }
@@ -175,7 +229,7 @@ fn intact_prefix(bytes: &[u8]) -> (usize, u64) {
             break;
         };
         if !line.trim().is_empty() {
-            if parse_line(line, records).is_err() {
+            if parse_record(line, records).is_err() {
                 break;
             }
             records += 1;
@@ -428,6 +482,27 @@ mod tests {
                 assert!(reason.contains("sequence gap"), "{reason}");
             }
             other => panic!("expected gap at line 2, got {other:?}"),
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn intact_final_record_with_wrong_seq_is_corrupt_not_torn() {
+        let path = tmp("forged-tail.journal");
+        let mut w = JournalWriter::create(&path).unwrap();
+        for i in 0..3 {
+            w.write(&body(i)).unwrap();
+        }
+        drop(w);
+        let text = std::fs::read_to_string(&path).unwrap();
+        // Forge the final record's seq; its body and checksum stay intact.
+        let forged = text.replacen("{\"seq\":2,", "{\"seq\":9,", 1);
+        assert_ne!(text, forged);
+        match read_journal(forged.as_bytes()) {
+            Err(JournalError::Corrupt { line: 3, reason }) => {
+                assert!(reason.contains("sequence gap"), "{reason}");
+            }
+            other => panic!("expected a gap at line 3, got {other:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }
