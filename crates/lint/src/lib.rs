@@ -58,6 +58,7 @@ pub use journal_lints::lint_journal;
 pub use proof_lints::lint_proof;
 pub use trace::{lint_tracecheck, read_tracecheck};
 
+use obs::json::Value;
 use std::fmt;
 use std::io::{self, Write};
 
@@ -565,44 +566,25 @@ impl Report {
     /// Renders the report as a single JSON object (schema documented in
     /// DESIGN.md).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(256 + self.diags.len() * 96);
-        s.push_str("{\"artifact\":\"");
-        s.push_str(self.artifact.label());
-        s.push_str("\",\"summary\":{\"errors\":");
-        s.push_str(&self.counts.errors.to_string());
-        s.push_str(",\"warnings\":");
-        s.push_str(&self.counts.warnings.to_string());
-        s.push_str(",\"infos\":");
-        s.push_str(&self.counts.infos.to_string());
-        s.push_str("},\"lints\":[");
-        for (i, t) in self.tallies.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"code\":\"");
-            s.push_str(t.lint.code);
-            s.push_str("\",\"name\":\"");
-            s.push_str(t.lint.name);
-            s.push_str("\",\"total\":");
-            s.push_str(&t.total.to_string());
-            s.push_str(",\"shown\":");
-            s.push_str(&t.shown.to_string());
-            s.push('}');
-        }
-        s.push_str("],\"diagnostics\":[");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("{\"code\":\"");
-            s.push_str(d.lint.code);
-            s.push_str("\",\"name\":\"");
-            s.push_str(d.lint.name);
-            s.push_str("\",\"severity\":\"");
-            s.push_str(d.severity.label());
-            s.push('"');
+        let obj = |members: Vec<(&str, Value)>| {
+            Value::Object(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+        };
+        let count = |n: usize| Value::U64(n as u64);
+        let lints = self.tallies.iter().map(|t| {
+            obj(vec![
+                ("code", Value::str(t.lint.code)),
+                ("name", Value::str(t.lint.name)),
+                ("total", count(t.total)),
+                ("shown", count(t.shown)),
+            ])
+        });
+        let diagnostics = self.diags.iter().map(|d| {
+            let mut members = vec![
+                ("code", Value::str(d.lint.code)),
+                ("name", Value::str(d.lint.name)),
+                ("severity", Value::str(d.severity.label())),
+            ];
             if let Some(loc) = d.location {
-                s.push_str(",\"location\":");
                 let (kind, index) = match loc {
                     Location::Step(i) => ("step", i),
                     Location::Var(i) => ("var", i),
@@ -610,18 +592,31 @@ impl Report {
                     Location::Node(i) => ("node", i),
                     Location::Line(i) => ("line", i),
                 };
-                s.push_str("{\"kind\":\"");
-                s.push_str(kind);
-                s.push_str("\",\"index\":");
-                s.push_str(&index.to_string());
-                s.push('}');
+                members.push((
+                    "location",
+                    obj(vec![
+                        ("kind", Value::str(kind)),
+                        ("index", Value::U64(index.into())),
+                    ]),
+                ));
             }
-            s.push_str(",\"message\":\"");
-            json_escape_into(&d.message, &mut s);
-            s.push_str("\"}");
-        }
-        s.push_str("]}");
-        s
+            members.push(("message", Value::str(d.message.as_str())));
+            obj(members)
+        });
+        obj(vec![
+            ("artifact", Value::str(self.artifact.label())),
+            (
+                "summary",
+                obj(vec![
+                    ("errors", count(self.counts.errors)),
+                    ("warnings", count(self.counts.warnings)),
+                    ("infos", count(self.counts.infos)),
+                ]),
+            ),
+            ("lints", Value::Array(lints.collect())),
+            ("diagnostics", Value::Array(diagnostics.collect())),
+        ])
+        .to_string()
     }
 }
 
@@ -659,23 +654,6 @@ pub(crate) fn clause_dimacs(lits: &[cnf::Lit]) -> String {
     }
     s.push(')');
     s
-}
-
-/// Escapes `raw` into `out` per the JSON string grammar.
-fn json_escape_into(raw: &str, out: &mut String) {
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -725,19 +703,22 @@ mod tests {
     fn json_is_well_formed_and_escaped() {
         let mut r = Report::new(Artifact::Cnf);
         r.emit(CF002, Some(Location::Clause(4)), 20, || {
-            "dup of \"clause\"\n0".into()
+            "dup of \"clause\"\n0\tand \u{1} \\ état".into()
         });
-        let json = r.to_json();
-        assert!(json.contains("\"artifact\":\"cnf\""));
-        assert!(json.contains("\\\"clause\\\"\\n0"));
-        assert!(json.contains("{\"kind\":\"clause\",\"index\":4}"));
-        // Balanced braces/brackets (cheap well-formedness smoke check).
+        r.emit(CF003, None, 20, || "x ∨ ¬x".into());
         assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
+            r.to_json(),
+            concat!(
+                r#"{"artifact":"cnf","summary":{"errors":0,"warnings":2,"infos":0},"#,
+                r#""lints":[{"code":"CF002","name":"duplicate-clause","total":1,"shown":1},"#,
+                r#"{"code":"CF003","name":"tautological-clause","total":1,"shown":1}],"#,
+                r#""diagnostics":[{"code":"CF002","name":"duplicate-clause","severity":"warning","#,
+                r#""location":{"kind":"clause","index":4},"#,
+                r#""message":"dup of \"clause\"\n0\tand \u0001 \\ état"},"#,
+                r#"{"code":"CF003","name":"tautological-clause","severity":"warning","#,
+                r#""message":"x ∨ ¬x"}]}"#,
+            )
         );
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
