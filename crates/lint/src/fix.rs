@@ -116,13 +116,7 @@ fn dedup_derivations(p: &Proof, summary: &mut FixSummary) -> Option<Proof> {
                 continue;
             }
         }
-        let nid = if step.is_original() {
-            out.add_original(step.clause.iter().copied())
-        } else {
-            let ants: Vec<ClauseId> = step.antecedents.iter().map(|a| map[a.as_usize()]).collect();
-            out.add_derived(step.clause.iter().copied(), ants)
-        };
-        out.set_role(nid, p.role(id));
+        let nid = out.copy_step(p, id, |a| map[a.as_usize()]);
         seen.entry(step.clause).or_insert(nid);
         map.push(nid);
     }
@@ -152,19 +146,13 @@ fn prune_tautologies(p: &Proof, summary: &mut FixSummary) -> Option<Proof> {
     }
     let mut map: Vec<ClauseId> = Vec::with_capacity(p.len());
     let mut out = Proof::new();
-    for (id, step) in p.iter() {
+    for (id, _) in p.iter() {
         if doomed[id.as_usize()] {
             // Never referenced, so the placeholder id is never read.
             map.push(ClauseId::new(0));
             continue;
         }
-        let nid = if step.is_original() {
-            out.add_original(step.clause.iter().copied())
-        } else {
-            let ants: Vec<ClauseId> = step.antecedents.iter().map(|a| map[a.as_usize()]).collect();
-            out.add_derived(step.clause.iter().copied(), ants)
-        };
-        out.set_role(nid, p.role(id));
+        let nid = out.copy_step(p, id, |a| map[a.as_usize()]);
         map.push(nid);
     }
     summary.tautologies += dropped;

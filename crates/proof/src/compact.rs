@@ -67,15 +67,9 @@ pub fn compact(proof: &Proof, root: ClauseId) -> TrimResult {
     // Rebuild with redirected antecedents; ids stay in place so the
     // root stays valid, and a final trim removes the orphans.
     let mut rewritten = Proof::new();
-    for (id, step) in base.iter() {
-        let nid = if step.is_original() {
-            rewritten.add_original(step.clause.iter().copied())
-        } else {
-            let ants = step.antecedents.iter().map(|a| canonical[a.as_usize()]);
-            rewritten.add_derived(step.clause.iter().copied(), ants)
-        };
+    for (id, _) in base.iter() {
+        let nid = rewritten.copy_step(base, id, |a| canonical[a.as_usize()]);
         debug_assert_eq!(nid, id);
-        rewritten.set_role(nid, base.role(id));
     }
     trim(&rewritten, canonical[base_root.as_usize()])
 }

@@ -263,6 +263,30 @@ impl Proof {
         self.push(clause, antecedents)
     }
 
+    /// Appends step `id` of `other`, renaming each of its antecedents
+    /// through `rename`, and keeps its role. Returns the new step's id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is out of range for `other`.
+    pub fn copy_step(
+        &mut self,
+        other: &Proof,
+        id: ClauseId,
+        rename: impl FnMut(ClauseId) -> ClauseId,
+    ) -> ClauseId {
+        let step = other.step(id);
+        if step.is_original() {
+            self.num_original += 1;
+        }
+        let image = self.push(
+            step.clause.iter().copied(),
+            step.antecedents.iter().copied().map(rename),
+        );
+        self.roles[image.as_usize()] = other.role(id);
+        image
+    }
+
     fn push<I, A>(&mut self, clause: I, antecedents: A) -> ClauseId
     where
         I: IntoIterator<Item = Lit>,
@@ -394,7 +418,6 @@ impl Proof {
                     .filter(|a| map[a.as_usize()].is_none() && !needed[a.as_usize()]),
             );
         }
-        let mut ants = Vec::new();
         for (id, step) in other.iter() {
             if !needed[id.as_usize()] || map[id.as_usize()].is_some() {
                 continue;
@@ -403,12 +426,9 @@ impl Proof {
                 !step.is_original(),
                 "reachable original step must be mapped"
             );
-            ants.clear();
-            ants.extend(step.antecedents.iter().map(|a| {
+            let image = self.copy_step(other, id, |a| {
                 map[a.as_usize()].expect("antecedents precede their step in a valid proof")
-            }));
-            let image = self.add_derived(step.clause.iter().copied(), ants.iter().copied());
-            self.set_role(image, other.role(id));
+            });
             map[id.as_usize()] = Some(image);
         }
     }

@@ -72,21 +72,13 @@ pub fn trim(proof: &Proof, root: ClauseId) -> TrimResult {
     let mut out = Proof::new();
     let mut new_id: Vec<Option<ClauseId>> = vec![None; proof.len()];
     let mut original_ids = Vec::new();
-    for (id, step) in proof.iter() {
+    for (id, _) in proof.iter() {
         if !needed[id.as_usize()] {
             continue;
         }
-        let nid = if step.is_original() {
-            out.add_original(step.clause.iter().copied())
-        } else {
-            let ants: Vec<ClauseId> = step
-                .antecedents
-                .iter()
-                .map(|a| new_id[a.as_usize()].expect("antecedent kept"))
-                .collect();
-            out.add_derived(step.clause.iter().copied(), ants)
-        };
-        out.set_role(nid, proof.role(id));
+        let nid = out.copy_step(proof, id, |a| {
+            new_id[a.as_usize()].expect("antecedent kept")
+        });
         new_id[id.as_usize()] = Some(nid);
         original_ids.push(id);
     }
