@@ -9,19 +9,29 @@
 //!
 //! `REGRESSIONS` pins inputs that broke (or nearly broke) a parser in
 //! the past so the suite replays them forever, proptest or not.
+//!
+//! Every input also checks that the strict readers and the lenient lint
+//! front-ends agree: a TraceCheck file loads as the same proof in both
+//! or in neither, and the journal damage the strict reader refuses is
+//! the damage the lint reports as an error.
 
+use obs::journal::{read_journal, JournalError};
 use proptest::prelude::*;
 use resolution_cec::aig::{aiger, gen};
-use resolution_cec::cec::{miter_cnf, EngineConfig, Miter, Session, SharedContext};
+use resolution_cec::cec::{miter_cnf, Durable, EngineConfig, Miter, Session, SharedContext};
 use resolution_cec::cnf::dimacs;
-use resolution_cec::proof::{export, import};
+use resolution_cec::proof::{export, import, Proof};
 
 /// Past panics and pathological headers, replayed on every run.
 ///
 /// The first three target the AIGER header paths hardened against
 /// oversized node counts (`M`/`I`/`A` fields near or past `MAX_NODES`
 /// and `u64::MAX`); the rest probe truncation, NUL bytes, and
-/// grammar-adjacent noise in all the text formats.
+/// grammar-adjacent noise in all the text formats. The last four are
+/// a TraceCheck line with both a grammar error and a forward reference,
+/// a TraceCheck step id of `u64::MAX`, and two journals whose records
+/// are intact but carry a forged `seq`: on the final line, and at
+/// `u64::MAX`.
 const REGRESSIONS: &[&[u8]] = &[
     b"aag 18446744073709551615 1 0 1 18446744073709551614",
     b"aag 999999999999 999999999999 0 1 0\n",
@@ -34,22 +44,65 @@ const REGRESSIONS: &[&[u8]] = &[
     b"rounds 18446744073709551615\n",
     b"{\"seq\":0,\"crc\":\"xx\",\"body\":{\"kind\":\"header\"}}\n",
     b"\xff\xfe\x00aag 1 1 0 1 0",
+    b"1 1 0 0\n2 -1 0 0\n3 0 5 x 0\n",
+    b"18446744073709551615 1 0 0\n2 -1 0 0\n",
+    b"{\"seq\":0,\"crc\":\"85b1143fd1a50672\",\"body\":{\"type\":\"header\"}}\n\
+      {\"seq\":5,\"crc\":\"2167e23b7ff4f3b2\",\"body\":{\"type\":\"verdict\"}}\n",
+    b"{\"seq\":0,\"crc\":\"85b1143fd1a50672\",\"body\":{\"type\":\"header\"}}\n\
+      {\"seq\":18446744073709551615,\"crc\":\"136d4707fc79e0ed\",\"body\":{\"type\":\"checkpoint\"}}\n\
+      {\"seq\":18446744073709551615,\"crc\":\"2167e23b7ff4f3b2\",\"body\":{\"type\":\"verdict\"}}\n",
 ];
 
 /// Feeds one byte string to every parser in the workspace. The test
-/// is the absence of a panic; results are deliberately discarded.
+/// is the absence of a panic plus the agreement of each strict reader
+/// with its lint front-end; other results are deliberately discarded.
 fn feed_all_parsers(bytes: &[u8]) {
     let opts = lint::LintOptions::default();
     let _ = aiger::read(bytes);
     let _ = dimacs::read(bytes);
-    let _ = import::read_tracecheck(bytes);
-    let _ = lint::read_tracecheck(bytes, &opts);
     let _ = lint::lint_drat(bytes, None, &opts);
-    let _ = lint::lint_journal(bytes, &opts);
-    let _ = obs::journal::read_journal(bytes);
     if let Ok(text) = std::str::from_utf8(bytes) {
         let _ = lint::CertificateInfo::parse(text);
     }
+    let shown = String::from_utf8_lossy(bytes);
+
+    let strict = import::read_tracecheck(bytes).ok();
+    let lenient = lint::read_tracecheck(bytes, &opts)
+        .ok()
+        .and_then(|(_, proof)| proof);
+    match (&strict, &lenient) {
+        (None, None) => {}
+        (Some(s), Some(l)) => assert_eq!(tracecheck(s), tracecheck(l), "on {shown:?}"),
+        _ => panic!(
+            "strict importer accepted: {}, lint loaded a proof: {}, on {shown:?}",
+            strict.is_some(),
+            lenient.is_some()
+        ),
+    }
+
+    let corrupt = matches!(read_journal(bytes), Err(JournalError::Corrupt { .. }));
+    let Ok(report) = lint::lint_journal(bytes, &opts) else {
+        assert!(!corrupt, "lint could not read a corrupt journal: {shown:?}");
+        return;
+    };
+    if corrupt {
+        assert!(
+            ["JN001", "JN002", "JN003"].iter().any(|c| report.has(c)),
+            "corrupt journal without a JN001-JN003 error: {shown:?}"
+        );
+    }
+    if report.has("JN002") || report.has("JN003") {
+        assert!(
+            corrupt,
+            "JN002/JN003 on a journal read_journal accepts: {shown:?}"
+        );
+    }
+}
+
+fn tracecheck(proof: &Proof) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    export::write_tracecheck(proof, &mut bytes).expect("writing to memory cannot fail");
+    bytes
 }
 
 #[test]
@@ -59,13 +112,20 @@ fn regressions_never_panic() {
     }
 }
 
-/// Byte-exact valid artifacts of every class, from one real engine run.
+/// Byte-exact valid artifacts of every class, from one real journaled
+/// engine run.
 fn valid_artifacts() -> Vec<Vec<u8>> {
     let a = gen::ripple_carry_adder(3);
     let b = gen::carry_lookahead_adder(3);
-    let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
-        .check(&a, &b)
+    let config = EngineConfig::default();
+    let journal = std::env::temp_dir().join(format!("fuzz-parsers-{}.journal", std::process::id()));
+    let mut durable = Durable::begin(&journal, &config, &a, &b).unwrap();
+    let outcome = Session::new(config, &SharedContext::disabled())
+        .check_durable(&a, &b, &mut durable)
         .unwrap();
+    drop(durable);
+    let journal_bytes = std::fs::read(&journal).unwrap();
+    let _ = std::fs::remove_file(&journal);
     let cert = outcome.certificate().expect("adders are equivalent");
     let proof = cert.proof.as_ref().expect("proof logging is on");
 
@@ -80,7 +140,14 @@ fn valid_artifacts() -> Vec<Vec<u8>> {
     export::write_drat(proof, &mut drat_bytes).unwrap();
     let mut cert_bytes = Vec::new();
     cert.info().write(&mut cert_bytes).unwrap();
-    vec![aig_bytes, cnf_bytes, tc_bytes, drat_bytes, cert_bytes]
+    vec![
+        aig_bytes,
+        cnf_bytes,
+        tc_bytes,
+        drat_bytes,
+        cert_bytes,
+        journal_bytes,
+    ]
 }
 
 fn mutate(bytes: &mut Vec<u8>, op: u8, pos: usize, byte: u8) {
