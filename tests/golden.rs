@@ -20,6 +20,12 @@
 //! proof or counterexample fingerprint, the empty clause, the
 //! interpolation partition, the trimmed proof, the lint counts, the
 //! solver counters and the miter size.
+//!
+//! `golden_solver.txt` pins the SAT solver alone on two pigeonhole
+//! refutations solved in budgeted calls, with the learnt clauses drained
+//! between calls as parallel workers share them: the drained sequence
+//! crosses clause-database reductions, so it pins what
+//! `drain_new_learnts` sees of the learnt clauses that survive them.
 
 use obs::json::Value;
 use obs::metrics::Metrics;
@@ -29,11 +35,14 @@ use resolution_cec::cec::{
     CecOutcome, EngineConfig, EngineSelect, EngineStats, Session, SharedContext,
 };
 use resolution_cec::cnf::tseitin::Partition;
+use resolution_cec::cnf::{Lit, Var};
 use resolution_cec::proof;
+use resolution_cec::sat::{SolveResult, Solver, SolverConfig, SolverStats};
 use std::fmt::Write as _;
 
 const EXPECTED: &str = include_str!("golden_expected.txt");
 const EXPECTED_MONOLITHIC: &str = include_str!("golden_monolithic.txt");
+const EXPECTED_SOLVER: &str = include_str!("golden_solver.txt");
 
 /// The checked pairs: six family pairs and one inequivalent mutant.
 fn pairs() -> Vec<(String, Aig, Aig)> {
@@ -391,4 +400,100 @@ fn live_counters_mirror_the_run_stats() {
     assert_eq!(runs, 114);
     // Turning metrics on changes no proof, counterexample or counter.
     assert_golden(&actual);
+}
+
+/// Adds the pigeonhole formula PHP(`pigeons`, `holes`): every pigeon
+/// sits in a hole, and no hole holds two pigeons.
+fn pigeonhole(s: &mut Solver, pigeons: usize, holes: usize) {
+    let vars: Vec<Vec<Var>> = (0..pigeons)
+        .map(|_| (0..holes).map(|_| s.new_var()).collect())
+        .collect();
+    for row in &vars {
+        let clause: Vec<Lit> = row.iter().map(|v| v.positive()).collect();
+        s.add_clause(&clause);
+    }
+    for h in 0..holes {
+        for (p1, row1) in vars.iter().enumerate() {
+            for row2 in &vars[p1 + 1..] {
+                s.add_clause(&[row1[h].negative(), row2[h].negative()]);
+            }
+        }
+    }
+}
+
+/// Refutes PHP(`pigeons`, `holes`) under `config` in `solve` calls of at
+/// most `budget` conflicts each, draining new learnt clauses after each
+/// call as a parallel sweep worker does, and returns the instance's
+/// golden line: the verdict, every solver counter, the drain counts and
+/// the FNV-1a fingerprints of the drained `(literals, id)` sequence and
+/// of the TraceCheck proof.
+fn solver_line(
+    label: &str,
+    (pigeons, holes): (usize, usize),
+    config: SolverConfig,
+    budget: Option<u64>,
+) -> String {
+    let mut s = Solver::with_config(config);
+    pigeonhole(&mut s, pigeons, holes);
+    s.set_conflict_budget(budget);
+    let mut drained = String::new();
+    let (mut drains, mut clauses) = (0, 0);
+    let verdict = loop {
+        let verdict = s.solve();
+        drains += 1;
+        for (lits, id) in s.drain_new_learnts(8, 32) {
+            clauses += 1;
+            for l in lits {
+                write!(drained, "{} ", l.to_dimacs()).unwrap();
+            }
+            writeln!(drained, "0 {:?}", id.map(proof::ClauseId::index)).unwrap();
+        }
+        if verdict != SolveResult::Unknown {
+            break verdict;
+        }
+    };
+    let SolverStats {
+        conflicts,
+        decisions,
+        propagations,
+        restarts,
+        learnt,
+        deleted,
+        solves,
+    } = *s.stats();
+    let mut bytes = Vec::new();
+    proof::export::write_tracecheck(s.proof().expect("proof on"), &mut bytes).unwrap();
+    format!(
+        "{label}: {verdict:?} conflicts={conflicts} decisions={decisions} \
+         propagations={propagations} restarts={restarts} learnt={learnt} deleted={deleted} \
+         solves={solves} drains={drains} drained={clauses} drain={} proof={}",
+        fnv(drained.as_bytes()),
+        fnv(&bytes)
+    )
+}
+
+#[test]
+fn solver_learnt_export_matches_golden() {
+    let reduce_often = SolverConfig {
+        proof_logging: true,
+        learnt_size_factor: 0.001,
+        ..SolverConfig::default()
+    };
+    let default = SolverConfig {
+        proof_logging: true,
+        ..SolverConfig::default()
+    };
+    let mut out = String::new();
+    for (label, php, config, budget) in [
+        (
+            "php(7,6) learnt_size_factor=0.001 budget=150",
+            (7, 6),
+            reduce_often,
+            Some(150),
+        ),
+        ("php(8,7) default", (8, 7), default, None),
+    ] {
+        writeln!(out, "{}", solver_line(label, php, config, budget)).unwrap();
+    }
+    assert_golden_against(EXPECTED_SOLVER, &out);
 }
