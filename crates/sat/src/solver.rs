@@ -124,8 +124,9 @@ pub struct Solver {
     config: SolverConfig,
     db: ClauseDb,
     watches: Vec<Vec<Watcher>>,
+    // Per literal (indexed by code), so a literal's value is one load:
+    assigns: Vec<u8>,
     // Per variable:
-    value: Vec<u8>,
     reason: Vec<Option<ClauseRef>>,
     level: Vec<u32>,
     activity: Vec<f64>,
@@ -145,13 +146,17 @@ pub struct Solver {
     // Arena cursor of [`Solver::drain_new_learnts`]: clauses below it
     // have already been offered for export.
     learnt_export_cursor: usize,
-    // Analysis scratch:
+    // Analysis scratch; `learnt` holds the last learnt clause, and
+    // `level_stamp[l] == lbd_stamp` marks level `l` as counted.
+    learnt: Vec<Lit>,
     analyze_stack: Vec<Lit>,
     analyze_toclear: Vec<Lit>,
-    // Chain-replay scratch (lit-indexed):
-    mark_s: Vec<bool>,
-    mark_l: Vec<bool>,
-    chain_touched: Vec<Lit>,
+    level_stamp: Vec<u64>,
+    lbd_stamp: u64,
+    // Chain-replay scratch:
+    chain: ChainReplay,
+    // The `add_*clause` paths' copy of the clause being added:
+    clause_buf: Vec<Lit>,
     // Proof and outcome:
     proof: Option<Proof>,
     conflict_budget: Option<u64>,
@@ -192,7 +197,7 @@ impl Solver {
             config,
             db: ClauseDb::new(),
             watches: Vec::new(),
-            value: Vec::new(),
+            assigns: Vec::new(),
             reason: Vec::new(),
             level: Vec::new(),
             activity: Vec::new(),
@@ -207,11 +212,13 @@ impl Solver {
             max_learnt: 0.0,
             num_problem_clauses: 0,
             learnt_export_cursor: 0,
+            learnt: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
-            mark_s: Vec::new(),
-            mark_l: Vec::new(),
-            chain_touched: Vec::new(),
+            level_stamp: Vec::new(),
+            lbd_stamp: 0,
+            chain: ChainReplay::default(),
+            clause_buf: Vec::new(),
             proof,
             conflict_budget: None,
             unsat: false,
@@ -269,7 +276,7 @@ impl Solver {
 
     /// Number of variables.
     pub fn num_vars(&self) -> u32 {
-        self.value.len() as u32
+        self.level.len() as u32
     }
 
     /// Number of live (non-deleted) clauses in the database.
@@ -291,8 +298,8 @@ impl Solver {
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
-        let v = Var::new(self.value.len() as u32);
-        self.value.push(UNDEF);
+        let v = Var::new(self.num_vars());
+        self.assigns.extend([UNDEF; 2]);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
@@ -300,11 +307,8 @@ impl Solver {
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
-        self.mark_s.push(false);
-        self.mark_s.push(false);
-        self.mark_l.push(false);
-        self.mark_l.push(false);
-        self.order.grow_to(self.value.len());
+        self.chain.grow();
+        self.order.grow_to(self.level.len());
         self.order.insert(v, &self.activity);
         v
     }
@@ -318,14 +322,7 @@ impl Solver {
 
     #[inline]
     fn lit_value(&self, l: Lit) -> u8 {
-        let v = self.value[l.var().as_usize()];
-        if v == UNDEF {
-            UNDEF
-        } else if (v == TRUE) != l.is_negative() {
-            TRUE
-        } else {
-            FALSE
-        }
+        self.assigns[l.code() as usize]
     }
 
     #[inline]
@@ -345,25 +342,39 @@ impl Solver {
     /// Panics if a literal's variable has not been allocated.
     pub fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
         self.cancel_until(0);
-        let mut ls = lits.to_vec();
+        self.with_sorted_copy(lits, |s, ls| {
+            for l in ls.iter() {
+                assert!(
+                    l.var().index() < s.num_vars(),
+                    "literal variable not allocated"
+                );
+            }
+            if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
+                return None; // tautology
+            }
+            let id = s.proof.as_mut().map(|p| p.add_original(ls.iter().copied()));
+            s.num_problem_clauses += 1;
+            s.insert_clause(ls, false, id);
+            id
+        })
+    }
+
+    /// Runs `f` on a sorted, deduplicated copy of `lits` held in the
+    /// solver's reused clause buffer, so adding a clause allocates
+    /// nothing beyond the database's own growth.
+    fn with_sorted_copy<R>(
+        &mut self,
+        lits: &[Lit],
+        f: impl FnOnce(&mut Self, &mut [Lit]) -> R,
+    ) -> R {
+        let mut ls = std::mem::take(&mut self.clause_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
         ls.sort_unstable();
         ls.dedup();
-        for l in &ls {
-            assert!(
-                l.var().index() < self.num_vars(),
-                "literal variable not allocated"
-            );
-        }
-        if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-            return None; // tautology
-        }
-        let id = self
-            .proof
-            .as_mut()
-            .map(|p| p.add_original(ls.iter().copied()));
-        self.num_problem_clauses += 1;
-        self.insert_clause(ls, false, id);
-        id
+        let out = f(self, &mut ls);
+        self.clause_buf = ls;
+        out
     }
 
     /// Adds a clause *derived outside the solver* — the structural-hash
@@ -384,24 +395,23 @@ impl Solver {
             "derived clauses require proof logging"
         );
         self.cancel_until(0);
-        let mut ls = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        assert!(
-            !ls.is_empty(),
-            "empty derived clause must come from solving"
-        );
-        assert!(
-            ls.windows(2).all(|w| w[0].var() != w[1].var()),
-            "tautological derived clause"
-        );
-        let id = self
-            .proof
-            .as_mut()
-            .expect("checked above")
-            .add_derived(ls.iter().copied(), antecedents.iter().copied());
-        self.insert_clause(ls, false, Some(id));
-        id
+        self.with_sorted_copy(lits, |s, ls| {
+            assert!(
+                !ls.is_empty(),
+                "empty derived clause must come from solving"
+            );
+            assert!(
+                ls.windows(2).all(|w| w[0].var() != w[1].var()),
+                "tautological derived clause"
+            );
+            let id = s
+                .proof
+                .as_mut()
+                .expect("checked above")
+                .add_derived(ls.iter().copied(), antecedents.iter().copied());
+            s.insert_clause(ls, false, Some(id));
+            id
+        })
     }
 
     /// Adds a clause whose proof step *already exists* in this solver's
@@ -416,26 +426,25 @@ impl Solver {
     /// clause could then become an unjustified reason in later chains).
     pub fn add_proved_clause(&mut self, lits: &[Lit], id: Option<ClauseId>) {
         self.cancel_until(0);
-        let mut ls = lits.to_vec();
-        ls.sort_unstable();
-        ls.dedup();
-        for l in &ls {
+        self.with_sorted_copy(lits, |s, ls| {
+            for l in ls.iter() {
+                assert!(
+                    l.var().index() < s.num_vars(),
+                    "literal variable not allocated"
+                );
+            }
+            assert!(!ls.is_empty(), "empty proved clause must come from solving");
             assert!(
-                l.var().index() < self.num_vars(),
-                "literal variable not allocated"
+                ls.windows(2).all(|w| w[0].var() != w[1].var()),
+                "tautological proved clause"
             );
-        }
-        assert!(!ls.is_empty(), "empty proved clause must come from solving");
-        assert!(
-            ls.windows(2).all(|w| w[0].var() != w[1].var()),
-            "tautological proved clause"
-        );
-        assert!(
-            self.proof.is_none() || id.is_some(),
-            "proved clause needs a proof id when logging"
-        );
-        self.num_problem_clauses += 1;
-        self.insert_clause(ls, false, id);
+            assert!(
+                s.proof.is_none() || id.is_some(),
+                "proved clause needs a proof id when logging"
+            );
+            s.num_problem_clauses += 1;
+            s.insert_clause(ls, false, id);
+        });
     }
 
     /// Snapshots the live clause database: every live clause with its
@@ -469,7 +478,7 @@ impl Solver {
         let mut out = Vec::new();
         while self.learnt_export_cursor < self.db.len() && out.len() < max_count {
             let r = ClauseRef::new(self.learnt_export_cursor);
-            self.learnt_export_cursor += 1;
+            self.learnt_export_cursor = self.db.end(r);
             if self.db.is_deleted(r) || !self.db.is_learnt(r) {
                 continue;
             }
@@ -503,7 +512,7 @@ impl Solver {
 
     /// Core clause insertion at decision level 0 (watch setup, unit
     /// propagation, level-0 conflict handling).
-    fn insert_clause(&mut self, mut ls: Vec<Lit>, learnt: bool, id: Option<ClauseId>) {
+    fn insert_clause(&mut self, ls: &mut [Lit], learnt: bool, id: Option<ClauseId>) {
         debug_assert_eq!(self.decision_level(), 0);
         if self.unsat {
             return;
@@ -521,26 +530,26 @@ impl Solver {
         });
         if self.lit_value(ls[0]) == FALSE {
             // Entire clause false at level 0: resolve it to the empty clause.
-            let chain_id = self.build_chain_from(&ls, id, &[]);
+            if let Some(proof) = self.proof.as_mut() {
+                let chain = self
+                    .chain
+                    .replay(ls, id, &[], &self.trail, &self.reason, &self.db);
+                self.empty_id = Some(log_learned(proof, &[], chain));
+            }
             self.unsat = true;
-            self.empty_id = chain_id;
             return;
         }
         let first = ls[0];
         let unit = ls.len() == 1 || self.lit_value(ls[1]) == FALSE;
         let r = self.db.add(ls, learnt, id);
-        if self.db.lits(r).len() >= 2 {
+        if ls.len() >= 2 {
             self.attach(r);
         }
         if unit && self.lit_value(first) == UNDEF {
-            let ok = self.enqueue(first, Some(r));
-            debug_assert!(ok);
+            self.assign(first, Some(r));
             if let Some(confl) = self.propagate() {
-                let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-                let pid = self.db.proof_id(confl);
-                let chain_id = self.build_chain_from(&lits, pid, &[]);
+                self.empty_id = self.build_chain_from(confl, &[]);
                 self.unsat = true;
-                self.empty_id = chain_id;
             }
         }
     }
@@ -559,19 +568,15 @@ impl Solver {
         });
     }
 
-    fn enqueue(&mut self, l: Lit, from: Option<ClauseRef>) -> bool {
-        match self.lit_value(l) {
-            TRUE => true,
-            FALSE => false,
-            _ => {
-                let v = l.var().as_usize();
-                self.value[v] = if l.is_negative() { FALSE } else { TRUE };
-                self.level[v] = self.decision_level();
-                self.reason[v] = from;
-                self.trail.push(l);
-                true
-            }
-        }
+    /// Makes the unassigned literal `l` true at the current level.
+    fn assign(&mut self, l: Lit, from: Option<ClauseRef>) {
+        debug_assert_eq!(self.lit_value(l), UNDEF);
+        self.assigns[l.code() as usize] = TRUE;
+        self.assigns[(!l).code() as usize] = FALSE;
+        let v = l.var().as_usize();
+        self.level[v] = self.decision_level();
+        self.reason[v] = from;
+        self.trail.push(l);
     }
 
     fn propagate(&mut self) -> Option<ClauseRef> {
@@ -584,59 +589,53 @@ impl Solver {
             let false_lit = !p;
             let mut i = 0;
             let mut j = 0;
-            'watches: while i < ws.len() {
+            while i < ws.len() {
                 let w = ws[i];
                 i += 1;
-                if self.lit_value(w.blocker) == TRUE {
+                if self.assigns[w.blocker.code() as usize] == TRUE {
                     ws[j] = w;
                     j += 1;
                     continue;
                 }
-                if self.db.is_deleted(w.clause) {
+                let Some(lits) = self.db.live_lits_mut(w.clause) else {
                     continue; // drop watcher of deleted clause
+                };
+                if lits[0] == false_lit {
+                    lits.swap(0, 1);
                 }
-                {
-                    let lits = self.db.lits_mut(w.clause);
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
-                    debug_assert_eq!(lits[1], false_lit);
-                }
-                let first = self.db.lits(w.clause)[0];
+                debug_assert_eq!(lits[1], false_lit);
+                let first = lits[0];
                 let w2 = Watcher {
                     clause: w.clause,
                     blocker: first,
                 };
-                if first != w.blocker && self.lit_value(first) == TRUE {
+                let first_value = self.assigns[first.code() as usize];
+                if first != w.blocker && first_value == TRUE {
                     ws[j] = w2;
                     j += 1;
                     continue;
                 }
                 // Search for a replacement watch.
-                let len = self.db.lits(w.clause).len();
-                for k in 2..len {
-                    let lk = self.db.lits(w.clause)[k];
-                    if self.lit_value(lk) != FALSE {
-                        self.db.lits_mut(w.clause).swap(1, k);
-                        self.watches[(!lk).code() as usize].push(w2);
-                        continue 'watches;
-                    }
+                let assigns = &self.assigns;
+                if let Some(k) = lits[2..]
+                    .iter()
+                    .position(|l| assigns[l.code() as usize] != FALSE)
+                {
+                    lits.swap(1, k + 2);
+                    self.watches[(!lits[1]).code() as usize].push(w2);
+                    continue;
                 }
                 // Unit or conflicting.
                 ws[j] = w2;
                 j += 1;
-                if self.lit_value(first) == FALSE {
+                if first_value == FALSE {
                     conflict = Some(w.clause);
                     self.qhead = self.trail.len();
-                    while i < ws.len() {
-                        ws[j] = ws[i];
-                        j += 1;
-                        i += 1;
-                    }
-                    break 'watches;
+                    ws.copy_within(i.., j);
+                    j += ws.len() - i;
+                    break;
                 }
-                let ok = self.enqueue(first, Some(w.clause));
-                debug_assert!(ok);
+                self.assign(first, Some(w.clause));
             }
             ws.truncate(j);
             self.watches[p.code() as usize] = ws;
@@ -659,7 +658,8 @@ impl Solver {
         for idx in (bound..self.trail.len()).rev() {
             let l = self.trail[idx];
             let v = l.var();
-            self.value[v.as_usize()] = UNDEF;
+            self.assigns[l.code() as usize] = UNDEF;
+            self.assigns[(!l).code() as usize] = UNDEF;
             self.polarity[v.as_usize()] = l.is_negative();
             self.order.insert(v, &self.activity);
         }
@@ -679,11 +679,12 @@ impl Solver {
         self.order.update(v, &self.activity);
     }
 
-    /// First-UIP conflict analysis with recursive minimization.
-    /// Returns `(learnt, backtrack_level, lbd)`; `learnt[0]` is the
-    /// asserting literal.
-    fn analyze(&mut self, confl: ClauseRef) -> (Vec<Lit>, u32, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::from_code(0)]; // slot for UIP
+    /// First-UIP conflict analysis with recursive minimization. Leaves
+    /// the learnt clause in `self.learnt`, with the asserting literal
+    /// first, and returns `(backtrack_level, lbd)`.
+    fn analyze(&mut self, confl: ClauseRef) -> (u32, u32) {
+        self.learnt.clear();
+        self.learnt.push(Lit::from_code(0)); // slot for UIP
         let mut counter = 0u32;
         let mut p: Option<Lit> = None;
         let mut clause = confl;
@@ -695,9 +696,8 @@ impl Solver {
                 self.bump_clause(clause);
             }
             let start = if p.is_some() { 1 } else { 0 };
-            let len = self.db.lits(clause).len();
-            for k in start..len {
-                let q = self.db.lits(clause)[k];
+            for k in start..self.db.lits(clause).len() {
+                let q = self.db.lit(clause, k);
                 let v = q.var();
                 if !self.seen[v.as_usize()] && self.level[v.as_usize()] > 0 {
                     self.seen[v.as_usize()] = true;
@@ -705,7 +705,7 @@ impl Solver {
                     if self.level[v.as_usize()] >= current {
                         counter += 1;
                     } else {
-                        learnt.push(q);
+                        self.learnt.push(q);
                     }
                 }
             }
@@ -720,37 +720,35 @@ impl Solver {
             self.seen[pl.var().as_usize()] = false;
             counter -= 1;
             if counter == 0 {
-                learnt[0] = !pl;
+                self.learnt[0] = !pl;
                 break;
             }
             clause = self.reason[pl.var().as_usize()].expect("non-UIP literal has a reason");
             p = Some(pl);
         }
 
-        // Recursive minimization.
+        // Recursive minimization, filtering `learnt` in place.
         self.analyze_toclear.clear();
-        self.analyze_toclear.extend_from_slice(&learnt);
-        let abstract_levels = learnt[1..].iter().fold(0u32, |acc, l| {
+        self.analyze_toclear.extend_from_slice(&self.learnt);
+        let abstract_levels = self.learnt[1..].iter().fold(0u32, |acc, l| {
             acc | 1 << (self.level[l.var().as_usize()] & 31)
         });
-        let mut keep = vec![true; learnt.len()];
-        for (i, &l) in learnt.iter().enumerate().skip(1) {
-            if self.reason[l.var().as_usize()].is_some() && self.lit_redundant(l, abstract_levels) {
-                keep[i] = false;
+        let mut kept = 1;
+        for i in 1..self.learnt.len() {
+            let l = self.learnt[i];
+            if self.reason[l.var().as_usize()].is_none() || !self.lit_redundant(l, abstract_levels)
+            {
+                self.learnt[kept] = l;
+                kept += 1;
             }
         }
-        let mut filtered = Vec::with_capacity(learnt.len());
-        for (i, &l) in learnt.iter().enumerate() {
-            if keep[i] {
-                filtered.push(l);
-            }
-        }
-        let mut learnt = filtered;
+        self.learnt.truncate(kept);
         for l in self.analyze_toclear.drain(..) {
             self.seen[l.var().as_usize()] = false;
         }
 
         // Backtrack level: highest level among learnt[1..].
+        let learnt = &mut self.learnt;
         let bt = if learnt.len() == 1 {
             0
         } else {
@@ -767,15 +765,20 @@ impl Solver {
         };
 
         // LBD: number of distinct decision levels.
-        let mut levels: Vec<u32> = learnt
-            .iter()
-            .map(|l| self.level[l.var().as_usize()])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        let lbd = levels.len() as u32;
+        if self.level_stamp.len() <= current as usize {
+            self.level_stamp.resize(current as usize + 1, 0);
+        }
+        self.lbd_stamp += 1;
+        let mut lbd = 0;
+        for l in &self.learnt {
+            let stamp = &mut self.level_stamp[self.level[l.var().as_usize()] as usize];
+            if *stamp != self.lbd_stamp {
+                *stamp = self.lbd_stamp;
+                lbd += 1;
+            }
+        }
 
-        (learnt, bt, lbd)
+        (bt, lbd)
     }
 
     fn lit_redundant(&mut self, l: Lit, abstract_levels: u32) -> bool {
@@ -784,9 +787,7 @@ impl Solver {
         let top = self.analyze_toclear.len();
         while let Some(q) = self.analyze_stack.pop() {
             let r = self.reason[q.var().as_usize()].expect("stacked literal has a reason");
-            let len = self.db.lits(r).len();
-            for k in 1..len {
-                let x = self.db.lits(r)[k];
+            for &x in &self.db.lits(r)[1..] {
                 let v = x.var();
                 if !self.seen[v.as_usize()] && self.level[v.as_usize()] > 0 {
                     if self.reason[v.as_usize()].is_some()
@@ -816,77 +817,24 @@ impl Solver {
     }
 
     /// Reconstructs a chain-resolution derivation of `target` from the
-    /// clause `start` (with proof id `start_id`) and the reason clauses
-    /// on the trail, and records it in the proof. Returns the new step
-    /// id (or `None` when logging is off).
+    /// database clause `start` and the reason clauses on the trail, and
+    /// records it in the proof. Returns the new step id (or `None` when
+    /// logging is off).
     ///
     /// Precondition: every literal of `start` is false under the current
     /// assignment, and every literal that must be resolved out has a
     /// reason clause.
-    fn build_chain_from(
-        &mut self,
-        start: &[Lit],
-        start_id: Option<ClauseId>,
-        target: &[Lit],
-    ) -> Option<ClauseId> {
-        self.proof.as_ref()?;
-        let mut chain = vec![start_id.expect("proof id missing on start clause")];
-        debug_assert!(self.chain_touched.is_empty());
-        for &l in target {
-            self.mark_l[l.code() as usize] = true;
-        }
-        let mut remaining = 0usize;
-        for &l in start {
-            if !self.mark_s[l.code() as usize] {
-                self.mark_s[l.code() as usize] = true;
-                self.chain_touched.push(l);
-                if !self.mark_l[l.code() as usize] {
-                    remaining += 1;
-                }
-            }
-        }
-        for idx in (0..self.trail.len()).rev() {
-            if remaining == 0 {
-                break;
-            }
-            let p = self.trail[idx];
-            let np = !p;
-            if !self.mark_s[np.code() as usize] || self.mark_l[np.code() as usize] {
-                continue;
-            }
-            let r = self.reason[p.var().as_usize()]
-                .expect("chain replay: resolved literal must have a reason");
-            chain.push(
-                self.db
-                    .proof_id(r)
-                    .expect("proof id missing on reason clause"),
-            );
-            self.mark_s[np.code() as usize] = false;
-            remaining -= 1;
-            let len = self.db.lits(r).len();
-            debug_assert_eq!(self.db.lits(r)[0], p, "reason clause invariant");
-            for k in 1..len {
-                let q = self.db.lits(r)[k];
-                if !self.mark_s[q.code() as usize] {
-                    self.mark_s[q.code() as usize] = true;
-                    self.chain_touched.push(q);
-                    if !self.mark_l[q.code() as usize] {
-                        remaining += 1;
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(remaining, 0, "chain replay left unresolved literals");
-        for l in self.chain_touched.drain(..) {
-            self.mark_s[l.code() as usize] = false;
-        }
-        for &l in target {
-            self.mark_l[l.code() as usize] = false;
-        }
-        let p = self.proof.as_mut().expect("checked at entry");
-        let id = p.add_derived(target.iter().copied(), chain);
-        p.set_role(id, StepRole::Learned);
-        Some(id)
+    fn build_chain_from(&mut self, start: ClauseRef, target: &[Lit]) -> Option<ClauseId> {
+        let proof = self.proof.as_mut()?;
+        let chain = self.chain.replay(
+            self.db.lits(start),
+            self.db.proof_id(start),
+            target,
+            &self.trail,
+            &self.reason,
+            &self.db,
+        );
+        Some(log_learned(proof, target, chain))
     }
 
     /// Computes the final conflict clause when assumption `failed` is
@@ -917,9 +865,7 @@ impl Solver {
                         }
                     }
                     Some(r) => {
-                        let len = self.db.lits(r).len();
-                        for k in 1..len {
-                            let q = self.db.lits(r)[k];
+                        for &q in &self.db.lits(r)[1..] {
                             if self.level[q.var().as_usize()] > 0 {
                                 self.seen[q.var().as_usize()] = true;
                             }
@@ -931,9 +877,7 @@ impl Solver {
         }
         out.sort_unstable();
         out.dedup();
-        let start: Vec<Lit> = self.db.lits(r0).to_vec();
-        let pid = self.db.proof_id(r0);
-        let id = self.build_chain_from(&start, pid, &out);
+        let id = self.build_chain_from(r0, &out);
         if let Some(id) = id {
             self.tag_proof_step(id, StepRole::FinalConflict);
         }
@@ -962,7 +906,7 @@ impl Solver {
     pub fn commit_final_clause(&mut self) -> Option<ClauseId> {
         let (lits, id) = self
             .final_clause
-            .clone()
+            .take()
             .expect("no final conflict clause available");
         assert!(
             lits.windows(2).all(|w| w[0].var() != w[1].var()),
@@ -970,8 +914,10 @@ impl Solver {
         );
         self.cancel_until(0);
         if !lits.is_empty() {
-            self.insert_clause(lits, false, id);
+            // The final clause is sorted and free of duplicates already.
+            self.with_sorted_copy(&lits, |s, ls| s.insert_clause(ls, false, id));
         }
+        self.final_clause = Some((lits, id));
         id
     }
 
@@ -1036,35 +982,25 @@ impl Solver {
                 conflicts_since_restart += 1;
                 conflicts_this_call += 1;
                 if self.decision_level() == 0 {
-                    let lits: Vec<Lit> = self.db.lits(confl).to_vec();
-                    let pid = self.db.proof_id(confl);
-                    self.empty_id = self.build_chain_from(&lits, pid, &[]);
+                    self.empty_id = self.build_chain_from(confl, &[]);
                     self.unsat = true;
                     self.final_clause = Some((Vec::new(), self.empty_id));
                     return SolveResult::Unsat;
                 }
-                let (learnt, bt, lbd) = self.analyze(confl);
+                let (bt, lbd) = self.analyze(confl);
+                let learnt = std::mem::take(&mut self.learnt);
                 // Record the derivation before unwinding the trail.
-                let start: Vec<Lit> = self.db.lits(confl).to_vec();
-                let pid = self.db.proof_id(confl);
-                let id = self.build_chain_from(&start, pid, &learnt);
+                let id = self.build_chain_from(confl, &learnt);
                 self.cancel_until(bt);
                 self.stats.learnt += 1;
-                if learnt.len() == 1 {
-                    // Unit learnt clause: assert at level 0.
-                    let l = learnt[0];
-                    let r = self.db.add(learnt, true, id);
-                    self.db.set_lbd(r, lbd);
-                    let ok = self.enqueue(l, Some(r));
-                    debug_assert!(ok);
-                } else {
-                    let l0 = learnt[0];
-                    let r = self.db.add(learnt, true, id);
-                    self.db.set_lbd(r, lbd);
+                let r = self.db.add(&learnt, true, id);
+                self.db.set_lbd(r, lbd);
+                // A unit learnt clause is asserted at level 0, unwatched.
+                if learnt.len() > 1 {
                     self.attach(r);
-                    let ok = self.enqueue(l0, Some(r));
-                    debug_assert!(ok);
                 }
+                self.assign(learnt[0], Some(r));
+                self.learnt = learnt;
                 self.var_inc /= self.config.var_decay;
                 self.cla_inc /= self.config.clause_decay;
             } else {
@@ -1111,8 +1047,7 @@ impl Solver {
                         }
                         _ => {
                             self.new_level();
-                            let ok = self.enqueue(p, None);
-                            debug_assert!(ok);
+                            self.assign(p, None);
                         }
                     }
                 } else {
@@ -1121,7 +1056,7 @@ impl Solver {
                         match self.order.pop(&self.activity) {
                             None => break None,
                             Some(v) => {
-                                if self.value[v.as_usize()] == UNDEF {
+                                if self.lit_value(v.positive()) == UNDEF {
                                     break Some(v);
                                 }
                             }
@@ -1130,7 +1065,8 @@ impl Solver {
                     match next {
                         None => {
                             // All variables assigned: model found.
-                            let model: Vec<bool> = self.value.iter().map(|&v| v == TRUE).collect();
+                            let model: Vec<bool> =
+                                self.assigns.iter().step_by(2).map(|&v| v == TRUE).collect();
                             self.saved_model = Some(model);
                             self.cancel_until(0);
                             return SolveResult::Sat;
@@ -1139,8 +1075,7 @@ impl Solver {
                             self.stats.decisions += 1;
                             let l = v.lit(self.polarity[v.as_usize()]);
                             self.new_level();
-                            let ok = self.enqueue(l, None);
-                            debug_assert!(ok);
+                            self.assign(l, None);
                         }
                     }
                 }
@@ -1180,11 +1115,137 @@ impl Solver {
                 ("learnt_live", obs::ArgVal::U64(self.db.num_learnt() as u64)),
             ],
         );
+        if self.db.wasted() > self.db.len() / 2 {
+            self.compact_db();
+        }
+    }
+
+    /// Compacts the clause arena and rewrites every clause reference the
+    /// solver holds. The search does not change: watchers of deleted
+    /// clauses, which `propagate` would only drop, go now, and live
+    /// watchers, learnt clauses and live clauses keep their order.
+    fn compact_db(&mut self) {
+        let moved = self.db.compact();
+        for ws in &mut self.watches {
+            ws.retain_mut(|w| match moved.get(w.clause) {
+                Some(r) => {
+                    w.clause = r;
+                    true
+                }
+                None => false,
+            });
+        }
+        // Reasons of unassigned variables are stale and never read.
+        for l in &self.trail {
+            let reason = &mut self.reason[l.var().as_usize()];
+            if let Some(r) = reason {
+                *r = moved.get(*r).expect("a reason clause is locked");
+            }
+        }
+        self.learnt_export_cursor = moved.cursor(self.learnt_export_cursor, self.db.len());
     }
 
     fn is_locked(&self, r: ClauseRef) -> bool {
-        let l0 = self.db.lits(r)[0];
+        let l0 = self.db.lit(r, 0);
         self.lit_value(l0) == TRUE && self.reason[l0.var().as_usize()] == Some(r)
+    }
+}
+
+/// Records `target` as a learned proof step derived by `chain`.
+fn log_learned(proof: &mut Proof, target: &[Lit], chain: &[ClauseId]) -> ClauseId {
+    let id = proof.add_derived(target.iter().copied(), chain.iter().copied());
+    proof.set_role(id, StepRole::Learned);
+    id
+}
+
+/// Scratch state of chain replay (see [`Solver::build_chain_from`]),
+/// kept between replays so that none allocates.
+#[derive(Debug, Default)]
+struct ChainReplay {
+    // Literal-indexed marks: literals of the running resolvent, and
+    // literals of the target clause.
+    in_resolvent: Vec<bool>,
+    in_target: Vec<bool>,
+    touched: Vec<Lit>,
+    antecedents: Vec<ClauseId>,
+}
+
+impl ChainReplay {
+    /// Makes room for the two literals of one more variable.
+    fn grow(&mut self) {
+        self.in_resolvent.extend([false; 2]);
+        self.in_target.extend([false; 2]);
+    }
+
+    /// Resolves the literals of `start` that `target` lacks against
+    /// their reason clauses, in reverse trail order, and returns the
+    /// antecedent chain: `start_id`, then each reason's proof id.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` or a reason clause has no proof id, or a
+    /// literal to resolve out has no reason.
+    fn replay(
+        &mut self,
+        start: &[Lit],
+        start_id: Option<ClauseId>,
+        target: &[Lit],
+        trail: &[Lit],
+        reason: &[Option<ClauseRef>],
+        db: &ClauseDb,
+    ) -> &[ClauseId] {
+        self.antecedents.clear();
+        self.antecedents
+            .push(start_id.expect("proof id missing on start clause"));
+        debug_assert!(self.touched.is_empty());
+        for &l in target {
+            self.in_target[l.code() as usize] = true;
+        }
+        let mut remaining = 0usize;
+        for &l in start {
+            remaining += self.add_to_resolvent(l);
+        }
+        for &p in trail.iter().rev() {
+            if remaining == 0 {
+                break;
+            }
+            let np = !p;
+            if !self.in_resolvent[np.code() as usize] || self.in_target[np.code() as usize] {
+                continue;
+            }
+            let r = reason[p.var().as_usize()]
+                .expect("chain replay: resolved literal must have a reason");
+            self.antecedents
+                .push(db.proof_id(r).expect("proof id missing on reason clause"));
+            self.in_resolvent[np.code() as usize] = false;
+            remaining -= 1;
+            let lits = db.lits(r);
+            debug_assert_eq!(lits[0], p, "reason clause invariant");
+            for &q in &lits[1..] {
+                remaining += self.add_to_resolvent(q);
+            }
+        }
+        debug_assert_eq!(remaining, 0, "chain replay left unresolved literals");
+        for l in self.touched.drain(..) {
+            self.in_resolvent[l.code() as usize] = false;
+        }
+        for &l in target {
+            self.in_target[l.code() as usize] = false;
+        }
+        &self.antecedents
+    }
+
+    /// Adds `l` to the resolvent; returns 1 if it is new and must be
+    /// resolved out (it is not in the target), else 0.
+    #[inline]
+    fn add_to_resolvent(&mut self, l: Lit) -> usize {
+        let mark = &mut self.in_resolvent[l.code() as usize];
+        if *mark {
+            return 0;
+        }
+        *mark = true;
+        self.touched.push(l);
+        usize::from(!self.in_target[l.code() as usize])
     }
 }
 
