@@ -274,6 +274,12 @@ impl<'c> Session<'c> {
         durable.bind_metrics(m);
         let rec = &self.ctx.recorder;
         let miter = Miter::build(a, b, self.config.share_structure);
+        // Clause-side labels for interpolation are only meaningful when
+        // no logic is shared across the two circuits.
+        let boundary = (!self.config.share_structure).then_some(miter.a_boundary);
+        // Loading the miter's clauses counts in the miter phase, as in
+        // `check_monolithic`; the journal write after it does not.
+        let mut sweep = Sweep::new(&miter.graph, &self.config, self.ctx, boundary);
         let miter_time = start.elapsed();
         rec.complete("miter", TID_COORDINATOR, start, miter_time);
         durable.checkpoint(
@@ -283,10 +289,6 @@ impl<'c> Session<'c> {
                 ("output", Value::U64(u64::from(miter.output.raw()))),
             ],
         )?;
-        // Clause-side labels for interpolation are only meaningful when
-        // no logic is shared across the two circuits.
-        let boundary = (!self.config.share_structure).then_some(miter.a_boundary);
-        let mut sweep = Sweep::new(&miter.graph, &self.config, self.ctx, boundary);
         sweep.stats.miter_nodes = miter.graph.len();
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
