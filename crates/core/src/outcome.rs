@@ -11,12 +11,12 @@ use std::time::Duration;
 /// disjoint (sweeping time excludes the simulation that seeded it), so
 /// [`PhaseTimes::sum`] never exceeds [`EngineStats::elapsed`]. It does
 /// not cover all of it: on a 16-bit adder pair the phases account for
-/// about 67–74% of `elapsed`. Loading the miter's clauses into the
-/// solver, hashing the proof for the journal and assembling the verdict
-/// are not timed.
+/// about 83–85% of `elapsed`. Hashing the proof for the journal and
+/// assembling the verdict are not timed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Miter construction (or monolithic CNF encoding).
+    /// Miter construction and loading its clauses into the solver (or
+    /// monolithic CNF encoding and loading).
     pub miter: Duration,
     /// Random simulation seeding the candidate classes.
     pub sim: Duration,

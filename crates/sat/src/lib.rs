@@ -9,6 +9,14 @@
 //!   phase saving, 1UIP learning with recursive minimization, Luby
 //!   restarts, LBD-guided clause-database reduction, incremental
 //!   assumptions).
+//! - One flat clause arena: each clause is a 4-word header (size,
+//!   flags and LBD, proof id, activity) followed by its literals, so a
+//!   watcher reaches the deleted flag and the literals in one cache
+//!   line. Once deleted clauses hold more than half of the arena after a
+//!   reduction, the live ones are compacted in insertion order, which
+//!   leaves the search unchanged. Conflict analysis, chain replay and
+//!   clause addition reuse their buffers and allocate nothing per
+//!   conflict.
 //! - TraceCheck-style proof logging: original clauses become original
 //!   proof steps; learnt clauses, level-0 consequences, and final
 //!   conflicts under assumptions record chain-resolution antecedents,
