@@ -10,6 +10,17 @@
 //! header's thread count with seed 1. A change to the engine's
 //! checkpoints, the journal format or the proof bytes shows up here as
 //! a diff against the checked-in files.
+//!
+//! Those journals all end in an equivalent verdict with a proof
+//! fingerprint. Two more pin the verdict record's other shapes, each
+//! written afresh through `Durable::begin` at one thread with seed 1:
+//! `t1_mutant.journal` checks `a.aag` against `mutant.aag` (an
+//! inequivalent verdict with its counterexample pattern), and
+//! `t1_noproof.journal` checks `a.aag` against `b.aag` with proofs off
+//! (an equivalent verdict without a fingerprint). `mutant.aag` is the
+//! first `aig::gen::mutate` seed of `b.aag` that random simulation
+//! separates from `a.aag`, picked as `tests/golden.rs` picks its
+//! mutant.
 
 use obs::journal::read_journal_file;
 use obs::json::Value;
@@ -67,6 +78,42 @@ fn crashed_journals_resume_to_the_uninterrupted_journal() {
             resumed == expected,
             "{crashed} resumed to a journal that differs from {full}:\n{}",
             String::from_utf8_lossy(&resumed)
+        );
+    }
+}
+
+#[test]
+fn fresh_journals_pin_the_other_verdict_shapes() {
+    let a = read_aig("a.aag");
+    for (other, proof, full) in [
+        ("mutant.aag", true, "t1_mutant.journal"),
+        ("b.aag", false, "t1_noproof.journal"),
+    ] {
+        let b = read_aig(other);
+        let config = EngineConfig {
+            threads: 1,
+            seed: 1,
+            proof,
+            ..EngineConfig::default()
+        };
+        let path = std::env::temp_dir().join(format!(
+            "journal-golden-{}-fresh-{full}",
+            std::process::id()
+        ));
+        let mut durable =
+            Durable::begin(&path, &config, &a, &b).unwrap_or_else(|e| panic!("{full}: begin: {e}"));
+        let outcome = Session::new(config, &SharedContext::disabled())
+            .check_durable(&a, &b, &mut durable)
+            .unwrap_or_else(|e| panic!("{full}: run: {e}"));
+        drop(durable);
+        assert_eq!(outcome.is_equivalent(), other == "b.aag", "{full}: verdict");
+        let written = std::fs::read(&path).expect("written journal");
+        let _ = std::fs::remove_file(&path);
+        let expected = std::fs::read(fixture(full)).expect("checked-in journal");
+        assert!(
+            written == expected,
+            "{full} differs from the checked-in journal:\n{}",
+            String::from_utf8_lossy(&written)
         );
     }
 }
