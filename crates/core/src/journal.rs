@@ -24,7 +24,7 @@
 //! "resumed to a byte-identical proof" is a checkable claim, not an
 //! assumption.
 
-use crate::outcome::CecError;
+use crate::outcome::{CecError, CecOutcome};
 use crate::EngineConfig;
 use aig::Aig;
 use obs::hash::fnv1a64_hex;
@@ -325,33 +325,34 @@ impl Durable {
     }
 
     /// Records the final verdict: equivalence flag plus the FNV-1a
-    /// fingerprint of the TraceCheck-serialized proof (UNSAT) or the
-    /// distinguishing input pattern (SAT).
+    /// fingerprint of the TraceCheck-serialized proof (UNSAT, when a
+    /// proof was recorded) or the distinguishing input pattern (SAT).
+    /// Only a journaling handle serializes the proof.
     ///
     /// # Errors
     ///
     /// Same as [`Durable::checkpoint`], minus crash injection.
-    pub fn verdict(
-        &mut self,
-        equivalent: bool,
-        proof_hash: Option<&str>,
-        pattern: Option<&[bool]>,
-    ) -> Result<(), CecError> {
+    pub fn verdict(&mut self, outcome: &CecOutcome) -> Result<(), CecError> {
         if self.writer.is_none() {
             return Ok(());
         }
         let mut entries = vec![
-            ("type".to_string(), Value::str("verdict")),
-            ("equivalent".to_string(), Value::Bool(equivalent)),
+            ("type".into(), Value::str("verdict")),
+            ("equivalent".into(), Value::Bool(outcome.is_equivalent())),
         ];
-        if let Some(h) = proof_hash {
-            entries.push(("proof_hash".to_string(), Value::str(h)));
-        }
-        if let Some(p) = pattern {
-            entries.push((
-                "pattern".to_string(),
-                Value::Array(p.iter().map(|&b| Value::Bool(b)).collect()),
-            ));
+        match outcome {
+            CecOutcome::Equivalent(cert) => {
+                if let Some(p) = &cert.proof {
+                    let mut bytes = Vec::new();
+                    proof::export::write_tracecheck(p, &mut bytes)
+                        .expect("write to Vec cannot fail");
+                    entries.push(("proof_hash".to_string(), Value::Str(fnv1a64_hex(&bytes))));
+                }
+            }
+            CecOutcome::Inequivalent { counterexample, .. } => {
+                let pattern = counterexample.pattern.iter().map(|&b| Value::Bool(b));
+                entries.push(("pattern".to_string(), Value::Array(pattern.collect())));
+            }
         }
         self.record(&Value::Object(entries))
     }
@@ -401,7 +402,15 @@ mod tests {
         let mut d = Durable::disabled();
         assert!(!d.is_enabled());
         d.checkpoint("sweep", &[("lemmas", Value::U64(4))]).unwrap();
-        d.verdict(true, Some("abc"), None).unwrap();
+        let outcome = CecOutcome::Inequivalent {
+            counterexample: crate::Counterexample {
+                pattern: vec![true],
+                outputs_a: vec![true],
+                outputs_b: vec![false],
+            },
+            stats: crate::EngineStats::default(),
+        };
+        d.verdict(&outcome).unwrap();
     }
 
     #[test]

@@ -307,20 +307,7 @@ impl<'c> Session<'c> {
             .map(|node| Var::new(node.index()))
             .collect();
         let outcome = self.certify(a, b, solver, &inputs, stats, sides, Some(&miter), durable)?;
-        match &outcome {
-            CecOutcome::Equivalent(cert) => {
-                let proof_hash = cert.proof.as_ref().map(|p| {
-                    let mut bytes = Vec::new();
-                    proof::export::write_tracecheck(p, &mut bytes)
-                        .expect("write to Vec cannot fail");
-                    obs::hash::fnv1a64_hex(&bytes)
-                });
-                durable.verdict(true, proof_hash.as_deref(), None)?;
-            }
-            CecOutcome::Inequivalent { counterexample, .. } => {
-                durable.verdict(false, None, Some(&counterexample.pattern))?;
-            }
-        }
+        durable.verdict(&outcome)?;
         Ok(self.deliver(outcome, start))
     }
 
