@@ -19,9 +19,16 @@
 //!
 //! Malformed input produces `{"error": "…"}` and the connection stays
 //! usable; a failed individual check inside a batch reports its error in
-//! that slot without poisoning its neighbours.
+//! that slot without poisoning its neighbours. A request line longer
+//! than [`MAX_REQUEST_BYTES`] is the exception: it is answered with an
+//! error and the connection is closed.
 
 use obs::json::Value;
+
+/// The longest request line the server reads, its newline excluded:
+/// 64 MiB. A pair of million-gate circuits in ASCII AIGER is about
+/// 50 MB.
+pub const MAX_REQUEST_BYTES: usize = 64 << 20;
 
 /// A parsed client request.
 #[derive(Clone, Debug, PartialEq)]

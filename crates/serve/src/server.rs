@@ -8,7 +8,7 @@ use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use obs::json::Value;
 use obs::metrics::{self, Metrics};
 use obs::Recorder;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -172,10 +172,32 @@ fn handle_connection(
     // Nagle's algorithm on, each write after the first would wait for
     // the client's delayed ACK (about 40 ms).
     stream.set_nodelay(true)?;
-    let reader = BufReader::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut buf = Vec::new();
+    loop {
+        // One byte past the cap tells an over-long line from one that
+        // fits exactly.
+        buf.clear();
+        let cap = protocol::MAX_REQUEST_BYTES as u64 + 1;
+        if reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > protocol::MAX_REQUEST_BYTES {
+            let message = format!(
+                "request line longer than {} bytes",
+                protocol::MAX_REQUEST_BYTES
+            );
+            writeln!(writer, "{}", protocol::error_value(&message))?;
+            return writer.flush();
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
@@ -228,7 +250,6 @@ fn handle_connection(
         writeln!(writer, "{response}")?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 /// Fans `pairs` out to the worker pool and collects replies in input

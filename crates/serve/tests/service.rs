@@ -4,6 +4,7 @@
 use aig::gen::{kogge_stone_adder, mutate, ripple_carry_adder};
 use obs::json::Value;
 use obs::metrics::Metrics;
+use serve::protocol::MAX_REQUEST_BYTES;
 use serve::{Client, Server, ServerConfig};
 use std::time::{Duration, Instant};
 
@@ -127,6 +128,39 @@ fn malformed_and_mismatched_queries_do_not_poison_the_connection() {
     let reply = client.check(&g, &g).expect("self-check");
     assert!(reply.equivalent);
 
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+}
+
+#[test]
+fn over_long_request_line_gets_an_error_and_a_closed_connection() {
+    let (addr, handle) = start(loopback_config(&Metrics::disabled()));
+    use std::io::{BufRead, BufReader, Write};
+    let stream = std::net::TcpStream::connect(&addr).expect("raw connect");
+    // A server that keeps buffering never replies; fail instead of hanging.
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut w = stream.try_clone().expect("clone");
+    let mut r = BufReader::new(stream);
+    // One byte over the cap and no newline: the server must answer
+    // without waiting for the end of the line.
+    let chunk = vec![b'x'; 1 << 20];
+    let mut left = MAX_REQUEST_BYTES + 1;
+    while left > 0 {
+        let n = left.min(chunk.len());
+        w.write_all(&chunk[..n]).expect("send");
+        left -= n;
+    }
+    let mut line = String::new();
+    r.read_line(&mut line).expect("error reply");
+    assert!(line.contains("error"), "error reply: {line}");
+    line.clear();
+    assert_eq!(r.read_line(&mut line).expect("read"), 0, "closed: {line}");
+
+    // The server itself is unharmed.
+    let mut client = Client::connect(&addr).expect("connect");
+    client.ping().expect("ping");
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
 }
