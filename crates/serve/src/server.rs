@@ -202,7 +202,7 @@ fn handle_connection(
             continue;
         }
         shared.requests.inc();
-        let response = match Request::parse(&line) {
+        let response = match Request::parse(line) {
             Err(e) => protocol::error_value(&e),
             Ok(Request::Ping) => protocol::ok_value(),
             Ok(Request::Metrics) => {
