@@ -346,12 +346,12 @@ impl Durable {
                     let mut bytes = Vec::new();
                     proof::export::write_tracecheck(p, &mut bytes)
                         .expect("write to Vec cannot fail");
-                    entries.push(("proof_hash".to_string(), Value::Str(fnv1a64_hex(&bytes))));
+                    entries.push(("proof_hash".into(), Value::Str(fnv1a64_hex(&bytes))));
                 }
             }
             CecOutcome::Inequivalent { counterexample, .. } => {
                 let pattern = counterexample.pattern.iter().map(|&b| Value::Bool(b));
-                entries.push(("pattern".to_string(), Value::Array(pattern.collect())));
+                entries.push(("pattern".into(), Value::Array(pattern.collect())));
             }
         }
         self.record(&Value::Object(entries))

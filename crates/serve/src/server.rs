@@ -2,7 +2,7 @@
 //! and dispatch checks onto a fixed worker pool; workers run engine
 //! sessions over one shared context and consult the certificate cache.
 
-use crate::protocol::{self, CheckReply, Request};
+use crate::protocol::{self, CheckReply, Request, MAX_REQUEST_BYTES};
 use cache::{CacheConfig, CachedVerdict, CanonicalPair, CertCache};
 use cec::{CecOutcome, EngineConfig, Session, SharedContext};
 use obs::json::Value;
@@ -174,12 +174,12 @@ fn handle_connection(
     stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = BufWriter::new(stream);
+    // One byte past the cap tells an over-long line from one that fits
+    // exactly.
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
     let mut buf = Vec::new();
     loop {
-        // One byte past the cap tells an over-long line from one that
-        // fits exactly.
         buf.clear();
-        let cap = protocol::MAX_REQUEST_BYTES as u64 + 1;
         if reader.by_ref().take(cap).read_until(b'\n', &mut buf)? == 0 {
             return Ok(());
         }
@@ -188,11 +188,8 @@ fn handle_connection(
             if buf.last() == Some(&b'\r') {
                 buf.pop();
             }
-        } else if buf.len() > protocol::MAX_REQUEST_BYTES {
-            let message = format!(
-                "request line longer than {} bytes",
-                protocol::MAX_REQUEST_BYTES
-            );
+        } else if buf.len() > MAX_REQUEST_BYTES {
+            let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
             writeln!(writer, "{}", protocol::error_value(&message))?;
             return writer.flush();
         }

@@ -7,7 +7,7 @@
 //! journaled run, the verdict's proof fingerprint), which should stay
 //! small against the rest. Each cell takes the best of three checks, so
 //! one preempted run does not decide it. The cells are long enough for
-//! the clock: a few milliseconds each in a debug build.
+//! the clock: tens of milliseconds each in a debug build.
 
 use resolution_cec::aig::gen;
 use resolution_cec::cec::{EngineConfig, Session, SharedContext};
