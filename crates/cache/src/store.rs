@@ -457,6 +457,39 @@ mod tests {
         assert_eq!(cache.stats().replay_rejects, 1);
     }
 
+    #[test]
+    fn an_original_cited_more_often_than_the_miter_holds_it_is_rejected() {
+        let pair = CanonicalPair::new(&ripple_carry_adder(4), &kogge_stone_adder(4));
+        let CachedVerdict::Equivalent { mut tracecheck } = prove_verdict(&pair) else {
+            panic!("adders are equivalent");
+        };
+        let p = proof::import::read_tracecheck(tracecheck.as_slice()).unwrap();
+        let formula = miter_cnf(&Miter::build(&pair.a, &pair.b, true));
+        let held = |clause: &[cnf::Lit]| {
+            let sorted = |c: &cnf::Clause| {
+                let mut c = c.clone();
+                c.sort_unstable();
+                c
+            };
+            formula.clauses().iter().filter(|&c| sorted(c) == clause).count()
+        };
+        let (_, once) = p
+            .iter()
+            .find(|(_, s)| s.is_original() && held(s.clause) == 1)
+            .expect("an original the miter holds once");
+        // A second copy of it: every step still replays, so only the
+        // multiplicity count can reject the certificate.
+        let lits: String = once.clause.iter().map(|l| format!("{} ", l.to_dimacs())).collect();
+        writeln!(tracecheck, "{} {lits}0 0", p.len() + 1).unwrap();
+        let doubled = proof::import::read_tracecheck(tracecheck.as_slice()).unwrap();
+        assert!(proof::check::check_refutation(&doubled).is_ok());
+
+        let mut cache = CertCache::new(CacheConfig::default(), &Metrics::disabled()).unwrap();
+        cache.insert(&pair, CachedVerdict::Equivalent { tracecheck });
+        assert_eq!(cache.lookup(&pair), None, "original cited twice, held once");
+        assert_eq!(cache.stats().replay_rejects, 1);
+    }
+
     /// Each live `cec.cache.*` counter equals its `CacheStats` field.
     fn assert_counters_mirror(metrics: &Metrics, stats: CacheStats) {
         let counter = |name: &str| metrics.counter(name).get();

@@ -13,25 +13,35 @@
 //! Every input also checks that the strict readers and the lenient lint
 //! front-ends agree: a TraceCheck file loads as the same proof in both
 //! or in neither, and the journal damage the strict reader refuses is
-//! the damage the lint reports as an error.
+//! the damage the lint reports as an error. The TraceCheck reader must
+//! also agree with [`reference_read_tracecheck`], a plain line-by-line
+//! reader kept here as its oracle, and JSON strings must escape as
+//! [`reference_escape`] does and parse back.
 
 use obs::journal::{read_journal, JournalError};
+use obs::json::Value;
 use proptest::prelude::*;
 use resolution_cec::aig::{aiger, gen};
 use resolution_cec::cec::{miter_cnf, Durable, EngineConfig, Miter, Session, SharedContext};
-use resolution_cec::cnf::dimacs;
-use resolution_cec::proof::{export, import, Proof};
+use resolution_cec::cnf::{dimacs, Lit};
+use resolution_cec::proof::import::ParseTraceError;
+use resolution_cec::proof::{export, import, ClauseId, Proof};
+use std::io::BufRead;
 
 /// Past panics and pathological headers, replayed on every run.
 ///
 /// The first three target the AIGER header paths hardened against
 /// oversized node counts (`M`/`I`/`A` fields near or past `MAX_NODES`
 /// and `u64::MAX`); the rest probe truncation, NUL bytes, and
-/// grammar-adjacent noise in all the text formats. The last four are
-/// a TraceCheck line with both a grammar error and a forward reference,
+/// grammar-adjacent noise in all the text formats. Then come a
+/// TraceCheck line with both a grammar error and a forward reference,
 /// a TraceCheck step id of `u64::MAX`, and two journals whose records
 /// are intact but carry a forged `seq`: on the final line, and at
-/// `u64::MAX`.
+/// `u64::MAX`. The last eight are TraceCheck text that is not in the
+/// form the writer emits, for the reader oracle: a `-0` clause
+/// terminator, a `+2` antecedent, U+00A0 and `\x0b` as separators, CRLF
+/// line endings, a final line with no newline, a 20-digit step id, the
+/// literal `-2147483648`, and invalid UTF-8 in a comment line.
 const REGRESSIONS: &[&[u8]] = &[
     b"aag 18446744073709551615 1 0 1 18446744073709551614",
     b"aag 999999999999 999999999999 0 1 0\n",
@@ -51,6 +61,14 @@ const REGRESSIONS: &[&[u8]] = &[
     b"{\"seq\":0,\"crc\":\"85b1143fd1a50672\",\"body\":{\"type\":\"header\"}}\n\
       {\"seq\":18446744073709551615,\"crc\":\"136d4707fc79e0ed\",\"body\":{\"type\":\"checkpoint\"}}\n\
       {\"seq\":18446744073709551615,\"crc\":\"2167e23b7ff4f3b2\",\"body\":{\"type\":\"verdict\"}}\n",
+    b"1 1 -0 0\n2 -1 0 0\n3 0 1 2 0\n",
+    b"1 1 0 0\n2 -1 0 0\n3 0 1 +2 0\n",
+    b"1 1\xc2\xa00 0\n2\x0b-1 0 0\n3 0 1 2\xc2\xa00\n",
+    b"1 1 0 0\r\n2 -1 0 0\r\n3 0 1 2 0\r\n",
+    b"1 1 0 0\n2 -1 0 0\n3 0 1 2 0",
+    b"1 1 0 0\n99999999999999999999 -1 0 0\n",
+    b"1 -2147483648 0 0\n2 1 2147483647 0 0\n",
+    b"1 1 0 0\nc \xff\xfe not utf-8\n2 -1 0 0\n3 0 1 2 0\n",
 ];
 
 /// Feeds one byte string to every parser in the workspace. The test
@@ -63,16 +81,30 @@ fn feed_all_parsers(bytes: &[u8]) {
     let _ = lint::lint_drat(bytes, None, &opts);
     if let Ok(text) = std::str::from_utf8(bytes) {
         let _ = lint::CertificateInfo::parse(text);
+        let _ = obs::json::parse(text);
     }
     let shown = String::from_utf8_lossy(bytes);
 
-    let strict = import::read_tracecheck(bytes).ok();
+    let read = import::read_tracecheck(bytes);
+    match (&read, &reference_read_tracecheck(bytes)) {
+        (Ok(p), Ok(r)) => assert_eq!(steps(p), steps(r), "on {shown:?}"),
+        (Err(e), Err(r)) => {
+            assert_eq!(e.to_string(), r.to_string(), "on {shown:?}");
+            assert_eq!(io_kind(e), io_kind(r), "on {shown:?}");
+        }
+        (e, r) => panic!(
+            "reader: {:?}, reference reader: {:?}, on {shown:?}",
+            e.as_ref().err().map(ToString::to_string),
+            r.as_ref().err().map(ToString::to_string),
+        ),
+    }
+    let strict = read.ok();
     let lenient = lint::read_tracecheck(bytes, &opts)
         .ok()
         .and_then(|(_, proof)| proof);
     match (&strict, &lenient) {
         (None, None) => {}
-        (Some(s), Some(l)) => assert_eq!(tracecheck(s), tracecheck(l), "on {shown:?}"),
+        (Some(s), Some(l)) => assert_eq!(steps(s), steps(l), "on {shown:?}"),
         _ => panic!(
             "strict importer accepted: {}, lint loaded a proof: {}, on {shown:?}",
             strict.is_some(),
@@ -99,10 +131,83 @@ fn feed_all_parsers(bytes: &[u8]) {
     }
 }
 
-fn tracecheck(proof: &Proof) -> Vec<u8> {
-    let mut bytes = Vec::new();
-    export::write_tracecheck(proof, &mut bytes).expect("writing to memory cannot fail");
-    bytes
+/// The TraceCheck reader as it was before it read bytes: a `String` per
+/// line from `lines()`, and every line through `parse_step`.
+fn reference_read_tracecheck(bytes: &[u8]) -> Result<Proof, ParseTraceError> {
+    let mut proof = Proof::new();
+    for (line_no, line) in bytes.lines().enumerate() {
+        let err = |m: String| ParseTraceError::Format(format!("line {}: {m}", line_no + 1));
+        let Some(step) = import::parse_step(&line?).map_err(|e| err(e.message))? else {
+            continue;
+        };
+        let (id, expected) = (step.id, proof.len() as u64 + 1);
+        if id != expected {
+            return Err(err(format!("expected step id {expected}, found {id}")));
+        }
+        if let Some(v) = step.dangling.first() {
+            return Err(err(format!("antecedent {v} out of range for step {id}")));
+        }
+        step.add_to(&mut proof);
+    }
+    Ok(proof)
+}
+
+/// Every step's clause and antecedents. Two proofs with the same steps
+/// export the same TraceCheck bytes; comparing steps also works for a
+/// literal the writer cannot print, such as the one
+/// `-2147483648` reads as.
+fn steps(proof: &Proof) -> Vec<(Vec<Lit>, Vec<ClauseId>)> {
+    proof
+        .iter()
+        .map(|(_, s)| (s.clause.to_vec(), s.antecedents.to_vec()))
+        .collect()
+}
+
+fn io_kind(e: &ParseTraceError) -> Option<std::io::ErrorKind> {
+    match e {
+        ParseTraceError::Io(e) => Some(e.kind()),
+        ParseTraceError::Format(_) => None,
+    }
+}
+
+/// The JSON string escaper as it was when it wrote one `char` at a time.
+fn reference_escape(s: &str) -> String {
+    let mut out = String::from("\"");
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+/// A string with every kind of character the escaper treats apart, one
+/// per `(kind, value)` pick: ASCII controls, quotes, backslashes,
+/// printable ASCII, two-byte and arbitrary characters. With `lossy`, the
+/// lossy decoding of the picks' low bytes instead.
+fn json_string(lossy: bool, picks: &[(u8, u32)]) -> String {
+    if lossy {
+        let bytes: Vec<u8> = picks.iter().map(|&(_, x)| x as u8).collect();
+        return String::from_utf8_lossy(&bytes).into_owned();
+    }
+    picks
+        .iter()
+        .map(|&(kind, x)| match kind {
+            0 => char::from(x as u8 % 0x20),
+            1 => '"',
+            2 => '\\',
+            3 => char::from(0x20 + x as u8 % 0x5f),
+            4 => char::from_u32(0x80 + x % 0x780).expect("two-byte range"),
+            _ => char::from_u32(x % 0x11_0000).unwrap_or('\u{fffd}'),
+        })
+        .collect()
 }
 
 #[test]
@@ -207,5 +312,22 @@ proptest! {
             [&b"aag "[..], &b"p cnf "[..], &b"1 "[..], &b"d "[..], &b""[..]][head].to_vec();
         bytes.extend_from_slice(&body);
         feed_all_parsers(&bytes);
+    }
+
+    /// A JSON string escapes as the reference escaper does and parses
+    /// back; so does the same string with only `"` and `\` escaped, as
+    /// the parser accepts raw control characters.
+    #[test]
+    fn json_strings_escape_and_parse_back(
+        lossy in any::<bool>(),
+        picks in prop::collection::vec((0u8..6, any::<u32>()), 0..64),
+    ) {
+        let s = json_string(lossy, &picks);
+        let v = Value::Str(s.clone());
+        let text = v.to_string();
+        prop_assert_eq!(&text, &reference_escape(&s));
+        prop_assert_eq!(obs::json::parse(&text), Ok(v.clone()));
+        let raw = format!("\"{}\"", s.replace('\\', "\\\\").replace('"', "\\\""));
+        prop_assert_eq!(obs::json::parse(&raw), Ok(v));
     }
 }
