@@ -9,16 +9,22 @@
 //! <id> <lit>* 0 <antecedent-id>* 0
 //! ```
 //!
-//! with 1-based step ids and DIMACS literals. Steps may appear in any
-//! order as long as antecedents refer to earlier *lines* after
-//! topological reordering is unnecessary — this reader requires ids to
-//! be ordered (the common case and what the writer produces).
+//! with 1-based step ids and DIMACS literals. [`read_tracecheck`]
+//! requires the ids to count up from 1 with no gap, as the writer emits
+//! them, and every antecedent to cite an earlier step.
 //!
 //! [`parse_step`] reads one such line and [`parse_clause`] its clause;
-//! the lenient `lint` front-ends call them too.
+//! they are the one grammar, and the lenient `lint` front-ends call them
+//! too. [`read_tracecheck`] reads each line into one reused byte buffer
+//! and parses a line in the writer's own form (single spaces, unsigned
+//! ids and antecedents, literals within `i32`, no leading zeros) straight
+//! into reused clause and antecedent buffers. Every other line goes to
+//! [`parse_step`]: comments, blank lines, other whitespace, signs such
+//! as `+5` or `-0`, out-of-range numbers and every error, so an error
+//! message is always its message.
 
 use crate::{ClauseId, Proof};
-use cnf::Lit;
+use cnf::{Lit, Var};
 use std::fmt;
 use std::io::{self, BufRead};
 use std::num::NonZeroI32;
@@ -180,11 +186,40 @@ pub fn parse_clause<'a>(tokens: &mut impl Iterator<Item = &'a str>) -> Result<Ve
 /// # Ok(())
 /// # }
 /// ```
-pub fn read_tracecheck<R: BufRead>(r: R) -> Result<Proof, ParseTraceError> {
+pub fn read_tracecheck<R: BufRead>(mut r: R) -> Result<Proof, ParseTraceError> {
     let mut proof = Proof::new();
-    for (line_no, line) in r.lines().enumerate() {
-        let err = |m: String| ParseTraceError::Format(format!("line {}: {m}", line_no + 1));
-        let Some(step) = parse_step(&line?).map_err(|e| err(e.message))? else {
+    let (mut line, mut clause, mut antecedents) = (Vec::new(), Vec::new(), Vec::new());
+    let mut line_no = 0;
+    loop {
+        line.clear();
+        if r.read_until(b'\n', &mut line)? == 0 {
+            return Ok(proof);
+        }
+        line_no += 1;
+        // What `BufRead::lines` drops: the `\n`, and one `\r` before it.
+        if line.last() == Some(&b'\n') {
+            line.pop();
+            if line.last() == Some(&b'\r') {
+                line.pop();
+            }
+        }
+        let next = proof.len() as u64 + 1;
+        if read_plain_step(&line, next, &mut clause, &mut antecedents) {
+            if antecedents.is_empty() {
+                proof.add_original(clause.iter().copied());
+            } else {
+                proof.add_derived(clause.iter().copied(), antecedents.iter().copied());
+            }
+            continue;
+        }
+        let err = |m: String| ParseTraceError::Format(format!("line {line_no}: {m}"));
+        let text = std::str::from_utf8(&line).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        let Some(step) = parse_step(text).map_err(|e| err(e.message))? else {
             continue;
         };
         let (id, expected) = (step.id, proof.len() as u64 + 1);
@@ -196,7 +231,56 @@ pub fn read_tracecheck<R: BufRead>(r: R) -> Result<Proof, ParseTraceError> {
         }
         step.add_to(&mut proof);
     }
-    Ok(proof)
+}
+
+/// Reads `line` into `clause` and `antecedents` when it is step `id` in
+/// the form the writer emits, `<id> <lit>* 0 <antecedent>* 0` with
+/// single spaces, and every antecedent cites an earlier step. Returns
+/// `false` for any other line, which [`parse_step`] then reads.
+fn read_plain_step(
+    line: &[u8],
+    id: u64,
+    clause: &mut Vec<Lit>,
+    antecedents: &mut Vec<ClauseId>,
+) -> bool {
+    clause.clear();
+    antecedents.clear();
+    let mut tokens = line.split(|&b| b == b' ');
+    if tokens.next().and_then(plain_number) != Some(id) {
+        return false;
+    }
+    loop {
+        let Some(tok) = tokens.next() else {
+            return false;
+        };
+        let (negative, digits) = match tok.strip_prefix(b"-") {
+            Some(digits) => (true, digits),
+            None => (false, tok),
+        };
+        match plain_number(digits) {
+            Some(0) if !negative => break,
+            Some(v @ 1..=0x7fff_ffff) => clause.push(Var::new(v as u32 - 1).lit(negative)),
+            _ => return false,
+        }
+    }
+    loop {
+        match tokens.next().and_then(plain_number) {
+            Some(0) => return tokens.next().is_none(),
+            Some(v) if v < id => antecedents.push(ClauseId::new((v - 1) as u32)),
+            _ => return false,
+        }
+    }
+}
+
+/// An unsigned decimal of at most 19 digits with no leading zero, so it
+/// cannot overflow; `None` for anything else.
+fn plain_number(tok: &[u8]) -> Option<u64> {
+    if tok.is_empty() || tok.len() > 19 || (tok[0] == b'0' && tok.len() > 1) {
+        return None;
+    }
+    tok.iter().try_fold(0u64, |n, &b| {
+        b.is_ascii_digit().then(|| n * 10 + u64::from(b - b'0'))
+    })
 }
 
 #[cfg(test)]
