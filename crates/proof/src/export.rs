@@ -6,7 +6,9 @@
 //! - **DRAT** (clausal): derived clauses only, in order; deletions are
 //!   not emitted (the proofs here are already trimmed when it matters).
 //!
-//! Both use DIMACS literal conventions (1-based, sign = polarity).
+//! Both use DIMACS literal conventions (1-based, sign = polarity), and
+//! both format their numbers into one buffer that the sink receives in
+//! chunks of about 64 KiB.
 
 use crate::Proof;
 use std::io::{self, Write};
@@ -39,19 +41,20 @@ use std::io::{self, Write};
 /// # Ok(())
 /// # }
 /// ```
-pub fn write_tracecheck<W: Write>(proof: &Proof, mut w: W) -> io::Result<()> {
+pub fn write_tracecheck<W: Write>(proof: &Proof, w: W) -> io::Result<()> {
+    let mut out = Decimals::new(w);
     for (id, step) in proof.iter() {
-        write!(w, "{} ", id.index() + 1)?;
+        out.number(i64::from(id.index()) + 1, b' ');
         for l in step.clause {
-            write!(w, "{} ", l.to_dimacs())?;
+            out.number(l.to_dimacs().into(), b' ');
         }
-        write!(w, "0 ")?;
+        out.number(0, b' ');
         for a in step.antecedents {
-            write!(w, "{} ", a.index() + 1)?;
+            out.number(i64::from(a.index()) + 1, b' ');
         }
-        writeln!(w, "0")?;
+        out.end_line()?;
     }
-    Ok(())
+    out.finish()
 }
 
 /// Writes the derived clauses of the proof in DRAT format (additions
@@ -60,17 +63,72 @@ pub fn write_tracecheck<W: Write>(proof: &Proof, mut w: W) -> io::Result<()> {
 /// # Errors
 ///
 /// Propagates I/O errors from `w`.
-pub fn write_drat<W: Write>(proof: &Proof, mut w: W) -> io::Result<()> {
+pub fn write_drat<W: Write>(proof: &Proof, w: W) -> io::Result<()> {
+    let mut out = Decimals::new(w);
     for (_, step) in proof.iter() {
         if step.is_original() {
             continue;
         }
         for l in step.clause {
-            write!(w, "{} ", l.to_dimacs())?;
+            out.number(l.to_dimacs().into(), b' ');
         }
-        writeln!(w, "0")?;
+        out.end_line()?;
     }
-    Ok(())
+    out.finish()
+}
+
+/// The sink receives the buffer once a line ends with at least this
+/// many bytes in it.
+const CHUNK: usize = 1 << 16;
+
+/// Decimal numbers and separators, buffered for a sink.
+struct Decimals<W> {
+    sink: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> Decimals<W> {
+    fn new(sink: W) -> Self {
+        Decimals {
+            sink,
+            buf: Vec::with_capacity(2 * CHUNK),
+        }
+    }
+
+    /// Appends `v` in decimal, then `sep`.
+    fn number(&mut self, v: i64, sep: u8) {
+        let mut digits = [0u8; 20];
+        let mut start = digits.len();
+        let mut n = v.unsigned_abs();
+        loop {
+            start -= 1;
+            digits[start] = b'0' + (n % 10) as u8;
+            n /= 10;
+            if n == 0 {
+                break;
+            }
+        }
+        if v < 0 {
+            self.buf.push(b'-');
+        }
+        self.buf.extend_from_slice(&digits[start..]);
+        self.buf.push(sep);
+    }
+
+    /// Ends the line with its terminating `0`, and hands the sink the
+    /// buffer once it holds a chunk.
+    fn end_line(&mut self) -> io::Result<()> {
+        self.number(0, b'\n');
+        if self.buf.len() >= CHUNK {
+            self.sink.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        Ok(())
+    }
+
+    fn finish(mut self) -> io::Result<()> {
+        self.sink.write_all(&self.buf)
+    }
 }
 
 #[cfg(test)]
