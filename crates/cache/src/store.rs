@@ -329,28 +329,38 @@ fn validate(pair: &CanonicalPair, verdict: &CachedVerdict, share_structure: bool
 }
 
 /// Every original step of `p` must occur (as a literal multiset) among
-/// the clauses of the pair's miter CNF.
+/// the clauses of the pair's miter CNF, each occurrence of a miter
+/// clause serving at most one original.
 fn originals_bind_to_miter(pair: &CanonicalPair, p: &proof::Proof, share_structure: bool) -> bool {
     let miter = Miter::build(&pair.a, &pair.b, share_structure);
     let formula = miter_cnf(&miter);
-    let mut available: HashMap<Vec<cnf::Lit>, usize> = HashMap::new();
-    for c in formula.clauses() {
-        let mut k = c.clone();
-        k.sort_unstable_by_key(|l| l.to_dimacs());
-        *available.entry(k).or_insert(0) += 1;
+    // The miter's clauses, copied into one arena and each sorted in
+    // place: a sorted clause is its multiset, and a proof step's clause
+    // is already sorted (and free of duplicates).
+    let clauses = formula.clauses();
+    let mut lits = Vec::with_capacity(clauses.iter().map(Vec::len).sum());
+    let mut ends = Vec::with_capacity(clauses.len());
+    for c in clauses {
+        let start = lits.len();
+        lits.extend_from_slice(c);
+        lits[start..].sort_unstable();
+        ends.push(lits.len());
     }
-    for (_, step) in p.iter() {
-        if !step.is_original() {
-            continue;
-        }
-        let mut k = step.clause.to_vec();
-        k.sort_unstable_by_key(|l| l.to_dimacs());
-        match available.get_mut(&k) {
-            Some(n) if *n > 0 => *n -= 1,
-            _ => return false,
-        }
+    let mut available: HashMap<&[cnf::Lit], usize> = HashMap::with_capacity(ends.len());
+    let mut start = 0;
+    for end in ends {
+        *available.entry(&lits[start..end]).or_insert(0) += 1;
+        start = end;
     }
-    true
+    p.iter()
+        .filter(|(_, step)| step.is_original())
+        .all(|(_, step)| match available.get_mut(step.clause) {
+            Some(n) if *n > 0 => {
+                *n -= 1;
+                true
+            }
+            _ => false,
+        })
 }
 
 #[cfg(test)]
@@ -471,7 +481,11 @@ mod tests {
                 c.sort_unstable();
                 c
             };
-            formula.clauses().iter().filter(|&c| sorted(c) == clause).count()
+            formula
+                .clauses()
+                .iter()
+                .filter(|&c| sorted(c) == clause)
+                .count()
         };
         let (_, once) = p
             .iter()
@@ -479,7 +493,11 @@ mod tests {
             .expect("an original the miter holds once");
         // A second copy of it: every step still replays, so only the
         // multiplicity count can reject the certificate.
-        let lits: String = once.clause.iter().map(|l| format!("{} ", l.to_dimacs())).collect();
+        let lits: String = once
+            .clause
+            .iter()
+            .map(|l| format!("{} ", l.to_dimacs()))
+            .collect();
         writeln!(tracecheck, "{} {lits}0 0", p.len() + 1).unwrap();
         let doubled = proof::import::read_tracecheck(tracecheck.as_slice()).unwrap();
         assert!(proof::check::check_refutation(&doubled).is_ok());
