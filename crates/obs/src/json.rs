@@ -107,19 +107,32 @@ impl Value {
 }
 
 /// Writes `s` as a JSON string literal (with escapes) to `f`.
+///
+/// Each run of characters between two escapes is written with one
+/// `write_str`. Every escaped character is ASCII, so a run always ends
+/// on a `char` boundary.
 pub fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     f.write_char('"')?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_char(c)?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        f.write_str(&s[run..i])?;
+        if escape.is_empty() {
+            write!(f, "\\u{b:04x}")?;
+        } else {
+            f.write_str(escape)?;
         }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_char('"')
 }
 
@@ -196,6 +209,7 @@ impl std::error::Error for ParseError {}
 /// whitespace; trailing content is an error).
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -209,6 +223,7 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -318,68 +333,59 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one
+            // piece. Both are ASCII, so the run ends on a `char`
+            // boundary; raw control characters are copied too.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .map_or(self.bytes.len(), |n| self.pos + n);
+            out.push_str(&self.text[self.pos..run]);
+            self.pos = run;
             let Some(c) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
             self.pos += 1;
-            match c {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let first = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&first) {
-                                // High surrogate: require the low half.
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let second = self.hex4()?;
-                                    if !(0xDC00..0xE000).contains(&second) {
-                                        return Err(self.error("invalid low surrogate"));
-                                    }
-                                    0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
-                                } else {
-                                    return Err(self.error("unpaired surrogate"));
-                                }
-                            } else {
-                                first
-                            };
-                            match char::from_u32(code) {
-                                Some(c) => out.push(c),
-                                None => return Err(self.error("invalid \\u escape")),
+            if c == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(self.error("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'u' => {
+                    let first = self.hex4()?;
+                    let code = if (0xD800..0xDC00).contains(&first) {
+                        // High surrogate: require the low half.
+                        if self.bytes[self.pos..].starts_with(b"\\u") {
+                            self.pos += 2;
+                            let second = self.hex4()?;
+                            if !(0xDC00..0xE000).contains(&second) {
+                                return Err(self.error("invalid low surrogate"));
                             }
+                            0x10000 + ((first - 0xD800) << 10) + (second - 0xDC00)
+                        } else {
+                            return Err(self.error("unpaired surrogate"));
                         }
-                        other => {
-                            return Err(self.error(format!("invalid escape '\\{}'", other as char)));
-                        }
+                    } else {
+                        first
+                    };
+                    match char::from_u32(code) {
+                        Some(c) => out.push(c),
+                        None => return Err(self.error("invalid \\u escape")),
                     }
                 }
-                // Multi-byte UTF-8: the input is a &str, so continuation
-                // bytes are valid; copy them through.
-                c => {
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    if c >= 0x80 {
-                        while self.bytes.get(end).is_some_and(|&b| (b & 0xC0) == 0x80) {
-                            end += 1;
-                        }
-                        self.pos = end;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.error("invalid utf-8"))?,
-                    );
+                other => {
+                    return Err(self.error(format!("invalid escape '\\{}'", other as char)));
                 }
             }
         }
