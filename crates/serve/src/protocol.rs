@@ -17,11 +17,12 @@
 //! | `metrics`  | —                               | the registry's `metrics-v1` snapshot |
 //! | `shutdown` | —                               | `{"ok":true}`, then the server stops |
 //!
-//! Malformed input produces `{"error": "…"}` and the connection stays
-//! usable; a failed individual check inside a batch reports its error in
-//! that slot without poisoning its neighbours. A request line longer
-//! than [`MAX_REQUEST_BYTES`] is the exception: it is answered with an
-//! error and the connection is closed.
+//! Malformed input, a line that is not UTF-8 included, produces
+//! `{"error": "…"}` and the connection stays usable; a failed individual
+//! check inside a batch reports its error in that slot without poisoning
+//! its neighbours. A request line longer than [`MAX_REQUEST_BYTES`] is
+//! the exception: it is answered with an error and the connection is
+//! closed.
 
 use obs::json::Value;
 

@@ -193,13 +193,15 @@ fn handle_connection(
             writeln!(writer, "{}", protocol::error_value(&message))?;
             return writer.flush();
         }
-        let line =
-            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if line.trim().is_empty() {
+        let line = std::str::from_utf8(&buf);
+        if line.is_ok_and(|line| line.trim().is_empty()) {
             continue;
         }
         shared.requests.inc();
-        let response = match Request::parse(line) {
+        let request = line
+            .map_err(|e| format!("request line is not UTF-8: {e}"))
+            .and_then(Request::parse);
+        let response = match request {
             Err(e) => protocol::error_value(&e),
             Ok(Request::Ping) => protocol::ok_value(),
             Ok(Request::Metrics) => {

@@ -114,8 +114,15 @@ fn malformed_and_mismatched_queries_do_not_poison_the_connection() {
     let stream = std::net::TcpStream::connect(&addr).expect("raw connect");
     let mut w = stream.try_clone().expect("clone");
     let mut r = BufReader::new(stream);
-    writeln!(w, "this is not json").unwrap();
+    w.write_all(b"\xff\xfe{\"op\":\"ping\"}\n").unwrap();
     let mut line = String::new();
+    r.read_line(&mut line).unwrap();
+    assert!(
+        line.contains("error"),
+        "error reply to a non-UTF-8 line: {line}"
+    );
+    line.clear();
+    writeln!(w, "this is not json").unwrap();
     r.read_line(&mut line).unwrap();
     assert!(line.contains("error"), "error reply: {line}");
     line.clear();
