@@ -8,7 +8,7 @@
 //!
 //! Both use DIMACS literal conventions (1-based, sign = polarity), and
 //! both format their numbers into one buffer that the sink receives in
-//! chunks of about 64 KiB.
+//! chunks of at least 32 KiB.
 
 use crate::Proof;
 use std::io::{self, Write};
@@ -78,8 +78,9 @@ pub fn write_drat<W: Write>(proof: &Proof, w: W) -> io::Result<()> {
 }
 
 /// The sink receives the buffer once a line ends with at least this
-/// many bytes in it.
-const CHUNK: usize = 1 << 16;
+/// many bytes in it. The buffer holds twice as much, so a line of up to
+/// `CHUNK` bytes never makes it grow.
+const CHUNK: usize = 1 << 15;
 
 /// Decimal numbers and separators, buffered for a sink.
 struct Decimals<W> {
