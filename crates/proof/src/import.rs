@@ -341,6 +341,33 @@ mod tests {
     }
 
     #[test]
+    fn near_misses_of_the_writers_form_read_as_parse_step_reads_them() {
+        for (text, error) in [
+            (
+                "1 1 0 0\n2 -1 0 2 0\n",
+                "line 2: antecedent 2 out of range for step 2",
+            ),
+            ("1 2147483648 0 0\n", "line 1: bad literal `2147483648`"),
+            (
+                "1 1 0 0 7\n",
+                "line 1: trailing tokens after antecedent terminator",
+            ),
+            ("1 1 0 0\n3 -1 0 0\n", "line 2: expected step id 2, found 3"),
+        ] {
+            let e = read_tracecheck(text.as_bytes()).unwrap_err().to_string();
+            assert!(e.contains(error), "{text:?}: {e}");
+        }
+        let p =
+            read_tracecheck("1 -2147483648 0 0\n02 +1 -0 0\n3  0 1  2 0 \n".as_bytes()).unwrap();
+        assert_eq!(p.len(), 3);
+        assert_eq!(p.clause(ClauseId::new(1)), [Var::new(0).positive()]);
+        assert_eq!(
+            p.step(ClauseId::new(2)).antecedents,
+            [ClauseId::new(0), ClauseId::new(1)]
+        );
+    }
+
+    #[test]
     fn error_messages_carry_line_numbers() {
         let e = read_tracecheck("1 1 0 0\nx\n".as_bytes()).unwrap_err();
         assert!(format!("{e}").contains("line 2"));
