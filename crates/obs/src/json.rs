@@ -116,19 +116,18 @@ pub fn write_escaped(f: &mut impl fmt::Write, s: &str) -> fmt::Result {
     let mut run = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
-            b'"' => "\\\"",
-            b'\\' => "\\\\",
-            b'\n' => "\\n",
-            b'\r' => "\\r",
-            b'\t' => "\\t",
-            0..=0x1f => "",
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
             _ => continue,
         };
         f.write_str(&s[run..i])?;
-        if escape.is_empty() {
-            write!(f, "\\u{b:04x}")?;
-        } else {
-            f.write_str(escape)?;
+        match escape {
+            Some(e) => f.write_str(e)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
         run = i + 1;
     }
