@@ -222,9 +222,9 @@ pub fn read_tracecheck<R: BufRead>(mut r: R) -> Result<Proof, ParseTraceError> {
         let Some(step) = parse_step(text).map_err(|e| err(e.message))? else {
             continue;
         };
-        let (id, expected) = (step.id, proof.len() as u64 + 1);
-        if id != expected {
-            return Err(err(format!("expected step id {expected}, found {id}")));
+        let id = step.id;
+        if id != next {
+            return Err(err(format!("expected step id {next}, found {id}")));
         }
         if let Some(v) = step.dangling.first() {
             return Err(err(format!("antecedent {v} out of range for step {id}")));
