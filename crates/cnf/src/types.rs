@@ -118,14 +118,13 @@ impl Lit {
     ///
     /// # Panics
     ///
-    /// Panics if the variable index exceeds `i32::MAX - 1`.
+    /// Panics on the positive literal of variable index `i32::MAX`,
+    /// whose DIMACS value 2^31 leaves `i32`; its negative literal is
+    /// `i32::MIN`.
     pub fn to_dimacs(self) -> i32 {
-        let v = i32::try_from(self.var().index() + 1).expect("variable index overflows dimacs");
-        if self.is_negative() {
-            -v
-        } else {
-            v
-        }
+        let v = i64::from(self.var().index()) + 1;
+        let signed = if self.is_negative() { -v } else { v };
+        i32::try_from(signed).expect("variable index overflows dimacs")
     }
 
     /// Parses a DIMACS literal (nonzero; sign = polarity).
@@ -315,6 +314,14 @@ mod tests {
         }
         assert_eq!(Var::new(0).positive().to_dimacs(), 1);
         assert_eq!(Var::new(2).negative().to_dimacs(), -3);
+    }
+
+    #[test]
+    fn dimacs_round_trip_at_the_i32_limits() {
+        for d in [i32::MIN, -i32::MAX, i32::MAX] {
+            let l = Lit::from_dimacs(NonZeroI32::new(d).unwrap());
+            assert_eq!(l.to_dimacs(), d);
+        }
     }
 
     #[test]
