@@ -25,11 +25,11 @@
 //! - `DR005`: [`LintOptions::expect_refutation`] is set but the trace
 //!   never adds the empty clause.
 //!
-//! Leniency has a direction: deleting a clause does **not** retract the
-//! unit-propagation prefix it may have contributed to, so the
-//! accumulated base assignment can be stale-strong. That can only make
-//! a RUP check pass that should fail (a missed defect), never report a
-//! sound addition as `DR002`.
+//! The RUP check is [`proof::rup::Propagator`]'s, and leniency has a
+//! direction: deleting a clause does **not** retract the units it may
+//! have contributed to the propagator's base, so the base can be
+//! stale-strong. That can only make a RUP check pass that should fail
+//! (a missed defect), never report a sound addition as `DR002`.
 
 use crate::{
     clause_dimacs, is_tautology, normalize_clause, Artifact, LintOptions, Location, Report, DR001,
@@ -37,6 +37,7 @@ use crate::{
 };
 use cnf::{Cnf, Lit};
 use proof::import::parse_clause;
+use proof::rup::Propagator;
 use std::collections::HashMap;
 use std::io::{self, BufRead};
 
@@ -55,10 +56,15 @@ pub fn lint_drat<R: BufRead>(
 ) -> io::Result<Report> {
     let mut report = Report::new(Artifact::Drat);
     let cap = opts.max_per_lint;
-    let mut store = Store::default();
+    let mut rup = Propagator::default();
+    // Active copies by normalized literals, for deletion and duplicate
+    // detection: each copy's propagator handle.
+    let mut active: HashMap<Vec<Lit>, Vec<usize>> = HashMap::new();
     if let Some(f) = formula {
         for c in f.clauses() {
-            store.load(normalize_clause(c.clone()));
+            let clause = normalize_clause(c.clone());
+            let handle = rup.add(&clause);
+            active.entry(clause).or_default().push(handle);
         }
     }
     let check_rup = formula.is_some() && opts.chain;
@@ -95,26 +101,27 @@ pub fn lint_drat<R: BufRead>(
 
         let clause = normalize_clause(lits);
         if deleting {
-            if !store.delete(&clause) {
-                report.emit(DR003, loc, cap, || {
+            match active.get_mut(&clause).and_then(Vec::pop) {
+                Some(handle) => rup.deactivate(handle),
+                None => report.emit(DR003, loc, cap, || {
                     format!(
                         "deletion of {}, which is neither in the formula nor \
                          currently added",
                         clause_dimacs(&clause)
                     )
-                });
+                }),
             }
             continue;
         }
         if clause.is_empty() {
             saw_empty = true;
         }
-        if store.count(&clause) > 0 {
+        if active.get(&clause).is_some_and(|copies| !copies.is_empty()) {
             report.emit(DR004, loc, cap, || {
                 format!("clause {} is already active", clause_dimacs(&clause))
             });
         }
-        if check_rup && !is_tautology(&clause) && !store.check_rup(&clause) {
+        if check_rup && !is_tautology(&clause) && !rup.implies(&clause) {
             report.emit(DR002, loc, cap, || {
                 format!(
                     "added clause {} is not a unit-propagation consequence of \
@@ -123,7 +130,8 @@ pub fn lint_drat<R: BufRead>(
                 )
             });
         }
-        store.load(clause);
+        let handle = rup.add(&clause);
+        active.entry(clause).or_default().push(handle);
     }
 
     if opts.expect_refutation && !saw_empty {
@@ -132,194 +140,6 @@ pub fn lint_drat<R: BufRead>(
         });
     }
     Ok(report)
-}
-
-/// The accumulated formula plus a persistent unit-propagation prefix.
-///
-/// Clauses are normalized before entering. Unit propagation from unit
-/// clauses runs eagerly on load (the *base* assignment); a RUP check
-/// assumes the negation of the candidate on top of the base, propagates,
-/// and unwinds its own trail suffix afterwards.
-#[derive(Default)]
-struct Store {
-    clauses: Vec<Vec<Lit>>,
-    active: Vec<bool>,
-    /// Literal code → indices of clauses containing it (never shrunk;
-    /// deactivated clauses are skipped during scans).
-    occ: Vec<Vec<usize>>,
-    /// Active copies by normalized literals, for deletion and
-    /// duplicate detection.
-    index: HashMap<Vec<Lit>, Vec<usize>>,
-    /// Per-variable value: 1 true, -1 false, 0 unassigned.
-    value: Vec<i8>,
-    /// Assigned-true literals, base prefix first.
-    trail: Vec<Lit>,
-    base_len: usize,
-    /// The base itself is contradictory: every RUP check succeeds.
-    base_conflict: bool,
-}
-
-impl Store {
-    fn ensure(&mut self, clause: &[Lit]) {
-        if let Some(l) = clause.last() {
-            // Normalized clauses are sorted by code, so the last literal
-            // bounds both the value and the occurrence tables.
-            let vars = l.var().as_usize() + 1;
-            if self.value.len() < vars {
-                self.value.resize(vars, 0);
-            }
-        }
-    }
-
-    fn val(&self, l: Lit) -> i8 {
-        let v = self.value[l.var().as_usize()];
-        if l.is_negative() {
-            -v
-        } else {
-            v
-        }
-    }
-
-    fn assign(&mut self, l: Lit) {
-        self.value[l.var().as_usize()] = if l.is_negative() { -1 } else { 1 };
-        self.trail.push(l);
-    }
-
-    fn count(&self, clause: &[Lit]) -> usize {
-        self.index.get(clause).map_or(0, Vec::len)
-    }
-
-    fn load(&mut self, clause: Vec<Lit>) {
-        self.ensure(&clause);
-        let ci = self.clauses.len();
-        self.index.entry(clause.clone()).or_default().push(ci);
-        let taut = is_tautology(&clause);
-        if !taut {
-            for &l in &clause {
-                let code = l.code() as usize;
-                if self.occ.len() <= code {
-                    self.occ.resize_with(code + 1, Vec::new);
-                }
-                self.occ[code].push(ci);
-            }
-        }
-        self.clauses.push(clause);
-        self.active.push(true);
-        if taut || self.base_conflict {
-            return;
-        }
-        // Extend the base if the new clause is unit (or empty) under it.
-        let c = &self.clauses[ci];
-        if c.iter().any(|&l| self.val(l) == 1) {
-            return;
-        }
-        let mut unit = None;
-        let mut unassigned = 0usize;
-        for &l in c {
-            if self.val(l) == 0 {
-                unassigned += 1;
-                unit = Some(l);
-            }
-        }
-        match unassigned {
-            0 => self.base_conflict = true,
-            1 => {
-                let head = self.trail.len();
-                self.assign(unit.expect("counted one"));
-                if self.propagate(head) {
-                    self.base_conflict = true;
-                }
-                self.base_len = self.trail.len();
-            }
-            _ => {}
-        }
-    }
-
-    fn delete(&mut self, clause: &[Lit]) -> bool {
-        match self.index.get_mut(clause) {
-            Some(v) if !v.is_empty() => {
-                let ci = v.pop().expect("non-empty");
-                self.active[ci] = false;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Unit propagation from `trail[head..]`. Returns true on conflict.
-    fn propagate(&mut self, mut head: usize) -> bool {
-        while head < self.trail.len() {
-            let l = self.trail[head];
-            head += 1;
-            let falsified = (!l).code() as usize;
-            if falsified >= self.occ.len() {
-                continue;
-            }
-            for wi in 0..self.occ[falsified].len() {
-                let ci = self.occ[falsified][wi];
-                if !self.active[ci] {
-                    continue;
-                }
-                let mut satisfied = false;
-                let mut unit = None;
-                let mut unassigned = 0usize;
-                for i in 0..self.clauses[ci].len() {
-                    let cl = self.clauses[ci][i];
-                    match self.val(cl) {
-                        1 => {
-                            satisfied = true;
-                            break;
-                        }
-                        0 => {
-                            unassigned += 1;
-                            unit = Some(cl);
-                        }
-                        _ => {}
-                    }
-                }
-                if satisfied {
-                    continue;
-                }
-                match unassigned {
-                    0 => return true,
-                    1 => self.assign(unit.expect("counted one")),
-                    _ => {}
-                }
-            }
-        }
-        false
-    }
-
-    /// Does `clause` follow from the active set by reverse unit
-    /// propagation? Leaves the base assignment untouched.
-    fn check_rup(&mut self, clause: &[Lit]) -> bool {
-        if self.base_conflict {
-            return true;
-        }
-        self.ensure(clause);
-        let start = self.trail.len();
-        let mut conflict = false;
-        for &l in clause {
-            match self.val(l) {
-                // The base already satisfies a literal of the clause, so
-                // assuming its negation is immediately contradictory.
-                1 => {
-                    conflict = true;
-                    break;
-                }
-                0 => self.assign(!l),
-                _ => {}
-            }
-        }
-        if !conflict {
-            conflict = self.propagate(start);
-        }
-        while self.trail.len() > start {
-            let l = self.trail.pop().expect("trail suffix");
-            self.value[l.var().as_usize()] = 0;
-        }
-        conflict
-    }
 }
 
 #[cfg(test)]

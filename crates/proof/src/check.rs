@@ -12,6 +12,7 @@
 //!
 //! Both reject ill-formed proofs (forward references, unknown steps).
 
+use crate::rup::Propagator;
 use crate::{ClauseId, Proof};
 use cnf::Lit;
 use std::fmt;
@@ -238,179 +239,29 @@ fn max_var(proof: &Proof) -> usize {
 /// units over the earlier clauses yields a conflict. Every chain
 /// resolvent is a RUP consequence, so any proof accepted by
 /// [`check_strict`] is accepted here too; the converse does not hold.
+/// The propagation is [`crate::rup::Propagator`]'s.
 ///
 /// # Errors
 ///
 /// Returns the first step that is not a RUP consequence, or a
 /// structural error.
 pub fn check_rup(proof: &Proof) -> Result<(), CheckError> {
-    let num_vars = max_var(proof) + 1;
-    let mut prop = Propagator::new(num_vars);
+    let mut rup = Propagator::default();
     for (id, step) in proof.iter() {
         if !step.is_original() {
-            if step.antecedents.iter().any(|a| a.index() >= id.index()) {
+            if let Some(&antecedent) = step.antecedents.iter().find(|a| a.index() >= id.index()) {
                 return Err(CheckError::ForwardReference {
                     step: id,
-                    antecedent: *step
-                        .antecedents
-                        .iter()
-                        .find(|a| a.index() >= id.index())
-                        .expect("checked any"),
+                    antecedent,
                 });
             }
-            if !prop.rup(step.clause) {
+            if !rup.implies(step.clause) {
                 return Err(CheckError::RupFailed(id));
             }
         }
-        prop.add_clause(step.clause);
+        rup.add(step.clause);
     }
     Ok(())
-}
-
-/// A minimal unit propagator over an append-only clause set, using
-/// counter-based propagation (no decisions, assumptions only).
-struct Propagator {
-    // Clause arena.
-    lits: Vec<Lit>,
-    clauses: Vec<(u32, u32)>,
-    // occurrences[lit.code()] = clause indices containing lit.
-    occurrences: Vec<Vec<u32>>,
-    // 0 unassigned, 1 true, 2 false (per variable).
-    value: Vec<u8>,
-    trail: Vec<Lit>,
-    // Per clause: number of literals currently assigned false.
-    false_count: Vec<u32>,
-    // Clause indices whose false_count was bumped in the current rup call.
-    bumped: Vec<u32>,
-    // Units among the original clauses, to seed each propagation.
-    base_units: Vec<Lit>,
-    has_empty: bool,
-}
-
-impl Propagator {
-    fn new(num_vars: usize) -> Self {
-        Propagator {
-            lits: Vec::new(),
-            clauses: Vec::new(),
-            occurrences: vec![Vec::new(); 2 * num_vars],
-            value: vec![0; num_vars],
-            trail: Vec::new(),
-            false_count: Vec::new(),
-            bumped: Vec::new(),
-            base_units: Vec::new(),
-            has_empty: false,
-        }
-    }
-
-    fn add_clause(&mut self, clause: &[Lit]) {
-        let idx = self.clauses.len() as u32;
-        let l0 = self.lits.len() as u32;
-        self.lits.extend_from_slice(clause);
-        self.clauses.push((l0, self.lits.len() as u32));
-        self.false_count.push(0);
-        for &l in clause {
-            self.occurrences[l.code() as usize].push(idx);
-        }
-        match clause.len() {
-            0 => self.has_empty = true,
-            1 => self.base_units.push(clause[0]),
-            _ => {}
-        }
-    }
-
-    fn lit_value(&self, l: Lit) -> u8 {
-        let v = self.value[l.var().as_usize()];
-        if v == 0 {
-            0
-        } else if (v == 1) != l.is_negative() {
-            1
-        } else {
-            2
-        }
-    }
-
-    /// Returns true if asserting the negation of `clause` propagates to
-    /// a conflict. Leaves the propagator clean.
-    fn rup(&mut self, clause: &[Lit]) -> bool {
-        if self.has_empty {
-            return true;
-        }
-        debug_assert!(self.trail.is_empty());
-        let mut conflict = false;
-        let mut queue: Vec<Lit> = Vec::new();
-        for &l in clause {
-            queue.push(!l);
-        }
-        queue.extend(self.base_units.iter().copied());
-
-        let mut qi = 0;
-        'outer: while qi < queue.len() {
-            let l = queue[qi];
-            qi += 1;
-            match self.lit_value(l) {
-                1 => continue,
-                2 => {
-                    conflict = true;
-                    break 'outer;
-                }
-                _ => {}
-            }
-            self.value[l.var().as_usize()] = if l.is_negative() { 2 } else { 1 };
-            self.trail.push(l);
-            // The falsified occurrences of ¬l may become unit or empty.
-            let watch = std::mem::take(&mut self.occurrences[(!l).code() as usize]);
-            for &ci in &watch {
-                self.false_count[ci as usize] += 1;
-                self.bumped.push(ci);
-                let (c0, c1) = self.clauses[ci as usize];
-                let len = c1 - c0;
-                if self.false_count[ci as usize] + 1 > len {
-                    // All false? Only if not satisfied.
-                    let body = &self.lits[c0 as usize..c1 as usize];
-                    if body.iter().all(|&x| self.lit_value(x) == 2) {
-                        self.occurrences[(!l).code() as usize] = watch;
-                        conflict = true;
-                        break 'outer;
-                    }
-                } else if self.false_count[ci as usize] + 1 == len {
-                    // Possibly unit: find the sole non-false literal.
-                    let body = &self.lits[c0 as usize..c1 as usize];
-                    let mut unit = None;
-                    let mut satisfied = false;
-                    for &x in body {
-                        match self.lit_value(x) {
-                            1 => {
-                                satisfied = true;
-                                break;
-                            }
-                            0 => unit = Some(x),
-                            _ => {}
-                        }
-                    }
-                    if !satisfied {
-                        match unit {
-                            Some(u) => queue.push(u),
-                            None => {
-                                self.occurrences[(!l).code() as usize] = watch;
-                                conflict = true;
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-            }
-            self.occurrences[(!l).code() as usize] = watch;
-        }
-
-        // Undo.
-        for l in self.trail.drain(..) {
-            self.value[l.var().as_usize()] = 0;
-        }
-        for ci in self.bumped.drain(..) {
-            self.false_count[ci as usize] -= 1;
-        }
-        conflict
-    }
 }
 
 #[cfg(test)]
@@ -528,6 +379,15 @@ mod tests {
         let c1 = p.add_original(lits(&[1]));
         let c2 = p.add_original(lits(&[-1, 2]));
         p.add_derived(lits(&[2]), [c2, c1]);
+        assert_eq!(check_rup(&p), Ok(()));
+    }
+
+    #[test]
+    fn rup_accepts_a_proof_naming_the_largest_variable() {
+        // `-2147483648` is the negative literal of variable 2^31 − 1;
+        // the check sizes its tables by the two variables named.
+        let text = "1 1 -2147483648 0 0\n2 -1 0 0\n3 -2147483648 0 1 2 0\n";
+        let p = crate::import::read_tracecheck(text.as_bytes()).unwrap();
         assert_eq!(check_rup(&p), Ok(()));
     }
 

@@ -8,7 +8,8 @@
 //! - [`check::check_strict`] replays every recorded chain resolution —
 //!   the paper's "simple proof checker" that lets a third party trust a
 //!   CEC verdict without trusting the engine.
-//! - [`check::check_rup`] cross-validates by reverse unit propagation.
+//! - [`check::check_rup`] cross-validates by reverse unit propagation,
+//!   through [`rup::Propagator`], the propagator the DRAT lint shares.
 //! - [`trim`] extracts the backward cone of the empty clause (the unsat
 //!   core / the lemmas that mattered); [`compact`] additionally
 //!   hash-conses duplicate clause derivations before trimming.
@@ -38,6 +39,7 @@ mod compact;
 pub mod export;
 pub mod import;
 pub mod interpolate;
+pub mod rup;
 mod store;
 mod trim;
 

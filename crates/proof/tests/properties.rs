@@ -2,13 +2,14 @@
 //! *valid* chain constructions and random corruptions.
 
 use cnf::{Lit, Var};
+use proof::rup::Propagator;
 use proof::{check, trim, ClauseId, Proof};
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
 
 /// Builds a random valid resolution proof by repeatedly resolving two
 /// earlier clauses that clash on exactly one variable.
 fn random_valid_proof(num_vars: u32, originals: usize, derivations: usize, seed: u64) -> Proof {
-    use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
     let mut p = Proof::new();
     let mut clauses: Vec<(ClauseId, Vec<Lit>)> = Vec::new();
@@ -181,6 +182,146 @@ proptest! {
             let first: u64 = line.split_whitespace().next().unwrap().parse().unwrap();
             prop_assert_eq!(first, i as u64 + 1);
             prop_assert!(line.trim_end().ends_with('0'));
+        }
+    }
+}
+
+/// One call on a [`Propagator`].
+#[derive(Debug)]
+enum Op {
+    Add(Vec<Lit>),
+    /// Deactivates the n-th clause added.
+    Deactivate(usize),
+    Implies(Vec<Lit>),
+}
+
+/// A random sequence of `len` calls over `num_vars` variables. Clauses
+/// are sorted and duplicate-free, tautologies included; added clauses
+/// have one to four literals, queries none to three. Deactivations
+/// appear only if `deactivate` is set.
+fn random_ops(num_vars: u32, len: usize, deactivate: bool, seed: u64) -> Vec<Op> {
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut added = 0;
+    (0..len)
+        .map(|_| {
+            let roll = rng.gen_range(0..20u32);
+            let width = if roll < 10 {
+                rng.gen_range(1..5usize)
+            } else {
+                rng.gen_range(0..4usize)
+            };
+            let mut clause: Vec<Lit> = (0..width)
+                .map(|_| Var::new(rng.gen_range(0..num_vars)).lit(rng.gen()))
+                .collect();
+            clause.sort_unstable();
+            clause.dedup();
+            match roll {
+                0..=9 => {
+                    added += 1;
+                    Op::Add(clause)
+                }
+                10..=12 if deactivate && added > 0 => Op::Deactivate(rng.gen_range(0..added)),
+                _ => Op::Implies(clause),
+            }
+        })
+        .collect()
+}
+
+/// The RUP question answered naively: assume every literal of `query`
+/// false, then sweep all `clauses` for a false or unit clause until a
+/// sweep changes nothing.
+fn reference_implies(clauses: &[&[Lit]], query: &[Lit]) -> bool {
+    // The sessions name at most 8 variables.
+    let mut value: Vec<Option<bool>> = vec![None; 8];
+    let lit_value =
+        |value: &[Option<bool>], l: Lit| value[l.var().as_usize()].map(|v| v != l.is_negative());
+    for &l in query {
+        match lit_value(&value, l) {
+            Some(true) => return true,
+            Some(false) => {}
+            None => value[l.var().as_usize()] = Some(l.is_negative()),
+        }
+    }
+    loop {
+        let mut changed = false;
+        for clause in clauses {
+            let mut open = clause
+                .iter()
+                .filter(|&&l| lit_value(&value, l) != Some(false));
+            match (open.next(), open.next()) {
+                (None, _) => return true,
+                (Some(&l), None) if lit_value(&value, l).is_none() => {
+                    value[l.var().as_usize()] = Some(!l.is_negative());
+                    changed = true;
+                }
+                _ => {}
+            }
+        }
+        if !changed {
+            return false;
+        }
+    }
+}
+
+/// Runs `ops` on a [`Propagator`]. For each query, returns the
+/// propagator's answer, the reference's over the active clauses, and the
+/// reference's over every clause ever added.
+fn replay(ops: &[Op]) -> Vec<(bool, bool, bool)> {
+    let mut rup = Propagator::default();
+    let mut added: Vec<(&[Lit], usize, bool)> = Vec::new();
+    let mut answers = Vec::new();
+    for op in ops {
+        match op {
+            Op::Add(clause) => added.push((clause, rup.add(clause), true)),
+            Op::Deactivate(n) => {
+                rup.deactivate(added[*n].1);
+                added[*n].2 = false;
+            }
+            Op::Implies(query) => {
+                let all: Vec<&[Lit]> = added.iter().map(|c| c.0).collect();
+                let active: Vec<&[Lit]> = added.iter().filter(|c| c.2).map(|c| c.0).collect();
+                answers.push((
+                    rup.implies(query),
+                    reference_implies(&active, query),
+                    reference_implies(&all, query),
+                ));
+            }
+        }
+    }
+    answers
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+
+    /// Without deactivations the propagator answers every query as the
+    /// naive reference does.
+    #[test]
+    fn propagator_matches_naive_rup(
+        num_vars in 1u32..9,
+        len in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let ops = random_ops(num_vars, len, false, seed);
+        for (got, reference, _) in replay(&ops) {
+            prop_assert_eq!(got, reference, "on {:?}", ops);
+        }
+    }
+
+    /// With deactivations the propagator's base may be stale-strong: it
+    /// accepts every clause the reference accepts over the active
+    /// clauses, and nothing the reference rejects over all clauses ever
+    /// added.
+    #[test]
+    fn deactivation_leaves_the_propagator_stale_strong(
+        num_vars in 1u32..9,
+        len in 1usize..40,
+        seed in any::<u64>(),
+    ) {
+        let ops = random_ops(num_vars, len, true, seed);
+        for (got, active, all) in replay(&ops) {
+            prop_assert!(!active || got, "rejected a clause the active set implies, on {:?}", ops);
+            prop_assert!(!got || all, "accepted a clause the clauses ever added do not imply, on {:?}", ops);
         }
     }
 }

@@ -37,11 +37,14 @@ use std::io::BufRead;
 /// TraceCheck line with both a grammar error and a forward reference,
 /// a TraceCheck step id of `u64::MAX`, and two journals whose records
 /// are intact but carry a forged `seq`: on the final line, and at
-/// `u64::MAX`. The last eight are TraceCheck text that is not in the
+/// `u64::MAX`. The next eight are TraceCheck text that is not in the
 /// form the writer emits, for the reader oracle: a `-0` clause
 /// terminator, a `+2` antecedent, U+00A0 and `\x0b` as separators, CRLF
 /// line endings, a final line with no newline, a 20-digit step id, the
-/// literal `-2147483648`, and invalid UTF-8 in a comment line.
+/// literal `-2147483648`, and invalid UTF-8 in a comment line. The last
+/// two are DRAT additions of variable 2^31 − 1: `2147483647`, and
+/// `-2147483648` twice, which the duplicate-addition message writes
+/// back. The DRAT front-end once sized its tables by that index.
 const REGRESSIONS: &[&[u8]] = &[
     b"aag 18446744073709551615 1 0 1 18446744073709551614",
     b"aag 999999999999 999999999999 0 1 0\n",
@@ -69,6 +72,8 @@ const REGRESSIONS: &[&[u8]] = &[
     b"1 1 0 0\n99999999999999999999 -1 0 0\n",
     b"1 -2147483648 0 0\n2 1 2147483647 0 0\n",
     b"1 1 0 0\nc \xff\xfe not utf-8\n2 -1 0 0\n3 0 1 2 0\n",
+    b"2147483647 0\n",
+    b"-2147483648 0\n-2147483648 0\n",
 ];
 
 /// Feeds one byte string to every parser in the workspace. The test
