@@ -24,6 +24,15 @@
 //! - [`Solver::add_derived_clause`]: lets a client (the CEC engine)
 //!   inject externally derived lemmas — e.g. structural-hashing
 //!   equivalences — into both the clause database and the proof.
+//! - Lazy loading of a formula: [`Solver::add_clause`] is
+//!   [`Solver::record_clause`] (an original proof step, counted in the
+//!   learnt-clause limit) followed by [`Solver::attach_clause`] (the
+//!   clause joins the search). A client may record a whole formula up
+//!   front and attach each part when a query first needs it, and keep
+//!   the variables it has not attached out of the decisions with
+//!   [`Solver::set_decision_var`]. A `Sat` answer then assigns every
+//!   decision variable; one that is neither decided nor implied reads
+//!   `false` in the model.
 //!
 //! # Example
 //!

@@ -131,6 +131,9 @@ pub struct Solver {
     level: Vec<u32>,
     activity: Vec<f64>,
     polarity: Vec<bool>,
+    // Whether the variable may be picked as a decision (see
+    // [`Solver::set_decision_var`]):
+    decision: Vec<bool>,
     seen: Vec<bool>,
     // Trail:
     trail: Vec<Lit>,
@@ -202,6 +205,7 @@ impl Solver {
             level: Vec::new(),
             activity: Vec::new(),
             polarity: Vec::new(),
+            decision: Vec::new(),
             seen: Vec::new(),
             trail: Vec::new(),
             trail_lim: Vec::new(),
@@ -304,6 +308,7 @@ impl Solver {
         self.level.push(0);
         self.activity.push(0.0);
         self.polarity.push(false);
+        self.decision.push(true);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -330,9 +335,10 @@ impl Solver {
         self.trail_lim.len() as u32
     }
 
-    /// Adds an input clause. Records it as an *original* proof step and
-    /// returns the step id (if logging). Returns `None` for tautologies
-    /// (which are skipped) or when logging is off.
+    /// Adds an input clause: [`Solver::record_clause`] followed by
+    /// [`Solver::attach_clause`]. Returns the original proof step's id
+    /// (if logging); `None` for tautologies (which are skipped) or when
+    /// logging is off.
     ///
     /// Adding a clause may immediately derive the empty clause (making
     /// the solver permanently [`Solver::is_unsat`]).
@@ -341,22 +347,84 @@ impl Solver {
     ///
     /// Panics if a literal's variable has not been allocated.
     pub fn add_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
+        let id = self.record_clause(lits);
+        self.attach_clause(lits, id);
+        id
+    }
+
+    /// Records an input clause without attaching it: an *original* proof
+    /// step (if logging), and one more problem clause in the count that
+    /// sizes the learnt-clause limit at the first solve. The search does
+    /// not see the clause until [`Solver::attach_clause`] hands it over,
+    /// so a client can number a whole formula up front and attach each
+    /// part when a query first needs it. Returns the step id; `None` for
+    /// tautologies (which are neither recorded nor counted) or when
+    /// logging is off.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal's variable has not been allocated.
+    pub fn record_clause(&mut self, lits: &[Lit]) -> Option<ClauseId> {
+        self.with_sorted_copy(lits, |s, ls| {
+            if !s.checked_non_tautology(ls) {
+                return None;
+            }
+            s.num_problem_clauses += 1;
+            s.proof.as_mut().map(|p| p.add_original(ls.iter().copied()))
+        })
+    }
+
+    /// Attaches a clause recorded by [`Solver::record_clause`], whose
+    /// returned `id` it takes: the clause joins the database and is
+    /// propagated at decision level 0. No proof step is recorded and the
+    /// problem-clause count does not change. Tautologies are skipped.
+    ///
+    /// Attaching may immediately derive the empty clause (making the
+    /// solver permanently [`Solver::is_unsat`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal's variable has not been allocated.
+    pub fn attach_clause(&mut self, lits: &[Lit], id: Option<ClauseId>) {
         self.cancel_until(0);
         self.with_sorted_copy(lits, |s, ls| {
-            for l in ls.iter() {
-                assert!(
-                    l.var().index() < s.num_vars(),
-                    "literal variable not allocated"
-                );
+            if s.checked_non_tautology(ls) {
+                s.insert_clause(ls, false, id);
             }
-            if ls.windows(2).any(|w| w[0].var() == w[1].var()) {
-                return None; // tautology
-            }
-            let id = s.proof.as_mut().map(|p| p.add_original(ls.iter().copied()));
-            s.num_problem_clauses += 1;
-            s.insert_clause(ls, false, id);
-            id
-        })
+        });
+    }
+
+    /// Whether the sorted, deduplicated clause `ls` is free of
+    /// complementary literals.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a literal's variable has not been allocated.
+    fn checked_non_tautology(&self, ls: &[Lit]) -> bool {
+        for l in ls {
+            assert!(
+                l.var().index() < self.num_vars(),
+                "literal variable not allocated"
+            );
+        }
+        ls.windows(2).all(|w| w[0].var() != w[1].var())
+    }
+
+    /// Sets whether `v` may be picked as a decision. Every variable is a
+    /// decision variable when allocated. A variable that is not one is
+    /// assigned only by propagation, so a `Sat` answer may leave it
+    /// unassigned (see [`Solver::model_value`]); the engine keeps the
+    /// variables of clauses not yet attached out of the search this way.
+    /// Turning a variable back on returns it to the decision order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` has not been allocated.
+    pub fn set_decision_var(&mut self, v: Var, on: bool) {
+        self.decision[v.as_usize()] = on;
+        if on {
+            self.order.insert(v, &self.activity);
+        }
     }
 
     /// Runs `f` on a sorted, deduplicated copy of `lits` held in the
@@ -661,7 +729,9 @@ impl Solver {
             self.assigns[l.code() as usize] = UNDEF;
             self.assigns[(!l).code() as usize] = UNDEF;
             self.polarity[v.as_usize()] = l.is_negative();
-            self.order.insert(v, &self.activity);
+            if self.decision[v.as_usize()] {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail.truncate(bound);
         self.trail_lim.truncate(target as usize);
@@ -921,7 +991,10 @@ impl Solver {
         id
     }
 
-    /// Value of `v` in the last satisfying model.
+    /// Value of `v` in the last satisfying model. A variable that was
+    /// neither decided nor implied (one turned off by
+    /// [`Solver::set_decision_var`] and forced by no clause) reads
+    /// `false`.
     ///
     /// # Panics
     ///
@@ -932,7 +1005,8 @@ impl Solver {
             .expect("no model: last solve was not SAT")[v.as_usize()]
     }
 
-    /// The last satisfying model (indexed by variable), if any.
+    /// The last satisfying model (indexed by variable), if any; read as
+    /// [`Solver::model_value`] reads it.
     pub fn model(&self) -> Option<&[bool]> {
         self.saved_model.as_deref()
     }
@@ -1056,7 +1130,11 @@ impl Solver {
                         match self.order.pop(&self.activity) {
                             None => break None,
                             Some(v) => {
-                                if self.lit_value(v.positive()) == UNDEF {
+                                // A variable turned off while in the
+                                // heap leaves it here.
+                                if self.decision[v.as_usize()]
+                                    && self.lit_value(v.positive()) == UNDEF
+                                {
                                     break Some(v);
                                 }
                             }
@@ -1064,7 +1142,8 @@ impl Solver {
                     };
                     match next {
                         None => {
-                            // All variables assigned: model found.
+                            // Every decision variable assigned: model
+                            // found.
                             let model: Vec<bool> =
                                 self.assigns.iter().step_by(2).map(|&v| v == TRUE).collect();
                             self.saved_model = Some(model);
@@ -1592,6 +1671,80 @@ mod tests {
         pigeonhole(&mut s, 4, 4);
         s.set_conflict_budget(Some(1_000_000));
         assert_eq!(s.solve(), SolveResult::Sat);
+    }
+
+    #[test]
+    fn non_decision_vars_are_assigned_only_when_implied() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 4);
+        // x → y, and (z ∨ w), with only x a decision variable.
+        s.add_clause(&lits(&v, &[-1, 2]));
+        s.add_clause(&lits(&v, &[3, 4]));
+        for &u in &v[1..] {
+            s.set_decision_var(u, false);
+        }
+        s.add_clause(&lits(&v, &[1]));
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().decisions, 0);
+        // y is implied; z and w are neither decided nor implied, so both
+        // read false although (z ∨ w) is attached.
+        assert!(s.model_value(v[0]) && s.model_value(v[1]));
+        assert!(!s.model_value(v[2]) && !s.model_value(v[3]));
+    }
+
+    #[test]
+    fn re_enabled_var_returns_to_the_decision_order() {
+        let mut s = Solver::new();
+        let v = vars(&mut s, 2);
+        s.add_clause(&lits(&v, &[1, 2]));
+        s.set_decision_var(v[1], false);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        // Only x is decided, true (the default phase), which satisfies
+        // (x ∨ y) and leaves y unassigned.
+        assert_eq!(s.stats().decisions, 1);
+        assert!(s.model_value(v[0]) && !s.model_value(v[1]));
+        s.set_decision_var(v[0], false);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().decisions, 1, "nothing left to decide");
+        assert!(!s.model_value(v[0]) && !s.model_value(v[1]));
+        s.set_decision_var(v[1], true);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().decisions, 2, "y is decided again");
+        assert!(!s.model_value(v[0]) && s.model_value(v[1]));
+    }
+
+    #[test]
+    fn record_then_attach_matches_add_clause() {
+        let clauses: [&[i32]; 5] = [&[-1, 2], &[-2, 3, 3], &[1, -1], &[-3, 4], &[-1, -4]];
+        let mut added = Solver::with_proof();
+        let v = vars(&mut added, 4);
+        let added_ids: Vec<_> = clauses
+            .iter()
+            .map(|c| added.add_clause(&lits(&v, c)))
+            .collect();
+        let mut split = Solver::with_proof();
+        vars(&mut split, 4);
+        let split_ids: Vec<_> = clauses
+            .iter()
+            .map(|c| split.record_clause(&lits(&v, c)))
+            .collect();
+        assert_eq!(split_ids, added_ids, "the same original steps");
+        assert!(split_ids[2].is_none(), "a tautology is not recorded");
+        assert_eq!(split.num_clauses(), 0, "recording attaches nothing");
+        for (c, &id) in clauses.iter().zip(&split_ids) {
+            split.attach_clause(&lits(&v, c), id);
+        }
+        assert_eq!(split.num_clauses(), added.num_clauses());
+        for s in [&mut added, &mut split] {
+            assert_eq!(s.solve_with(&lits(&v, &[1])), SolveResult::Unsat);
+        }
+        assert_eq!(split.stats(), added.stats(), "the same propagation");
+        let bytes = |s: &Solver| {
+            let mut out = Vec::new();
+            proof::export::write_tracecheck(s.proof().unwrap(), &mut out).unwrap();
+            out
+        };
+        assert_eq!(bytes(&split), bytes(&added));
     }
 
     #[test]
