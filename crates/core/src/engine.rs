@@ -617,8 +617,13 @@ pub(crate) struct Sweep<'g> {
     /// sweep.
     discharger: Discharger,
     /// Tseitin definition clause ids per AND node: `[t1, t2, t3]` for
-    /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`.
+    /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`. Slot 0 holds the constant's unit
+    /// clause `(¬x₀)` three times.
     and_defs: Vec<Option<[Option<ClauseId>; 3]>>,
+    /// Nodes whose Tseitin clauses are attached to the coordinator's
+    /// solver and whose variables it may decide; fanin-closed (see
+    /// [`Sweep::load_cones`]).
+    loaded: Vec<bool>,
     rep: Vec<Option<MergeLink>>,
     /// Structural table: canonical rep-normalized fanin pair → node.
     struct_table: HashMap<(u64, u64), NodeId>,
@@ -635,6 +640,11 @@ pub(crate) struct Sweep<'g> {
 }
 
 impl<'g> Sweep<'g> {
+    /// Records every Tseitin clause of `graph` as an original proof
+    /// step, in node order, and attaches none: each SAT query attaches
+    /// the cones it needs first ([`Sweep::load_cones`]). Until then no
+    /// variable is a decision variable.
+    ///
     /// `a_boundary`: first node index holding circuit-B-only logic, when
     /// the caller wants original clauses labeled for interpolation.
     pub(crate) fn new(
@@ -662,21 +672,19 @@ impl<'g> Sweep<'g> {
             }
         };
         // Variable i is AIG node i; the constant node is pinned false.
-        let const_id = solver.add_clause(&[Var::new(0).negative()]);
+        let const_id = solver.record_clause(&CONST_CLAUSE);
         record(const_id, 0);
         let mut and_defs: Vec<Option<[Option<ClauseId>; 3]>> = vec![None; graph.len()];
-        and_defs[0] = Some([const_id, const_id, const_id]); // unused slot
+        and_defs[0] = Some([const_id; 3]);
         for (id, fa, fb) in graph.iter_ands() {
-            let x = Var::new(id.index()).positive();
-            let a = node_lit(fa);
-            let b = node_lit(fb);
-            let t1 = solver.add_clause(&[!x, a]);
-            let t2 = solver.add_clause(&[!x, b]);
-            let t3 = solver.add_clause(&[x, !a, !b]);
-            record(t1, id.as_usize());
-            record(t2, id.as_usize());
-            record(t3, id.as_usize());
-            and_defs[id.as_usize()] = Some([t1, t2, t3]);
+            let ids = and_clauses(id, fa, fb).map(|lits| solver.record_clause(&lits));
+            for t in ids {
+                record(t, id.as_usize());
+            }
+            and_defs[id.as_usize()] = Some(ids);
+        }
+        for v in 0..graph.len() {
+            solver.set_decision_var(Var::new(v as u32), false);
         }
         let mut mirror = Mirror::default();
         mirror.register(&ctx.metrics, ENGINE_COUNTERS.iter().map(|(name, _)| name));
@@ -686,6 +694,7 @@ impl<'g> Sweep<'g> {
             ctx,
             discharger,
             and_defs,
+            loaded: vec![false; graph.len()],
             rep: vec![None; graph.len()],
             struct_table: HashMap::new(),
             sides: sides.map(|(_, v)| v),
@@ -693,6 +702,53 @@ impl<'g> Sweep<'g> {
             mirror,
             queue_candidates: ctx.metrics.gauge("cec.queue.candidates"),
             queue_hard: ctx.metrics.gauge("cec.queue.hard"),
+        }
+    }
+
+    /// Attaches the Tseitin clauses of every node in the fanin cones of
+    /// `roots` that is not loaded yet, in node order, and makes those
+    /// nodes decision variables. The loaded set stays fanin-closed, so
+    /// every model the solver returns evaluates each loaded node from
+    /// the loaded inputs: a query over loaded nodes gets a genuine
+    /// counterexample, and the nodes outside its cones cost it no
+    /// propagation and no decision.
+    pub(crate) fn load_cones(&mut self, roots: impl IntoIterator<Item = NodeId>) {
+        let mut stack: Vec<NodeId> = Vec::new();
+        let mut fresh: Vec<NodeId> = Vec::new();
+        let loaded = &mut self.loaded;
+        let mut visit = |n: NodeId, stack: &mut Vec<NodeId>| {
+            if !loaded[n.as_usize()] {
+                loaded[n.as_usize()] = true;
+                stack.push(n);
+            }
+        };
+        for root in roots {
+            visit(root, &mut stack);
+            while let Some(n) = stack.pop() {
+                fresh.push(n);
+                if let Some((fa, fb)) = self.graph.node(n).fanins() {
+                    visit(fa.node(), &mut stack);
+                    visit(fb.node(), &mut stack);
+                }
+            }
+        }
+        fresh.sort_unstable();
+        let solver = &mut self.discharger.solver;
+        for n in fresh {
+            let defs = self.and_defs[n.as_usize()];
+            match *self.graph.node(n) {
+                aig::Node::Const => {
+                    solver.attach_clause(&CONST_CLAUSE, defs.expect("constant slot")[0]);
+                }
+                aig::Node::Input { .. } => {}
+                aig::Node::And { a, b } => {
+                    let ids = defs.expect("AND node has definitions");
+                    for (lits, id) in and_clauses(n, a, b).iter().zip(ids) {
+                        solver.attach_clause(lits, id);
+                    }
+                }
+            }
+            solver.set_decision_var(Var::new(n.index()), true);
         }
     }
 
@@ -900,9 +956,10 @@ impl<'g> Sweep<'g> {
         }
     }
 
-    /// Discharges one pair on the coordinator's solver and folds the
-    /// calls into the run's counters.
+    /// Attaches the pair's two cones, discharges the pair on the
+    /// coordinator's solver and folds the calls into the run's counters.
     fn discharge(&mut self, (n, root, phase): Pair, dispatch: Dispatch) -> PairVerdict {
+        self.load_cones([n, root]);
         let target = Var::new(root.index()).lit(phase);
         let verdict = self
             .discharger
@@ -936,6 +993,14 @@ impl<'g> Sweep<'g> {
                 classes.remove(n);
             }
             PairVerdict::Refuted { pattern } => {
+                // A pattern that does not split the pair would leave it
+                // in its class and the sweep would retry it forever.
+                debug_assert!(
+                    separates(self.graph, (n, root, phase), &pattern),
+                    "counterexample does not separate node {} from {}",
+                    n.index(),
+                    root.index()
+                );
                 self.record_refinement(n);
                 classes.refine_with_pattern(self.graph, &pattern);
             }
@@ -1104,6 +1169,9 @@ impl<'g> Sweep<'g> {
                 .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
         }
 
+        // Workers rebuild their solvers from the snapshot below, so the
+        // whole miter is attached first, in node order.
+        self.load_cones((0..self.graph.len()).map(|idx| NodeId::new(idx as u32)));
         let mut feed: Vec<FeedClause> = self
             .discharger
             .solver
@@ -1649,13 +1717,31 @@ pub(crate) fn node_lit(l: aig::Lit) -> Lit {
     Var::new(l.node().index()).lit(l.is_complemented())
 }
 
+/// The constant node's unit clause `(¬x₀)`.
+const CONST_CLAUSE: [Lit; 1] = [Var::new(0).negative()];
+
+/// The Tseitin definition clauses of AND node `x = a ∧ b`:
+/// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`. A two-literal clause repeats its last
+/// literal, which the solver deduplicates.
+fn and_clauses(x: NodeId, a: aig::Lit, b: aig::Lit) -> [[Lit; 3]; 3] {
+    let x = Var::new(x.index()).positive();
+    let (a, b) = (node_lit(a), node_lit(b));
+    [[!x, a, a], [!x, b, b], [x, !a, !b]]
+}
+
+/// Whether simulating `pattern` tells node `n` from `root ^ phase`.
+fn separates(graph: &Aig, (n, root, phase): Pair, pattern: &[bool]) -> bool {
+    let values = graph.evaluate_nodes(pattern);
+    values[n.as_usize()] != values[root.as_usize()] ^ phase
+}
+
 /// The CNF a [`Session`](crate::Session) check refutes for this miter:
 /// the Tseitin encoding of the miter graph under the identity
 /// node-to-variable map, plus the unit clause asserting the miter
-/// output — exactly the clauses the sweep feeds its solver, in the same
-/// order. This is the formula to hand to `lint::lint_bundle` or to
-/// export as DIMACS next to the proof so a third party can audit the
-/// whole pipeline.
+/// output — exactly the clauses the sweep records as original proof
+/// steps, in the same order. This is the formula to hand to
+/// `lint::lint_bundle` or to export as DIMACS next to the proof so a
+/// third party can audit the whole pipeline.
 pub fn miter_cnf(miter: &Miter) -> cnf::Cnf {
     let mut f = cnf::tseitin::encode(&miter.graph).cnf;
     f.add_clause(vec![node_lit(miter.output)]);
@@ -1758,10 +1844,31 @@ mod tests {
         };
         let a = ripple_carry_adder(3);
         let b = carry_select_adder(3, 2);
-        let outcome = prove(&a, &b, opts);
+        let outcome = prove(&a, &b, opts.clone());
         let cert = outcome.certificate().expect("equivalent");
         assert_eq!(cert.stats.sat_calls, 0, "no sweeping SAT pair calls");
         proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
+        // Without a sweep only the final solve's load of the output cone
+        // stands between its model and a bogus counterexample, which
+        // `verify` would reject.
+        assert_counterexample(&a, &differing_mutant(&b), opts);
+    }
+
+    /// The first mutant of `g` that differs from it on some input.
+    fn differing_mutant(g: &Aig) -> Aig {
+        (0..)
+            .filter_map(|s| mutate(g, s))
+            .find(|m| aig::sim::exhaustive_diff(g, m, 8).is_some())
+            .expect("differing mutant")
+    }
+
+    /// Checks an inequivalent pair and asserts the counterexample holds.
+    fn assert_counterexample(a: &Aig, b: &Aig, config: EngineConfig) {
+        let outcome = prove(a, b, config);
+        let cex = outcome.counterexample().expect("inequivalent");
+        assert_eq!(a.evaluate(&cex.pattern), cex.outputs_a);
+        assert_eq!(b.evaluate(&cex.pattern), cex.outputs_b);
+        assert_ne!(cex.outputs_a, cex.outputs_b);
     }
 
     #[test]
@@ -1823,12 +1930,68 @@ mod tests {
         };
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
-        let outcome = prove(&a, &b, opts);
+        let outcome = prove(&a, &b, opts.clone());
         let cert = outcome.certificate().expect("equivalent");
         proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
+        // With the pairs skipped, the final solve's load of the output
+        // cone still yields a genuine counterexample.
+        assert_counterexample(&a, &differing_mutant(&b), opts);
         // And the default engine (no budget) skips nothing.
         let unbudgeted = prove(&a, &b, verified());
         assert_eq!(unbudgeted.stats().pairs_skipped, 0);
+    }
+
+    #[test]
+    fn sweep_attaches_only_the_cones_it_checks() {
+        // One output: a 4-bit parity (a tree in `a`, a chain in `b`: the
+        // sweep's work) AND an 8-input parity chain over other inputs
+        // whose last input differs between the two. Nothing in the chain
+        // or above it has a candidate partner, so no checked cone reaches
+        // it, while the output reads all of it.
+        let circuit = |tree: bool, last: usize| {
+            let mut g = Aig::new();
+            let x = g.add_inputs(4);
+            let y = g.add_inputs(9);
+            let p = if tree {
+                g.xor_all(&x)
+            } else {
+                x[1..].iter().fold(x[0], |acc, &l| g.xor(acc, l))
+            };
+            let chain = y[1..7].iter().fold(y[0], |acc, &l| g.xor(acc, l));
+            let r = g.xor(chain, y[last]);
+            let o = g.and(p, r);
+            g.add_output(o);
+            g
+        };
+        let miter = Miter::build(&circuit(true, 7), &circuit(false, 8), true);
+        let (config, ctx) = (verified(), SharedContext::disabled());
+        let mut sweep = Sweep::new(&miter.graph, &config, &ctx, None);
+        // Attached up front, as the sweep once did: the constant's unit
+        // clause and three definition clauses per AND.
+        let eager = 1 + 3 * miter.graph.num_ands();
+        assert_eq!(sweep.discharger.solver.num_clauses(), 0);
+        sweep.run(&mut Durable::disabled()).expect("sweep runs");
+        assert!(sweep.stats.lemmas > 0, "the parities merge");
+        let swept = sweep.discharger.solver.num_clauses();
+        assert!(swept < eager, "{swept} clauses attached, eagerly {eager}");
+        sweep.load_cones([miter.output.node()]);
+        let solver = &mut sweep.discharger.solver;
+        assert!(
+            solver.num_clauses() >= eager,
+            "the output cone is the miter"
+        );
+        solver.add_clause(&[node_lit(miter.output)]);
+        assert_eq!(solver.solve(), SolveResult::Sat);
+        let pattern: Vec<bool> = miter
+            .graph
+            .inputs()
+            .iter()
+            .map(|n| solver.model_value(Var::new(n.index())))
+            .collect();
+        assert!(
+            miter.evaluate(&pattern).2,
+            "the model separates the outputs"
+        );
     }
 
     fn tracecheck_bytes(p: &proof::Proof) -> Vec<u8> {

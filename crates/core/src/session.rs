@@ -277,8 +277,9 @@ impl<'c> Session<'c> {
         // Clause-side labels for interpolation are only meaningful when
         // no logic is shared across the two circuits.
         let boundary = (!self.config.share_structure).then_some(miter.a_boundary);
-        // Loading the miter's clauses counts in the miter phase, as in
-        // `check_monolithic`; the journal write after it does not.
+        // Recording the miter's clauses counts in the miter phase, as
+        // loading them does in `check_monolithic`; the journal write
+        // after it does not.
         let mut sweep = Sweep::new(&miter.graph, &self.config, self.ctx, boundary);
         let miter_time = start.elapsed();
         rec.complete("miter", TID_COORDINATOR, start, miter_time);
@@ -293,6 +294,11 @@ impl<'c> Session<'c> {
         sweep.stats.circuit_nodes = miter.circuit_nodes;
         sweep.stats.phases.miter = miter_time;
         sweep.run(durable)?;
+        // The final-solve phase attaches the cone of the miter output
+        // (the sweep attached only the cones it checked), asserts the
+        // output and solves.
+        let final_start = Instant::now();
+        sweep.load_cones([miter.output.node()]);
         let (mut solver, stats, mut sides) = sweep.into_parts();
 
         // Assert the miter output; the final solve asks for the verdict.
@@ -306,7 +312,17 @@ impl<'c> Session<'c> {
             .iter()
             .map(|node| Var::new(node.index()))
             .collect();
-        let outcome = self.certify(a, b, solver, &inputs, stats, sides, Some(&miter), durable)?;
+        let outcome = self.certify(
+            a,
+            b,
+            solver,
+            final_start,
+            &inputs,
+            stats,
+            sides,
+            Some(&miter),
+            durable,
+        )?;
         durable.verdict(&outcome)?;
         Ok(self.deliver(outcome, start))
     }
@@ -377,6 +393,7 @@ impl<'c> Session<'c> {
             a,
             b,
             solver,
+            Instant::now(),
             &enc.shared_inputs,
             stats,
             sides,
@@ -388,7 +405,9 @@ impl<'c> Session<'c> {
 
     /// The end of every SAT-decided check: the final solve of the
     /// asserted `solver`, then every check its verdict passes before it
-    /// leaves. UNSAT records the proof's size, replays it under
+    /// leaves. The final-solve phase is timed from `final_start`, which
+    /// the caller takes before it finishes loading the solver. UNSAT
+    /// records the proof's size, replays it under
     /// [`EngineConfig::verify`], trims it and runs the proof lint —
     /// plus, with [`EngineConfig::lint_bundle`] and a `miter`, the
     /// bundle lint. SAT reads the counterexample off the model of the
@@ -401,6 +420,7 @@ impl<'c> Session<'c> {
         a: &Aig,
         b: &Aig,
         mut solver: Solver,
+        final_start: Instant,
         inputs: &[Var],
         mut stats: EngineStats,
         sides: Option<Vec<(ClauseId, Partition)>>,
@@ -408,7 +428,6 @@ impl<'c> Session<'c> {
         durable: &mut Durable,
     ) -> Result<CecOutcome, CecError> {
         let rec = &self.ctx.recorder;
-        let final_start = Instant::now();
         let result = solver.solve();
         stats.phases.final_solve = final_start.elapsed();
         rec.complete(

@@ -1,5 +1,5 @@
-//! Journal golden: crash journals written by an older build still resume
-//! to the uninterrupted run's journal, byte for byte.
+//! Journal golden: crash journals resume to the uninterrupted run's
+//! journal, byte for byte.
 //!
 //! `tests/journals/` holds an 8-bit adder pair (`rchaos gen --pair=adder
 //! --width=8`), the journals `rchaos prove` left behind when crashed at
@@ -10,6 +10,16 @@
 //! header's thread count with seed 1. A change to the engine's
 //! checkpoints, the journal format or the proof bytes shows up here as
 //! a diff against the checked-in files.
+//!
+//! The two-thread journals were written by an older build, so they also
+//! pin that a journal outlives a change of build. The one-thread ones
+//! were written again when the sequential sweep began attaching clauses
+//! cone by cone, which moved the one-thread search (`t1.journal` and
+//! `t1_mutant.journal` changed; the crash journals and
+//! `t1_noproof.journal` came out the same): `rchaos prove --threads=1`,
+//! with `--crash=final_solve` or `--crash=trim` for the crash journals,
+//! in a directory holding `a.aag` and `b.aag`, or `mutant.aag` as
+//! `b.aag` for `t1_mutant.journal`.
 //!
 //! Those journals all end in an equivalent verdict with a proof
 //! fingerprint. Two more pin the verdict record's other shapes, each

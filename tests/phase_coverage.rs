@@ -37,7 +37,12 @@ fn best_coverage(family: &str, width: usize, threads: usize) -> f64 {
 
 #[test]
 fn phases_cover_the_check() {
-    for (family, width, threads) in [("mul", 4, 1), ("popcount", 10, 1), ("mul", 4, 2)] {
+    for (family, width, threads) in [
+        ("mul", 4, 1),
+        ("popcount", 10, 1),
+        ("mul", 4, 2),
+        ("adder", 32, 1),
+    ] {
         let coverage = best_coverage(family, width, threads);
         assert!(
             coverage >= MIN_COVERAGE,
