@@ -95,6 +95,7 @@ mod tests {
     use super::*;
     use obs::journal::JournalWriter;
     use std::io::Cursor;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn record(kind: &str, extra: &[(&str, Value)]) -> Value {
         let mut entries = vec![("type".to_string(), Value::str(kind))];
@@ -104,13 +105,16 @@ mod tests {
         Value::Object(entries)
     }
 
-    /// Writes a well-formed journal to a string via a temp file.
+    /// Writes a well-formed journal to a string via a temp file. The
+    /// file is named by process and call, so tests running in parallel
+    /// never share one.
     fn journal_text(bodies: &[Value]) -> String {
+        static CALLS: AtomicUsize = AtomicUsize::new(0);
         let mut p = std::env::temp_dir();
         p.push(format!(
             "lint-journal-test-{}-{}.journal",
             std::process::id(),
-            bodies.len()
+            CALLS.fetch_add(1, Ordering::Relaxed)
         ));
         let mut w = JournalWriter::create(&p).unwrap();
         for b in bodies {
