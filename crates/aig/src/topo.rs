@@ -72,46 +72,6 @@ impl Aig {
             .collect()
     }
 
-    /// Extracts the cone of `roots` into a fresh AIG.
-    ///
-    /// The new AIG has one primary input per *used* input of `self`
-    /// (in ascending original input order) and one output per root.
-    /// Returns the new graph and, for each original input index, the
-    /// corresponding new literal if that input is in the support.
-    pub fn extract_cone(&self, roots: &[Lit]) -> (Aig, Vec<Option<Lit>>) {
-        let cone = self.cone(roots);
-        let mut out = Aig::with_capacity(cone.len());
-        let mut map: Vec<Option<Lit>> = vec![None; self.len()];
-        map[0] = Some(Lit::FALSE);
-        let mut input_map = vec![None; self.num_inputs()];
-        for id in &cone {
-            match *self.node(*id) {
-                Node::Const => {}
-                Node::Input { index } => {
-                    let l = out.add_input();
-                    map[id.as_usize()] = Some(l);
-                    input_map[index as usize] = Some(l);
-                }
-                Node::And { a, b } => {
-                    let la = map[a.node().as_usize()]
-                        .expect("topological order violated")
-                        .xor_complement(a.is_complemented());
-                    let lb = map[b.node().as_usize()]
-                        .expect("topological order violated")
-                        .xor_complement(b.is_complemented());
-                    map[id.as_usize()] = Some(out.and(la, lb));
-                }
-            }
-        }
-        for r in roots {
-            let l = map[r.node().as_usize()]
-                .expect("root not in cone")
-                .xor_complement(r.is_complemented());
-            out.add_output(l);
-        }
-        (out, input_map)
-    }
-
     /// Structural statistics used in reports.
     pub fn stats(&self) -> AigStats {
         AigStats {
@@ -193,34 +153,6 @@ mod tests {
         let inner = gm.and(x, y);
         let sup = gm.support(inner);
         assert_eq!(sup, vec![0, 1]);
-    }
-
-    #[test]
-    fn extract_cone_preserves_function() {
-        let (g, ..) = small();
-        let (sub, input_map) = g.extract_cone(&[g.outputs()[0]]);
-        assert_eq!(sub.num_outputs(), 1);
-        assert_eq!(sub.num_inputs(), 3);
-        assert!(input_map.iter().all(Option::is_some));
-        sub.check().unwrap();
-        // Brute-force equivalence over all 8 assignments.
-        for bits in 0..8u32 {
-            let pat: Vec<bool> = (0..3).map(|i| bits >> i & 1 == 1).collect();
-            assert_eq!(g.evaluate(&pat)[0], sub.evaluate(&pat)[0]);
-        }
-    }
-
-    #[test]
-    fn extract_cone_drops_unused_inputs() {
-        let mut g = Aig::new();
-        let x = g.add_input();
-        let _unused = g.add_input();
-        let y = g.add_input();
-        let n = g.and(x, y);
-        g.add_output(n);
-        let (sub, input_map) = g.extract_cone(&[n]);
-        assert_eq!(sub.num_inputs(), 2);
-        assert!(input_map[1].is_none());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! of passes) over the graph in node-id order, so the same graph always
 //! produces byte-identical features regardless of host or thread count.
 
-use aig::{Aig, Lit, Node, NodeId};
+use aig::{Aig, Lit, Node};
 
 /// Whole-graph structural features, as reported by `ranalyze` and used
 /// by the hardness score (see [`crate::HardnessReport`]).
@@ -51,7 +51,7 @@ pub struct AigFeatures {
     pub mean_fanin_span: f64,
 }
 
-/// Gate-pattern census shared by [`aig_features`] and [`NodeScores`].
+/// Gate-pattern census behind [`aig_features`].
 struct Census {
     xor_roots: usize,
     or_of_ands: usize,
@@ -186,100 +186,5 @@ pub fn aig_features(g: &Aig) -> AigFeatures {
         } else {
             span_sum / span_edges as f64
         },
-    }
-}
-
-/// Memory cap for exact per-node support bitsets (in 64-bit words).
-const SUPPORT_WORD_CAP: usize = 1 << 22;
-
-/// Per-node hardness signals, precomputed once per graph so the engine
-/// can score a candidate pair in O(1).
-#[derive(Clone, Debug)]
-pub struct NodeScores {
-    level: Vec<u32>,
-    depth: u32,
-    xchain: Vec<u32>,
-    support_size: Option<Vec<u32>>,
-    inputs: usize,
-}
-
-impl NodeScores {
-    /// Precomputes per-node levels, XOR-chain depths, and (when the
-    /// graph is small enough) exact structural support sizes.
-    #[must_use]
-    pub fn compute(g: &Aig) -> NodeScores {
-        let level = g.levels();
-        let depth = level.iter().copied().max().unwrap_or(0);
-        let c = census(g);
-        let words = g.num_inputs().div_ceil(64);
-        let support_size = if words > 0 && g.len().saturating_mul(words) <= SUPPORT_WORD_CAP {
-            let mut bits = vec![0u64; g.len() * words];
-            let mut size = vec![0u32; g.len()];
-            for (id, node) in g.iter() {
-                let i = id.as_usize();
-                match *node {
-                    Node::Const => {}
-                    Node::Input { index } => {
-                        bits[i * words + index as usize / 64] |= 1 << (index % 64);
-                        size[i] = 1;
-                    }
-                    Node::And { a, b } => {
-                        let (x, y) = (a.node().as_usize(), b.node().as_usize());
-                        for w in 0..words {
-                            bits[i * words + w] = bits[x * words + w] | bits[y * words + w];
-                        }
-                        size[i] = bits[i * words..(i + 1) * words]
-                            .iter()
-                            .map(|w| w.count_ones())
-                            .sum();
-                    }
-                }
-            }
-            Some(size)
-        } else {
-            None
-        };
-        NodeScores {
-            level,
-            depth,
-            xchain: c.xchain,
-            support_size,
-            inputs: g.num_inputs(),
-        }
-    }
-
-    /// Static hardness estimate for proving `a ≡ b`, in `[0, 1]`.
-    ///
-    /// Combines the deeper XOR chain (carry-save structure under either
-    /// cone), the deeper logic level, and the wider structural support.
-    #[must_use]
-    #[allow(clippy::cast_precision_loss)]
-    pub fn pair_score(&self, a: NodeId, b: NodeId) -> f64 {
-        let (i, j) = (a.as_usize(), b.as_usize());
-        let chain = f64::from(self.xchain[i].max(self.xchain[j]));
-        let chain_term = (chain / 8.0).min(1.0);
-        let lvl = f64::from(self.level[i].max(self.level[j]));
-        let level_term = (lvl / f64::from(self.depth.max(1))).min(1.0);
-        let support_term = match self.pair_support(a, b) {
-            Some(s) if self.inputs > 0 => {
-                (f64::from(s).ln_1p() / (self.inputs as f64).ln_1p()).min(1.0)
-            }
-            _ => level_term,
-        };
-        (0.5 * chain_term + 0.3 * level_term + 0.2 * support_term).clamp(0.0, 1.0)
-    }
-
-    /// Exact structural support size of the wider of the two cones, if
-    /// support bitsets were affordable for this graph.
-    #[must_use]
-    pub fn pair_support(&self, a: NodeId, b: NodeId) -> Option<u32> {
-        let s = self.support_size.as_ref()?;
-        Some(s[a.as_usize()].max(s[b.as_usize()]))
-    }
-
-    /// Longest XOR chain ending at `n`.
-    #[must_use]
-    pub fn xor_chain(&self, n: NodeId) -> u32 {
-        self.xchain[n.as_usize()]
     }
 }

@@ -10,12 +10,10 @@
 //! scalar score in `[0, 1]` plus stable advisory diagnostics (`AN001+`
 //! in `lint::REGISTRY`).
 //!
-//! Three consumers:
+//! Two consumers:
 //!
 //! - the `ranalyze` CLI prints text and JSON reports,
-//! - `rplint` annotates bundles with analysis diagnostics,
-//! - the engine's adaptive mode ([`NodeScores`]) scores each candidate
-//!   pair in O(1) to choose a discharge engine and conflict budget.
+//! - `rplint` annotates bundles with analysis diagnostics.
 //!
 //! Everything is a constant number of linear passes in fixed order:
 //! byte-identical reports across runs, hosts, and thread counts.
@@ -27,5 +25,5 @@ mod features;
 mod report;
 
 pub use cnf_features::{cnf_features, CnfFeatures};
-pub use features::{aig_features, AigFeatures, NodeScores};
+pub use features::{aig_features, AigFeatures};
 pub use report::{aig_score, cnf_score, HardnessReport, InstanceClass};

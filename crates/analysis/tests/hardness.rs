@@ -4,7 +4,7 @@
 //! canonical datapaths, and reports must be byte-identical across runs.
 
 use aig::gen;
-use analysis::{cnf_features, HardnessReport, InstanceClass, NodeScores};
+use analysis::{cnf_features, HardnessReport, InstanceClass};
 use cnf::{Cnf, Var};
 
 #[test]
@@ -66,20 +66,6 @@ fn reports_are_byte_identical_across_runs() {
     HardnessReport::of_aig(&g).write_text(&mut ta).unwrap();
     HardnessReport::of_aig(&g).write_text(&mut tb).unwrap();
     assert_eq!(ta, tb);
-}
-
-#[test]
-fn node_scores_track_xor_chains_and_support() {
-    let g = gen::array_multiplier(4);
-    let scores = NodeScores::compute(&g);
-    // The deepest node must outscore a primary input pairing.
-    let deep = aig::NodeId::new(g.len() as u32 - 1);
-    let shallow = aig::NodeId::new(1);
-    assert!(scores.pair_score(deep, deep) > scores.pair_score(shallow, shallow));
-    let s = scores
-        .pair_support(deep, shallow)
-        .expect("small graph has exact supports");
-    assert!(s >= 1 && s <= g.num_inputs() as u32);
 }
 
 #[test]

@@ -11,9 +11,7 @@
 //! block-modularity proxy), folds it into a deterministic hardness
 //! score in `[0, 1]`, classifies the instance, and prints the advisory
 //! `AN` diagnostics registered in `lint::REGISTRY` (`rplint --list`
-//! shows the family). The same analysis drives `rcec`'s
-//! `--engine=adaptive` scheduling, so this tool is the offline view of
-//! what the engine will do.
+//! shows the family). The same analysis annotates `rplint` bundles.
 //!
 //! The artifact kind is inferred from the extension (`.cnf`/`.dimacs` →
 //! CNF, anything else → AIGER) unless `--kind` overrides it.
@@ -24,7 +22,7 @@
 //!
 //! **Miter mode.** `--miter` takes exactly two AIGs, builds the shared
 //! miter the sweeping engine would build, and analyzes that — the
-//! closest offline stand-in for the adaptive engine's own view.
+//! instance the engine actually sweeps.
 //!
 //! `--json` prints one `analysis-v1` JSON object per report; `--quiet`
 //! suppresses text output for clean instances (score ≤ the AN008

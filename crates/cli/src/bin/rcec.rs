@@ -3,7 +3,7 @@
 //! ```text
 //! rcec A.aag B.aag [--monolithic] [--bdd] [--no-struct] [--no-share]
 //!      [--no-sweep] [--limit=N] [--threads=N] [--pairs-per-worker=N]
-//!      [--engine=static|adaptive] [--share-learnts]
+//!      [--share-learnts]
 //!      [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle]
 //!      [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE]
 //!      [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE]
@@ -30,14 +30,6 @@
 //! the verdict the same way — exit 0 equivalent, 1 inequivalent,
 //! 2 error. `--proof=FILE` saves the returned TraceCheck certificate;
 //! whether the answer was a certificate-cache hit is noted on stderr.
-//!
-//! `--engine=adaptive` turns on per-pair dispatch driven by the static
-//! hardness analysis (crate `analysis`, also exposed as `ranalyze`):
-//! small easy pairs get a BDD probe first, every sweeping SAT call gets
-//! a conflict budget scaled by the pair's structural score, and
-//! over-budget pairs are deferred to a hard queue retried at the end.
-//! Verdicts and certified proofs are identical to the default static
-//! schedule; per-engine dispatch counts land in `--stats-json`.
 //!
 //! `--lint-proof` runs the static-analysis lint pass over the recorded
 //! proof (including the parallel mode's stitch-boundary consistency
@@ -111,7 +103,6 @@ fn run() -> Result<i32, String> {
             "limit",
             "threads",
             "pairs-per-worker",
-            "engine",
             "share-learnts",
             "proof",
             "trim",
@@ -139,7 +130,7 @@ fn run() -> Result<i32, String> {
         return Err(
             "usage: rcec A.aag B.aag [--monolithic] [--no-struct] [--no-share] \
                     [--no-sweep] [--limit=N] [--threads=N] [--pairs-per-worker=N] \
-                    [--engine=static|adaptive] [--share-learnts] \
+                    [--share-learnts] \
                     [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle] \
                     [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE] \
                     [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE] \

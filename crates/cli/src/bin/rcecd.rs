@@ -1,8 +1,7 @@
 //! `rcecd` — persistent combinational-equivalence-checking service.
 //!
 //! ```text
-//! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N]
-//!       [--engine=static|adaptive] [--no-share-learnts]
+//! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] [--no-share-learnts]
 //!       [--cache-capacity=N] [--cache-dir=PATH]
 //!       [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]]
 //!       [--quiet]
@@ -18,8 +17,7 @@
 //!
 //! Each of the `--workers` pool threads runs one engine session at a
 //! time; `--threads` sets how many sweeping threads each session may
-//! use, and `--engine` picks the dispatch schedule, exactly as in
-//! `rcec`. Learnt-clause sharing between sweeping workers defaults
+//! use, exactly as in `rcec`. Learnt-clause sharing between sweeping workers defaults
 //! **on** in the daemon (it optimizes for throughput; every imported
 //! clause is still re-derived into the checked proof) — pin the
 //! single-run byte layout with `--no-share-learnts`.
@@ -48,7 +46,7 @@ use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] \
-     [--engine=static|adaptive] [--no-share-learnts] \
+     [--no-share-learnts] \
      [--cache-capacity=N] [--cache-dir=PATH] \
      [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]] [--quiet]";
 
@@ -69,7 +67,6 @@ fn run() -> Result<i32, String> {
             "addr",
             "workers",
             "threads",
-            "engine",
             "no-share-learnts",
             "cache-capacity",
             "cache-dir",

@@ -383,9 +383,8 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
     print_report(args, "bundle", &report, true)?;
 
     // Advisory hardness annotations (AN codes) over the bundle's
-    // instance artifacts — the same analysis `ranalyze` runs standalone
-    // and `rcec --engine=adaptive` schedules by. Never affects the exit
-    // code.
+    // instance artifacts — the same analysis `ranalyze` runs
+    // standalone. Never affects the exit code.
     if bundle.aig.is_some() || bundle.cnf.is_some() {
         let analysis = analysis::HardnessReport::of(bundle.aig, bundle.cnf);
         print_report(args, "analysis", &analysis.diagnostics(), true)?;

@@ -79,15 +79,13 @@ impl Args {
 
 /// Applies whichever of the engine flags shared by `rcec`, `rfraig` and
 /// `rcecd` are present to `config`: `--limit=N`, `--threads=N`,
-/// `--pairs-per-worker=N`, `--engine=static|adaptive`,
-/// `--share-learnts` and `--no-share-learnts`. Each tool's allowed-flag
-/// list decides which of them it accepts; absent flags leave `config`
-/// as it is.
+/// `--pairs-per-worker=N`, `--share-learnts` and `--no-share-learnts`.
+/// Each tool's allowed-flag list decides which of them it accepts;
+/// absent flags leave `config` as it is.
 ///
 /// # Errors
 ///
-/// A non-numeric count, a zero thread count or window, or an unknown
-/// engine name.
+/// A non-numeric count, or a zero thread count or window.
 pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result<(), String> {
     if let Some(v) = args.value("limit") {
         config.pair_conflict_limit = Some(v.parse().map_err(|e| format!("--limit: {e}"))?);
@@ -97,13 +95,6 @@ pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result
     }
     if let Some(v) = args.value("pairs-per-worker") {
         config.pairs_per_worker = Some(parse_count("pairs-per-worker", v)?);
-    }
-    if let Some(v) = args.value("engine") {
-        config.engine = match v {
-            "static" => cec::EngineSelect::Static,
-            "adaptive" => cec::EngineSelect::Adaptive,
-            other => return Err(format!("--engine: unknown engine '{other}'")),
-        };
     }
     if args.has("share-learnts") {
         config.share_learnts = true;
@@ -332,7 +323,6 @@ mod tests {
         "limit",
         "threads",
         "pairs-per-worker",
-        "engine",
         "share-learnts",
         "no-share-learnts",
     ];
@@ -351,14 +341,12 @@ mod tests {
             "--limit=7",
             "--threads=3",
             "--pairs-per-worker=5",
-            "--engine=adaptive",
             "--share-learnts",
         ])
         .unwrap();
         assert_eq!(config.pair_conflict_limit, Some(7));
         assert_eq!(config.threads, 3);
         assert_eq!(config.pairs_per_worker, Some(5));
-        assert_eq!(config.engine, cec::EngineSelect::Adaptive);
         assert!(config.share_learnts);
         let config = engine_config(&["--share-learnts", "--no-share-learnts"]).unwrap();
         assert!(!config.share_learnts);
@@ -372,7 +360,6 @@ mod tests {
                 "--pairs-per-worker=0",
                 "--pairs-per-worker: must be at least 1",
             ),
-            ("--engine=bogus", "--engine: unknown engine 'bogus'"),
             ("--limit=many", "--limit: invalid digit found in string"),
             ("--threads=abc", "--threads: invalid digit found in string"),
         ] {

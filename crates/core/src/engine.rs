@@ -27,7 +27,7 @@
 
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, DispatchStats, EngineStats, WorkerStats};
+use crate::outcome::{CecError, EngineStats, WorkerStats};
 use crate::session::{EngineConfig, SharedContext};
 use crate::sim::SimClasses;
 use aig::{Aig, NodeId};
@@ -41,27 +41,6 @@ use sat::{SolveResult, Solver};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-/// Which discharge-scheduling policy the sweeping engine uses.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EngineSelect {
-    /// One engine for every candidate pair: SAT, budgeted uniformly by
-    /// [`EngineConfig::pair_conflict_limit`] (or not at all).
-    #[default]
-    Static,
-    /// Per-pair dispatch from static hardness analysis plus the
-    /// observed conflict histogram: easy small-support pairs get a
-    /// cone-bounded BDD probe first (a refutation refines the classes
-    /// with no SAT call; a confirmation unlocks an unbudgeted lemma
-    /// extraction), every SAT call gets a conflict budget scaled by the
-    /// pair's static score, and over-budget pairs are *deferred* to an
-    /// end-of-round hard queue and retried unbudgeted after the main
-    /// sweep instead of stalling a worker. Verdicts and proof
-    /// certification are identical to [`EngineSelect::Static`]: merges
-    /// only ever come from SAT-derived lemmas, and the final miter
-    /// solve is unbudgeted either way.
-    Adaptive,
-}
-
 /// A [`Discharger`]'s verdict on one candidate pair. Clause ids are in
 /// the proof id space of the solver that discharged it.
 enum PairVerdict {
@@ -71,8 +50,8 @@ enum PairVerdict {
         fwd: Option<ClauseId>,
         bwd: Option<ClauseId>,
     },
-    /// A model or a BDD probe distinguished the pair; refine the classes
-    /// with this pattern.
+    /// A model distinguished the pair; refine the classes with this
+    /// pattern.
     Refuted { pattern: Vec<bool> },
     /// The per-pair conflict budget ran out. Leaving the pair unmerged
     /// is always sound: the final miter solve does not depend on it.
@@ -83,12 +62,12 @@ enum PairVerdict {
 /// phase`.
 type Pair = (NodeId, NodeId, bool);
 
-/// Discharges candidate pairs on one incremental solver: the optional
-/// BDD probe, the pair's conflict budget, two SAT calls under
-/// assumptions, and the commit of each proven direction as a canonical
-/// lemma clause that later calls resolve against. The sequential sweep
-/// owns one on the coordinator's solver; each parallel worker owns one
-/// on its private solver.
+/// Discharges candidate pairs on one incremental solver: two SAT calls
+/// under assumptions, each limited by the solver's conflict budget, and
+/// the commit of each proven direction as a canonical lemma clause that
+/// later calls resolve against. The sequential sweep owns one on the
+/// coordinator's solver; each parallel worker owns one on its private
+/// solver.
 pub(crate) struct Discharger {
     pub(crate) solver: Solver,
     /// Trace recorder and this solver's logical thread id in the trace.
@@ -98,66 +77,39 @@ pub(crate) struct Discharger {
     /// ([`Discharger::take_tally`]). `conflicts` and `elapsed` are left
     /// to the owner.
     tally: WorkerStats,
-    /// BDD-probe and budget counters since the last take.
-    dispatch: DispatchStats,
 }
 
 impl Discharger {
-    /// A discharger on a fresh solver over `num_vars` variables, with
+    /// A discharger on a fresh solver over `num_vars` variables, each
+    /// solve limited to `budget` conflicts (`None` = unlimited), with
     /// the recorder attached so the solver's restart / reduce-DB events
     /// land in the trace.
-    fn new(proof_mode: bool, num_vars: u32, recorder: &Recorder, tid: u32) -> Self {
+    fn new(
+        proof_mode: bool,
+        num_vars: u32,
+        budget: Option<u64>,
+        recorder: &Recorder,
+        tid: u32,
+    ) -> Self {
         let mut solver = if proof_mode {
             Solver::with_proof()
         } else {
             Solver::new()
         };
         solver.ensure_vars(num_vars);
+        solver.set_conflict_budget(budget);
         solver.set_recorder(recorder.clone(), tid);
         Discharger {
             solver,
             recorder: recorder.clone(),
             tid,
             tally: WorkerStats::default(),
-            dispatch: DispatchStats::default(),
         }
     }
 
     /// Hands over the counters accumulated since the last take.
-    fn take_tally(&mut self) -> (WorkerStats, DispatchStats) {
-        (
-            std::mem::take(&mut self.tally),
-            std::mem::take(&mut self.dispatch),
-        )
-    }
-
-    /// Discharges `v_n ≡ target` as routed: optional BDD probe, the
-    /// pair's conflict budget, then the two-call SAT proof.
-    fn dispatch_pair(&mut self, graph: &Aig, n: NodeId, target: Lit, d: Dispatch) -> PairVerdict {
-        let budget = if d.try_bdd {
-            self.dispatch.bdd_calls += 1;
-            match bdd_probe(graph, n, target, BDD_PROBE_NODE_LIMIT) {
-                BddProbe::Refuted(pattern) => {
-                    self.dispatch.bdd_refuted += 1;
-                    return PairVerdict::Refuted { pattern };
-                }
-                BddProbe::Confirmed => {
-                    // The pair is equivalent; extract the lemmas
-                    // unbudgeted so the confirmation cannot be wasted.
-                    self.dispatch.bdd_confirmed += 1;
-                    None
-                }
-                BddProbe::Inconclusive => {
-                    self.dispatch.bdd_overflow += 1;
-                    d.budget
-                }
-            }
-        } else {
-            d.budget
-        };
-        record_budget(&mut self.dispatch, budget);
-        self.solver.set_conflict_budget(budget);
-        self.prove_pair(graph, n, target)
+    fn take_tally(&mut self) -> WorkerStats {
+        std::mem::take(&mut self.tally)
     }
 
     /// Attempts to prove `v_n ≡ target` with two incremental SAT calls,
@@ -281,7 +233,7 @@ const SHARE_LEARNT_MAX_PER_ROUND: usize = 32;
 struct WorkerJob {
     state: WorkerState,
     delta: std::sync::Arc<[FeedClause]>,
-    shard: Vec<(usize, NodeId, Lit, Dispatch)>,
+    shard: Vec<(usize, NodeId, Lit)>,
 }
 
 /// What a worker thread sends back after a round.
@@ -291,9 +243,9 @@ struct WorkerReport {
     /// pair list.
     results: Vec<(usize, PairVerdict)>,
     stats: WorkerStats,
-    /// BDD-probe and budget counters of this round, plus its learnt
-    /// import count.
-    dispatch: DispatchStats,
+    /// Shared learnt clauses the worker imported from the feed this
+    /// round.
+    learnts_imported: u64,
     /// Learnt clauses drained from the worker's solver this round for
     /// cross-worker sharing, as `(literals, local proof id)`. Empty
     /// unless [`EngineConfig::share_learnts`] is on.
@@ -319,15 +271,16 @@ impl WorkerState {
     /// Replays the feed entries added since the last round, skipping
     /// the clauses this worker proved itself (already present locally;
     /// their proof steps are translated at merge time instead), and
-    /// counts the learnt-flagged clauses imported.
-    fn sync(&mut self, me: usize, delta: &[FeedClause]) {
+    /// returns how many learnt-flagged clauses it imported.
+    fn sync(&mut self, me: usize, delta: &[FeedClause]) -> u64 {
         let d = &mut self.discharger;
+        let mut learnts_imported = 0;
         for fc in delta {
             if fc.origin == Some(me) {
                 continue;
             }
             if fc.learnt {
-                d.dispatch.learnts_imported += 1;
+                learnts_imported += 1;
             }
             let local = d.solver.add_clause(&fc.lits);
             if d.solver.proof_logging() {
@@ -339,17 +292,18 @@ impl WorkerState {
                 self.translation[local] = fc.id;
             }
         }
+        learnts_imported
     }
 
     /// Runs one round: catches up with the feed, then discharges the
-    /// shard of `(index into the round's pair list, node, target,
-    /// dispatch)` entries.
+    /// shard of `(index into the round's pair list, node, target)`
+    /// entries.
     fn round(
         mut self,
         me: usize,
         graph: &Aig,
         delta: &[FeedClause],
-        shard: &[(usize, NodeId, Lit, Dispatch)],
+        shard: &[(usize, NodeId, Lit)],
     ) -> WorkerReport {
         let start = Instant::now();
         let mut span = self
@@ -359,12 +313,10 @@ impl WorkerState {
         span.arg("pairs", shard.len());
         span.arg("feed_delta", delta.len());
         let conflicts_before = self.discharger.solver.stats().conflicts;
-        self.sync(me, delta);
+        let learnts_imported = self.sync(me, delta);
         let results = shard
             .iter()
-            .map(|&(pair_idx, n, target, d)| {
-                (pair_idx, self.discharger.dispatch_pair(graph, n, target, d))
-            })
+            .map(|&(pair_idx, n, target)| (pair_idx, self.discharger.prove_pair(graph, n, target)))
             .collect();
         // Offer this round's freshly learnt clauses for cross-worker
         // sharing. The drain cursor is monotone, so a clause is only
@@ -377,176 +329,16 @@ impl WorkerState {
         } else {
             Vec::new()
         };
-        let (mut stats, dispatch) = self.discharger.take_tally();
+        let mut stats = self.discharger.take_tally();
         stats.conflicts = self.discharger.solver.stats().conflicts - conflicts_before;
         stats.elapsed = start.elapsed();
         WorkerReport {
             state: self,
             results,
             stats,
-            dispatch,
+            learnts_imported,
             learnts,
         }
-    }
-}
-
-/// How one candidate pair is to be discharged, decided by the
-/// coordinator (the [`AdaptivePolicy`] in adaptive mode, a constant in
-/// static mode) and shipped to workers alongside the pair.
-#[derive(Clone, Copy, Debug)]
-struct Dispatch {
-    /// Conflict budget for this pair's SAT calls (`None` = unbudgeted).
-    budget: Option<u64>,
-    /// Try a cone-bounded BDD probe before SAT.
-    try_bdd: bool,
-}
-
-impl Dispatch {
-    /// Static-mode dispatch: uniform budget, SAT only.
-    fn fixed(budget: Option<u64>) -> Dispatch {
-        Dispatch {
-            budget,
-            try_bdd: false,
-        }
-    }
-}
-
-/// Node limit of a per-pair BDD probe. Probes are gated to small
-/// supports, so this is generous; an overflow just falls back to SAT.
-const BDD_PROBE_NODE_LIMIT: usize = 20_000;
-
-/// Outcome of a cone-bounded BDD probe of one candidate pair.
-enum BddProbe {
-    /// The cones differ; this full-input pattern distinguishes them.
-    /// Sound to refine the classes with — no proof obligation, since
-    /// refinements never enter the proof.
-    Refuted(Vec<bool>),
-    /// The cones are extensionally equal. Advisory only: the merge
-    /// lemma still comes from SAT so the proof stays self-contained.
-    Confirmed,
-    /// Node limit exceeded; decide by SAT.
-    Inconclusive,
-}
-
-/// Probes `v_n ≡ target` by building both cones' BDDs under the natural
-/// cone-input order.
-fn bdd_probe(graph: &Aig, n: NodeId, target: Lit, node_limit: usize) -> BddProbe {
-    let t_lit = NodeId::new(target.var().index()).lit(target.is_negative());
-    let (cone, input_map) = graph.extract_cone(&[n.pos(), t_lit]);
-    let mut mgr = bdd::Manager::new(node_limit);
-    let Ok(outs) = mgr.from_aig(&cone, &bdd::natural_ordering(cone.num_inputs())) else {
-        return BddProbe::Inconclusive;
-    };
-    let (f, g) = (outs[0], outs[1]);
-    if f == g {
-        return BddProbe::Confirmed;
-    }
-    let Ok(diff) = mgr.xor(f, g) else {
-        return BddProbe::Inconclusive;
-    };
-    let Some(assign) = mgr.one_sat(diff) else {
-        // XOR reduced to FALSE: equal after all (distinct refs can only
-        // disagree here if reduction was cut short, which xor() was not).
-        return BddProbe::Confirmed;
-    };
-    // Map the cone assignment back onto the full input vector. Cone
-    // input k is the k-th used original input in ascending order, and
-    // the natural ordering makes BDD level == cone input index.
-    let cone_inputs: Vec<usize> = input_map
-        .iter()
-        .enumerate()
-        .filter_map(|(orig, l)| l.map(|_| orig))
-        .collect();
-    let mut pattern = vec![false; graph.num_inputs()];
-    for (level, value) in assign {
-        pattern[cone_inputs[level as usize]] = value;
-    }
-    BddProbe::Refuted(pattern)
-}
-
-/// The adaptive scheduler: static per-node hardness signals computed
-/// once per miter, combined with the engine's live conflict histogram
-/// to route each candidate pair and size its budget. All inputs are
-/// deterministic (structural features and conflict *counts*, never
-/// wall-clock), so adaptive runs are as reproducible as static ones.
-struct AdaptivePolicy {
-    scores: analysis::NodeScores,
-    /// Explicit user budget; caps adaptive budgets and bounds retries.
-    user_limit: Option<u64>,
-}
-
-impl AdaptivePolicy {
-    /// Budget floor: below this, budgeted and unbudgeted SAT behave
-    /// identically on trivial pairs and the budget is pure overhead.
-    const MIN_BUDGET: u64 = 256;
-    /// Support-size gate for BDD probes.
-    const BDD_SUPPORT_CAP: u32 = 24;
-    /// Observed-cost gate for BDD probes: a probe costs on the order of
-    /// a millisecond, so it only pays when the p95 SAT call is burning
-    /// real conflicts. Below this, SAT alone is already faster.
-    const BDD_CONFLICT_FLOOR: u64 = 128;
-
-    fn new(graph: &Aig, user_limit: Option<u64>) -> (AdaptivePolicy, f64) {
-        let score = analysis::HardnessReport::of_aig(graph).score;
-        (
-            AdaptivePolicy {
-                scores: analysis::NodeScores::compute(graph),
-                user_limit,
-            },
-            score,
-        )
-    }
-
-    /// Routes one candidate pair given the conflicts observed so far.
-    fn dispatch(&self, n: NodeId, root: NodeId, hist: &obs::LogHistogram) -> Dispatch {
-        let score = self.scores.pair_score(n, root);
-        // Scale the budget window to what sweeping calls have actually
-        // cost so far (p95 of the conflict histogram), then spread it
-        // by the pair's static score: easy pairs get cut off early and
-        // deferred, hard pairs get room before joining the hard queue.
-        let p95 = hist.quantile(0.95);
-        let try_bdd = score <= 0.35
-            && p95.is_some_and(|c| c >= Self::BDD_CONFLICT_FLOOR)
-            && self
-                .scores
-                .pair_support(n, root)
-                .is_some_and(|s| s <= Self::BDD_SUPPORT_CAP);
-        let base = p95.unwrap_or(64).max(32).saturating_mul(8);
-        #[allow(
-            clippy::cast_precision_loss,
-            clippy::cast_sign_loss,
-            clippy::cast_possible_truncation
-        )]
-        let budget = ((base as f64) * (0.25 + 1.75 * score)).ceil() as u64;
-        let budget = budget.max(Self::MIN_BUDGET);
-        let budget = self.user_limit.map_or(budget, |l| budget.min(l));
-        Dispatch {
-            budget: Some(budget),
-            try_bdd,
-        }
-    }
-
-    /// Dispatch for a hard-queue retry: unbudgeted, unless the user set
-    /// an explicit pair limit (which then still bounds the retry).
-    fn retry_dispatch(&self) -> Dispatch {
-        Dispatch {
-            budget: self.user_limit,
-            try_bdd: false,
-        }
-    }
-}
-
-/// Records an issued budget into the dispatch stats' observed range.
-fn record_budget(ds: &mut DispatchStats, budget: Option<u64>) {
-    match budget {
-        Some(b) => {
-            ds.sat_budgeted += 1;
-            if ds.budget_min == 0 || b < ds.budget_min {
-                ds.budget_min = b;
-            }
-            ds.budget_max = ds.budget_max.max(b);
-        }
-        None => ds.sat_unbudgeted += 1,
     }
 }
 
@@ -579,25 +371,14 @@ type CounterSource<S> = (&'static str, fn(&S) -> u64);
 
 /// The engine-wide live counters, each with its source in the run's
 /// stats.
-const ENGINE_COUNTERS: [CounterSource<EngineStats>; 10] = [
+const ENGINE_COUNTERS: [CounterSource<EngineStats>; 7] = [
     ("cec.sat_calls", |s| s.sat_calls),
     ("cec.conflicts", |s| s.sat_conflict_hist.sum()),
     ("cec.lemmas", |s| s.lemmas),
     ("cec.structural_merges", |s| s.structural_merges),
     ("cec.refinements", |s| s.refinements),
     ("cec.rounds", |s| s.rounds),
-    ("cec.dispatch.deferred", |s| {
-        s.dispatch.unwrap_or_default().deferred
-    }),
-    ("cec.dispatch.retried", |s| {
-        s.dispatch.unwrap_or_default().retried
-    }),
-    ("cec.dispatch.bdd_calls", |s| {
-        s.dispatch.unwrap_or_default().bdd_calls
-    }),
-    ("cec.learnts_shared", |s| {
-        s.dispatch.unwrap_or_default().learnts_shared
-    }),
+    ("cec.learnts_shared", |s| s.learnts_shared),
 ];
 
 /// Each parallel worker's live counters, named after the worker, each
@@ -635,8 +416,6 @@ pub(crate) struct Sweep<'g> {
     mirror: Mirror,
     /// Live candidate pairs remaining in the simulation classes.
     queue_candidates: Gauge,
-    /// Budget-exhausted pairs parked in the adaptive hard queue.
-    queue_hard: Gauge,
 }
 
 impl<'g> Sweep<'g> {
@@ -653,9 +432,12 @@ impl<'g> Sweep<'g> {
         ctx: &'g SharedContext,
         a_boundary: Option<usize>,
     ) -> Self {
+        // The pair budget reaches this solver only while `run` sweeps:
+        // the final miter solve on it must run unbudgeted.
         let mut discharger = Discharger::new(
             config.proof,
             graph.len() as u32,
+            None,
             &ctx.recorder,
             TID_COORDINATOR,
         );
@@ -701,7 +483,6 @@ impl<'g> Sweep<'g> {
             stats: EngineStats::default(),
             mirror,
             queue_candidates: ctx.metrics.gauge("cec.queue.candidates"),
-            queue_hard: ctx.metrics.gauge("cec.queue.hard"),
         }
     }
 
@@ -879,45 +660,27 @@ impl<'g> Sweep<'g> {
         )
     }
 
-    /// Builds the adaptive policy (and seeds [`EngineStats::dispatch`]
-    /// with the whole-instance hardness score) when adaptive mode is
-    /// selected; `None` in static mode.
-    fn adaptive_policy(&mut self) -> Option<AdaptivePolicy> {
-        if self.config.engine != EngineSelect::Adaptive {
-            return None;
-        }
-        let analysis_start = Instant::now();
-        let (policy, score) = AdaptivePolicy::new(self.graph, self.config.pair_conflict_limit);
-        self.stats.dispatch = Some(DispatchStats {
-            score,
-            ..DispatchStats::default()
-        });
-        self.ctx.recorder.complete(
-            "analysis",
-            TID_COORDINATOR,
-            analysis_start,
-            analysis_start.elapsed(),
-        );
-        Some(policy)
-    }
-
     /// Runs the sweep the config asks for, if any: the single-pass
     /// sequential sweep at one thread, the round engine at more. Times
-    /// it into the `sweep` phase and span, then lifts the pair budget
-    /// off the coordinator's solver for the final miter solve.
+    /// it into the `sweep` phase and span. The coordinator's solver
+    /// holds the pair budget only for the sweep, so the final miter
+    /// solve runs unbudgeted.
     pub(crate) fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         if !self.config.sweep {
             return Ok(());
         }
         let start = Instant::now();
+        self.discharger
+            .solver
+            .set_conflict_budget(self.config.pair_conflict_limit);
         let swept = if self.config.threads > 1 {
             self.run_parallel(durable)
         } else {
             self.run_sequential(durable)
         };
+        self.discharger.solver.set_conflict_budget(None);
         self.publish();
         swept?;
-        self.discharger.solver.set_conflict_budget(None);
         let time = start.elapsed();
         self.ctx
             .recorder
@@ -945,41 +708,33 @@ impl<'g> Sweep<'g> {
     }
 
     /// Folds a discharger's tally into the run's counters.
-    fn absorb(&mut self, calls: &WorkerStats, dispatch: &DispatchStats) {
+    fn absorb(&mut self, calls: &WorkerStats) {
         self.stats.sat_calls += calls.sat_calls;
         self.stats.sat_unsat += calls.sat_unsat;
         self.stats.sat_cex += calls.sat_cex;
         self.stats.sat_conflict_hist.merge(&calls.conflict_hist);
         self.stats.lemma_chain_hist.merge(&calls.lemma_chain_hist);
-        if let Some(ds) = self.stats.dispatch.as_mut() {
-            ds.absorb(dispatch);
-        }
     }
 
     /// Attaches the pair's two cones, discharges the pair on the
     /// coordinator's solver and folds the calls into the run's counters.
-    fn discharge(&mut self, (n, root, phase): Pair, dispatch: Dispatch) -> PairVerdict {
+    fn discharge(&mut self, (n, root, phase): Pair) -> PairVerdict {
         self.load_cones([n, root]);
         let target = Var::new(root.index()).lit(phase);
-        let verdict = self
-            .discharger
-            .dispatch_pair(self.graph, n, target, dispatch);
-        let (calls, dispatch) = self.discharger.take_tally();
-        self.absorb(&calls, &dispatch);
+        let verdict = self.discharger.prove_pair(self.graph, n, target);
+        let calls = self.discharger.take_tally();
+        self.absorb(&calls);
         verdict
     }
 
     /// Applies one pair's verdict. A proof merges the node into the
-    /// pair's root; a refutation refines the classes. A skip defers the
-    /// pair into `hard` when a hard queue is passed, and otherwise
-    /// counts it as skipped. Merged, deferred and skipped nodes leave
-    /// their class.
+    /// pair's root; a refutation refines the classes; a skip counts the
+    /// pair as skipped. Merged and skipped nodes leave their class.
     fn apply_verdict(
         &mut self,
         classes: &mut SimClasses,
         (n, root, phase): Pair,
         verdict: PairVerdict,
-        hard: Option<&mut Vec<Pair>>,
     ) {
         match verdict {
             PairVerdict::Proved { fwd, bwd } => {
@@ -1005,29 +760,10 @@ impl<'g> Sweep<'g> {
                 classes.refine_with_pattern(self.graph, &pattern);
             }
             PairVerdict::Skipped => {
-                if let Some(hard) = hard {
-                    if let Some(ds) = self.stats.dispatch.as_mut() {
-                        ds.deferred += 1;
-                    }
-                    self.queue_hard.add(1);
-                    hard.push((n, root, phase));
-                } else {
-                    self.stats.pairs_skipped += 1;
-                }
+                self.stats.pairs_skipped += 1;
                 classes.remove(n);
             }
         }
-    }
-
-    /// Takes a deferred pair off the hard queue for its retry. Its root
-    /// may have merged since, so it is re-resolved.
-    fn retry(&mut self, (n, root, phase): Pair) -> Pair {
-        let (r, pm, _) = self.find(root);
-        if let Some(ds) = self.stats.dispatch.as_mut() {
-            ds.retried += 1;
-        }
-        self.queue_hard.add(-1);
-        (n, r, pm ^ phase)
     }
 
     /// The single-pass sequential sweep: every node in topological
@@ -1036,10 +772,6 @@ impl<'g> Sweep<'g> {
     fn run_sequential(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
-        let policy = self.adaptive_policy();
-        // Adaptive hard queue: pairs whose budget ran out, retried after
-        // the main sweep instead of being lost.
-        let mut deferred: Vec<Pair> = Vec::new();
         let watch_queues = self.ctx.metrics.is_enabled();
         if watch_queues {
             #[allow(clippy::cast_possible_wrap)]
@@ -1060,36 +792,18 @@ impl<'g> Sweep<'g> {
             if self.config.structural_merging && self.try_structural_merge(n).is_some() {
                 classes.remove(n);
             }
-            // Sweeping against the class leader. A merged, deferred or
-            // skipped node has left its class; after a refutation the
-            // class of `n` necessarily split, so this loop terminates.
+            // Sweeping against the class leader. A merged or skipped node
+            // has left its class; after a refutation the class of `n`
+            // necessarily split, so this loop terminates.
             while let Some((leader, compl)) = classes.candidate(n) {
                 let (root, pm, _) = self.find(leader);
                 debug_assert!(root < n, "roots precede the node being processed");
-                let dispatch = policy.as_ref().map_or_else(
-                    || Dispatch::fixed(self.config.pair_conflict_limit),
-                    |p| p.dispatch(n, root, &self.stats.sat_conflict_hist),
-                );
                 let pair = (n, root, pm ^ compl);
-                let verdict = self.discharge(pair, dispatch);
-                let hard = policy.is_some().then_some(&mut deferred);
-                self.apply_verdict(&mut classes, pair, verdict, hard);
+                let verdict = self.discharge(pair);
+                self.apply_verdict(&mut classes, pair, verdict);
                 self.publish();
             }
             self.register_structure(n);
-        }
-
-        // Hard-queue retries: every merge already committed feeds these
-        // solves as lemma clauses, so the retry usually finishes where
-        // the budgeted attempt could not.
-        if let Some(policy) = &policy {
-            let dispatch = policy.retry_dispatch();
-            for pair in deferred {
-                let pair = self.retry(pair);
-                let verdict = self.discharge(pair, dispatch);
-                self.apply_verdict(&mut classes, pair, verdict, None);
-                self.publish();
-            }
         }
         self.sweep_checkpoint(durable)
     }
@@ -1144,14 +858,6 @@ impl<'g> Sweep<'g> {
         let proof_mode = self.config.proof;
         let share_learnts = self.config.share_learnts;
         let graph = self.graph;
-        let policy = self.adaptive_policy();
-        if share_learnts {
-            // Sharing counters live in the dispatch stats; make sure the
-            // block exists even in static mode.
-            self.stats
-                .dispatch
-                .get_or_insert_with(DispatchStats::default);
-        }
         // Canonical literal sets of learnt clauses already shared, so
         // the same clause (re-derived by several workers) enters the
         // feed only once.
@@ -1195,6 +901,7 @@ impl<'g> Sweep<'g> {
                     discharger: Discharger::new(
                         proof_mode,
                         num_vars,
+                        self.config.pair_conflict_limit,
                         &self.ctx.recorder,
                         worker_tid(w),
                     ),
@@ -1226,10 +933,6 @@ impl<'g> Sweep<'g> {
                 });
             }
 
-            // Adaptive hard queue: over-budget pairs wait here and are
-            // retried in dedicated rounds once the candidate classes
-            // run dry.
-            let mut deferred: Vec<Pair> = Vec::new();
             loop {
                 // Phase 1: structural merges over a rebuilt table.
                 if self.config.structural_merging {
@@ -1278,16 +981,6 @@ impl<'g> Sweep<'g> {
                         }
                     }
                 }
-                // Hard-queue retry rounds: once the classes run dry,
-                // deferred pairs go through the same round machinery,
-                // unbudgeted.
-                let retry_round = pairs.is_empty() && !deferred.is_empty();
-                if retry_round {
-                    let take = deferred.len().min(window.max(1));
-                    for pair in deferred.drain(..take) {
-                        pairs.push(self.retry(pair));
-                    }
-                }
                 if pairs.is_empty() {
                     break;
                 }
@@ -1303,27 +996,14 @@ impl<'g> Sweep<'g> {
                 round_span.arg("round", self.stats.rounds);
                 round_span.arg("pairs", pairs.len());
 
-                // Route every pair before sharding so the decisions see
-                // one consistent conflict-histogram snapshot.
-                let dispatches: Vec<Dispatch> = pairs
-                    .iter()
-                    .map(|&(n, root, _)| match &policy {
-                        Some(p) if retry_round => p.retry_dispatch(),
-                        Some(p) => p.dispatch(n, root, &self.stats.sat_conflict_hist),
-                        None => Dispatch::fixed(self.config.pair_conflict_limit),
-                    })
-                    .collect();
-
                 // Phase 3: discharge shards on the persistent workers.
                 let delta: std::sync::Arc<[FeedClause]> = feed[synced..].to_vec().into();
                 for (w, job_tx) in to_worker.iter().enumerate() {
-                    let shard: Vec<(usize, NodeId, Lit, Dispatch)> = pairs
+                    let shard: Vec<(usize, NodeId, Lit)> = pairs
                         .iter()
                         .enumerate()
                         .filter(|(i, _)| i % threads == w)
-                        .map(|(i, &(n, root, phase))| {
-                            (i, n, Var::new(root.index()).lit(phase), dispatches[i])
-                        })
+                        .map(|(i, &(n, root, phase))| (i, n, Var::new(root.index()).lit(phase)))
                         .collect();
                     job_tx
                         .send(WorkerJob {
@@ -1347,12 +1027,13 @@ impl<'g> Sweep<'g> {
                         state,
                         results,
                         stats: round_stats,
-                        dispatch: wd,
+                        learnts_imported,
                         learnts,
                     } = report;
                     states[w] = Some(state);
                     round_conflicts.push(round_stats.conflicts);
-                    self.absorb(&round_stats, &wd);
+                    self.absorb(&round_stats);
+                    self.stats.learnts_imported += learnts_imported;
                     self.stats.workers[w].absorb(&round_stats);
 
                     if proof_mode {
@@ -1405,15 +1086,13 @@ impl<'g> Sweep<'g> {
                                 });
                             }
                         }
-                        let hard = (policy.is_some() && !retry_round).then_some(&mut deferred);
-                        self.apply_verdict(&mut classes, pair, verdict, hard);
+                        self.apply_verdict(&mut classes, pair, verdict);
                     }
                     // Publish this worker's drained learnt clauses: the
                     // derivations were already stitched above (the ids
                     // were merge roots), so the translated global step
                     // backs each clause in the global database and feed.
                     if share_learnts && !learnts.is_empty() {
-                        let mut shared_now = 0u64;
                         for (lits, local_id) in learnts {
                             let mut key = lits.clone();
                             key.sort_unstable();
@@ -1436,10 +1115,7 @@ impl<'g> Sweep<'g> {
                                 origin: Some(w),
                                 learnt: true,
                             });
-                            shared_now += 1;
-                        }
-                        if let Some(ds) = self.stats.dispatch.as_mut() {
-                            ds.learnts_shared += shared_now;
+                            self.stats.learnts_shared += 1;
                         }
                     }
                 }
@@ -1922,20 +1598,24 @@ mod tests {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         // A brutal 1-conflict budget forces most multiplier pairs to be
         // skipped, yet the final (unbudgeted) solve must still reach the
-        // correct verdict with a checkable proof.
-        let opts = EngineConfig {
-            pair_conflict_limit: Some(1),
-            verify: true,
-            ..EngineConfig::default()
-        };
+        // correct verdict with a checkable proof. Without a sweep the
+        // budget must not reach the final solve at all.
         let a = array_multiplier(3);
         let b = carry_save_multiplier(3);
-        let outcome = prove(&a, &b, opts.clone());
-        let cert = outcome.certificate().expect("equivalent");
-        proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
-        // With the pairs skipped, the final solve's load of the output
-        // cone still yields a genuine counterexample.
-        assert_counterexample(&a, &differing_mutant(&b), opts);
+        for sweep in [true, false] {
+            let opts = EngineConfig {
+                sweep,
+                pair_conflict_limit: Some(1),
+                verify: true,
+                ..EngineConfig::default()
+            };
+            let outcome = prove(&a, &b, opts.clone());
+            let cert = outcome.certificate().expect("equivalent");
+            proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
+            // With the pairs skipped, the final solve's load of the
+            // output cone still yields a genuine counterexample.
+            assert_counterexample(&a, &differing_mutant(&b), opts);
+        }
         // And the default engine (no budget) skips nothing.
         let unbudgeted = prove(&a, &b, verified());
         assert_eq!(unbudgeted.stats().pairs_skipped, 0);
@@ -2087,19 +1767,37 @@ mod tests {
         proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
         let lints = cert.stats.lints.as_ref().expect("bundle lint ran");
         assert_eq!(lints.errors, 0, "shared-learnt proof is lint-clean");
-        let ds = cert
-            .stats
-            .dispatch
-            .as_ref()
-            .expect("sharing seeds the dispatch stats block");
-        assert!(
-            ds.learnts_shared > 0,
-            "multiplier sweep shares learnt clauses: {ds}"
+        let (shared, imported) = (cert.stats.learnts_shared, cert.stats.learnts_imported);
+        assert!(shared > 0, "multiplier sweep shares learnt clauses");
+        assert!(imported > 0, "other workers import shared clauses");
+    }
+
+    #[test]
+    fn auto_tuned_window_stays_in_bounds() {
+        use aig::gen::{array_multiplier, carry_save_multiplier};
+        let a = array_multiplier(4);
+        let b = carry_save_multiplier(4);
+        let opts = EngineConfig {
+            threads: 4,
+            ..EngineConfig::default()
+        };
+        let outcome = prove(&a, &b, opts);
+        let cert = outcome.certificate().expect("equivalent");
+        let windows = &cert.stats.pair_windows;
+        assert!(!windows.is_empty(), "auto-tune records per-round windows");
+        assert!(windows.iter().all(|&w| (2..=64).contains(&w)));
+        // A pinned window must be respected verbatim.
+        let pinned = prove(
+            &a,
+            &b,
+            EngineConfig {
+                threads: 4,
+                pairs_per_worker: Some(5),
+                ..EngineConfig::default()
+            },
         );
-        assert!(
-            ds.learnts_imported > 0,
-            "other workers import shared clauses: {ds}"
-        );
+        let cert = pinned.certificate().expect("equivalent");
+        assert!(cert.stats.pair_windows.iter().all(|&w| w == 5));
     }
 
     #[test]

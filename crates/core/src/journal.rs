@@ -148,13 +148,9 @@ fn header_body(config: &EngineConfig, a: &Aig, b: &Aig) -> Value {
                 None => Value::Null,
             },
         ),
-        (
-            "engine".into(),
-            Value::str(match config.engine {
-                crate::EngineSelect::Static => "static",
-                crate::EngineSelect::Adaptive => "adaptive",
-            }),
-        ),
+        // One discharge schedule is left; the key stays so journals
+        // written while there were two keep resuming.
+        ("engine".into(), Value::str("static")),
         (
             "share_structure".into(),
             Value::Bool(config.share_structure),
@@ -423,5 +419,34 @@ mod tests {
         });
         // No journal → no live checkpoint → no crash.
         d.checkpoint("sweep", &[]).unwrap();
+    }
+
+    #[test]
+    fn resume_refuses_an_adaptive_engine_header() {
+        let config = EngineConfig::default();
+        let (a, b) = aig::gen::family_pair("adder", 4).expect("known family");
+        let Value::Object(mut header) = header_body(&config, &a, &b) else {
+            unreachable!("the header is an object")
+        };
+        for (key, value) in &mut header {
+            if key == "engine" {
+                *value = Value::str("adaptive");
+            }
+        }
+        let mut path = std::env::temp_dir();
+        path.push(format!(
+            "cec-journal-{}-adaptive.journal",
+            std::process::id()
+        ));
+        let mut writer = JournalWriter::create(&path).expect("create journal");
+        writer.write(&Value::Object(header)).expect("write header");
+        writer.sync().expect("sync journal");
+        drop(writer);
+        let resumed = Durable::resume(&path, &config, &a, &b);
+        let _ = std::fs::remove_file(&path);
+        match resumed {
+            Err(CecError::Journal(msg)) => assert!(msg.contains("header does not match"), "{msg}"),
+            other => panic!("expected a header mismatch, got {other:?}"),
+        }
     }
 }

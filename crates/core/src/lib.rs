@@ -51,12 +51,11 @@ mod session;
 mod sim;
 mod stats_json;
 
-pub use engine::{miter_cnf, EngineSelect};
+pub use engine::miter_cnf;
 pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
 pub use outcome::{
-    CecError, CecOutcome, Certificate, Counterexample, DispatchStats, EngineStats, PhaseTimes,
-    WorkerStats,
+    CecError, CecOutcome, Certificate, Counterexample, EngineStats, PhaseTimes, WorkerStats,
 };
 pub use session::{EngineConfig, Session, SharedContext};
 pub use sim::SimClasses;

@@ -112,87 +112,6 @@ impl fmt::Display for WorkerStats {
     }
 }
 
-/// Per-engine dispatch counters of the adaptive scheduler (see
-/// [`crate::EngineSelect::Adaptive`]): how candidate pairs were routed
-/// between the BDD probe and budgeted/unbudgeted SAT, and how the
-/// end-of-round hard queue was used. Absent under static scheduling.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct DispatchStats {
-    /// Whole-miter static hardness score in `[0, 1]`.
-    pub score: f64,
-    /// Pairs dispatched to SAT under an adaptive conflict budget.
-    pub sat_budgeted: u64,
-    /// Pairs dispatched to SAT without a budget (BDD-confirmed pairs
-    /// and unbudgeted hard-queue retries).
-    pub sat_unbudgeted: u64,
-    /// Cone-bounded BDD probes attempted.
-    pub bdd_calls: u64,
-    /// Probes that refuted the pair (refinement without a SAT call).
-    pub bdd_refuted: u64,
-    /// Probes that confirmed equivalence (SAT then runs unbudgeted to
-    /// extract the lemma).
-    pub bdd_confirmed: u64,
-    /// Probes abandoned on node-limit overflow.
-    pub bdd_overflow: u64,
-    /// Pairs whose budget ran out, deferred to the hard queue.
-    pub deferred: u64,
-    /// Hard-queue pairs retried after the main sweep.
-    pub retried: u64,
-    /// Smallest conflict budget issued (0 when none were).
-    pub budget_min: u64,
-    /// Largest conflict budget issued.
-    pub budget_max: u64,
-    /// Worker learnt clauses exported through the clause feed (parallel
-    /// sweep with learnt-clause sharing enabled).
-    pub learnts_shared: u64,
-    /// Shared learnt clauses imported by workers from the feed (each
-    /// shared clause is imported by every worker except its origin).
-    pub learnts_imported: u64,
-}
-
-impl DispatchStats {
-    /// Adds another tally's counters to this one and widens the budget
-    /// range to cover both. The score is left alone.
-    pub(crate) fn absorb(&mut self, other: &DispatchStats) {
-        self.sat_budgeted += other.sat_budgeted;
-        self.sat_unbudgeted += other.sat_unbudgeted;
-        self.bdd_calls += other.bdd_calls;
-        self.bdd_refuted += other.bdd_refuted;
-        self.bdd_confirmed += other.bdd_confirmed;
-        self.bdd_overflow += other.bdd_overflow;
-        self.deferred += other.deferred;
-        self.retried += other.retried;
-        if other.budget_min != 0 && (self.budget_min == 0 || other.budget_min < self.budget_min) {
-            self.budget_min = other.budget_min;
-        }
-        self.budget_max = self.budget_max.max(other.budget_max);
-        self.learnts_shared += other.learnts_shared;
-        self.learnts_imported += other.learnts_imported;
-    }
-}
-
-impl fmt::Display for DispatchStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "score={:.3} sat={}b/{}u bdd={}({}r/{}c/{}o) deferred={} retried={} budget={}..{} learnts={}s/{}i",
-            self.score,
-            self.sat_budgeted,
-            self.sat_unbudgeted,
-            self.bdd_calls,
-            self.bdd_refuted,
-            self.bdd_confirmed,
-            self.bdd_overflow,
-            self.deferred,
-            self.retried,
-            self.budget_min,
-            self.budget_max,
-            self.learnts_shared,
-            self.learnts_imported
-        )
-    }
-}
-
 /// Counters describing one run of the equivalence checker, as printed in
 /// the experiment tables.
 #[derive(Clone, Debug, Default)]
@@ -250,9 +169,12 @@ pub struct EngineStats {
     /// Diagnostic counts from the proof lint pass, when
     /// [`crate::EngineConfig::lint_proof`] ran.
     pub lints: Option<lint::LintCounts>,
-    /// Per-engine dispatch counters, present when the adaptive
-    /// scheduler ran (see [`crate::EngineSelect`]).
-    pub dispatch: Option<DispatchStats>,
+    /// Worker learnt clauses shared through the parallel sweep's clause
+    /// feed (zero unless [`crate::EngineConfig::share_learnts`] is on).
+    pub learnts_shared: u64,
+    /// Shared learnt clauses imported by workers from the feed (each
+    /// shared clause is imported by every worker except its origin).
+    pub learnts_imported: u64,
     /// Pairs-per-worker window used in each parallel round. With
     /// auto-tuning ([`crate::EngineConfig::pairs_per_worker`] `= None`)
     /// the trajectory shows the tuner reacting to round imbalance; with

@@ -31,7 +31,7 @@
 //! the load generator's in-process mode, batch drivers — holds one
 //! [`SharedContext`] and creates a session per check.
 
-use crate::engine::{miter_cnf, node_lit, EngineSelect, Sweep};
+use crate::engine::{miter_cnf, node_lit, Sweep};
 use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample, EngineStats};
@@ -95,8 +95,6 @@ pub struct EngineConfig {
     /// signal, so proofs stay byte-reproducible per (seed, threads).
     /// `Some(n)` pins the window.
     pub pairs_per_worker: Option<usize>,
-    /// Discharge-scheduling policy; see [`EngineSelect`].
-    pub engine: EngineSelect,
     /// Share worker learnt (non-lemma) clauses between parallel-sweep
     /// workers through the clause feed. Every drained learnt clause is
     /// implied by the shared formula alone, and in proof mode its
@@ -138,7 +136,6 @@ impl Default for EngineConfig {
             pair_conflict_limit: None,
             threads: 1,
             pairs_per_worker: None,
-            engine: EngineSelect::Static,
             share_learnts: false,
             proof: true,
             lint_proof: false,
@@ -340,7 +337,7 @@ impl<'c> Session<'c> {
     /// [`miter_cnf`]) and every simulation, sweep, scheduling and thread
     /// field: `sim_words`, `seed`, `share_structure`,
     /// `structural_merging`, `sweep`, `pair_conflict_limit`, `threads`,
-    /// `pairs_per_worker`, `engine` and `share_learnts`.
+    /// `pairs_per_worker` and `share_learnts`.
     ///
     /// # Errors
     ///

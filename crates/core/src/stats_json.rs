@@ -7,7 +7,7 @@
 //! bench harness. Durations are integer microseconds (`*_us` keys):
 //! lossless, deterministic, and diffable across runs.
 
-use crate::outcome::{DispatchStats, EngineStats, PhaseTimes, WorkerStats};
+use crate::outcome::{EngineStats, PhaseTimes, WorkerStats};
 use obs::json::Value;
 use proof::ProofStats;
 use sat::SolverStats;
@@ -67,24 +67,6 @@ fn lints_json(l: &lint::LintCounts) -> Value {
         ("errors", Value::U64(l.errors as u64)),
         ("warnings", Value::U64(l.warnings as u64)),
         ("infos", Value::U64(l.infos as u64)),
-    ])
-}
-
-fn dispatch_json(d: &DispatchStats) -> Value {
-    obj(vec![
-        ("score", Value::F64(d.score)),
-        ("sat_budgeted", Value::U64(d.sat_budgeted)),
-        ("sat_unbudgeted", Value::U64(d.sat_unbudgeted)),
-        ("bdd_calls", Value::U64(d.bdd_calls)),
-        ("bdd_refuted", Value::U64(d.bdd_refuted)),
-        ("bdd_confirmed", Value::U64(d.bdd_confirmed)),
-        ("bdd_overflow", Value::U64(d.bdd_overflow)),
-        ("deferred", Value::U64(d.deferred)),
-        ("retried", Value::U64(d.retried)),
-        ("budget_min", Value::U64(d.budget_min)),
-        ("budget_max", Value::U64(d.budget_max)),
-        ("learnts_shared", Value::U64(d.learnts_shared)),
-        ("learnts_imported", Value::U64(d.learnts_imported)),
     ])
 }
 
@@ -158,8 +140,9 @@ impl EngineStats {
         if let Some(l) = &self.lints {
             members.push(("lints", lints_json(l)));
         }
-        if let Some(d) = &self.dispatch {
-            members.push(("dispatch", dispatch_json(d)));
+        if self.learnts_shared > 0 {
+            members.push(("learnts_shared", Value::U64(self.learnts_shared)));
+            members.push(("learnts_imported", Value::U64(self.learnts_imported)));
         }
         if !self.pair_windows.is_empty() {
             members.push((
@@ -235,6 +218,10 @@ mod tests {
 
     #[test]
     fn stats_json_round_trips_with_phase_keys() {
+        let default = EngineStats::default().to_json();
+        for key in ["learnts_shared", "learnts_imported", "dispatch"] {
+            assert!(default.get(key).is_none(), "{key} on a default run");
+        }
         let mut s = EngineStats {
             sat_calls: 3,
             elapsed: Duration::from_micros(1234),
@@ -254,6 +241,9 @@ mod tests {
             ..WorkerStats::default()
         });
         s.stitch_boundaries = vec![10, 20];
+        // A learnt-sharing run's counts.
+        s.learnts_shared = 5;
+        s.learnts_imported = 8;
 
         let text = s.to_json().to_string();
         let v = parse(&text).expect("stats JSON parses");
@@ -294,8 +284,11 @@ mod tests {
                 .map(<[Value]>::len),
             Some(2)
         );
+        assert_eq!(v.get("learnts_shared").and_then(Value::as_u64), Some(5));
+        assert_eq!(v.get("learnts_imported").and_then(Value::as_u64), Some(8));
         // Proof/lint blocks are absent when the run had none.
         assert!(v.get("proof").is_none());
         assert!(v.get("lints").is_none());
+        assert!(v.get("dispatch").is_none());
     }
 }

@@ -69,11 +69,13 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// Runs the t7 zoo in-process — every pair × {static, adaptive} ×
-/// {1, 4} threads — and returns the `bench-v1`-shaped `runs` array
-/// (`{pair, engine, threads, stats}`), sorted the way the Python
-/// fold-up sorted its stats files. `progress` is called once per cell
-/// with a label like `mul-4 adaptive t4`.
+/// Runs the t7 zoo in-process — every pair × {1, 4} threads — and
+/// returns the `bench-v1`-shaped `runs` array (`{pair, engine, threads,
+/// stats}`), sorted the way the Python fold-up sorted its stats files.
+/// Every cell's `engine` is `static`: `rbench compare` matches cells by
+/// (pair, engine, threads), so the key keeps them aligned with older
+/// snapshots. `progress` is called once per cell with a label like
+/// `mul-4 static t4`.
 ///
 /// # Panics
 ///
@@ -96,31 +98,23 @@ pub fn snapshot_runs_with(share_learnts: bool, progress: &mut dyn FnMut(&str)) -
     for &(family, width) in ZOO {
         let (a, b) = aig::gen::family_pair(family, width).expect("zoo families are known");
         let pair = format!("{family}-{width}");
-        for engine in ["adaptive", "static"] {
-            for threads in [1usize, 4] {
-                progress(&format!("{pair} {engine} t{threads}"));
-                let select = if engine == "adaptive" {
-                    cec::EngineSelect::Adaptive
-                } else {
-                    cec::EngineSelect::Static
-                };
-                let config = cec::EngineConfig {
-                    engine: select,
-                    threads,
-                    share_learnts,
-                    ..cec::EngineConfig::default()
-                };
-                let outcome = cec::Session::new(config, &cec::SharedContext::disabled())
-                    .check(&a, &b)
-                    .unwrap_or_else(|e| panic!("{pair}: {e}"));
-                assert!(outcome.is_equivalent(), "{pair}: zoo pair not equivalent");
-                runs.push(Value::Object(vec![
-                    ("pair".into(), Value::str(&pair)),
-                    ("engine".into(), Value::str(engine)),
-                    ("threads".into(), Value::U64(threads as u64)),
-                    ("stats".into(), outcome.stats().to_json()),
-                ]));
-            }
+        for threads in [1usize, 4] {
+            progress(&format!("{pair} static t{threads}"));
+            let config = cec::EngineConfig {
+                threads,
+                share_learnts,
+                ..cec::EngineConfig::default()
+            };
+            let outcome = cec::Session::new(config, &cec::SharedContext::disabled())
+                .check(&a, &b)
+                .unwrap_or_else(|e| panic!("{pair}: {e}"));
+            assert!(outcome.is_equivalent(), "{pair}: zoo pair not equivalent");
+            runs.push(Value::Object(vec![
+                ("pair".into(), Value::str(&pair)),
+                ("engine".into(), Value::str("static")),
+                ("threads".into(), Value::U64(threads as u64)),
+                ("stats".into(), outcome.stats().to_json()),
+            ]));
         }
     }
     // The shell pipeline sorted by stats-file name
