@@ -169,26 +169,22 @@ impl Discharger {
         result
     }
 
-    /// Commits the solver's final conflict clause and derives the
-    /// canonical two-literal lemma from it by weakening.
+    /// Commits the solver's final conflict clause and records the
+    /// canonical two-literal lemma, derived from it by weakening, as a
+    /// proof step. The final clause is over the negations of the pair's
+    /// two assumptions, so it is the lemma or a unit that subsumes it:
+    /// the lemma is not attached a second time.
     fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
         let committed = self.solver.commit_final_clause();
         self.tally.lemmas += 1;
-        if self.solver.proof_logging() {
-            let id = committed.expect("proof mode final clause id");
-            if let Some(p) = self.solver.proof() {
-                self.tally
-                    .lemma_chain_hist
-                    .record(p.step(id).antecedents.len() as u64);
-            }
-            let lemma = self.solver.add_derived_clause(canonical, &[id]);
-            self.solver.tag_proof_step(lemma, StepRole::Lemma);
-            Some(lemma)
-        } else {
-            // Still add the canonical form for propagation strength.
-            self.solver.add_clause(canonical);
-            None
-        }
+        let p = self.solver.proof()?;
+        let id = committed.expect("proof mode final clause id");
+        self.tally
+            .lemma_chain_hist
+            .record(p.step(id).antecedents.len() as u64);
+        let lemma = self.solver.record_derived_clause(canonical, &[id]);
+        self.solver.tag_proof_step(lemma, StepRole::Lemma);
+        Some(lemma)
     }
 
     /// The input pattern of the solver's current model.

@@ -23,7 +23,9 @@
 //!   reconstructed by trail replay (see [`Solver`] docs).
 //! - [`Solver::add_derived_clause`]: lets a client (the CEC engine)
 //!   inject externally derived lemmas — e.g. structural-hashing
-//!   equivalences — into both the clause database and the proof.
+//!   equivalences — into both the clause database and the proof;
+//!   [`Solver::record_derived_clause`] logs such a step without
+//!   attaching it, for a clause an attached one already subsumes.
 //! - Lazy loading of a formula: [`Solver::add_clause`] is
 //!   [`Solver::record_clause`] (an original proof step, counted in the
 //!   learnt-clause limit) followed by [`Solver::attach_clause`] (the

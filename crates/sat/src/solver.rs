@@ -446,23 +446,40 @@ impl Solver {
     }
 
     /// Adds a clause *derived outside the solver* — the structural-hash
-    /// equivalence lemmas of the CEC engine. The clause is appended to
-    /// the proof as a derived step with the given antecedents and to the
-    /// database as a permanent clause.
-    ///
-    /// The derivation is not checked here; the independent checker will
-    /// reject an invalid chain.
+    /// equivalence lemmas of the CEC engine:
+    /// [`Solver::record_derived_clause`] followed by
+    /// [`Solver::attach_clause`], so the clause is both a derived proof
+    /// step with the given antecedents and a permanent database clause.
     ///
     /// # Panics
     ///
     /// Panics if proof logging is disabled, a variable is unallocated,
     /// or the clause is empty or tautological.
     pub fn add_derived_clause(&mut self, lits: &[Lit], antecedents: &[ClauseId]) -> ClauseId {
+        let id = self.record_derived_clause(lits, antecedents);
+        self.attach_clause(lits, Some(id));
+        id
+    }
+
+    /// Records a clause derived outside the solver as a proof step with
+    /// the given antecedents, without attaching it: the search never
+    /// sees the clause. This is for a clause that an attached clause
+    /// already subsumes, such as the CEC engine's canonical equivalence
+    /// lemma weakened from a committed final conflict clause; attaching
+    /// it would only lengthen two watch lists.
+    ///
+    /// The derivation is not checked here; the independent checker will
+    /// reject an invalid chain.
+    ///
+    /// # Panics
+    ///
+    /// Panics if proof logging is disabled, or the clause is empty or
+    /// tautological.
+    pub fn record_derived_clause(&mut self, lits: &[Lit], antecedents: &[ClauseId]) -> ClauseId {
         assert!(
             self.proof.is_some(),
             "derived clauses require proof logging"
         );
-        self.cancel_until(0);
         self.with_sorted_copy(lits, |s, ls| {
             assert!(
                 !ls.is_empty(),
@@ -472,13 +489,10 @@ impl Solver {
                 ls.windows(2).all(|w| w[0].var() != w[1].var()),
                 "tautological derived clause"
             );
-            let id = s
-                .proof
+            s.proof
                 .as_mut()
                 .expect("checked above")
-                .add_derived(ls.iter().copied(), antecedents.iter().copied());
-            s.insert_clause(ls, false, Some(id));
-            id
+                .add_derived(ls.iter().copied(), antecedents.iter().copied())
         })
     }
 
@@ -1445,6 +1459,28 @@ mod tests {
         assert!(s.model_value(v[0]));
         assert!(proof::check::check_strict(s.proof().unwrap()).is_ok());
         assert!(proof::check::check_rup(s.proof().unwrap()).is_ok());
+    }
+
+    #[test]
+    fn recorded_derived_clause_is_not_attached() {
+        let mut s = Solver::with_proof();
+        let v = vars(&mut s, 3);
+        s.add_clause(&lits(&v, &[-1, 2]));
+        s.add_clause(&lits(&v, &[-2, 3]));
+        assert_eq!(s.solve_with(&lits(&v, &[1, -3])), SolveResult::Unsat);
+        let fc = s.commit_final_clause().unwrap();
+        let weakened = lits(&v, &[-1, 3, 2]);
+        let id = s.record_derived_clause(&weakened, &[fc]);
+        let proof = s.proof().unwrap();
+        assert_eq!(proof.step(id).antecedents, [fc]);
+        assert_eq!(proof.step(id).clause, lits(&v, &[-1, 2, 3]));
+        assert!(proof::check::check_strict(proof).is_ok());
+        assert!(s.live_clauses().all(|(_, live)| live != Some(id)));
+        assert_eq!(
+            s.live_clauses().count(),
+            3,
+            "two originals and the final clause"
+        );
     }
 
     #[test]
