@@ -29,7 +29,7 @@ use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, EngineStats, WorkerStats};
 use crate::session::{EngineConfig, SharedContext};
-use crate::sim::SimClasses;
+use crate::sim::{neighbourhood, SimClasses};
 use aig::{Aig, NodeId};
 use cnf::tseitin::Partition;
 use cnf::{Lit, Var};
@@ -724,7 +724,8 @@ impl<'g> Sweep<'g> {
     }
 
     /// Applies one pair's verdict. A proof merges the node into the
-    /// pair's root; a refutation refines the classes; a skip counts the
+    /// pair's root; a refutation refines the classes with the
+    /// counterexample and its distance-1 neighbourhood; a skip counts the
     /// pair as skipped. Merged and skipped nodes leave their class.
     fn apply_verdict(
         &mut self,
@@ -745,7 +746,8 @@ impl<'g> Sweep<'g> {
             }
             PairVerdict::Refuted { pattern } => {
                 // A pattern that does not split the pair would leave it
-                // in its class and the sweep would retry it forever.
+                // in its class and the sweep would retry it forever. Bit
+                // 0 of the first neighbourhood word is the pattern.
                 debug_assert!(
                     separates(self.graph, (n, root, phase), &pattern),
                     "counterexample does not separate node {} from {}",
@@ -753,7 +755,9 @@ impl<'g> Sweep<'g> {
                     root.index()
                 );
                 self.record_refinement(n);
-                classes.refine_with_pattern(self.graph, &pattern);
+                for words in neighbourhood(&pattern) {
+                    classes.refine(self.graph, &words);
+                }
             }
             PairVerdict::Skipped => {
                 self.stats.pairs_skipped += 1;

@@ -3,11 +3,16 @@
 //! Random bit-parallel simulation partitions the miter's nodes into
 //! classes of equal (up to complement) signatures. The classes are the
 //! SAT sweeper's worklist: only nodes sharing a class are ever submitted
-//! to the solver. Counterexamples returned by the solver feed back as
-//! additional simulation patterns and *refine* the classes, so each
-//! failed SAT call strictly shrinks future work.
+//! to the solver. Each counterexample the solver returns feeds back,
+//! with its distance-1 [`neighbourhood`], as more simulation patterns
+//! that *refine* the classes, so one failed SAT call also splits the
+//! false candidates that a neighbouring pattern tells apart.
 
 use aig::{Aig, NodeId};
+
+/// Neighbours of a counterexample per 64-pattern word: bit 0 holds the
+/// counterexample itself, each other bit flips one input.
+const NEIGHBOURS_PER_WORD: usize = 63;
 
 /// Candidate equivalence classes over the nodes of one AIG.
 ///
@@ -27,50 +32,28 @@ pub struct SimClasses {
 }
 
 impl SimClasses {
-    /// Builds initial classes from `words` random simulation words.
+    /// Builds initial classes from `words` random simulation words: one
+    /// class of every node, split by each word in turn.
     ///
     /// Only classes with at least two members are kept; the constant
     /// node participates like any other node, so "equivalent to
     /// constant" candidates are ordinary class members.
     pub fn from_random_simulation(graph: &Aig, words: usize, seed: u64) -> SimClasses {
         let sigs = graph.simulate_random(words.max(1), seed);
-        let mut canon: Vec<Vec<u64>> = Vec::with_capacity(sigs.len());
-        let mut phase = Vec::with_capacity(sigs.len());
-        for sig in &sigs {
-            let p = sig[0] & 1 == 1;
-            let mask = if p { !0u64 } else { 0 };
-            canon.push(sig.iter().map(|w| w ^ mask).collect());
-            phase.push(p);
-        }
-        let mut by_sig: std::collections::HashMap<&[u64], Vec<NodeId>> =
-            std::collections::HashMap::new();
-        #[allow(clippy::needless_range_loop)] // canon and phase are parallel to node ids
-        for idx in 0..graph.len() {
-            by_sig
-                .entry(canon[idx].as_slice())
-                .or_default()
-                .push(NodeId::new(idx as u32));
-        }
-        let mut classes: Vec<Vec<NodeId>> = by_sig
-            .into_values()
-            .filter(|members| members.len() >= 2)
-            .collect();
-        // Deterministic order: by leader index.
-        for members in &mut classes {
-            members.sort_unstable();
-        }
-        classes.sort_by_key(|m| m[0]);
-        let mut membership = vec![None; graph.len()];
-        for (ci, members) in classes.iter().enumerate() {
-            for &n in members {
-                membership[n.as_usize()] = Some((ci as u32, phase[n.as_usize()]));
-            }
-        }
-        SimClasses {
-            classes,
-            membership,
+        let phase: Vec<bool> = sigs.iter().map(|sig| sig[0] & 1 == 1).collect();
+        let mut classes = SimClasses {
+            classes: vec![(0..graph.len() as u32).map(NodeId::new).collect()],
+            membership: phase.iter().map(|&p| Some((0, p))).collect(),
             phase,
+        };
+        let mut column = vec![0; graph.len()];
+        for w in 0..words.max(1) {
+            for (value, sig) in column.iter_mut().zip(&sigs) {
+                *value = sig[w];
+            }
+            classes.split(&column);
         }
+        classes
     }
 
     /// Number of (live, ≥2 member) classes.
@@ -131,39 +114,91 @@ impl SimClasses {
         }
     }
 
-    /// Refines every class with one concrete input pattern: members
-    /// whose (phase-normalized) value differs from their leader's are
-    /// split off into a new class.
+    /// Refines every class with the 64 input patterns of `words`
+    /// (`words[i]` holds input `i`'s value in each bit, as for
+    /// [`Aig::simulate_word`]): a class splits into one class per
+    /// phase-normalized value its members take on the patterns.
     ///
     /// Returns the number of classes that were split.
-    pub fn refine_with_pattern(&mut self, graph: &Aig, pattern: &[bool]) -> usize {
-        let values = graph.evaluate_nodes(pattern);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != graph.num_inputs()`.
+    pub fn refine(&mut self, graph: &Aig, words: &[u64]) -> usize {
+        self.split(&graph.simulate_word(words))
+    }
+
+    /// Splits every class by the phase-normalized word `sig` gives each
+    /// member (`sig[node]`). The group holding the leader keeps the
+    /// class; every other group of two or more becomes a new class and
+    /// a group of one leaves the classes. Groups keep node order, so
+    /// each leader is its class's smallest member. A class that does
+    /// not split costs one scan and no allocation.
+    fn split(&mut self, sig: &[u64]) -> usize {
+        let phase = &self.phase;
+        let key = |n: NodeId| sig[n.as_usize()] ^ u64::from(phase[n.as_usize()]).wrapping_neg();
+        let mut keyed: Vec<(u64, NodeId)> = Vec::new();
         let mut splits = 0;
         for ci in 0..self.classes.len() {
-            if self.classes[ci].len() < 2 {
+            let class = &self.classes[ci];
+            if class.len() < 2 {
                 continue;
             }
-            let leader = self.classes[ci][0];
-            let key = |n: NodeId, phase: &[bool]| values[n.as_usize()] ^ phase[n.as_usize()];
-            let leader_key = key(leader, &self.phase);
-            let (stay, split): (Vec<NodeId>, Vec<NodeId>) = self.classes[ci]
-                .iter()
-                .partition(|&&n| key(n, &self.phase) == leader_key);
-            if split.is_empty() {
+            let lead = key(class[0]);
+            if class.iter().all(|&n| key(n) == lead) {
                 continue;
             }
             splits += 1;
-            self.classes[ci] = stay;
-            let new_ci = self.classes.len() as u32;
-            for &n in &split {
-                if let Some(m) = &mut self.membership[n.as_usize()] {
-                    m.0 = new_ci;
+            keyed.clear();
+            keyed.extend(class.iter().map(|&n| (key(n), n)));
+            keyed.sort_unstable();
+            let mut stay = std::mem::take(&mut self.classes[ci]);
+            stay.clear();
+            for group in keyed.chunk_by(|x, y| x.0 == y.0) {
+                let members = group.iter().map(|&(_, n)| n);
+                if group[0].0 == lead {
+                    stay.extend(members);
+                } else if group.len() == 1 {
+                    self.membership[group[0].1.as_usize()] = None;
+                } else {
+                    let new_ci = self.classes.len() as u32;
+                    for n in members.clone() {
+                        if let Some(m) = &mut self.membership[n.as_usize()] {
+                            m.0 = new_ci;
+                        }
+                    }
+                    self.classes.push(members.collect());
                 }
             }
-            self.classes.push(split);
+            self.classes[ci] = stay;
         }
         splits
     }
+}
+
+/// The distance-1 neighbourhood of the input `pattern` as 64-pattern
+/// input words for [`SimClasses::refine`]: in each word bit 0 is
+/// `pattern` itself and bit `k` is `pattern` with one input flipped, 63
+/// inputs per word, so ⌈inputs/63⌉ words (at least one) flip every
+/// input once. Bits past the last input repeat `pattern`.
+pub(crate) fn neighbourhood(pattern: &[bool]) -> impl Iterator<Item = Vec<u64>> + '_ {
+    (0..pattern.len().max(1))
+        .step_by(NEIGHBOURS_PER_WORD)
+        .map(move |first| {
+            let flipped = first..first + NEIGHBOURS_PER_WORD;
+            pattern
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| {
+                    let flip = if flipped.contains(&i) {
+                        2 << (i - first)
+                    } else {
+                        0
+                    };
+                    u64::from(v).wrapping_neg() ^ flip
+                })
+                .collect()
+        })
 }
 
 #[cfg(test)]
@@ -211,7 +246,7 @@ mod tests {
 
     #[test]
     fn refinement_splits_on_distinguishing_pattern() {
-        // Two functions equal on pattern 00 but different on 11: x&y vs x|y.
+        // x&y and x|y agree on patterns 00 and 11 only.
         let mut g = Aig::new();
         let x = g.add_input();
         let y = g.add_input();
@@ -219,20 +254,61 @@ mod tests {
         let or = g.or(x, y);
         g.add_output(and);
         g.add_output(or);
-        // Seed a simulation that happens to equate them: use a pattern
-        // set where x == y on every bit. Craft manually via one word of
-        // patterns 00 and 11 only: we emulate by building classes from a
-        // single word simulation with seed chosen so they collide; if
-        // they don't collide there is nothing to refine — so instead
-        // build the class by hand through refinement of a collision.
         let mut classes = SimClasses::from_random_simulation(&g, 1, 0);
         // Whatever the initial classes, refining with a distinguishing
         // pattern must never leave `and` and `or` in the same class.
-        classes.refine_with_pattern(&g, &[true, false]);
+        classes.refine(&g, &[!0, 0]);
         let ca = classes.class_of(and.node());
         let co = classes.class_of(or.node());
         if let (Some((ca, _)), Some((co, _))) = (ca, co) {
             assert_ne!(ca, co, "x&y and x|y distinguished by pattern 10");
+        }
+    }
+
+    #[test]
+    fn neighbourhood_splits_what_the_counterexample_alone_does_not() {
+        // A 12-input AND and the constant agree on all but one of the
+        // 4096 patterns, so random simulation leaves them one class.
+        let mut g = Aig::new();
+        let inputs = g.add_inputs(12);
+        let all = inputs[1..].iter().fold(inputs[0], |acc, &l| g.and(acc, l));
+        g.add_output(all);
+        let mut classes = SimClasses::from_random_simulation(&g, 1, 7);
+        let same = |c: &SimClasses| {
+            c.class_of(all.node()).map(|(ci, _)| ci) == c.class_of(NodeId::new(0)).map(|(ci, _)| ci)
+        };
+        assert!(classes.class_of(all.node()).is_some() && same(&classes));
+        // All ones but input 5: the AND is still 0 there.
+        let cex: Vec<bool> = (0..12).map(|i| i != 5).collect();
+        let repeated: Vec<u64> = cex.iter().map(|&v| u64::from(v).wrapping_neg()).collect();
+        assert_eq!(classes.refine(&g, &repeated), 0);
+        assert!(same(&classes), "the counterexample alone splits nothing");
+        let words: Vec<Vec<u64>> = neighbourhood(&cex).collect();
+        assert_eq!(words.len(), 1, "12 inputs fit one word");
+        assert!(classes.refine(&g, &words[0]) > 0);
+        assert!(!same(&classes), "flipping input 5 sets the AND");
+    }
+
+    #[test]
+    fn neighbourhood_flips_each_input_once() {
+        for n in [0usize, 1, 62, 63, 64, 130] {
+            let cex: Vec<bool> = (0..n).map(|i| i % 3 == 0).collect();
+            let words: Vec<Vec<u64>> = neighbourhood(&cex).collect();
+            assert_eq!(words.len(), n.div_ceil(63).max(1), "{n} inputs");
+            for bit in 0..64 {
+                for w in &words {
+                    let pattern: Vec<bool> = w.iter().map(|&v| v >> bit & 1 == 1).collect();
+                    let flips = (0..n).filter(|&i| pattern[i] != cex[i]).count();
+                    assert!(flips <= 1 && (bit > 0 || flips == 0));
+                }
+            }
+            let mut flipped = vec![0; n];
+            for w in &words {
+                for (i, &v) in w.iter().enumerate() {
+                    flipped[i] += (v ^ u64::from(cex[i]).wrapping_neg()).count_ones();
+                }
+            }
+            assert!(flipped.iter().all(|&f| f == 1), "{n} inputs: {flipped:?}");
         }
     }
 

@@ -9,7 +9,8 @@
 use proptest::prelude::*;
 use resolution_cec::aig::gen::{mutate, random_aig};
 use resolution_cec::aig::sim::exhaustive_diff;
-use resolution_cec::cec::{EngineConfig, Session, SharedContext};
+use resolution_cec::aig::{Aig, NodeId};
+use resolution_cec::cec::{EngineConfig, Miter, Session, SharedContext, SimClasses};
 use resolution_cec::proof;
 
 fn verified() -> EngineConfig {
@@ -17,6 +18,60 @@ fn verified() -> EngineConfig {
         verify: true,
         ..EngineConfig::default()
     }
+}
+
+/// Each node's class leader, `None` for a node in no live class.
+fn leaders(classes: &SimClasses, len: usize) -> Vec<Option<NodeId>> {
+    (0..len as u32)
+        .map(|n| {
+            classes
+                .class_of(NodeId::new(n))
+                .map(|(c, _)| classes.leader(c))
+        })
+        .collect()
+}
+
+/// Each node's phase-normalized signature under the words of `passes`,
+/// one word per pass (`pass[i]` holds input `i`'s 64 values).
+fn normalized(graph: &Aig, classes: &SimClasses, passes: &[Vec<u64>]) -> Vec<Vec<u64>> {
+    let sims: Vec<Vec<u64>> = passes.iter().map(|w| graph.simulate_word(w)).collect();
+    (0..graph.len())
+        .map(|n| {
+            let mask = u64::from(classes.phase(NodeId::new(n as u32))).wrapping_neg();
+            sims.iter().map(|sig| sig[n] ^ mask).collect()
+        })
+        .collect()
+}
+
+/// The single-pattern refinement the sweep used before a counterexample
+/// refined the classes with its neighbourhood, over the leader view: in
+/// each class, the members whose phase-normalized value differs from
+/// the leader's split off together, and a group of one leaves the live
+/// classes. Returns the new leaders and the number of classes split.
+fn refine_with_pattern_reference(
+    graph: &Aig,
+    classes: &SimClasses,
+    before: &[Option<NodeId>],
+    pattern: &[bool],
+) -> (Vec<Option<NodeId>>, usize) {
+    let values = graph.evaluate_nodes(pattern);
+    let key = |n: NodeId| values[n.as_usize()] ^ classes.phase(n);
+    let group = |n: NodeId| before[n.as_usize()].map(|l| (l, key(n) == key(l)));
+    let mut split_leaders = Vec::new();
+    let after = (0..before.len() as u32)
+        .map(|n| {
+            let g = group(NodeId::new(n))?;
+            let members: Vec<NodeId> = (0..before.len() as u32)
+                .map(NodeId::new)
+                .filter(|&m| group(m) == Some(g))
+                .collect();
+            if !g.1 && !split_leaders.contains(&g.0) {
+                split_leaders.push(g.0);
+            }
+            (members.len() >= 2).then(|| members[0])
+        })
+        .collect();
+    (after, split_leaders.len())
 }
 
 proptest! {
@@ -114,5 +169,80 @@ proptest! {
         prop_assert!(t.proof.len() <= p.len());
         prop_assert!(proof::check::check_refutation(&t.proof).is_ok());
         prop_assert!(proof::check::check_rup(&t.proof).is_ok());
+    }
+
+    /// Refining the candidate classes with simulated words is exact: two
+    /// members of one class stay together iff the words never tell them
+    /// apart (phase-normalized), so refinement never separates two nodes
+    /// that exhaustive simulation finds equal up to the class phase, and
+    /// never leaves two members of one class that a pattern of the words
+    /// tells apart. Leaders stay their class's smallest member, and a
+    /// word repeating one pattern 64 times splits exactly as the
+    /// single-pattern refinement did.
+    #[test]
+    fn refinement_splits_exactly_what_the_words_tell_apart(
+        inputs in 6usize..9,
+        gates in 20usize..120,
+        outputs in 1usize..4,
+        seed in any::<u64>(),
+        rewrite_seed in any::<u64>(),
+        balance in any::<bool>(),
+        share in any::<bool>(),
+        words in prop::collection::vec(any::<u64>(), 8),
+        pick in any::<usize>(),
+    ) {
+        let a = random_aig(inputs, gates, outputs, seed);
+        let b = if balance { a.balance() } else { a.shuffle_rebuild(rewrite_seed) };
+        let graph = Miter::build(&a, &b, share).graph;
+        let len = graph.len();
+        let mut classes = SimClasses::from_random_simulation(&graph, 1, seed ^ rewrite_seed);
+        let before = leaders(&classes, len);
+        let mut single = classes.clone();
+
+        // Every one of the 2^inputs patterns, four words' worth.
+        let exhaustive: Vec<Vec<u64>> = (0..4)
+            .map(|w| {
+                (0..inputs)
+                    .map(|i| (0..64).fold(0, |acc, bit| {
+                        let pattern = (w * 64 + bit) % (1 << inputs);
+                        acc | (((pattern >> i) & 1) as u64) << bit
+                    }))
+                    .collect()
+            })
+            .collect();
+        let truth = normalized(&graph, &classes, &exhaustive);
+        let word = &words[..inputs];
+        let told = normalized(&graph, &classes, &[word.to_vec()]);
+        classes.refine(&graph, word);
+        let after = leaders(&classes, len);
+        for n in 0..len {
+            if let Some(leader) = after[n] {
+                prop_assert!(leader.as_usize() <= n);
+            }
+            for m in n + 1..len {
+                let was = before[n].is_some() && before[n] == before[m];
+                let is = after[n].is_some() && after[n] == after[m];
+                prop_assert_eq!(is, was && told[n] == told[m], "nodes {} and {}", n, m);
+                if was && truth[n] == truth[m] {
+                    prop_assert!(is, "equal nodes {} and {} separated", n, m);
+                }
+            }
+        }
+
+        // From the same classes, one pattern repeated in all 64 bits: one
+        // that tells two members of a class apart, when there is one.
+        let separating: Vec<usize> = (0..1 << inputs)
+            .filter(|&p| {
+                let bit = |n: usize| truth[n][p / 64] >> (p % 64) & 1;
+                (0..len).any(|n| before[n].is_some_and(|l| bit(n) != bit(l.as_usize())))
+            })
+            .collect();
+        let p = separating.get(pick % separating.len().max(1)).copied().unwrap_or(pick);
+        let pattern: Vec<bool> = (0..inputs).map(|i| (p >> i) & 1 == 1).collect();
+        let (expected, expected_splits) =
+            refine_with_pattern_reference(&graph, &single, &before, &pattern);
+        let repeated: Vec<u64> = pattern.iter().map(|&v| u64::from(v).wrapping_neg()).collect();
+        prop_assert_eq!(single.refine(&graph, &repeated), expected_splits);
+        prop_assert_eq!(leaders(&single, len), expected);
     }
 }
