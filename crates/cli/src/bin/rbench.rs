@@ -41,7 +41,9 @@
 //! `compare` diffs two trajectories (`bench-v1` or `bench-v2`, mixed
 //! freely): run cells on `stats.elapsed_us`, scenario cells on
 //! `max_sustainable_rps`. A cell worse by more than `--threshold`
-//! (default 0.25 = 25 %) fails the gate. New/removed cells are
+//! (default 0.25 = 25 %) fails the gate; a latency's change is taken
+//! over the old value and a rate's over the new one, so a 100x
+//! slowdown and a 100x rate drop both read -9900 %. New/removed cells are
 //! reported but never fail. Exit codes: 0 gate passes, 1 regression,
 //! 2 malformed input — so CI can tell "slower" from "broken".
 //!

@@ -9,7 +9,12 @@
 //!   compare on `max_sustainable_rps` (higher is better).
 //!
 //! Each cell's relative delta is normalized so that **positive means
-//! better**; a cell regresses when its delta drops below `-threshold`.
+//! better**, and is taken over the better-of-the-two-sides value: a
+//! latency's over the old value, `(old - new) / old`, and a rate's over
+//! the new value, `(new - old) / new`. A 100x slowdown and a 100x rate
+//! drop then both read -9900 %, so one threshold gates both kinds; a
+//! rate's delta over the old value could never fall below -100 %. A
+//! cell regresses when its delta drops below `-threshold`.
 //! Cells present on only one side are reported as new/removed but
 //! never fail the gate — adding a scenario to the workload must not
 //! break CI.
@@ -56,7 +61,8 @@ pub struct CellDiff {
     /// New metric value, if the cell exists in the new trajectory.
     pub new: Option<f64>,
     /// Relative change normalized so positive = better; `None` when
-    /// either side is missing or the old value is zero.
+    /// either side is missing or the value it is taken over (the old
+    /// latency, the new rate) is zero.
     pub delta: Option<f64>,
     /// Classification under the gate threshold.
     pub outcome: CompareOutcome,
@@ -145,20 +151,22 @@ pub fn compare(old: &Value, new: &Value, threshold: f64) -> Result<CompareReport
     for o in &old_cells {
         match new_cells.iter().find(|n| n.key == o.key) {
             Some(n) => {
-                // Normalize so positive delta = better.
-                let delta = if o.value.abs() > f64::EPSILON {
-                    let change = (n.value - o.value) / o.value;
-                    Some(if o.lower_is_better { -change } else { change })
+                // Normalize so positive delta = better, over the better
+                // side's value: the old latency, the new rate.
+                let (better, worse) = if o.lower_is_better {
+                    (o.value, n.value)
                 } else {
-                    None
+                    (n.value, o.value)
                 };
+                let delta = (better.abs() > f64::EPSILON).then(|| (better - worse) / better);
                 let outcome = match delta {
                     Some(d) if d < -threshold => CompareOutcome::Regressed,
                     Some(d) if d > threshold => CompareOutcome::Improved,
                     Some(_) => CompareOutcome::Unchanged,
-                    // Old value was zero: any gain is an improvement,
-                    // staying at zero is unchanged.
-                    None if n.value > o.value => CompareOutcome::Improved,
+                    // A zero better side: a latency up from zero or a
+                    // rate down to zero regressed without bound; zero on
+                    // both sides is unchanged.
+                    None if worse.abs() > f64::EPSILON => CompareOutcome::Regressed,
                     None => CompareOutcome::Unchanged,
                 };
                 cells.push(CellDiff {
@@ -335,6 +343,40 @@ mod tests {
         let new = doc("", &scen_cell("s", 5.0));
         let rep = compare(&old, &new, 0.1).unwrap();
         assert_eq!(rep.cells[0].outcome, CompareOutcome::Improved);
+        assert_eq!(rep.cells[0].delta, Some(1.0));
+    }
+
+    #[test]
+    fn a_rate_drop_reads_like_the_same_slowdown() {
+        // 100x worse either way: -9900 %, regressed even at CI's 9.0.
+        let old = doc(&run_cell("a", 1000), &scen_cell("s", 25.0));
+        let new = doc(&run_cell("a", 100_000), &scen_cell("s", 0.25));
+        let rep = compare(&old, &new, 9.0).unwrap();
+        for cell in &rep.cells {
+            assert_eq!(cell.outcome, CompareOutcome::Regressed, "{}", cell.key);
+            assert!((cell.delta.unwrap() + 99.0).abs() < 1e-9, "{cell:?}");
+        }
+        assert!(rep.to_string().contains("(-9900.0%)"), "{rep}");
+        assert!(
+            rep.to_string().contains("gate: FAIL (2 regressed)"),
+            "{rep}"
+        );
+        // 100x better either way: +99 %, improved under a 0.5 threshold.
+        let rep = compare(&new, &old, 0.5).unwrap();
+        for cell in &rep.cells {
+            assert_eq!(cell.outcome, CompareOutcome::Improved, "{}", cell.key);
+            assert!((cell.delta.unwrap() - 0.99).abs() < 1e-9, "{cell:?}");
+        }
+    }
+
+    #[test]
+    fn a_rate_that_drops_to_zero_regresses() {
+        let old = doc("", &scen_cell("s", 25.0));
+        let zero = doc("", &scen_cell("s", 0.0));
+        let rep = compare(&old, &zero, 9.0).unwrap();
+        assert_eq!(rep.cells[0].outcome, CompareOutcome::Regressed);
         assert!(rep.cells[0].delta.is_none());
+        let rep = compare(&zero, &zero, 9.0).unwrap();
+        assert_eq!(rep.cells[0].outcome, CompareOutcome::Unchanged);
     }
 }
