@@ -67,7 +67,8 @@ fn compare_improvement_passes_gate() {
 #[test]
 fn compare_regression_beyond_threshold_fails_gate() {
     let old = write_golden("reg-old.json", &golden(10_000, 20.0));
-    // elapsed 2x worse, rate halved: both beyond a 25% threshold.
+    // elapsed 2x worse, rate halved: both read -100%, beyond a 25%
+    // threshold.
     let new = write_golden("reg-new.json", &golden(20_000, 10.0));
     let out = run(
         env!("CARGO_BIN_EXE_rbench"),
@@ -82,7 +83,7 @@ fn compare_regression_beyond_threshold_fails_gate() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("gate: FAIL (2 regressed)"), "{text}");
     assert!(text.contains("REGRESSED"), "{text}");
-    assert!(text.contains("-50.0%"), "{text}");
+    assert_eq!(text.matches("(-100.0%)").count(), 2, "{text}");
 
     // The same pair under a generous threshold passes: the gate is the
     // threshold, not the direction.

@@ -747,7 +747,7 @@ impl<'g> Sweep<'g> {
             PairVerdict::Refuted { pattern } => {
                 // A pattern that does not split the pair would leave it
                 // in its class and the sweep would retry it forever. Bit
-                // 0 of the first neighbourhood word is the pattern.
+                // 0 of every neighbourhood word is the pattern itself.
                 debug_assert!(
                     separates(self.graph, (n, root, phase), &pattern),
                     "counterexample does not separate node {} from {}",
