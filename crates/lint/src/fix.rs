@@ -22,7 +22,7 @@
 //! additionally re-runs [`fix_proof`] on its own output and refuses to
 //! write if the second run is not a no-op.
 
-use crate::is_tautology;
+use crate::{cited_steps, is_tautology};
 use proof::{ClauseId, Proof};
 use std::collections::HashMap;
 
@@ -130,15 +130,10 @@ fn dedup_derivations(p: &Proof, summary: &mut FixSummary) -> Option<Proof> {
 /// Drops unreferenced tautological steps. Returns `None` when nothing
 /// to do.
 fn prune_tautologies(p: &Proof, summary: &mut FixSummary) -> Option<Proof> {
-    let mut referenced = vec![false; p.len()];
-    for (_, step) in p.iter() {
-        for &a in step.antecedents {
-            referenced[a.as_usize()] = true;
-        }
-    }
+    let cited = cited_steps(p);
     let doomed: Vec<bool> = p
         .iter()
-        .map(|(id, step)| !referenced[id.as_usize()] && is_tautology(step.clause))
+        .map(|(id, step)| !cited[id.as_usize()] && is_tautology(step.clause))
         .collect();
     let dropped = doomed.iter().filter(|&&d| d).count();
     if dropped == 0 {

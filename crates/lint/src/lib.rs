@@ -317,8 +317,8 @@ impl fmt::Display for Location {
 pub struct Diagnostic {
     /// The lint that produced this finding.
     pub lint: &'static Lint,
-    /// Severity (usually the lint's default; tautological *input*
-    /// clauses, for example, downgrade to a warning).
+    /// Severity (usually the lint's default; a tautological *input*
+    /// clause no chain cites, for example, downgrades to a warning).
     pub severity: Severity,
     /// Anchor inside the artifact, when one exists.
     pub location: Option<Location>,
@@ -641,6 +641,20 @@ pub(crate) fn clause_vars(sorted: &[cnf::Lit]) -> Vec<u32> {
 /// polarities.
 pub(crate) fn is_tautology(sorted: &[cnf::Lit]) -> bool {
     sorted.windows(2).any(|w| w[0].var() == w[1].var())
+}
+
+/// Per step of `p`, whether some derived step cites it as an
+/// antecedent.
+pub(crate) fn cited_steps(p: &proof::Proof) -> Vec<bool> {
+    let mut cited = vec![false; p.len()];
+    for (_, step) in p.iter() {
+        for &a in step.antecedents {
+            if let Some(c) = cited.get_mut(a.as_usize()) {
+                *c = true;
+            }
+        }
+    }
+    cited
 }
 
 /// Renders a clause as DIMACS literals, e.g. `(1 -2 3)`.

@@ -21,8 +21,8 @@
 //!    ([`RP103`]).
 
 use crate::{
-    Artifact, LintOptions, Location, Report, Severity, RP001, RP002, RP003, RP004, RP005, RP006,
-    RP007, RP101, RP102, RP103, RP104, RP105, RP106,
+    cited_steps, is_tautology, Artifact, LintOptions, Location, Report, Severity, RP001, RP002,
+    RP003, RP004, RP005, RP006, RP007, RP101, RP102, RP103, RP104, RP105, RP106,
 };
 use cnf::Lit;
 use proof::{ClauseId, Proof};
@@ -37,6 +37,9 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
 
     // Structural pass: one sweep over each step's own clause and ids.
     let mut seen: HashMap<&[Lit], ClauseId> = HashMap::new();
+    // Which steps some chain cites, computed only once a tautological
+    // input turns up.
+    let mut cited: Option<Vec<bool>> = None;
     for (id, step) in p.iter() {
         for &l in step.clause {
             max_var = max_var.max(l.var().index());
@@ -49,21 +52,26 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
                 });
             }
         }
-        if step.clause.windows(2).any(|w| w[0].var() == w[1].var()) {
-            // Tautological *inputs* are junk the encoder should not have
-            // emitted; tautological *derivations* can never replay.
-            let sev = if step.is_original() {
+        if is_tautology(step.clause) {
+            // A tautological *input* is junk the encoder should not have
+            // emitted, and an error once a chain cites it: no chain
+            // replay admits a tautological antecedent. A tautological
+            // *derivation* is always an error.
+            let input = step.is_original();
+            let cited_input = input && cited.get_or_insert_with(|| cited_steps(p))[id.as_usize()];
+            let sev = if input && !cited_input {
                 Severity::Warn
             } else {
                 Severity::Error
             };
             r.emit_severity(RP003, sev, Some(Location::Step(id.index())), cap, || {
-                let kind = if step.is_original() {
-                    "input"
+                let kind = if input { "input" } else { "derived" };
+                let cite = if cited_input {
+                    "; a chain cites it"
                 } else {
-                    "derived"
+                    ""
                 };
-                format!("{kind} clause contains a variable in both polarities")
+                format!("{kind} clause contains a variable in both polarities{cite}")
             });
         }
         if !step.is_original() {
@@ -191,8 +199,12 @@ fn lint_chains(p: &Proof, max_var: u32, opts: &LintOptions, r: &mut Report) {
         if step.is_original() {
             continue;
         }
-        if step.antecedents.iter().any(|a| a.index() >= id.index()) {
-            continue; // unanalyzable; RP001 already reported it
+        if step
+            .antecedents
+            .iter()
+            .any(|&a| a.index() >= id.index() || is_tautology(p.clause(a)))
+        {
+            continue; // unanalyzable; RP001 or RP003 already reported it
         }
         let recorded = step.clause;
         let needed = step.antecedents.len() - 1;
@@ -446,6 +458,22 @@ mod tests {
         let r2 = lint_proof(&p2, &LintOptions::structural());
         assert_eq!(r2.total("RP003"), 1);
         assert!(!r2.is_clean());
+    }
+
+    #[test]
+    fn a_cited_tautological_input_is_an_error_without_chain_findings() {
+        // (x0 ∨ ¬x0 ∨ x1), (¬x0 ∨ x2) ⊢ (¬x0 ∨ x1 ∨ x2): every chain
+        // lint would pass it, but no replay admits the tautology.
+        let mut p = Proof::new();
+        let t = p.add_original([x(0).positive(), x(0).negative(), x(1).positive()]);
+        let c = p.add_original([x(0).negative(), x(2).positive()]);
+        p.add_derived([x(0).negative(), x(1).positive(), x(2).positive()], [t, c]);
+        let r = lint_proof(&p, &LintOptions::structural());
+        assert_eq!(r.total("RP003"), 1);
+        assert!(!r.is_clean(), "{:?}", r.diagnostics());
+        let r = lint_proof(&p, &LintOptions::default());
+        assert_eq!(r.counts().errors, 1, "{:?}", r.diagnostics());
+        assert_eq!(r.counts().warnings + r.counts().infos, 0);
     }
 
     #[test]

@@ -143,6 +143,10 @@ pub fn check_strict(proof: &Proof) -> Result<(), CheckError> {
         let mut ok = Ok(());
         'chain: for (pos, &a) in ants.iter().enumerate().skip(1) {
             let clause = proof.clause(a);
+            if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
+                ok = Err(CheckError::TautologicalAntecedent(a));
+                break 'chain;
+            }
             // Find the unique clashing variable.
             let mut pivot: Option<Lit> = None;
             for &l in clause {
@@ -362,6 +366,22 @@ mod tests {
         let c = p.add_original(lits(&[2]));
         p.add_derived(lits(&[2]), [t, c]);
         assert_eq!(check_strict(&p), Err(CheckError::TautologicalAntecedent(t)));
+    }
+
+    #[test]
+    fn strict_rejects_a_tautological_antecedent_at_any_position() {
+        // (z)(x)(x ∨ ¬x ∨ ¬z) is satisfiable; resolving the tautology in
+        // second position once left only one polarity of x behind.
+        let bogus = "1 2 0 0\n2 1 0 0\n3 1 -1 -2 0 0\n4 -1 0 1 3 0\n5 0 2 4 0\n";
+        let p = crate::import::read_tracecheck(bogus.as_bytes()).unwrap();
+        let taut = Err(CheckError::TautologicalAntecedent(ClauseId::new(2)));
+        assert_eq!(check_strict(&p), taut);
+        assert_eq!(check_refutation(&p).map(|_| ()), taut);
+        // In first position the tautology is refused as well.
+        let first = "1 1 -1 2 0 0\n2 -1 3 0 0\n3 -1 2 3 0 1 2 0\n";
+        let p = crate::import::read_tracecheck(first.as_bytes()).unwrap();
+        let taut = Err(CheckError::TautologicalAntecedent(ClauseId::new(0)));
+        assert_eq!(check_strict(&p), taut);
     }
 
     #[test]

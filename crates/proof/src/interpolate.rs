@@ -149,6 +149,10 @@ pub fn interpolant<F: Fn(ClauseId) -> bool>(
         let mut failure: Option<CheckError> = None;
         'chain: for (pos, &a) in ants.iter().enumerate().skip(1) {
             let clause = proof.clause(a);
+            if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
+                failure = Some(CheckError::TautologicalAntecedent(a));
+                break 'chain;
+            }
             let mut pivot: Option<Lit> = None;
             for &l in clause {
                 let v = l.var().as_usize();
@@ -313,6 +317,21 @@ mod tests {
         // No globals: A-local pivot, I = ⊥ ∨ ⊥.
         assert!(!itp.evaluate(&[false, false]));
         assert!(!itp.evaluate(&[true, true]));
+    }
+
+    #[test]
+    fn tautological_antecedent_is_reported() {
+        // (z)(x)(x ∨ ¬x ∨ ¬z): the tautology sits second in the chain.
+        let mut p = Proof::new();
+        let z = p.add_original(lits(&[2]));
+        let x = p.add_original(lits(&[1]));
+        let t = p.add_original(lits(&[1, -1, -2]));
+        let nx = p.add_derived(lits(&[-1]), [z, t]);
+        let e = p.add_derived([], [x, nx]);
+        match interpolant(&p, e, |id| id == x) {
+            Err(CheckError::TautologicalAntecedent(a)) => assert_eq!(a, t),
+            other => panic!("expected TautologicalAntecedent, got {other:?}"),
+        }
     }
 
     #[test]

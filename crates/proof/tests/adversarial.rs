@@ -12,16 +12,20 @@
 //! 4. forward-reference a step  → rejected at import; unconstructible
 //!    in debug builds; `ForwardReference` from both checkers in release
 //! 5. delete the empty clause   → `NoRefutation`
+//! 6. make an antecedent
+//!    tautological              → `TautologicalAntecedent` (strict) and
+//!    `RupFailed` (RUP), at any chain position
 //!
 //! Chain-only corruptions (1 and 2) leave the recorded clause a true
 //! consequence of the earlier clauses, so `check_rup` — which ignores
 //! recorded antecedents by design — still accepts; the tests pin that
 //! down explicitly rather than let it pass silently.
 //!
-//! The `lint_codes` module at the bottom maps the same five classes to
+//! The `lint_codes` module at the bottom maps the same six classes to
 //! the static-analysis layer: each corruption must surface as a
-//! *distinct* `rplint` code (RP101 / RP103 / RP104 / RP001 / RP002), so
-//! the linter localizes the defect class, not just the fact of failure.
+//! *distinct* `rplint` code (RP101 / RP103 / RP104 / RP001 / RP002 /
+//! RP003), so the linter localizes the defect class, not just the fact
+//! of failure.
 
 use cnf::Var;
 use proof::check::{self, CheckError};
@@ -179,6 +183,41 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+
+    /// Class 6 — adding `x0` to the antecedent `(¬x0∨¬x1)` of
+    /// `(x1), (¬x0∨¬x1) ⊢ (¬x0)` makes it a tautology. The chain still
+    /// has one clashing variable, but no chain replay admits the
+    /// tautology, wherever it sits; and `(¬x0)` no longer follows.
+    #[test]
+    fn tautological_antecedent_is_rejected(base in 0u32..32, first in any::<bool>()) {
+        let x = |i: u32| Var::new(base + i);
+        let build = |taut: bool| {
+            let mut p = Proof::new();
+            let unit = p.add_original([x(1).positive()]);
+            let mut lits = vec![x(0).negative(), x(1).negative()];
+            if taut {
+                lits.push(x(0).positive());
+            }
+            let t = p.add_original(lits);
+            let chain = if first { [t, unit] } else { [unit, t] };
+            let d = p.add_derived([x(0).negative()], chain);
+            (p, t, d)
+        };
+        let (valid, _, _) = build(false);
+        prop_assert_eq!(check::check_strict(&valid), Ok(()));
+        prop_assert_eq!(check::check_rup(&valid), Ok(()));
+
+        let (corrupted, t, bad) = build(true);
+        prop_assert_eq!(
+            check::check_strict(&corrupted),
+            Err(CheckError::TautologicalAntecedent(t))
+        );
+        prop_assert_eq!(check::check_rup(&corrupted), Err(CheckError::RupFailed(bad)));
+    }
+}
+
 /// Class 4, checker side, debug profile: the store itself refuses to
 /// build a forward reference, so no in-process proof can smuggle one
 /// past the checkers.
@@ -210,7 +249,7 @@ fn forward_reference_rejected_by_checkers() {
     assert_eq!(check::check_rup(&p), Err(expected));
 }
 
-/// The same five corruption classes, seen through the static-analysis
+/// The same six corruption classes, seen through the static-analysis
 /// layer: each must map to a distinct `rplint` code, and the lint pass
 /// must stay clean on the uncorrupted originals.
 mod lint_codes {
@@ -315,8 +354,29 @@ mod lint_codes {
         assert!(relaxed.is_clean(), "{relaxed:?}");
     }
 
+    /// Class 6 — a chain citing a tautological input is an RP003
+    /// error on that input, and the chain lints stay silent on the
+    /// chain: the defect is the tautology, not the pivots.
+    #[test]
+    fn tautological_antecedent_maps_to_rp003() {
+        let x = |i: u32| Var::new(i);
+        let mut p = Proof::new();
+        let unit = p.add_original([x(1).positive()]);
+        let t = p.add_original([x(0).negative(), x(0).positive(), x(1).negative()]);
+        p.add_derived([x(0).negative()], [unit, t]);
+        let report = lint::lint_proof(&p, &LintOptions::default());
+        assert!(report.has("RP003"), "{report:?}");
+        assert_eq!(report.counts().errors, 1, "{report:?}");
+        assert!(
+            !["RP101", "RP102", "RP103", "RP104", "RP105", "RP106"]
+                .iter()
+                .any(|code| report.has(code)),
+            "{report:?}"
+        );
+    }
+
     /// Control — the uncorrupted refutation is clean under the
-    /// strictest options, so the five positives above are not noise.
+    /// strictest options, so the six positives above are not noise.
     #[test]
     fn valid_refutation_is_clean() {
         let x = Var::new(0);
