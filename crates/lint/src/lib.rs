@@ -647,11 +647,9 @@ pub(crate) fn is_tautology(sorted: &[cnf::Lit]) -> bool {
 /// antecedent.
 pub(crate) fn cited_steps(p: &proof::Proof) -> Vec<bool> {
     let mut cited = vec![false; p.len()];
-    for (_, step) in p.iter() {
-        for &a in step.antecedents {
-            if let Some(c) = cited.get_mut(a.as_usize()) {
-                *c = true;
-            }
+    for a in p.iter().flat_map(|(_, step)| step.antecedents) {
+        if let Some(c) = cited.get_mut(a.as_usize()) {
+            *c = true;
         }
     }
     cited

@@ -13,18 +13,24 @@
 //!    ([`RP101`]); and a literal whose variable occurs in only one
 //!    polarity can never be cancelled, so it must appear in the recorded
 //!    clause ([`RP102`]).
-//! 2. **Order replay** (runs only when pivot-count analysis passes): an
-//!    abstract forward pass over the chain that tracks the running
-//!    resolvent as a literal set, diagnosing missing ([`RP105`]) or
-//!    ambiguous ([`RP104`]) pivots, repeated pivot variables
-//!    ([`RP106`]), and leftover literals the recorded clause lacks
+//! 2. **Order replay** (runs only when pivot-count analysis passes):
+//!    the checker's own chain replay, [`proof::chain::Chains`], whose
+//!    refusals map to missing ([`RP105`]) or ambiguous ([`RP104`])
+//!    pivots; its pivots to repeated pivot variables ([`RP106`]); and
+//!    its resolvent to leftover literals the recorded clause lacks
 //!    ([`RP103`]).
+//!
+//! A chain citing a forward reference or a tautology gets neither
+//! analysis: [`RP001`] or [`RP003`] already names its defect. Both
+//! analyses index their tables by the replay's dense variable slots.
 
 use crate::{
     cited_steps, is_tautology, Artifact, LintOptions, Location, Report, Severity, RP001, RP002,
     RP003, RP004, RP005, RP006, RP007, RP101, RP102, RP103, RP104, RP105, RP106,
 };
 use cnf::Lit;
+use proof::chain::Chains;
+use proof::check::CheckError;
 use proof::{ClauseId, Proof};
 use std::collections::HashMap;
 
@@ -33,7 +39,6 @@ use std::collections::HashMap;
 pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     let mut r = Report::new(Artifact::Proof);
     let cap = opts.max_per_lint;
-    let mut max_var = 0u32;
 
     // Structural pass: one sweep over each step's own clause and ids.
     let mut seen: HashMap<&[Lit], ClauseId> = HashMap::new();
@@ -41,9 +46,6 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     // input turns up.
     let mut cited: Option<Vec<bool>> = None;
     for (id, step) in p.iter() {
-        for &l in step.clause {
-            max_var = max_var.max(l.var().index());
-        }
         for &a in step.antecedents {
             if a.index() >= id.index() {
                 let what = if a == id { "itself" } else { "a later step" };
@@ -54,24 +56,17 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
         }
         if is_tautology(step.clause) {
             // A tautological *input* is junk the encoder should not have
-            // emitted, and an error once a chain cites it: no chain
-            // replay admits a tautological antecedent. A tautological
-            // *derivation* is always an error.
+            // emitted; a *derived* or cited one breaks every chain
+            // replay that uses it.
             let input = step.is_original();
-            let cited_input = input && cited.get_or_insert_with(|| cited_steps(p))[id.as_usize()];
-            let sev = if input && !cited_input {
-                Severity::Warn
-            } else {
-                Severity::Error
+            let cited = input && cited.get_or_insert_with(|| cited_steps(p))[id.as_usize()];
+            let (sev, kind) = match (input, cited) {
+                (false, _) => (Severity::Error, "derived"),
+                (true, false) => (Severity::Warn, "input"),
+                (true, true) => (Severity::Error, "cited input"),
             };
             r.emit_severity(RP003, sev, Some(Location::Step(id.index())), cap, || {
-                let kind = if input { "input" } else { "derived" };
-                let cite = if cited_input {
-                    "; a chain cites it"
-                } else {
-                    ""
-                };
-                format!("{kind} clause contains a variable in both polarities{cite}")
+                format!("{kind} clause contains a variable in both polarities")
             });
         }
         if !step.is_original() {
@@ -128,7 +123,7 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     lint_stitch_boundaries(p, opts, &mut r);
 
     if opts.chain {
-        lint_chains(p, max_var, opts, &mut r);
+        lint_chains(p, opts, &mut r);
     }
     r
 }
@@ -182,186 +177,122 @@ fn lint_stitch_boundaries(p: &Proof, opts: &LintOptions, r: &mut Report) {
 }
 
 /// The chain-analysis pass (`RP1xx`); see the module docs.
-fn lint_chains(p: &Proof, max_var: u32, opts: &LintOptions, r: &mut Report) {
+fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
     let cap = opts.max_per_lint;
-    let nv = max_var as usize + 1;
-    // Occurrence counters for the pivot-count analysis and presence bits
-    // for the order replay, both cleared through touched lists so one
-    // allocation serves every step.
-    let mut count = vec![[0u32; 2]; nv];
+    let mut chains = Chains::new(p);
+    // Occurrence counters for the pivot census and pivot marks for the
+    // replay, per slot, cleared through touched lists so one allocation
+    // serves every step.
+    let mut count = vec![[0u32; 2]; chains.num_vars()];
     let mut counted: Vec<u32> = Vec::new();
-    let mut present = vec![0u8; nv]; // bit 0: positive lit, bit 1: negative
-    let mut marked: Vec<u32> = Vec::new();
-    let mut pivot_seen = vec![false; nv];
+    let mut pivot_seen = vec![false; chains.num_vars()];
     let mut pivots: Vec<u32> = Vec::new();
 
-    'steps: for (id, step) in p.iter() {
-        if step.is_original() {
-            continue;
-        }
-        if step
-            .antecedents
-            .iter()
-            .any(|&a| a.index() >= id.index() || is_tautology(p.clause(a)))
+    for (id, step) in p.iter() {
+        if step.is_original()
+            || step
+                .antecedents
+                .iter()
+                .any(|&a| a.index() >= id.index() || chains.is_tautology(a))
         {
-            continue; // unanalyzable; RP001 or RP003 already reported it
+            continue; // nothing to resolve, or RP001/RP003 reported it
         }
+        let at = Some(Location::Step(id.index()));
         let recorded = step.clause;
         let needed = step.antecedents.len() - 1;
 
         // Pivot-count analysis (order-insensitive).
         for &a in step.antecedents {
-            for &l in p.clause(a) {
-                let v = l.var().as_usize();
-                let c = &mut count[v];
-                if c[0] == 0 && c[1] == 0 {
-                    counted.push(v as u32);
+            for &code in chains.codes(a) {
+                let c = &mut count[(code >> 1) as usize];
+                if *c == [0, 0] {
+                    counted.push(code >> 1);
                 }
-                c[usize::from(l.is_negative())] += 1;
+                c[(code & 1) as usize] += 1;
             }
         }
-        let mut clash_pairs = 0usize;
-        for &v in &counted {
-            let c = count[v as usize];
-            clash_pairs += c[0].min(c[1]) as usize;
+        let clash_pairs: usize = counted
+            .iter()
+            .map(|&s| count[s as usize][0].min(count[s as usize][1]) as usize)
+            .sum();
+        let lone = counted.iter().find_map(|&s| {
+            let l = match count[s as usize] {
+                [_, 0] => chains.var(s).positive(),
+                [0, _] => chains.var(s).negative(),
+                _ => return None,
+            };
+            recorded.binary_search(&l).is_err().then_some(l)
+        });
+        for s in counted.drain(..) {
+            count[s as usize] = [0, 0];
         }
         if clash_pairs < needed {
-            r.emit(RP101, Some(Location::Step(id.index())), cap, || {
+            r.emit(RP101, at, cap, || {
                 format!(
                     "chain of {} antecedents needs {needed} resolutions but its clauses \
                      contain only {clash_pairs} clashing variable pairs",
                     step.antecedents.len()
                 )
             });
-            clear_counts(&mut count, &mut counted);
             continue;
         }
-        for &v in &counted {
-            let c = count[v as usize];
-            let lone = if c[1] == 0 && c[0] > 0 {
-                Some(cnf::Var::new(v).positive())
-            } else if c[0] == 0 && c[1] > 0 {
-                Some(cnf::Var::new(v).negative())
-            } else {
-                None
-            };
-            if let Some(l) = lone {
-                if recorded.binary_search(&l).is_err() {
-                    r.emit(RP102, Some(Location::Step(id.index())), cap, || {
-                        format!(
-                            "literal {} occurs in one polarity only (unresolvable) \
-                             yet is missing from the recorded clause",
-                            dimacs(l)
-                        )
-                    });
-                    clear_counts(&mut count, &mut counted);
-                    continue 'steps;
-                }
-            }
+        if let Some(l) = lone {
+            r.emit(RP102, at, cap, || {
+                format!(
+                    "literal {} occurs in one polarity only (unresolvable) \
+                     yet is missing from the recorded clause",
+                    l.to_dimacs()
+                )
+            });
+            continue;
         }
-        clear_counts(&mut count, &mut counted);
 
-        // Order replay over the running resolvent as a literal set.
-        for &l in p.clause(step.antecedents[0]) {
-            mark(&mut present, &mut marked, l);
-        }
-        let mut replay_ok = true;
-        for (position, &a) in step.antecedents.iter().enumerate().skip(1) {
-            let clause = p.clause(a);
-            let mut pivot: Option<Lit> = None;
-            let mut ambiguous = false;
-            for &l in clause {
-                let v = l.var().as_usize();
-                let opposite = 1u8 << usize::from(!l.is_negative());
-                if present[v] & opposite != 0 {
-                    if pivot.is_some() {
-                        ambiguous = true;
-                    } else {
-                        pivot = Some(l);
-                    }
-                }
-            }
-            let Some(pl) = pivot else {
-                r.emit(RP105, Some(Location::Step(id.index())), cap, || {
-                    format!("antecedent {a} (chain position {position}) shares no clashing variable with the running resolvent")
-                });
-                replay_ok = false;
-                break;
-            };
-            if ambiguous {
-                r.emit(RP104, Some(Location::Step(id.index())), cap, || {
-                    format!("antecedent {a} (chain position {position}) clashes with the running resolvent on more than one variable")
-                });
-                replay_ok = false;
-                break;
-            }
-            let v = pl.var().as_usize();
-            if pivot_seen[v] {
-                r.emit(RP106, Some(Location::Step(id.index())), cap, || {
+        // Order replay.
+        let replay = chains.resolve(id, |_, slot, var| {
+            if std::mem::replace(&mut pivot_seen[slot as usize], true) {
+                r.emit(RP106, at, cap, || {
                     format!(
                         "irregular chain: pivot variable {} is resolved more than once",
-                        pl.var().index() + 1
+                        var.index() + 1
                     )
                 });
             } else {
-                pivot_seen[v] = true;
-                pivots.push(v as u32);
+                pivots.push(slot);
             }
-            present[v] &= !(1u8 << usize::from(!pl.is_negative()));
-            for &l in clause {
-                if l != pl {
-                    mark(&mut present, &mut marked, l);
+        });
+        match replay {
+            Ok(resolvent) => {
+                if let Some(l) = resolvent
+                    .iter()
+                    .find(|l| recorded.binary_search(l).is_err())
+                {
+                    r.emit(RP103, at, cap, || {
+                        format!(
+                            "replaying the chain in recorded order leaves literal {} \
+                             which the recorded clause lacks",
+                            l.to_dimacs()
+                        )
+                    });
                 }
             }
-        }
-        if replay_ok {
-            'leftover: for &v in &marked {
-                let bits = present[v as usize];
-                for negated in [false, true] {
-                    if bits & (1u8 << usize::from(negated)) != 0 {
-                        let l = cnf::Var::new(v).lit(negated);
-                        if recorded.binary_search(&l).is_err() {
-                            r.emit(RP103, Some(Location::Step(id.index())), cap, || {
-                                format!(
-                                    "replaying the chain in recorded order leaves literal {} \
-                                     which the recorded clause lacks",
-                                    dimacs(l)
-                                )
-                            });
-                            break 'leftover;
-                        }
-                    }
-                }
+            Err(CheckError::NoPivot { position, .. }) => {
+                let a = step.antecedents[position];
+                r.emit(RP105, at, cap, || {
+                    format!("antecedent {a} (chain position {position}) shares no clashing variable with the running resolvent")
+                });
             }
+            Err(CheckError::MultiplePivots { position, .. }) => {
+                let a = step.antecedents[position];
+                r.emit(RP104, at, cap, || {
+                    format!("antecedent {a} (chain position {position}) clashes with the running resolvent on more than one variable")
+                });
+            }
+            Err(_) => {} // forward references and tautologies were skipped
         }
-        for &v in &marked {
-            present[v as usize] = 0;
+        for s in pivots.drain(..) {
+            pivot_seen[s as usize] = false;
         }
-        marked.clear();
-        for &v in &pivots {
-            pivot_seen[v as usize] = false;
-        }
-        pivots.clear();
     }
-}
-
-fn clear_counts(count: &mut [[u32; 2]], counted: &mut Vec<u32>) {
-    for &v in counted.iter() {
-        count[v as usize] = [0, 0];
-    }
-    counted.clear();
-}
-
-fn mark(present: &mut [u8], marked: &mut Vec<u32>, l: Lit) {
-    let v = l.var().as_usize();
-    if present[v] == 0 {
-        marked.push(v as u32);
-    }
-    present[v] |= 1u8 << usize::from(l.is_negative());
-}
-
-fn dimacs(l: Lit) -> i32 {
-    l.to_dimacs()
 }
 
 #[cfg(test)]

@@ -4,7 +4,9 @@
 //!
 //! - [`check_strict`]: verifies every derived step by *replaying the
 //!   recorded chain resolution literally* — the strongest audit, needing
-//!   no search at all (the paper's "simple proof checker").
+//!   no search at all (the paper's "simple proof checker"). The replay
+//!   is [`crate::chain::Chains`], which also serves the interpolator
+//!   and the chain lints.
 //! - [`check_rup`]: verifies every derived step by reverse unit
 //!   propagation over the earlier clauses, ignoring the recorded
 //!   antecedents (DRUP-style). Useful for cross-validating proofs whose
@@ -12,6 +14,7 @@
 //!
 //! Both reject ill-formed proofs (forward references, unknown steps).
 
+use crate::chain::Chains;
 use crate::rup::Propagator;
 use crate::{ClauseId, Proof};
 use cnf::Lit;
@@ -98,114 +101,27 @@ impl std::error::Error for CheckError {}
 ///
 /// For a step with antecedents `a₀ … aₖ`, the checker starts from
 /// `clause(a₀)` and resolves each `clause(aᵢ)` in turn; each resolution
-/// must have exactly one clashing variable. The final resolvent must be
-/// a subset of (i.e. subsume) the recorded clause — recording a weaker
-/// clause is sound and occasionally convenient.
+/// must have exactly one clashing variable, and no antecedent may be a
+/// tautology. The final resolvent must be a subset of (i.e. subsume)
+/// the recorded clause — recording a weaker clause is sound and
+/// occasionally convenient. The replay is [`Chains::resolve`]'s.
 ///
 /// # Errors
 ///
 /// Returns the first violation found, identifying the step.
 pub fn check_strict(proof: &Proof) -> Result<(), CheckError> {
-    let num_vars = max_var(proof) + 1;
-    // 0 = absent, 1 = positive, 2 = negative.
-    let mut mark = vec![0u8; num_vars];
-    let mut touched: Vec<u32> = Vec::new();
-
+    let mut chains = Chains::new(proof);
     for (id, step) in proof.iter() {
         if step.is_original() {
             continue;
         }
-        let ants = step.antecedents;
-        for &a in ants {
-            if a.index() >= id.index() {
-                return Err(CheckError::ForwardReference {
-                    step: id,
-                    antecedent: a,
-                });
-            }
+        let resolvent = chains.resolve(id, |_, _, _| {})?;
+        if let Some(&missing) = resolvent
+            .iter()
+            .find(|l| step.clause.binary_search(l).is_err())
+        {
+            return Err(CheckError::ResolventNotSubsumed { step: id, missing });
         }
-
-        // Initialize the running resolvent from the first antecedent.
-        let first = proof.clause(ants[0]);
-        for &l in first {
-            let v = l.var().as_usize();
-            let m = if l.is_negative() { 2 } else { 1 };
-            if mark[v] != 0 && mark[v] != m {
-                clear(&mut mark, &mut touched);
-                return Err(CheckError::TautologicalAntecedent(ants[0]));
-            }
-            if mark[v] == 0 {
-                touched.push(l.var().index());
-            }
-            mark[v] = m;
-        }
-
-        let mut ok = Ok(());
-        'chain: for (pos, &a) in ants.iter().enumerate().skip(1) {
-            let clause = proof.clause(a);
-            if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
-                ok = Err(CheckError::TautologicalAntecedent(a));
-                break 'chain;
-            }
-            // Find the unique clashing variable.
-            let mut pivot: Option<Lit> = None;
-            for &l in clause {
-                let v = l.var().as_usize();
-                let m = if l.is_negative() { 2 } else { 1 };
-                if mark[v] != 0 && mark[v] != m {
-                    if pivot.is_some() {
-                        ok = Err(CheckError::MultiplePivots {
-                            step: id,
-                            position: pos,
-                        });
-                        break 'chain;
-                    }
-                    pivot = Some(l);
-                }
-            }
-            let Some(pivot) = pivot else {
-                ok = Err(CheckError::NoPivot {
-                    step: id,
-                    position: pos,
-                });
-                break 'chain;
-            };
-            // Remove the clashing literal, add the rest.
-            mark[pivot.var().as_usize()] = 0;
-            for &l in clause {
-                if l == pivot {
-                    continue;
-                }
-                let v = l.var().as_usize();
-                let m = if l.is_negative() { 2 } else { 1 };
-                debug_assert!(mark[v] == 0 || mark[v] == m);
-                if mark[v] == 0 {
-                    touched.push(l.var().index());
-                }
-                mark[v] = m;
-            }
-        }
-
-        if ok.is_ok() {
-            // The resolvent must be contained in the recorded clause.
-            'subsume: for &v in &touched {
-                let m = mark[v as usize];
-                if m == 0 {
-                    continue; // was a pivot, removed
-                }
-                let lit = cnf::Var::new(v).lit(m == 2);
-                if step.clause.binary_search(&lit).is_err() {
-                    ok = Err(CheckError::ResolventNotSubsumed {
-                        step: id,
-                        missing: lit,
-                    });
-                    break 'subsume;
-                }
-            }
-        }
-
-        clear(&mut mark, &mut touched);
-        ok?;
     }
     Ok(())
 }
@@ -220,20 +136,6 @@ pub fn check_strict(proof: &Proof) -> Result<(), CheckError> {
 pub fn check_refutation(proof: &Proof) -> Result<ClauseId, CheckError> {
     check_strict(proof)?;
     proof.empty_clause().ok_or(CheckError::NoRefutation)
-}
-
-fn clear(mark: &mut [u8], touched: &mut Vec<u32>) {
-    for v in touched.drain(..) {
-        mark[v as usize] = 0;
-    }
-}
-
-fn max_var(proof: &Proof) -> usize {
-    proof
-        .iter()
-        .flat_map(|(_, s)| s.clause.iter().map(|l| l.var().as_usize()))
-        .max()
-        .unwrap_or(0)
 }
 
 /// Checks every derived clause by reverse unit propagation (RUP) over
@@ -409,6 +311,14 @@ mod tests {
         let text = "1 1 -2147483648 0 0\n2 -1 0 0\n3 -2147483648 0 1 2 0\n";
         let p = crate::import::read_tracecheck(text.as_bytes()).unwrap();
         assert_eq!(check_rup(&p), Ok(()));
+    }
+
+    #[test]
+    fn strict_accepts_a_proof_naming_the_largest_variable() {
+        // The replay renumbers the two variables named to slots 0 and 1.
+        let text = "1 1 -2147483648 0 0\n2 -1 0 0\n3 -2147483648 0 1 2 0\n";
+        let p = crate::import::read_tracecheck(text.as_bytes()).unwrap();
+        assert_eq!(check_strict(&p), Ok(()));
     }
 
     #[test]

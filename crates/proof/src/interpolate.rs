@@ -17,9 +17,9 @@
 //! The interpolant is built directly as an [`aig::Aig`], so its size can
 //! be reported in gates and it can be checked by simulation or SAT.
 
-use crate::{check::CheckError, ClauseId, Proof};
+use crate::{chain::Chains, check::CheckError, ClauseId, Proof};
 use aig::Aig;
-use cnf::{Lit, Var};
+use cnf::Var;
 use std::collections::HashMap;
 
 /// An interpolant extracted from a refutation.
@@ -57,8 +57,9 @@ impl Interpolant {
 /// computed from the original clauses of the whole proof.
 ///
 /// The proof must replay exactly (recorded clauses equal to their chain
-/// resolvents); run [`crate::check::check_strict`] first. This function
-/// re-derives each pivot and fails if a chain does not resolve.
+/// resolvents); run [`crate::check::check_strict`] first. Each chain is
+/// replayed by [`Chains::resolve`], which hands over the pivots to fold
+/// at and fails if a chain does not resolve.
 ///
 /// # Errors
 ///
@@ -73,26 +74,21 @@ pub fn interpolant<F: Fn(ClauseId) -> bool>(
     is_b: F,
 ) -> Result<Interpolant, CheckError> {
     assert!(root.as_usize() < proof.len(), "root out of range");
+    let mut chains = Chains::new(proof);
 
-    // Classify variables from the original clauses.
-    let num_vars = proof
-        .iter()
-        .flat_map(|(_, s)| s.clause.iter().map(|l| l.var().as_usize() + 1))
-        .max()
-        .unwrap_or(0);
-    let mut in_a = vec![false; num_vars];
-    let mut in_b = vec![false; num_vars];
+    // Classify variables, by slot, from the original clauses.
+    let mut in_a = vec![false; chains.num_vars()];
+    let mut in_b = vec![false; chains.num_vars()];
     for (id, step) in proof.iter() {
-        if !step.is_original() {
-            continue;
-        }
-        let side = if is_b(id) { &mut in_b } else { &mut in_a };
-        for l in step.clause {
-            side[l.var().as_usize()] = true;
+        if step.is_original() {
+            let side = if is_b(id) { &mut in_b } else { &mut in_a };
+            for &code in chains.codes(id) {
+                side[(code >> 1) as usize] = true;
+            }
         }
     }
-    let is_global = |v: Var| in_a[v.as_usize()] && in_b[v.as_usize()];
-    let is_a_local = |v: Var| in_a[v.as_usize()] && !in_b[v.as_usize()];
+    let is_global = |slot: u32| in_a[slot as usize] && in_b[slot as usize];
+    let is_a_local = |slot: u32| in_a[slot as usize] && !in_b[slot as usize];
 
     let mut graph = Aig::new();
     let mut inputs: Vec<Var> = Vec::new();
@@ -104,116 +100,45 @@ pub fn interpolant<F: Fn(ClauseId) -> bool>(
         })
     };
 
-    // Interpolant literal per step (computed lazily up to root).
-    let mut itp: Vec<Option<aig::Lit>> = vec![None; proof.len()];
-    // Chain replay buffer: var -> polarity marker.
-    let mut mark: Vec<u8> = vec![0; num_vars];
-    let mut touched: Vec<u32> = Vec::new();
-
-    for idx in 0..=root.as_usize() {
-        let id = ClauseId::new(idx as u32);
-        let step = proof.step(id);
-        if step.is_original() {
-            itp[idx] = Some(if is_b(id) {
-                aig::Lit::TRUE
-            } else {
-                // Disjunction of the global literals of the clause.
-                let mut terms = Vec::new();
-                for &l in step.clause {
-                    if is_global(l.var()) {
-                        let base = var_lit(&mut graph, l.var());
-                        terms.push(base.xor_complement(l.is_negative()));
-                    }
-                }
-                graph.or_all(&terms)
-            });
-            continue;
-        }
-
-        // Replay the chain to find each pivot, folding interpolants.
+    // Interpolant literal per step, up to the root.
+    let mut itp: Vec<aig::Lit> = Vec::with_capacity(root.as_usize() + 1);
+    for (id, step) in proof.iter().take(root.as_usize() + 1) {
         let ants = step.antecedents;
-        let first = proof.clause(ants[0]);
-        for &l in first {
-            let v = l.var().as_usize();
-            let m = if l.is_negative() { 2 } else { 1 };
-            if mark[v] != 0 && mark[v] != m {
-                clear(&mut mark, &mut touched);
-                return Err(CheckError::TautologicalAntecedent(ants[0]));
-            }
-            if mark[v] == 0 {
-                touched.push(l.var().index());
-            }
-            mark[v] = m;
-        }
-        let mut cur = itp[ants[0].as_usize()].expect("antecedent precedes step");
-        let mut failure: Option<CheckError> = None;
-        'chain: for (pos, &a) in ants.iter().enumerate().skip(1) {
-            let clause = proof.clause(a);
-            if clause.windows(2).any(|w| w[0].var() == w[1].var()) {
-                failure = Some(CheckError::TautologicalAntecedent(a));
-                break 'chain;
-            }
-            let mut pivot: Option<Lit> = None;
-            for &l in clause {
-                let v = l.var().as_usize();
-                let m = if l.is_negative() { 2 } else { 1 };
-                if mark[v] != 0 && mark[v] != m {
-                    if pivot.is_some() {
-                        failure = Some(CheckError::MultiplePivots {
-                            step: id,
-                            position: pos,
-                        });
-                        break 'chain;
-                    }
-                    pivot = Some(l);
-                }
-            }
-            let Some(pivot) = pivot else {
-                failure = Some(CheckError::NoPivot {
-                    step: id,
-                    position: pos,
+        let lit = if !step.is_original() {
+            // Fold the antecedents' interpolants at each pivot; the
+            // replay has refused forward references before the first.
+            let mut cur: Option<aig::Lit> = None;
+            chains.resolve(id, |position, slot, _| {
+                let acc = cur.unwrap_or(itp[ants[0].as_usize()]);
+                let other = itp[ants[position].as_usize()];
+                cur = Some(if is_a_local(slot) {
+                    graph.or(acc, other)
+                } else {
+                    graph.and(acc, other)
                 });
-                break 'chain;
-            };
-            mark[pivot.var().as_usize()] = 0;
-            for &l in clause {
-                if l == pivot {
-                    continue;
-                }
-                let v = l.var().as_usize();
-                if mark[v] == 0 {
-                    touched.push(l.var().index());
-                }
-                mark[v] = if l.is_negative() { 2 } else { 1 };
-            }
-            let other = itp[a.as_usize()].expect("antecedent precedes step");
-            cur = if is_a_local(pivot.var()) {
-                graph.or(cur, other)
-            } else {
-                graph.and(cur, other)
-            };
-        }
-        clear(&mut mark, &mut touched);
-        if let Some(e) = failure {
-            return Err(e);
-        }
-        itp[idx] = Some(cur);
+            })?;
+            cur.unwrap_or(itp[ants[0].as_usize()])
+        } else if is_b(id) {
+            aig::Lit::TRUE
+        } else {
+            // Disjunction of the global literals of the clause.
+            let terms: Vec<aig::Lit> = (step.clause.iter().zip(chains.codes(id)))
+                .filter(|&(_, &code)| is_global(code >> 1))
+                .map(|(&l, _)| var_lit(&mut graph, l.var()).xor_complement(l.is_negative()))
+                .collect();
+            graph.or_all(&terms)
+        };
+        itp.push(lit);
     }
 
-    let out = itp[root.as_usize()].expect("root computed");
-    graph.add_output(out);
+    graph.add_output(itp[root.as_usize()]);
     Ok(Interpolant { graph, inputs })
-}
-
-fn clear(mark: &mut [u8], touched: &mut Vec<u32>) {
-    for v in touched.drain(..) {
-        mark[v as usize] = 0;
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cnf::Lit;
 
     fn lits(xs: &[i32]) -> Vec<Lit> {
         xs.iter()

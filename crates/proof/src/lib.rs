@@ -7,7 +7,9 @@
 //!
 //! - [`check::check_strict`] replays every recorded chain resolution —
 //!   the paper's "simple proof checker" that lets a third party trust a
-//!   CEC verdict without trusting the engine.
+//!   CEC verdict without trusting the engine. [`chain::Chains`] is the
+//!   one chain replay behind it, behind [`interpolate`] and behind the
+//!   `lint` crate's chain lints.
 //! - [`check::check_rup`] cross-validates by reverse unit propagation,
 //!   through [`rup::Propagator`], the propagator the DRAT lint shares.
 //! - [`trim`] extracts the backward cone of the empty clause (the unsat
@@ -34,6 +36,7 @@
 
 #![warn(missing_docs)]
 
+pub mod chain;
 pub mod check;
 mod compact;
 pub mod export;

@@ -24,8 +24,9 @@
 //!
 //! The per-variable and per-literal tables grow with the distinct
 //! variables the clauses name, not with the largest index: each
-//! variable gets a dense slot when first seen, so a clause naming
-//! variable 2^31−1 costs a few bytes.
+//! variable gets a dense slot when first seen ([`intern`], which
+//! [`crate::chain::Chains`] shares), so a clause naming variable
+//! 2^31−1 costs a few bytes.
 
 use cnf::Lit;
 use std::collections::HashMap;
@@ -69,6 +70,16 @@ pub struct Propagator {
     trail: Vec<u32>,
     /// The base is contradictory.
     conflict: bool,
+}
+
+/// The dense code of `l` (`slot * 2 + negated`), giving its variable
+/// the next slot in `slots` on first sight.
+pub(crate) fn intern(slots: &mut HashMap<u32, u32>, l: Lit) -> u32 {
+    // A `Lit` code is a `u32`, so there are at most 2^31 variables and
+    // every slot and dense code fits a `u32` too.
+    let next = slots.len() as u32;
+    let slot = *slots.entry(l.var().index()).or_insert(next);
+    slot << 1 | u32::from(l.is_negative())
 }
 
 #[derive(Debug)]
@@ -141,15 +152,12 @@ impl Propagator {
 
     /// The dense code of `l`, giving its variable a slot on first sight.
     fn code(&mut self, l: Lit) -> u32 {
-        // A `Lit` code is a `u32`, so there are at most 2^31 variables
-        // and every slot and dense code fits a `u32` too.
-        let next = self.slots.len() as u32;
-        let slot = *self.slots.entry(l.var().index()).or_insert(next);
-        if slot == next {
+        let code = intern(&mut self.slots, l);
+        if self.values.len() < 2 * self.slots.len() {
             self.values.extend([0, 0]);
             self.watches.extend([Vec::new(), Vec::new()]);
         }
-        slot << 1 | u32::from(l.is_negative())
+        code
     }
 
     fn assign(&mut self, code: u32) {

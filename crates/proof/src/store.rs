@@ -226,6 +226,17 @@ impl Proof {
         self.step(id).clause
     }
 
+    /// Every step's clause, in step order, in one slice.
+    pub(crate) fn literals(&self) -> &[Lit] {
+        &self.lits
+    }
+
+    /// Where step `id`'s clause sits in [`Proof::literals`].
+    pub(crate) fn lit_range(&self, id: ClauseId) -> std::ops::Range<usize> {
+        let (l0, l1, _, _) = self.steps[id.as_usize()];
+        l0 as usize..l1 as usize
+    }
+
     /// Iterates over all steps in order.
     pub fn iter(&self) -> impl Iterator<Item = (ClauseId, Step<'_>)> {
         (0..self.steps.len() as u32).map(move |i| {
