@@ -7,11 +7,16 @@
 //! compared against exhaustive evaluation.
 
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use resolution_cec::aig::gen::{mutate, random_aig};
 use resolution_cec::aig::sim::exhaustive_diff;
 use resolution_cec::aig::{Aig, NodeId};
 use resolution_cec::cec::{EngineConfig, Miter, Session, SharedContext, SimClasses};
-use resolution_cec::proof;
+use resolution_cec::cnf::{Lit, Var};
+use resolution_cec::proof::{self, check::CheckError, ClauseId, Proof};
+use std::collections::BTreeSet;
 
 fn verified() -> EngineConfig {
     EngineConfig {
@@ -244,5 +249,183 @@ proptest! {
         let repeated: Vec<u64> = pattern.iter().map(|&v| u64::from(v).wrapping_neg()).collect();
         prop_assert_eq!(single.refine(&graph, &repeated), expected_splits);
         prop_assert_eq!(leaders(&single, len), expected);
+    }
+}
+
+/// The variables of the checker/lint agreement proofs: a few small
+/// indices and 2^31−1, the largest a `Lit` holds. Like every proof
+/// reader, the generator gives that one only its negative literal
+/// (`-2147483648`); its positive one has no DIMACS form.
+const POOL: [u32; 5] = [0, 1, 2, 3, i32::MAX as u32];
+
+/// A random literal over [`POOL`].
+fn pool_lit(rng: &mut SmallRng) -> Lit {
+    let v = *POOL.choose(rng).expect("non-empty pool");
+    Var::new(v).lit(v == POOL[4] || rng.gen_bool(0.5))
+}
+
+fn is_tautology(c: &BTreeSet<Lit>) -> bool {
+    c.iter().any(|&l| c.contains(&!l))
+}
+
+/// A random small proof over [`POOL`]: inputs, some tautological, then
+/// chains built to resolve, each damaged in one way or left whole: two
+/// neighbours swapped, an antecedent dropped or an extra one added, or
+/// the clause weakened. The recorded clause is never a tautology, as in
+/// every proof the engine writes.
+fn random_proof(seed: u64) -> Proof {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut p = Proof::new();
+    for _ in 0..rng.gen_range(3..8) {
+        let mut clause: Vec<Lit> = (0..rng.gen_range(1..4))
+            .map(|_| pool_lit(&mut rng))
+            .collect();
+        if rng.gen_bool(0.05) {
+            clause.push(!clause[0]);
+        }
+        p.add_original(clause);
+    }
+    for _ in 0..rng.gen_range(2..8) {
+        let n = p.len() as u32;
+        let mut chain = vec![ClauseId::new(rng.gen_range(0..n))];
+        let mut resolvent: BTreeSet<Lit> = p.clause(chain[0]).iter().copied().collect();
+        for _ in 0..rng.gen_range(1..4) {
+            let clashes = |a: &ClauseId| {
+                let c = p.clause(*a);
+                c.iter().filter(|&&l| resolvent.contains(&!l)).count() == 1
+            };
+            let fits: Vec<ClauseId> = (0..n).map(ClauseId::new).filter(clashes).collect();
+            let Some(&a) = fits.choose(&mut rng) else {
+                break;
+            };
+            let c = p.clause(a);
+            let pivot = *c.iter().find(|&&l| resolvent.contains(&!l)).expect("fits");
+            resolvent.remove(&!pivot);
+            resolvent.extend(c.iter().copied().filter(|&l| l != pivot));
+            chain.push(a);
+        }
+        match rng.gen_range(0..6) {
+            0 if chain.len() > 1 => {
+                let i = rng.gen_range(0..chain.len() - 1);
+                chain.swap(i, i + 1);
+            }
+            1 if chain.len() > 1 => {
+                chain.remove(rng.gen_range(0..chain.len()));
+            }
+            2 => chain.push(ClauseId::new(rng.gen_range(0..n))),
+            3 => {
+                let l = pool_lit(&mut rng);
+                if !resolvent.contains(&!l) {
+                    resolvent.insert(l);
+                }
+            }
+            _ => {}
+        }
+        if !is_tautology(&resolvent) {
+            p.add_derived(resolvent, chain);
+        }
+    }
+    p
+}
+
+/// Chain resolution over literal sets, the naive way: the resolvent
+/// of derived step `id`, or why its chain does not resolve.
+fn reference_resolvent(p: &Proof, id: ClauseId) -> Result<BTreeSet<Lit>, CheckError> {
+    let mut resolvent = BTreeSet::new();
+    for (position, &a) in p.step(id).antecedents.iter().enumerate() {
+        let clause: BTreeSet<Lit> = p.clause(a).iter().copied().collect();
+        if is_tautology(&clause) {
+            return Err(CheckError::TautologicalAntecedent(a));
+        }
+        if position == 0 {
+            resolvent = clause;
+            continue;
+        }
+        let clashes: Vec<Lit> = clause
+            .iter()
+            .copied()
+            .filter(|&l| resolvent.contains(&!l))
+            .collect();
+        let pivot = match clashes[..] {
+            [pivot] => pivot,
+            [] => return Err(CheckError::NoPivot { step: id, position }),
+            _ => return Err(CheckError::MultiplePivots { step: id, position }),
+        };
+        resolvent.remove(&!pivot);
+        resolvent.extend(clause.into_iter().filter(|&l| l != pivot));
+    }
+    Ok(resolvent)
+}
+
+/// The naive strict check: every derived step's reference resolvent is
+/// part of its recorded clause.
+fn reference_check(p: &Proof) -> Result<(), CheckError> {
+    for (id, step) in p.iter().filter(|(_, step)| !step.is_original()) {
+        let resolvent = reference_resolvent(p, id)?;
+        if let Some(&missing) = resolvent
+            .iter()
+            .find(|l| step.clause.binary_search(l).is_err())
+        {
+            return Err(CheckError::ResolventNotSubsumed { step: id, missing });
+        }
+    }
+    Ok(())
+}
+
+/// `check_strict` reaches the reference's verdict: the same error at
+/// the same step and chain position. Where the resolvent is not part of
+/// the recorded clause, the literal it names is one the reference's
+/// resolvent has and the recorded clause lacks. And the full proof lint
+/// reports an error exactly when `check_strict` rejects.
+fn checker_and_lints_agree(p: &Proof) -> Result<(), TestCaseError> {
+    let verdict = proof::check::check_strict(p);
+    match (&verdict, reference_check(p)) {
+        (
+            Err(CheckError::ResolventNotSubsumed { step, missing }),
+            Err(CheckError::ResolventNotSubsumed { step: expected, .. }),
+        ) => {
+            prop_assert_eq!(step, &expected);
+            let resolvent = reference_resolvent(p, *step).expect("chain resolves");
+            prop_assert!(resolvent.contains(missing));
+            prop_assert!(!p.clause(*step).contains(missing));
+        }
+        (verdict, expected) => prop_assert_eq!(verdict, &expected),
+    }
+    let report = lint::lint_proof(p, &lint::LintOptions::default());
+    prop_assert_eq!(
+        report.is_clean(),
+        verdict.is_ok(),
+        "{:?} against {:?}",
+        verdict,
+        report.diagnostics()
+    );
+    Ok(())
+}
+
+#[test]
+fn checker_and_lints_agree_on_pinned_proofs() {
+    for text in [
+        // (z)(x)(x ∨ ¬x ∨ ¬z) is satisfiable: a tautology second in a
+        // chain once left one polarity behind, and `check_strict`
+        // accepted this refutation.
+        "1 2 0 0\n2 1 0 0\n3 1 -1 -2 0 0\n4 -1 0 1 3 0\n5 0 2 4 0\n",
+        // A tautology first in a chain: the lints once passed it.
+        "1 1 -1 2 0 0\n2 -1 3 0 0\n3 -1 2 3 0 1 2 0\n",
+        "1 1 -2147483648 0 0\n2 -1 0 0\n3 -2147483648 0 1 2 0\n",
+    ] {
+        let p = proof::import::read_tracecheck(text.as_bytes()).unwrap();
+        checker_and_lints_agree(&p).unwrap_or_else(|e| panic!("{text:?}: {e:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// `check_strict` agrees with the naive reference, and the full
+    /// proof lint with `check_strict`, on random small proofs (see
+    /// `random_proof`).
+    #[test]
+    fn checker_and_lints_agree_on_random_proofs(seed in any::<u64>()) {
+        checker_and_lints_agree(&random_proof(seed))?;
     }
 }
