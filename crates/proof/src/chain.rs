@@ -25,10 +25,10 @@
 //! own — is indexed by slot. While the largest variable index is below
 //! the number of literals the proof holds, as in every proof the engine
 //! writes, a variable is its own slot. Otherwise the variables are
-//! numbered in order of first sight by [`crate::rup::intern`], the
-//! interning of the RUP propagator. Either way no table outgrows the
-//! proof: one naming variable 2^31−1 costs a few bytes. The replay loop
-//! itself hashes nothing.
+//! numbered in order of first sight by `rup::intern`, the interning of
+//! the RUP propagator. Either way no table outgrows the proof: one
+//! naming variable 2^31−1 costs a few bytes. The replay loop itself
+//! hashes nothing.
 
 use crate::check::CheckError;
 use crate::{rup::intern, ClauseId, Proof};

@@ -24,7 +24,7 @@
 //!
 //! The per-variable and per-literal tables grow with the distinct
 //! variables the clauses name, not with the largest index: each
-//! variable gets a dense slot when first seen ([`intern`], which
+//! variable gets a dense slot when first seen (`intern`, which
 //! [`crate::chain::Chains`] shares), so a clause naming variable
 //! 2^31−1 costs a few bytes.
 

@@ -17,6 +17,10 @@ const BOUND: usize = 64 << 20;
 
 struct Bounded;
 
+// SAFETY: every method either hands its layout, pointer and size to
+// `System` unchanged, which then keeps `GlobalAlloc`'s contract, or
+// returns null, which the contract allows as the report of a failed
+// allocation.
 unsafe impl GlobalAlloc for Bounded {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if layout.size() > BOUND {
