@@ -122,7 +122,10 @@ pub fn interpolant<F: Fn(ClauseId) -> bool>(
             aig::Lit::TRUE
         } else {
             // Disjunction of the global literals of the clause.
-            let terms: Vec<aig::Lit> = (step.clause.iter().zip(chains.codes(id)))
+            let terms: Vec<aig::Lit> = step
+                .clause
+                .iter()
+                .zip(chains.codes(id))
                 .filter(|&(_, &code)| is_global(code >> 1))
                 .map(|(&l, _)| var_lit(&mut graph, l.var()).xor_complement(l.is_negative()))
                 .collect();
