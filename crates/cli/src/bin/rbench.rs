@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rbench run WORKLOAD.toml [--daemon=ADDR] [--out=FILE] [--date=YYYY-MM-DD] [--zoo] [--quiet]
-//! rbench snapshot [--share-learnts] [--out=FILE] [--date=YYYY-MM-DD] [--quiet]
+//! rbench snapshot [--out=FILE] [--date=YYYY-MM-DD] [--quiet]
 //! rbench compare OLD.json NEW.json [--threshold=FRAC]
 //! rbench report FILE.json [--out=FILE]
 //! ```
@@ -32,11 +32,7 @@
 //! labelled engine `static`), run in-process with the host census taken from
 //! `std::thread::available_parallelism` (the old Python fold-up
 //! recorded the sandboxed interpreter's `os.cpu_count()`, which is how
-//! the seeded snapshot came to claim `"cpus": 1`). `--share-learnts`
-//! turns on worker-to-worker learnt-clause sharing for the
-//! multi-threaded cells, so a pair of snapshots (without, then with)
-//! isolates the sharing effect — the EXPERIMENTS.md before/after
-//! comparison.
+//! the seeded snapshot came to claim `"cpus": 1`).
 //!
 //! `compare` diffs two trajectories (`bench-v1` or `bench-v2`, mixed
 //! freely): run cells on `stats.elapsed_us`, scenario cells on
@@ -56,7 +52,7 @@ use std::process::ExitCode;
 
 const USAGE: &str =
     "usage: rbench run WORKLOAD [--daemon=ADDR] [--out=FILE] [--date=YYYY-MM-DD] [--zoo] [--quiet]
-       rbench snapshot [--share-learnts] [--out=FILE] [--date=YYYY-MM-DD] [--quiet]
+       rbench snapshot [--out=FILE] [--date=YYYY-MM-DD] [--quiet]
        rbench compare OLD.json NEW.json [--threshold=FRAC]
        rbench report FILE.json [--out=FILE]";
 
@@ -73,15 +69,7 @@ fn main() -> ExitCode {
 fn run() -> Result<i32, String> {
     let args = Args::parse(
         std::env::args().skip(1),
-        &[
-            "out",
-            "date",
-            "zoo",
-            "quiet",
-            "threshold",
-            "daemon",
-            "share-learnts",
-        ],
+        &["out", "date", "zoo", "quiet", "threshold", "daemon"],
     )
     .map_err(|e| e.to_string())?;
     let sub = args.positional.first().map(String::as_str);
@@ -221,7 +209,7 @@ fn cmd_snapshot(args: &Args) -> Result<i32, String> {
     }
     let quiet = args.has("quiet");
     let date = date_for(args);
-    let runs = loadgen::snapshot_runs_with(args.has("share-learnts"), &mut |label| {
+    let runs = loadgen::snapshot_runs(&mut |label| {
         if !quiet {
             eprintln!("zoo: {label}");
         }

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! rcec A.aag B.aag [--monolithic] [--bdd] [--no-struct] [--no-share]
-//!      [--no-sweep] [--limit=N] [--threads=N] [--pairs-per-worker=N]
-//!      [--share-learnts]
+//!      [--no-sweep] [--limit=N] [--threads=N]
 //!      [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle]
 //!      [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE]
 //!      [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE]
@@ -15,15 +14,9 @@
 //! `--threads=N` shards the sweeping phase over `N` worker threads with
 //! private incremental solvers; the workers' derivations are stitched
 //! back into one global proof, deterministically for a given seed and
-//! thread count. `--pairs-per-worker=N` pins each round's window of
-//! candidate pairs per worker; by default the window is auto-tuned
-//! between rounds from the observed per-worker conflict imbalance.
-//! `--share-learnts` additionally publishes each worker's learnt
-//! clauses through the clause feed so sibling workers can import them;
-//! every imported clause is re-derived into the importer's local proof,
-//! so the stitched global proof stays self-contained (this changes
-//! which conflicts each worker sees, so proof *bytes* differ from the
-//! unshared schedule — verdicts and checkability do not).
+//! thread count. Each round's window of candidate pairs per worker is
+//! auto-tuned between rounds from the observed per-worker conflict
+//! imbalance.
 //!
 //! `rcec query` is the client mode: instead of proving locally it sends
 //! the pair to a running `rcecd` daemon (see `rcecd --help`) and prints
@@ -102,8 +95,6 @@ fn run() -> Result<i32, String> {
             "no-sweep",
             "limit",
             "threads",
-            "pairs-per-worker",
-            "share-learnts",
             "proof",
             "trim",
             "lint-proof",
@@ -129,8 +120,7 @@ fn run() -> Result<i32, String> {
     if args.positional.len() != 2 {
         return Err(
             "usage: rcec A.aag B.aag [--monolithic] [--no-struct] [--no-share] \
-                    [--no-sweep] [--limit=N] [--threads=N] [--pairs-per-worker=N] \
-                    [--share-learnts] \
+                    [--no-sweep] [--limit=N] [--threads=N] \
                     [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle] \
                     [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE] \
                     [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE] \

@@ -1,7 +1,7 @@
 //! `rcecd` — persistent combinational-equivalence-checking service.
 //!
 //! ```text
-//! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] [--no-share-learnts]
+//! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N]
 //!       [--cache-capacity=N] [--cache-dir=PATH]
 //!       [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]]
 //!       [--quiet]
@@ -17,10 +17,8 @@
 //!
 //! Each of the `--workers` pool threads runs one engine session at a
 //! time; `--threads` sets how many sweeping threads each session may
-//! use, exactly as in `rcec`. Learnt-clause sharing between sweeping workers defaults
-//! **on** in the daemon (it optimizes for throughput; every imported
-//! clause is still re-derived into the checked proof) — pin the
-//! single-run byte layout with `--no-share-learnts`.
+//! use, exactly as in `rcec`, so a fresh answer carries the proof
+//! `rcec --threads=N` writes for the canonical pair.
 //!
 //! The certificate cache keys queries by a *structural* canonical form:
 //! any renaming of the same netlist pair hits the same entry, and every
@@ -46,7 +44,6 @@ use std::io::Write;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] \
-     [--no-share-learnts] \
      [--cache-capacity=N] [--cache-dir=PATH] \
      [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]] [--quiet]";
 
@@ -67,7 +64,6 @@ fn run() -> Result<i32, String> {
             "addr",
             "workers",
             "threads",
-            "no-share-learnts",
             "cache-capacity",
             "cache-dir",
             "metrics-out",

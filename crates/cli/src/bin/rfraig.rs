@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rfraig IN.aag OUT.aag [--binary] [--limit=N] [--threads=N]
-//!        [--pairs-per-worker=N] [--verify] [--lint-proof] [--lint-bundle]
+//!        [--verify] [--lint-proof] [--lint-bundle]
 //!        [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE]
 //!        [--verbose] [--quiet]
 //! ```
@@ -14,8 +14,7 @@
 //! `--verbose` prints the reduction's phase breakdown and histograms.
 //!
 //! `--threads=N` shards the sweeping phase over `N` worker threads
-//! (deterministic for a given seed and thread count);
-//! `--pairs-per-worker=N` sizes each parallel round's candidate window.
+//! (deterministic for a given seed and thread count).
 //! `--lint-proof` statically lints the proof recorded by the `--verify`
 //! equivalence check (it implies nothing on its own: reduction itself
 //! records no refutation); `--lint-bundle` additionally checks the
@@ -51,7 +50,6 @@ fn run() -> Result<i32, String> {
             "binary",
             "limit",
             "threads",
-            "pairs-per-worker",
             "verify",
             "lint-proof",
             "lint-bundle",
@@ -66,7 +64,7 @@ fn run() -> Result<i32, String> {
     if args.positional.len() != 2 {
         return Err(
             "usage: rfraig IN.aag OUT.aag [--binary] [--limit=N] [--threads=N] \
-                    [--pairs-per-worker=N] [--verify] [--lint-proof] [--lint-bundle] \
+                    [--verify] [--lint-proof] [--lint-bundle] \
                     [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE] \
                     [--verbose] [--quiet]"
                 .into(),

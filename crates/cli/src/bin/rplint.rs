@@ -407,7 +407,7 @@ fn fix_mode(args: &Args, opts: &lint::LintOptions, forced: Option<Kind>) -> Resu
         ));
     }
     let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
-    let (file_report, p) =
+    let (mut file_report, p) =
         lint::read_tracecheck(BufReader::new(f), opts).map_err(|e| format!("{path}: {e}"))?;
     let Some(p) = p else {
         print_report(args, path, &file_report, false)?;
@@ -422,10 +422,20 @@ fn fix_mode(args: &Args, opts: &lint::LintOptions, forced: Option<Kind>) -> Resu
     if had_refutation && fixed.proof.empty_clause().is_none() {
         return Err("internal error: fix dropped the empty clause".into());
     }
-    fixed
-        .proof
-        .check()
-        .map_err(|e| format!("internal error: fixed proof is invalid: {e}"))?;
+    if let Err(e) = fixed.proof.check() {
+        // The fix only removes steps, so the input may be what fails:
+        // then it is reported as a plain lint run would, and nothing is
+        // written.
+        if p.check().is_ok() {
+            return Err(format!("internal error: fixed proof is invalid: {e}"));
+        }
+        if !args.has("quiet") {
+            eprintln!("not fixed: {path} is itself invalid: {e}");
+        }
+        file_report.absorb(lint::lint_proof(&p, opts));
+        print_report(args, path, &file_report, false)?;
+        return Ok(exit::NEGATIVE);
+    }
     let again = lint::fix_proof(&fixed.proof);
     if again.changed {
         return Err("internal error: --fix is not idempotent on this proof".into());

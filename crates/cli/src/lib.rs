@@ -78,29 +78,19 @@ impl Args {
 }
 
 /// Applies whichever of the engine flags shared by `rcec`, `rfraig` and
-/// `rcecd` are present to `config`: `--limit=N`, `--threads=N`,
-/// `--pairs-per-worker=N`, `--share-learnts` and `--no-share-learnts`.
+/// `rcecd` are present to `config`: `--limit=N` and `--threads=N`.
 /// Each tool's allowed-flag list decides which of them it accepts;
 /// absent flags leave `config` as it is.
 ///
 /// # Errors
 ///
-/// A non-numeric count, or a zero thread count or window.
+/// A non-numeric count, or a zero thread count.
 pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result<(), String> {
     if let Some(v) = args.value("limit") {
         config.pair_conflict_limit = Some(v.parse().map_err(|e| format!("--limit: {e}"))?);
     }
     if let Some(v) = args.value("threads") {
         config.threads = parse_count("threads", v)?;
-    }
-    if let Some(v) = args.value("pairs-per-worker") {
-        config.pairs_per_worker = Some(parse_count("pairs-per-worker", v)?);
-    }
-    if args.has("share-learnts") {
-        config.share_learnts = true;
-    }
-    if args.has("no-share-learnts") {
-        config.share_learnts = false;
     }
     Ok(())
 }
@@ -319,13 +309,7 @@ mod tests {
         assert_eq!(a.value("k"), Some("2"));
     }
 
-    const ENGINE_FLAGS: &[&str] = &[
-        "limit",
-        "threads",
-        "pairs-per-worker",
-        "share-learnts",
-        "no-share-learnts",
-    ];
+    const ENGINE_FLAGS: &[&str] = &["limit", "threads"];
 
     fn engine_config(raw: &[&str]) -> Result<cec::EngineConfig, String> {
         let args = Args::parse(s(raw), ENGINE_FLAGS).unwrap();
@@ -337,29 +321,15 @@ mod tests {
     #[test]
     fn engine_flags_apply_when_present() {
         assert_eq!(engine_config(&[]).unwrap(), cec::EngineConfig::default());
-        let config = engine_config(&[
-            "--limit=7",
-            "--threads=3",
-            "--pairs-per-worker=5",
-            "--share-learnts",
-        ])
-        .unwrap();
+        let config = engine_config(&["--limit=7", "--threads=3"]).unwrap();
         assert_eq!(config.pair_conflict_limit, Some(7));
         assert_eq!(config.threads, 3);
-        assert_eq!(config.pairs_per_worker, Some(5));
-        assert!(config.share_learnts);
-        let config = engine_config(&["--share-learnts", "--no-share-learnts"]).unwrap();
-        assert!(!config.share_learnts);
     }
 
     #[test]
     fn engine_flags_reject_bad_values() {
         for (raw, message) in [
             ("--threads=0", "--threads: must be at least 1"),
-            (
-                "--pairs-per-worker=0",
-                "--pairs-per-worker: must be at least 1",
-            ),
             ("--limit=many", "--limit: invalid digit found in string"),
             ("--threads=abc", "--threads: invalid digit found in string"),
         ] {

@@ -678,6 +678,33 @@ fn rplint_fix_shrinks_proof_and_is_idempotent() {
 }
 
 #[test]
+fn rplint_fix_reports_an_invalid_input_and_writes_nothing() {
+    // Step 3's chain starts at the tautology (x1 ∨ ¬x1 ∨ x2): the input
+    // fails the check itself, so --fix reports it as a plain lint run
+    // does (RP003, exit 1) instead of blaming its own output.
+    let path = tmp("taut-first.trace");
+    let fixed_path = tmp("taut-first.fixed");
+    let _ = fs::remove_file(&fixed_path);
+    fs::write(&path, "1 1 -1 2 0 0\n2 -1 3 0 0\n3 -1 2 3 0 1 2 0\n").unwrap();
+    let out = run(
+        env!("CARGO_BIN_EXE_rplint"),
+        &[
+            path.to_str().unwrap(),
+            "--fix",
+            &format!("--fix-out={}", fixed_path.display()),
+        ],
+    );
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("RP003"),
+        "{out:?}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stderr).contains("internal error"));
+    assert!(!fixed_path.exists(), "nothing is written");
+    let _ = fs::remove_file(path);
+}
+
+#[test]
 fn rplint_drat_frontend() {
     // A clean DRUP refutation of the xor formula lints clean against
     // its CNF; an addition that does not follow by unit propagation is

@@ -38,7 +38,7 @@ use obs::metrics::{Gauge, Mirror};
 use obs::{worker_tid, ArgVal, Recorder, TID_COORDINATOR};
 use proof::{ClauseId, StepRole};
 use sat::{SolveResult, Solver};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// A [`Discharger`]'s verdict on one candidate pair. Clause ids are in
@@ -209,18 +209,7 @@ struct FeedClause {
     /// already committed the canonical lemma locally and skips the
     /// entry. `None` for snapshot and structural-merge clauses.
     origin: Option<usize>,
-    /// The clause is a shared worker learnt (not a lemma or an original
-    /// snapshot clause); counted separately on import.
-    learnt: bool,
 }
-
-/// Maximum literal count of a learnt clause exported for cross-worker
-/// sharing: short clauses prune the most search per byte shipped.
-const SHARE_LEARNT_MAX_LEN: usize = 8;
-
-/// Maximum learnt clauses one worker exports per round, bounding feed
-/// growth (every export is replayed by every other worker).
-const SHARE_LEARNT_MAX_PER_ROUND: usize = 32;
 
 /// One round's work order for a parallel-sweep worker thread: the
 /// worker's own state (shipped back and forth so the sequential merge
@@ -239,13 +228,6 @@ struct WorkerReport {
     /// pair list.
     results: Vec<(usize, PairVerdict)>,
     stats: WorkerStats,
-    /// Shared learnt clauses the worker imported from the feed this
-    /// round.
-    learnts_imported: u64,
-    /// Learnt clauses drained from the worker's solver this round for
-    /// cross-worker sharing, as `(literals, local proof id)`. Empty
-    /// unless [`EngineConfig::share_learnts`] is on.
-    learnts: Vec<(Vec<Lit>, Option<ClauseId>)>,
 }
 
 /// A persistent parallel-sweep worker: a [`Discharger`] whose private
@@ -259,24 +241,17 @@ struct WorkerState {
     /// Local proof step id → global proof id. Originals are filled on
     /// sync; derived steps are filled by [`proof::Proof::merge_cone`].
     translation: Vec<Option<ClauseId>>,
-    /// Export learnt clauses for cross-worker sharing each round.
-    share_learnts: bool,
 }
 
 impl WorkerState {
     /// Replays the feed entries added since the last round, skipping
     /// the clauses this worker proved itself (already present locally;
-    /// their proof steps are translated at merge time instead), and
-    /// returns how many learnt-flagged clauses it imported.
-    fn sync(&mut self, me: usize, delta: &[FeedClause]) -> u64 {
+    /// their proof steps are translated at merge time instead).
+    fn sync(&mut self, me: usize, delta: &[FeedClause]) {
         let d = &mut self.discharger;
-        let mut learnts_imported = 0;
         for fc in delta {
             if fc.origin == Some(me) {
                 continue;
-            }
-            if fc.learnt {
-                learnts_imported += 1;
             }
             let local = d.solver.add_clause(&fc.lits);
             if d.solver.proof_logging() {
@@ -288,7 +263,6 @@ impl WorkerState {
                 self.translation[local] = fc.id;
             }
         }
-        learnts_imported
     }
 
     /// Runs one round: catches up with the feed, then discharges the
@@ -309,22 +283,11 @@ impl WorkerState {
         span.arg("pairs", shard.len());
         span.arg("feed_delta", delta.len());
         let conflicts_before = self.discharger.solver.stats().conflicts;
-        let learnts_imported = self.sync(me, delta);
+        self.sync(me, delta);
         let results = shard
             .iter()
             .map(|&(pair_idx, n, target)| (pair_idx, self.discharger.prove_pair(graph, n, target)))
             .collect();
-        // Offer this round's freshly learnt clauses for cross-worker
-        // sharing. The drain cursor is monotone, so a clause is only
-        // ever offered once; short clauses first-come (insertion order),
-        // which is deterministic given the shard and feed history.
-        let learnts = if self.share_learnts {
-            self.discharger
-                .solver
-                .drain_new_learnts(SHARE_LEARNT_MAX_LEN, SHARE_LEARNT_MAX_PER_ROUND)
-        } else {
-            Vec::new()
-        };
         let mut stats = self.discharger.take_tally();
         stats.conflicts = self.discharger.solver.stats().conflicts - conflicts_before;
         stats.elapsed = start.elapsed();
@@ -332,8 +295,6 @@ impl WorkerState {
             state: self,
             results,
             stats,
-            learnts_imported,
-            learnts,
         }
     }
 }
@@ -367,14 +328,13 @@ type CounterSource<S> = (&'static str, fn(&S) -> u64);
 
 /// The engine-wide live counters, each with its source in the run's
 /// stats.
-const ENGINE_COUNTERS: [CounterSource<EngineStats>; 7] = [
+const ENGINE_COUNTERS: [CounterSource<EngineStats>; 6] = [
     ("cec.sat_calls", |s| s.sat_calls),
     ("cec.conflicts", |s| s.sat_conflict_hist.sum()),
     ("cec.lemmas", |s| s.lemmas),
     ("cec.structural_merges", |s| s.structural_merges),
     ("cec.refinements", |s| s.refinements),
     ("cec.rounds", |s| s.rounds),
-    ("cec.learnts_shared", |s| s.learnts_shared),
 ];
 
 /// Each parallel worker's live counters, named after the worker, each
@@ -816,8 +776,9 @@ impl<'g> Sweep<'g> {
     ///    resolution-only merges over a freshly rebuilt structure table
     ///    (reps move between rounds, so stale keys must not survive).
     /// 2. **Collect**: a *window* of the topologically first candidate
-    ///    pairs `(n, root, phase)` of the live classes —
-    ///    [`EngineConfig::pairs_per_worker`] per worker. Class members
+    ///    pairs `(n, root, phase)` of the live classes, the same number
+    ///    per worker: 8 at first, then auto-tuned between rounds from
+    ///    the per-worker conflict imbalance. Class members
     ///    always have `rep = None` (merged nodes are removed from their
     ///    class), so targets are class leaders and no node is sharded
     ///    twice. The small window preserves lemma locality: a pair's
@@ -856,16 +817,10 @@ impl<'g> Sweep<'g> {
 
         let num_vars = self.discharger.solver.num_vars();
         let proof_mode = self.config.proof;
-        let share_learnts = self.config.share_learnts;
         let graph = self.graph;
-        // Canonical literal sets of learnt clauses already shared, so
-        // the same clause (re-derived by several workers) enters the
-        // feed only once.
-        let mut shared_learnt_set: HashSet<Vec<Lit>> = HashSet::new();
-        // Per-worker window: pinned by the flag, else auto-tuned between
-        // rounds from the observed conflict imbalance.
-        let pinned = self.config.pairs_per_worker;
-        let mut per_worker = pinned.unwrap_or(8).max(1);
+        // Per-worker window, auto-tuned between rounds from the observed
+        // conflict imbalance.
+        let mut per_worker = 8;
         if let Some(p) = self.discharger.solver.proof() {
             // Anchor of the stitch segments: everything appended between
             // here and the end of the last round is parallel-merge
@@ -886,7 +841,6 @@ impl<'g> Sweep<'g> {
                 lits: ls.to_vec(),
                 id,
                 origin: None,
-                learnt: false,
             })
             .collect();
         // Feed entries already shipped to the workers (all workers stay
@@ -906,7 +860,6 @@ impl<'g> Sweep<'g> {
                         worker_tid(w),
                     ),
                     translation: Vec::new(),
-                    share_learnts,
                 })
             })
             .collect();
@@ -950,7 +903,6 @@ impl<'g> Sweep<'g> {
                                 lits: lits.to_vec(),
                                 id,
                                 origin: None,
-                                learnt: false,
                             }));
                         } else {
                             self.register_structure(n);
@@ -1027,17 +979,14 @@ impl<'g> Sweep<'g> {
                         state,
                         results,
                         stats: round_stats,
-                        learnts_imported,
-                        learnts,
                     } = report;
                     states[w] = Some(state);
                     round_conflicts.push(round_stats.conflicts);
                     self.absorb(&round_stats);
-                    self.stats.learnts_imported += learnts_imported;
                     self.stats.workers[w].absorb(&round_stats);
 
                     if proof_mode {
-                        let mut roots: Vec<ClauseId> = results
+                        let roots: Vec<ClauseId> = results
                             .iter()
                             .filter_map(|(_, verdict)| match verdict {
                                 PairVerdict::Proved { fwd, bwd } => Some([*fwd, *bwd]),
@@ -1046,14 +995,9 @@ impl<'g> Sweep<'g> {
                             .flatten()
                             .flatten()
                             .collect();
-                        // Shared learnt clauses are stitched exactly like
-                        // lemmas: their whole derivation cone joins the
-                        // global proof before the clause is fed onward.
-                        roots.extend(learnts.iter().filter_map(|(_, id)| *id));
                         let WorkerState {
                             discharger,
                             translation,
-                            ..
                         } = states[w].as_mut().expect("report returned the state");
                         let local = discharger.solver.proof().expect("proof-mode worker logs");
                         self.discharger
@@ -1082,41 +1026,10 @@ impl<'g> Sweep<'g> {
                                     lits: lits.to_vec(),
                                     id,
                                     origin: Some(w),
-                                    learnt: false,
                                 });
                             }
                         }
                         self.apply_verdict(&mut classes, pair, verdict);
-                    }
-                    // Publish this worker's drained learnt clauses: the
-                    // derivations were already stitched above (the ids
-                    // were merge roots), so the translated global step
-                    // backs each clause in the global database and feed.
-                    if share_learnts && !learnts.is_empty() {
-                        for (lits, local_id) in learnts {
-                            let mut key = lits.clone();
-                            key.sort_unstable();
-                            if !shared_learnt_set.insert(key) {
-                                continue;
-                            }
-                            let gid = if proof_mode {
-                                Some(
-                                    local_id
-                                        .and_then(|id| translation[id.as_usize()])
-                                        .expect("drained learnt is a merge root"),
-                                )
-                            } else {
-                                None
-                            };
-                            self.discharger.solver.add_proved_clause(&lits, gid);
-                            feed.push(FeedClause {
-                                lits,
-                                id: gid,
-                                origin: Some(w),
-                                learnt: true,
-                            });
-                            self.stats.learnts_shared += 1;
-                        }
                     }
                 }
                 drop(stitch_span);
@@ -1125,20 +1038,18 @@ impl<'g> Sweep<'g> {
                 // Auto-tune the next round's window from this round's
                 // per-worker conflict imbalance (a deterministic signal):
                 // heavy imbalance → deal finer; balanced → deal coarser.
-                if pinned.is_none() && threads > 1 {
-                    let max = round_conflicts.iter().copied().max().unwrap_or(0);
-                    let min = round_conflicts.iter().copied().min().unwrap_or(0);
-                    let sum: u64 = round_conflicts.iter().sum();
+                let max = round_conflicts.iter().copied().max().unwrap_or(0);
+                let min = round_conflicts.iter().copied().min().unwrap_or(0);
+                let sum: u64 = round_conflicts.iter().sum();
+                #[allow(clippy::cast_precision_loss)]
+                let mean = sum as f64 / threads as f64;
+                if mean > 0.0 {
                     #[allow(clippy::cast_precision_loss)]
-                    let mean = sum as f64 / threads as f64;
-                    if mean > 0.0 {
-                        #[allow(clippy::cast_precision_loss)]
-                        let imbalance = (max - min) as f64 / mean;
-                        if imbalance > 1.0 {
-                            per_worker = (per_worker / 2).max(2);
-                        } else if imbalance < 0.25 {
-                            per_worker = (per_worker * 2).min(64);
-                        }
+                    let imbalance = (max - min) as f64 / mean;
+                    if imbalance > 1.0 {
+                        per_worker = (per_worker / 2).max(2);
+                    } else if imbalance < 0.25 {
+                        per_worker = (per_worker * 2).min(64);
                     }
                 }
                 if let Some(p) = self.discharger.solver.proof() {
@@ -1441,6 +1352,7 @@ mod tests {
         carry_select_adder, kogge_stone_adder, mutate, parity_chain, parity_tree,
         ripple_carry_adder,
     };
+    use std::collections::HashSet;
 
     use crate::outcome::CecOutcome;
     use crate::Session;
@@ -1751,28 +1663,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_learnt_sharing_proof_checks() {
-        use aig::gen::{array_multiplier, carry_save_multiplier};
-        let a = array_multiplier(4);
-        let b = carry_save_multiplier(4);
-        let opts = EngineConfig {
-            threads: 3,
-            share_learnts: true,
-            verify: true,
-            lint_bundle: true,
-            ..EngineConfig::default()
-        };
-        let outcome = prove(&a, &b, opts);
-        let cert = outcome.certificate().expect("equivalent");
-        proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
-        let lints = cert.stats.lints.as_ref().expect("bundle lint ran");
-        assert_eq!(lints.errors, 0, "shared-learnt proof is lint-clean");
-        let (shared, imported) = (cert.stats.learnts_shared, cert.stats.learnts_imported);
-        assert!(shared > 0, "multiplier sweep shares learnt clauses");
-        assert!(imported > 0, "other workers import shared clauses");
-    }
-
-    #[test]
     fn auto_tuned_window_stays_in_bounds() {
         use aig::gen::{array_multiplier, carry_save_multiplier};
         let a = array_multiplier(4);
@@ -1786,54 +1676,6 @@ mod tests {
         let windows = &cert.stats.pair_windows;
         assert!(!windows.is_empty(), "auto-tune records per-round windows");
         assert!(windows.iter().all(|&w| (2..=64).contains(&w)));
-        // A pinned window must be respected verbatim.
-        let pinned = prove(
-            &a,
-            &b,
-            EngineConfig {
-                threads: 4,
-                pairs_per_worker: Some(5),
-                ..EngineConfig::default()
-            },
-        );
-        let cert = pinned.certificate().expect("equivalent");
-        assert!(cert.stats.pair_windows.iter().all(|&w| w == 5));
-    }
-
-    #[test]
-    fn parallel_learnt_sharing_is_deterministic() {
-        use aig::gen::{array_multiplier, carry_save_multiplier};
-        let a = array_multiplier(3);
-        let b = carry_save_multiplier(3);
-        let opts = EngineConfig {
-            threads: 2,
-            share_learnts: true,
-            ..EngineConfig::default()
-        };
-        let run = || {
-            let outcome = prove(&a, &b, opts.clone());
-            let cert = outcome.certificate().expect("equivalent");
-            tracecheck_bytes(cert.proof.as_ref().unwrap())
-        };
-        assert_eq!(run(), run(), "sharing preserves per-config determinism");
-    }
-
-    #[test]
-    fn parallel_learnt_sharing_finds_counterexamples() {
-        let a = ripple_carry_adder(4);
-        let b = (0..40)
-            .filter_map(|s| mutate(&a, s))
-            .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
-            .expect("differing mutant");
-        let opts = EngineConfig {
-            threads: 2,
-            share_learnts: true,
-            verify: true,
-            ..EngineConfig::default()
-        };
-        let outcome = prove(&a, &b, opts);
-        let cex = outcome.counterexample().expect("inequivalent");
-        assert_ne!(cex.outputs_a, cex.outputs_b);
     }
 
     #[test]

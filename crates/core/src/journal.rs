@@ -141,15 +141,10 @@ fn header_body(config: &EngineConfig, a: &Aig, b: &Aig) -> Value {
         ("threads".into(), Value::U64(config.threads as u64)),
         ("sim_words".into(), Value::U64(config.sim_words as u64)),
         ("seed".into(), Value::U64(config.seed)),
-        (
-            "pairs_per_worker".into(),
-            match config.pairs_per_worker {
-                Some(n) => Value::U64(n as u64),
-                None => Value::Null,
-            },
-        ),
-        // One discharge schedule is left; the key stays so journals
-        // written while there were two keep resuming.
+        // The window is always auto-tuned and one discharge schedule is
+        // left; both keys stay so journals written while they were
+        // options keep resuming.
+        ("pairs_per_worker".into(), Value::Null),
         ("engine".into(), Value::str("static")),
         (
             "share_structure".into(),

@@ -169,16 +169,8 @@ pub struct EngineStats {
     /// Diagnostic counts from the proof lint pass, when
     /// [`crate::EngineConfig::lint_proof`] ran.
     pub lints: Option<lint::LintCounts>,
-    /// Worker learnt clauses shared through the parallel sweep's clause
-    /// feed (zero unless [`crate::EngineConfig::share_learnts`] is on).
-    pub learnts_shared: u64,
-    /// Shared learnt clauses imported by workers from the feed (each
-    /// shared clause is imported by every worker except its origin).
-    pub learnts_imported: u64,
-    /// Pairs-per-worker window used in each parallel round. With
-    /// auto-tuning ([`crate::EngineConfig::pairs_per_worker`] `= None`)
-    /// the trajectory shows the tuner reacting to round imbalance; with
-    /// a fixed override every entry repeats the override.
+    /// Pairs-per-worker window used in each parallel round: the
+    /// trajectory of the auto-tuner reacting to round imbalance.
     pub pair_windows: Vec<u32>,
 }
 

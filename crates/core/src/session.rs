@@ -80,30 +80,10 @@ pub struct EngineConfig {
     /// derivations back into the one global proof in a fixed
     /// worker-then-discovery order — so the verdict *and* the proof are
     /// byte-for-byte deterministic for a given seed and thread count.
+    /// The window of pairs each worker is dealt per round is auto-tuned
+    /// between rounds from the per-worker conflict imbalance, a
+    /// deterministic signal.
     pub threads: usize,
-    /// Candidate pairs dealt to each worker per parallel round. The
-    /// window trades per-round synchronization cost against lemma
-    /// locality: pairs are discharged in topological order, so a small
-    /// window means a pair's fanin-cone equivalences were almost always
-    /// merged in an earlier round and reach the worker as unit-strength
-    /// lemma clauses — keeping per-pair conflict work near the
-    /// sequential level — while a large window forces workers to
-    /// re-derive in-flight predecessors from scratch.
-    ///
-    /// `None` (the default) auto-tunes the window between rounds from
-    /// the observed per-worker conflict imbalance — a deterministic
-    /// signal, so proofs stay byte-reproducible per (seed, threads).
-    /// `Some(n)` pins the window.
-    pub pairs_per_worker: Option<usize>,
-    /// Share worker learnt (non-lemma) clauses between parallel-sweep
-    /// workers through the clause feed. Every drained learnt clause is
-    /// implied by the shared formula alone, and in proof mode its
-    /// derivation is stitched into the global proof before the clause
-    /// is served to other workers — so sharing never weakens
-    /// certification, it only changes which (still fully checked)
-    /// proof the run produces. Off by default: proofs then stay
-    /// byte-identical to pre-sharing builds.
-    pub share_learnts: bool,
     /// Record a resolution proof.
     pub proof: bool,
     /// Run the static-analysis lint pass over the recorded proof before
@@ -135,8 +115,6 @@ impl Default for EngineConfig {
             sweep: true,
             pair_conflict_limit: None,
             threads: 1,
-            pairs_per_worker: None,
-            share_learnts: false,
             proof: true,
             lint_proof: false,
             lint_bundle: false,
@@ -336,8 +314,8 @@ impl<'c> Session<'c> {
     /// [`EngineConfig::verify`]. Ignores `lint_bundle` (this CNF is not
     /// [`miter_cnf`]) and every simulation, sweep, scheduling and thread
     /// field: `sim_words`, `seed`, `share_structure`,
-    /// `structural_merging`, `sweep`, `pair_conflict_limit`, `threads`,
-    /// `pairs_per_worker` and `share_learnts`.
+    /// `structural_merging`, `sweep`, `pair_conflict_limit` and
+    /// `threads`.
     ///
     /// # Errors
     ///

@@ -140,10 +140,6 @@ impl EngineStats {
         if let Some(l) = &self.lints {
             members.push(("lints", lints_json(l)));
         }
-        if self.learnts_shared > 0 {
-            members.push(("learnts_shared", Value::U64(self.learnts_shared)));
-            members.push(("learnts_imported", Value::U64(self.learnts_imported)));
-        }
         if !self.pair_windows.is_empty() {
             members.push((
                 "pair_windows",
@@ -218,10 +214,6 @@ mod tests {
 
     #[test]
     fn stats_json_round_trips_with_phase_keys() {
-        let default = EngineStats::default().to_json();
-        for key in ["learnts_shared", "learnts_imported", "dispatch"] {
-            assert!(default.get(key).is_none(), "{key} on a default run");
-        }
         let mut s = EngineStats {
             sat_calls: 3,
             elapsed: Duration::from_micros(1234),
@@ -241,9 +233,6 @@ mod tests {
             ..WorkerStats::default()
         });
         s.stitch_boundaries = vec![10, 20];
-        // A learnt-sharing run's counts.
-        s.learnts_shared = 5;
-        s.learnts_imported = 8;
 
         let text = s.to_json().to_string();
         let v = parse(&text).expect("stats JSON parses");
@@ -284,8 +273,6 @@ mod tests {
                 .map(<[Value]>::len),
             Some(2)
         );
-        assert_eq!(v.get("learnts_shared").and_then(Value::as_u64), Some(5));
-        assert_eq!(v.get("learnts_imported").and_then(Value::as_u64), Some(8));
         // Proof/lint blocks are absent when the run had none.
         assert!(v.get("proof").is_none());
         assert!(v.get("lints").is_none());

@@ -655,14 +655,26 @@ pub(crate) fn cited_steps(p: &proof::Proof) -> Vec<bool> {
     cited
 }
 
+/// A literal's DIMACS value, widened so that the positive literal of
+/// variable index `i32::MAX` (2^31, which [`cnf::Lit::to_dimacs`] cannot
+/// return) renders too.
+pub(crate) fn dimacs(l: cnf::Lit) -> i64 {
+    let v = i64::from(l.var().index()) + 1;
+    if l.is_negative() {
+        -v
+    } else {
+        v
+    }
+}
+
 /// Renders a clause as DIMACS literals, e.g. `(1 -2 3)`.
 pub(crate) fn clause_dimacs(lits: &[cnf::Lit]) -> String {
     let mut s = String::from("(");
-    for (i, l) in lits.iter().enumerate() {
+    for (i, &l) in lits.iter().enumerate() {
         if i > 0 {
             s.push(' ');
         }
-        s.push_str(&l.to_dimacs().to_string());
+        s.push_str(&dimacs(l).to_string());
     }
     s.push(')');
     s

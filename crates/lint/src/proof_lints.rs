@@ -25,8 +25,8 @@
 //! analyses index their tables by the replay's dense variable slots.
 
 use crate::{
-    cited_steps, is_tautology, Artifact, LintOptions, Location, Report, Severity, RP001, RP002,
-    RP003, RP004, RP005, RP006, RP007, RP101, RP102, RP103, RP104, RP105, RP106,
+    cited_steps, dimacs, is_tautology, Artifact, LintOptions, Location, Report, Severity, RP001,
+    RP002, RP003, RP004, RP005, RP006, RP007, RP101, RP102, RP103, RP104, RP105, RP106,
 };
 use cnf::Lit;
 use proof::chain::Chains;
@@ -241,7 +241,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
                 format!(
                     "literal {} occurs in one polarity only (unresolvable) \
                      yet is missing from the recorded clause",
-                    l.to_dimacs()
+                    dimacs(l)
                 )
             });
             continue;
@@ -270,7 +270,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
                         format!(
                             "replaying the chain in recorded order leaves literal {} \
                              which the recorded clause lacks",
-                            l.to_dimacs()
+                            dimacs(*l)
                         )
                     });
                 }

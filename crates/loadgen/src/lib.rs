@@ -46,5 +46,5 @@ pub mod workload;
 
 pub use compare::{compare, CompareOutcome, CompareReport};
 pub use ramp::{run_scenario, run_scenario_daemon, RampResult, StepResult};
-pub use trajectory::{bench_doc, host_json, snapshot_runs, snapshot_runs_with, utc_date};
+pub use trajectory::{bench_doc, host_json, snapshot_runs, utc_date};
 pub use workload::{RampConfig, Scenario, Workload};

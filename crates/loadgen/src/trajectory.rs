@@ -82,18 +82,6 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
 /// If any zoo pair fails to prove equivalent — the zoo is a fixed set
 /// of known-equivalent pairs, so a failure here is an engine bug.
 pub fn snapshot_runs(progress: &mut dyn FnMut(&str)) -> Vec<Value> {
-    snapshot_runs_with(false, progress)
-}
-
-/// [`snapshot_runs`] with worker-to-worker learnt-clause sharing
-/// switched on or off for the multi-threaded cells — the knob behind
-/// `rbench snapshot --share-learnts`, so a before/after pair of
-/// snapshots isolates the effect of sharing on the same host.
-///
-/// # Panics
-///
-/// As [`snapshot_runs`].
-pub fn snapshot_runs_with(share_learnts: bool, progress: &mut dyn FnMut(&str)) -> Vec<Value> {
     let mut runs = Vec::new();
     for &(family, width) in ZOO {
         let (a, b) = aig::gen::family_pair(family, width).expect("zoo families are known");
@@ -102,7 +90,6 @@ pub fn snapshot_runs_with(share_learnts: bool, progress: &mut dyn FnMut(&str)) -
             progress(&format!("{pair} static t{threads}"));
             let config = cec::EngineConfig {
                 threads,
-                share_learnts,
                 ..cec::EngineConfig::default()
             };
             let outcome = cec::Session::new(config, &cec::SharedContext::disabled())

@@ -213,8 +213,7 @@ impl ClauseDb {
     }
 
     /// Total arena length in words, deleted clauses included. Clause
-    /// offsets lie below it in insertion order — the basis of
-    /// cursor-style scans such as [`crate::Solver::drain_new_learnts`].
+    /// offsets lie below it in insertion order.
     #[inline]
     pub fn len(&self) -> usize {
         self.arena.len()
@@ -295,20 +294,6 @@ impl Relocation {
     pub fn get(&self, r: ClauseRef) -> Option<ClauseRef> {
         (!self.0.is_deleted(r)).then(|| ClauseRef(self.0.word(r, ACTIVITY)))
     }
-
-    /// Maps a scan cursor (an old clause offset, or the old arena's end)
-    /// to the new offset of the first live clause at or after it, or to
-    /// `new_len` if none follows.
-    pub fn cursor(&self, cursor: usize, new_len: usize) -> usize {
-        let mut r = ClauseRef::new(cursor);
-        while r.offset() < self.0.len() {
-            if let Some(moved) = self.get(r) {
-                return moved.offset();
-            }
-            r = ClauseRef::new(self.0.end(r));
-        }
-        new_len
-    }
 }
 
 #[cfg(test)]
@@ -384,8 +369,6 @@ mod tests {
         db.bump(c, 2.5);
         db.delete(b);
         db.delete(d);
-        let cursor_at_b = b.offset();
-        let cursor_at_d = d.offset();
         let moved = db.compact();
         assert_eq!(db.wasted(), 0);
         assert_eq!(db.len(), 2 * HEADER + 3);
@@ -405,9 +388,5 @@ mod tests {
                 (vec![l(5)], Some(ClauseId::new(9)))
             ]
         );
-        // A cursor on a deleted clause moves to the next live one, or to
-        // the end.
-        assert_eq!(moved.cursor(cursor_at_b, db.len()), c2.offset());
-        assert_eq!(moved.cursor(cursor_at_d, db.len()), db.len());
     }
 }

@@ -146,9 +146,6 @@ pub struct Solver {
     // Learnt DB sizing:
     max_learnt: f64,
     num_problem_clauses: usize,
-    // Arena cursor of [`Solver::drain_new_learnts`]: clauses below it
-    // have already been offered for export.
-    learnt_export_cursor: usize,
     // Analysis scratch; `learnt` holds the last learnt clause, and
     // `level_stamp[l] == lbd_stamp` marks level `l` as counted.
     learnt: Vec<Lit>,
@@ -215,7 +212,6 @@ impl Solver {
             cla_inc: 1.0,
             max_learnt: 0.0,
             num_problem_clauses: 0,
-            learnt_export_cursor: 0,
             learnt: Vec::new(),
             analyze_stack: Vec::new(),
             analyze_toclear: Vec::new(),
@@ -534,43 +530,6 @@ impl Solver {
     /// basis a parallel sweep worker rebuilds its private solver from.
     pub fn live_clauses(&self) -> impl Iterator<Item = (&[Lit], Option<ClauseId>)> + '_ {
         self.db.live_iter()
-    }
-
-    /// Drains learnt clauses added since the previous drain: scans the
-    /// clause arena from a persistent cursor and returns up to
-    /// `max_count` still-live learnt clauses of at most `max_len`
-    /// literals, each as `(literals, proof step id)`. Every learnt
-    /// clause is implied by the clause database alone (assumptions only
-    /// ever enter conflict analysis as decisions, so they are resolved
-    /// into the learnt clause, never assumed by it), which makes the
-    /// drained clauses sound to add verbatim to any solver over the
-    /// same formula — the basis of worker-to-worker clause sharing in
-    /// the parallel sweep.
-    ///
-    /// The cursor advances past everything examined, so a clause is
-    /// reported at most once over the solver's lifetime; clauses
-    /// skipped only because the round's `max_count` was reached remain
-    /// eligible for the next drain. Insertion order is preserved, so
-    /// repeated runs drain identical sequences.
-    pub fn drain_new_learnts(
-        &mut self,
-        max_len: usize,
-        max_count: usize,
-    ) -> Vec<(Vec<Lit>, Option<ClauseId>)> {
-        let mut out = Vec::new();
-        while self.learnt_export_cursor < self.db.len() && out.len() < max_count {
-            let r = ClauseRef::new(self.learnt_export_cursor);
-            self.learnt_export_cursor = self.db.end(r);
-            if self.db.is_deleted(r) || !self.db.is_learnt(r) {
-                continue;
-            }
-            let lits = self.db.lits(r);
-            if lits.is_empty() || lits.len() > max_len {
-                continue;
-            }
-            out.push((lits.to_vec(), self.db.proof_id(r)));
-        }
-        out
     }
 
     /// Merges the cone of `roots` from another proof into this solver's
@@ -1235,7 +1194,6 @@ impl Solver {
                 *r = moved.get(*r).expect("a reason clause is locked");
             }
         }
-        self.learnt_export_cursor = moved.cursor(self.learnt_export_cursor, self.db.len());
     }
 
     fn is_locked(&self, r: ClauseRef) -> bool {

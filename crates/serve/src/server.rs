@@ -42,13 +42,7 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7163".to_string(),
             workers: 2,
-            engine: EngineConfig {
-                // Learnt sharing defaults ON in the service: a daemon
-                // optimizes for throughput, and every shared clause is
-                // still stitched into the checked proof.
-                share_learnts: true,
-                ..EngineConfig::default()
-            },
+            engine: EngineConfig::default(),
             cache: CacheConfig::default(),
             metrics: Metrics::disabled(),
         }

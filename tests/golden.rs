@@ -1,9 +1,8 @@
 //! Golden engine fingerprints: proofs, counterexamples and run counters
 //! of a fixed set of checks, pinned byte for byte.
 //!
-//! Every check runs over the grid (threads, learnt sharing) ∈
-//! {(1, off), (2, off), (4, off), (2, on)} × pair conflict limit ∈
-//! {none, 4}, and contributes one line: the FNV-1a
+//! Every check runs over the grid threads ∈ {1, 2, 4} × pair conflict
+//! limit ∈ {none, 4}, and contributes one line: the FNV-1a
 //! fingerprint of the TraceCheck proof (or of the counterexample bits),
 //! then every deterministic counter of the run. Two `reduce` lines add
 //! the fingerprint of a reduced AIGER graph. Times are left out; nothing
@@ -22,10 +21,9 @@
 //! solver counters and the miter size.
 //!
 //! `golden_solver.txt` pins the SAT solver alone on two pigeonhole
-//! refutations solved in budgeted calls, with the learnt clauses drained
-//! between calls as parallel workers share them: the drained sequence
-//! crosses clause-database reductions, so it pins what
-//! `drain_new_learnts` sees of the learnt clauses that survive them.
+//! refutations, one solved in budgeted calls whose search crosses
+//! clause-database reductions and compactions: every solver counter
+//! and the proof.
 
 use obs::json::Value;
 use obs::metrics::Metrics;
@@ -76,23 +74,22 @@ fn simulation_separates(a: &Aig, b: &Aig) -> bool {
     outputs(a) != outputs(b)
 }
 
-/// Every configuration of the grid, labelled. Labels keep the word
-/// `static` from when a second discharge schedule shared the grid, so
-/// the lines stay comparable with the files of that time.
+/// Every configuration of the grid, labelled. Labels keep the words
+/// `static` and `share=off` from when a second discharge schedule and
+/// learnt sharing between workers shared the grid, so the lines stay
+/// comparable with the files of that time.
 fn configs() -> Vec<(String, EngineConfig)> {
     let mut configs = Vec::new();
-    for (threads, share_learnts) in [(1, false), (2, false), (4, false), (2, true)] {
+    for threads in [1, 2, 4] {
         for limit in [None, Some(4)] {
             let label = format!(
-                "static t{threads} share={} limit={}",
-                if share_learnts { "on" } else { "off" },
+                "static t{threads} share=off limit={}",
                 limit.map_or_else(|| "none".to_string(), |l: u64| l.to_string())
             );
             configs.push((
                 label,
                 EngineConfig {
                     threads,
-                    share_learnts,
                     pair_conflict_limit: limit,
                     ..EngineConfig::default()
                 },
@@ -123,14 +120,6 @@ fn counters(s: &EngineStats) -> String {
         s.sat_conflict_hist.count(),
         s.lemma_chain_hist.count(),
     );
-    if s.learnts_shared > 0 {
-        write!(
-            out,
-            " learnts={}s/{}i",
-            s.learnts_shared, s.learnts_imported
-        )
-        .unwrap();
-    }
     for (w, ws) in s.workers.iter().enumerate() {
         write!(
             out,
@@ -355,7 +344,6 @@ fn mirrored(stats: &EngineStats, verdict: Option<&str>) -> Vec<(String, u64)> {
         ("cec.structural_merges", stats.structural_merges),
         ("cec.refinements", stats.refinements),
         ("cec.rounds", stats.rounds),
-        ("cec.learnts_shared", stats.learnts_shared),
     ]
     .into_iter()
     .map(|(name, v)| (name.to_string(), v))
@@ -392,7 +380,7 @@ fn live_counters_mirror_the_run_stats() {
             runs += 1;
         },
     );
-    assert_eq!(runs, 58);
+    assert_eq!(runs, 44);
     // Turning metrics on changes no proof, counterexample or counter.
     assert_golden(&actual);
 }
@@ -417,11 +405,9 @@ fn pigeonhole(s: &mut Solver, pigeons: usize, holes: usize) {
 }
 
 /// Refutes PHP(`pigeons`, `holes`) under `config` in `solve` calls of at
-/// most `budget` conflicts each, draining new learnt clauses after each
-/// call as a parallel sweep worker does, and returns the instance's
-/// golden line: the verdict, every solver counter, the drain counts and
-/// the FNV-1a fingerprints of the drained `(literals, id)` sequence and
-/// of the TraceCheck proof.
+/// most `budget` conflicts each, and returns the instance's golden line:
+/// the verdict, every solver counter and the FNV-1a fingerprint of the
+/// TraceCheck proof.
 fn solver_line(
     label: &str,
     (pigeons, holes): (usize, usize),
@@ -431,18 +417,8 @@ fn solver_line(
     let mut s = Solver::with_config(config);
     pigeonhole(&mut s, pigeons, holes);
     s.set_conflict_budget(budget);
-    let mut drained = String::new();
-    let (mut drains, mut clauses) = (0, 0);
     let verdict = loop {
         let verdict = s.solve();
-        drains += 1;
-        for (lits, id) in s.drain_new_learnts(8, 32) {
-            clauses += 1;
-            for l in lits {
-                write!(drained, "{} ", l.to_dimacs()).unwrap();
-            }
-            writeln!(drained, "0 {:?}", id.map(proof::ClauseId::index)).unwrap();
-        }
         if verdict != SolveResult::Unknown {
             break verdict;
         }
@@ -461,8 +437,7 @@ fn solver_line(
     format!(
         "{label}: {verdict:?} conflicts={conflicts} decisions={decisions} \
          propagations={propagations} restarts={restarts} learnt={learnt} deleted={deleted} \
-         solves={solves} drains={drains} drained={clauses} drain={} proof={}",
-        fnv(drained.as_bytes()),
+         solves={solves} proof={}",
         fnv(&bytes)
     )
 }

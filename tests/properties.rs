@@ -416,6 +416,25 @@ fn checker_and_lints_agree_on_pinned_proofs() {
         let p = proof::import::read_tracecheck(text.as_bytes()).unwrap();
         checker_and_lints_agree(&p).unwrap_or_else(|e| panic!("{text:?}: {e:?}"));
     }
+    // (x_2^31 ∨ x_1)(¬x_1) ⊢ () leaves x_2^31 behind. TraceCheck cannot
+    // write that literal (2^31 leaves `i32`), so the proof is built in
+    // process; the lints once panicked rendering it.
+    let top = Var::new(i32::MAX as u32).positive();
+    let x = Var::new(0).positive();
+    let mut p = Proof::new();
+    let a = p.add_original([top, x]);
+    let b = p.add_original([!x]);
+    p.add_derived([], [a, b]);
+    checker_and_lints_agree(&p).unwrap();
+    let report = lint::lint_proof(&p, &lint::LintOptions::default());
+    assert!(
+        report
+            .diagnostics()
+            .iter()
+            .any(|d| d.severity == lint::Severity::Error && d.message.contains("2147483648")),
+        "{:?}",
+        report.diagnostics()
+    );
 }
 
 proptest! {
