@@ -1,11 +1,11 @@
 //! Regenerates every table and figure of `EXPERIMENTS.md`, and the
-//! `threads`, `trace-overhead` and `lint-cost` series of `DESIGN.md`.
+//! `trace-overhead` and `lint-cost` series of `DESIGN.md`.
 //!
 //! Usage:
 //!
 //! ```text
 //! cargo run -p bench --bin tables --release                 # everything
-//! cargo run -p bench --bin tables --release -- t2 threads   # selected
+//! cargo run -p bench --bin tables --release -- t2 lint-cost # selected
 //! ```
 //!
 //! An unknown key exits with status 2 and lists the valid keys.
@@ -26,7 +26,6 @@ const TABLES: &[(&str, fn())] = &[
     ("f1", f1),
     ("f2", f2),
     ("f3", f3),
-    ("threads", threads),
     ("trace-overhead", trace_overhead),
     ("lint-cost", lint_cost),
     ("stats-json", stats_json),
@@ -346,35 +345,6 @@ fn f2() {
             ]
         });
     print_table(&["pair", "words", "classes", "candidates"], rows);
-}
-
-fn threads() {
-    println!("== threads: parallel sweep on add-rca/ks-64, 10 checks each ====");
-    println!(
-        "host: {} hardware thread(s)",
-        std::thread::available_parallelism().map_or(0, std::num::NonZero::get)
-    );
-    let rows = exp::run_threads(10).into_iter().map(|r| {
-        vec![
-            r.threads.to_string(),
-            format!("{:.1}", r.time.best_ms),
-            format!("{:.1}", r.time.median_ms),
-            format!("{:.1}", r.busy_ms),
-            r.rounds.to_string(),
-            r.resolutions.to_string(),
-        ]
-    });
-    print_table(
-        &[
-            "threads",
-            "best-ms",
-            "median-ms",
-            "busy-ms",
-            "rounds",
-            "resolutions",
-        ],
-        rows,
-    );
 }
 
 fn trace_overhead() {

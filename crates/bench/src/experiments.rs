@@ -775,69 +775,6 @@ fn interleave<C, T>(
     out
 }
 
-// ----------------------------------------------------------- threads --
-
-/// Thread counts of the `threads` table.
-const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
-
-/// One row of the `threads` table (the parallel sweep at one thread
-/// count).
-#[derive(Clone, Debug)]
-pub struct ThreadsRow {
-    /// Worker threads.
-    pub threads: usize,
-    /// Wall time of one check.
-    pub time: Timing,
-    /// Median over the checks of the workers' summed busy time (ms);
-    /// zero for the sequential sweep, which has no workers.
-    pub busy_ms: f64,
-    /// Parallel sweep rounds.
-    pub rounds: u64,
-    /// Resolution steps in the proof.
-    pub resolutions: u64,
-}
-
-/// The `threads` table: the 64-bit rca/Kogge-Stone pair checked
-/// `samples` times at 1, 2, 4 and 8 threads, the thread counts taken
-/// in turn. On a host with fewer hardware threads than workers
-/// the wall times measure total CPU work; the busy time is what a host
-/// with enough cores runs concurrently. Rounds and resolutions are
-/// deterministic per thread count, and asserted equal across samples.
-pub fn run_threads(samples: usize) -> Vec<ThreadsRow> {
-    let pair = crate::workloads::adder_scaling_pairs(&[64]).remove(0);
-    let runs = interleave(THREAD_COUNTS, samples, |&threads| {
-        let config = EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        };
-        let outcome = Session::new(config, &SharedContext::disabled())
-            .check(&pair.a, &pair.b)
-            .expect("well-formed pair");
-        let stats = &outcome.certificate().expect("equivalent pair").stats;
-        let busy = ms(stats.workers.iter().map(|w| w.elapsed).sum());
-        let resolutions = stats.proof.map(|s| s.resolutions).unwrap_or_default();
-        (busy, stats.rounds, resolutions)
-    });
-    THREAD_COUNTS
-        .iter()
-        .zip(runs)
-        .map(|(&threads, runs)| {
-            let (_, (_, rounds, resolutions)) = runs[0];
-            let stable = runs
-                .iter()
-                .all(|&(_, (_, r, s))| (r, s) == (rounds, resolutions));
-            assert!(stable, "threads={threads}: rounds or resolutions vary");
-            ThreadsRow {
-                threads,
-                time: Timing::of(runs.iter().map(|&(t, _)| t)),
-                busy_ms: Timing::of(runs.iter().map(|&(_, (busy, ..))| busy)).median_ms,
-                rounds,
-                resolutions,
-            }
-        })
-        .collect()
-}
-
 // ---------------------------------------------------- trace-overhead --
 
 /// One row of the `trace-overhead` table (one recorder setting).
@@ -1061,15 +998,6 @@ mod tests {
             points[1].sweep_ms.is_none(),
             "sweep point skipped as configured"
         );
-    }
-
-    #[test]
-    fn threads_rows_count_rounds_only_in_parallel() {
-        let rows = run_threads(1);
-        assert_eq!(rows.len(), THREAD_COUNTS.len());
-        assert_eq!((rows[0].rounds, rows[0].busy_ms), (0, 0.0), "sequential");
-        assert!(rows[1..].iter().all(|r| r.rounds > 0 && r.busy_ms > 0.0));
-        assert!(rows.iter().all(|r| r.resolutions > 0));
     }
 
     #[test]

@@ -84,8 +84,6 @@ pub struct WorkloadOptions {
     pub seed: u64,
     /// Number of ops to execute.
     pub ops: usize,
-    /// Engine thread count (1 = sequential sweep).
-    pub threads: usize,
     /// Interrupt every n-th op (1-based) with an injected crash at a
     /// random phase, then resume it. `0` disables crash injection.
     pub crash_every: usize,
@@ -99,7 +97,6 @@ impl Default for WorkloadOptions {
         WorkloadOptions {
             seed: 1,
             ops: 10,
-            threads: 1,
             crash_every: 0,
             keep: false,
         }
@@ -189,21 +186,13 @@ pub fn run_workload(dir: &Path, options: &WorkloadOptions) -> WorkloadReport {
         let (a, b) = generate_pair(name, width).expect("registered pair");
         let what = format!("op {op} ({name}/{width})");
         let config = EngineConfig {
-            threads: options.threads,
             seed: rng.gen(),
             ..EngineConfig::default()
         };
         let crash = if options.crash_every > 0 && (op + 1) % options.crash_every == 0 {
             let phase = *cec::journal::PHASES.choose(&mut rng).expect("non-empty");
-            // "round" checkpoints only exist in parallel sweeps.
-            let phase = if phase == "round" && options.threads <= 1 {
-                "sweep"
-            } else {
-                phase
-            };
             Some(CrashPoint {
                 phase: phase.to_string(),
-                hit: 1,
                 mode: CrashMode::Error,
             })
         } else {

@@ -15,16 +15,13 @@ fn tmp(name: &str) -> PathBuf {
 }
 
 #[test]
-fn quick_threaded_workload_with_crashes_is_clean() {
-    // threads = 2 puts the per-round "round" checkpoints in play, so
-    // the injected crashes can land mid-sweep, not just between phases.
+fn quick_workload_with_crashes_is_clean() {
     let dir = tmp("quick");
     let report = run_workload(
         &dir,
         &WorkloadOptions {
             seed: 11,
             ops: 3,
-            threads: 2,
             crash_every: 2,
             keep: false,
         },
@@ -44,7 +41,6 @@ fn deep_workload_survives_a_long_op_stream() {
         &WorkloadOptions {
             seed: 1,
             ops: 40,
-            threads: 2,
             crash_every: 3,
             keep: false,
         },
@@ -64,7 +60,6 @@ fn deep_workload_is_deterministic_per_seed() {
     let options = WorkloadOptions {
         seed: 99,
         ops: 15,
-        threads: 1,
         crash_every: 4,
         keep: false,
     };

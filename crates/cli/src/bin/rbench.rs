@@ -28,8 +28,8 @@
 //! loopback port for the duration of the run.
 //!
 //! `snapshot` is the `bench-v1`-compatible zoo snapshot: the t7
-//! mixed-hardness zoo, every pair × {1, 4} threads (14 cells, each
-//! labelled engine `static`), run in-process with the host census taken from
+//! mixed-hardness zoo, one cell per pair (7 cells, each labelled engine
+//! `static` and threads 1), run in-process with the host census taken from
 //! `std::thread::available_parallelism` (the old Python fold-up
 //! recorded the sandboxed interpreter's `os.cpu_count()`, which is how
 //! the seeded snapshot came to claim `"cpus": 1`).

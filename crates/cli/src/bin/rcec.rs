@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rcec A.aag B.aag [--monolithic] [--bdd] [--no-struct] [--no-share]
-//!      [--no-sweep] [--limit=N] [--threads=N]
+//!      [--no-sweep] [--limit=N]
 //!      [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle]
 //!      [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE]
 //!      [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE]
@@ -11,12 +11,11 @@
 //! rcec query ADDR A.aag B.aag [--proof=FILE] [--quiet]
 //! ```
 //!
-//! `--threads=N` shards the sweeping phase over `N` worker threads with
-//! private incremental solvers; the workers' derivations are stitched
-//! back into one global proof, deterministically for a given seed and
-//! thread count. Each round's window of candidate pairs per worker is
-//! auto-tuned between rounds from the observed per-worker conflict
-//! imbalance.
+//! The sweep runs on one thread, with one incremental solver, and its
+//! proof is byte-deterministic for a given seed and flag set. There is
+//! no `--threads`: the round engine it selected lost to this sweep on
+//! every zoo pair (EXPERIMENTS E1), and `rcecd --workers` runs checks
+//! in parallel instead.
 //!
 //! `rcec query` is the client mode: instead of proving locally it sends
 //! the pair to a running `rcecd` daemon (see `rcecd --help`) and prints
@@ -25,8 +24,7 @@
 //! whether the answer was a certificate-cache hit is noted on stderr.
 //!
 //! `--lint-proof` runs the static-analysis lint pass over the recorded
-//! proof (including the parallel mode's stitch-boundary consistency
-//! check) and prints its report — far cheaper than `--check`'s full
+//! proof and prints its report — far cheaper than `--check`'s full
 //! replay. Lint *errors* fail the run with exit 2. `--lint-bundle`
 //! extends the pass across artifacts: the engine re-derives its own
 //! miter CNF and statically checks AIG↔CNF↔proof↔certificate binding
@@ -36,22 +34,20 @@
 //! (ASCII AIGER), its Tseitin CNF (DIMACS), and the certificate
 //! metadata, so a third party can re-run the same bundle analysis with
 //! `rplint miter.aag miter.cnf proof.tc cert.cert`. With `--trim` the
-//! emitted certificate describes the trimmed proof (stitch boundaries,
-//! which index the untrimmed stitching layout, are omitted).
+//! emitted certificate describes the trimmed proof.
 //!
 //! `--trace-out=FILE` writes the run's event journal as JSON Lines
 //! (one object per line); `--trace-chrome=FILE` writes the same events
 //! in Chrome `trace_event` format, loadable in `chrome://tracing` or
-//! Perfetto, with the coordinator and each sweeping worker on its own
-//! timeline row. `--stats-json=FILE` dumps the full machine-readable
+//! Perfetto. `--stats-json=FILE` dumps the full machine-readable
 //! stats tree (counters, per-phase wall-clock breakdown, per-SAT-call
 //! conflict and per-lemma chain-length histograms, solver / proof /
-//! lint counters, per-worker stats). `--verbose` prints the phase
+//! lint counters). `--verbose` prints the phase
 //! breakdown and histograms on stderr.
 //!
 //! `--metrics-out=FILE` attaches a live metrics registry and a
 //! background sampler that appends one `metrics-v1` snapshot (engine
-//! counters, queue-depth gauges, per-worker rates, process RSS) to
+//! counters, queue-depth gauges, process RSS) to
 //! FILE as JSON Lines every `--metrics-period-ms` (default 100), plus
 //! a final snapshot at shutdown — the time-series view of a run, where
 //! `--stats-json` is the post-mortem. `--metrics-status` renders the
@@ -94,7 +90,6 @@ fn run() -> Result<i32, String> {
             "no-share",
             "no-sweep",
             "limit",
-            "threads",
             "proof",
             "trim",
             "lint-proof",
@@ -120,7 +115,7 @@ fn run() -> Result<i32, String> {
     if args.positional.len() != 2 {
         return Err(
             "usage: rcec A.aag B.aag [--monolithic] [--no-struct] [--no-share] \
-                    [--no-sweep] [--limit=N] [--threads=N] \
+                    [--no-sweep] [--limit=N] \
                     [--proof=FILE] [--trim] [--lint-proof] [--lint-bundle] \
                     [--emit-miter=FILE] [--emit-cnf=FILE] [--emit-cert=FILE] \
                     [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE] \
@@ -227,9 +222,6 @@ fn run() -> Result<i32, String> {
         CecOutcome::Equivalent(cert) => {
             if !quiet {
                 eprintln!("EQUIVALENT ({})", cert.stats);
-                for (i, w) in cert.stats.workers.iter().enumerate() {
-                    eprintln!("worker {i}: {w}");
-                }
             }
             if let Some(report) = &cert.lint_report {
                 let stderr = std::io::stderr();
@@ -285,7 +277,6 @@ fn run() -> Result<i32, String> {
                         original: Some(t.proof.num_original()),
                         derived: Some(t.proof.num_derived()),
                         resolutions: Some(t.proof.num_resolutions()),
-                        ..lint::CertificateInfo::default()
                     },
                     None => cert.info(),
                 };
@@ -298,15 +289,7 @@ fn run() -> Result<i32, String> {
             println!("EQUIVALENT");
             Ok(exit::OK)
         }
-        CecOutcome::Inequivalent {
-            counterexample,
-            stats,
-        } => {
-            if !quiet {
-                for (i, w) in stats.workers.iter().enumerate() {
-                    eprintln!("worker {i}: {w}");
-                }
-            }
+        CecOutcome::Inequivalent { counterexample, .. } => {
             println!("INEQUIVALENT");
             let bits: String = counterexample
                 .pattern

@@ -1,7 +1,7 @@
 //! `rcecd` — persistent combinational-equivalence-checking service.
 //!
 //! ```text
-//! rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N]
+//! rcecd [--addr=HOST:PORT] [--workers=N]
 //!       [--cache-capacity=N] [--cache-dir=PATH]
 //!       [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]]
 //!       [--quiet]
@@ -15,10 +15,9 @@
 //! pattern, and a `cache_hit` flag. `rcec query ADDR A.aag B.aag` is
 //! the matching one-shot client.
 //!
-//! Each of the `--workers` pool threads runs one engine session at a
-//! time; `--threads` sets how many sweeping threads each session may
-//! use, exactly as in `rcec`, so a fresh answer carries the proof
-//! `rcec --threads=N` writes for the canonical pair.
+//! Each of the `--workers` pool threads (default 2) runs one engine
+//! session at a time, at the default engine configuration, so a fresh
+//! answer carries the proof `rcec` writes for the canonical pair.
 //!
 //! The certificate cache keys queries by a *structural* canonical form:
 //! any renaming of the same netlist pair hits the same entry, and every
@@ -43,7 +42,7 @@ use serve::{Server, ServerConfig};
 use std::io::Write;
 use std::process::ExitCode;
 
-const USAGE: &str = "usage: rcecd [--addr=HOST:PORT] [--workers=N] [--threads=N] \
+const USAGE: &str = "usage: rcecd [--addr=HOST:PORT] [--workers=N] \
      [--cache-capacity=N] [--cache-dir=PATH] \
      [--metrics-out=FILE] [--metrics-period-ms=N] [--metrics-status[=FILE]] [--quiet]";
 
@@ -63,7 +62,6 @@ fn run() -> Result<i32, String> {
         &[
             "addr",
             "workers",
-            "threads",
             "cache-capacity",
             "cache-dir",
             "metrics-out",
@@ -93,7 +91,6 @@ fn run() -> Result<i32, String> {
     if let Some(v) = args.value("workers") {
         config.workers = cec_tools::parse_count("workers", v)?;
     }
-    cec_tools::apply_engine_flags(&args, &mut config.engine)?;
     if let Some(v) = args.value("cache-capacity") {
         config.cache.capacity = cec_tools::parse_count("cache-capacity", v)?;
     }

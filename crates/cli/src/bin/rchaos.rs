@@ -2,20 +2,20 @@
 //!
 //! ```text
 //! rchaos gen     --dir=D --pair=NAME [--width=W]
-//! rchaos prove   --dir=D [--threads=N] [--seed=N] [--resume]
-//!                [--crash=PHASE[:HIT]] [--abort-at=PHASE[:HIT]]
+//! rchaos prove   --dir=D [--seed=N] [--resume]
+//!                [--crash=PHASE] [--abort-at=PHASE]
 //! rchaos check   --dir=D [--fast] [--json]
 //! rchaos corrupt --dir=D --artifact=FILE --mode=flip|multiflip|truncate|torn-record
 //!                [--seed=N]
-//! rchaos run     --dir=D [--seed=N] [--ops=N] [--threads=N]
-//!                [--crash-every=N] [--keep]
+//! rchaos run     --dir=D [--seed=N] [--ops=N] [--crash-every=N] [--keep]
 //! rchaos pairs
 //! ```
 //!
 //! `gen` writes an equivalent circuit pair (`a.aag`, `b.aag`) into a
 //! bundle directory; `prove` runs one journaled engine check over it
 //! and emits the full artifact bundle plus manifest. `--crash` injects
-//! a typed in-process crash at the named phase checkpoint;
+//! a typed in-process crash at the named phase checkpoint (`miter`,
+//! `sim`, `sweep`, `final_solve` or `trim`; each checkpoints once);
 //! `--abort-at` is the kill-9 variant — the process dies with SIGABRT
 //! and the synced journal is what survives. Either way,
 //! `prove --resume` validates the journal and continues to the same
@@ -70,7 +70,6 @@ fn run() -> Result<i32, String> {
             "dir",
             "pair",
             "width",
-            "threads",
             "seed",
             "resume",
             "crash",
@@ -135,7 +134,6 @@ fn cmd_prove(args: &Args) -> Result<i32, String> {
     let paths = dir_of(args)?;
     let (a, b) = read_pair(&paths)?;
     let config = cec::EngineConfig {
-        threads: parse_u64(args, "threads", 1)? as usize,
         seed: parse_u64(args, "seed", 1)?,
         ..cec::EngineConfig::default()
     };
@@ -209,7 +207,6 @@ fn cmd_run(args: &Args) -> Result<i32, String> {
     let options = chaos::WorkloadOptions {
         seed: parse_u64(args, "seed", 1)?,
         ops: parse_u64(args, "ops", 10)? as usize,
-        threads: parse_u64(args, "threads", 1)? as usize,
         crash_every: parse_u64(args, "crash-every", 0)? as usize,
         keep: args.has("keep"),
     };

@@ -1,7 +1,7 @@
 //! `rfraig` — functional reduction (FRAIG) of an AIGER netlist.
 //!
 //! ```text
-//! rfraig IN.aag OUT.aag [--binary] [--limit=N] [--threads=N]
+//! rfraig IN.aag OUT.aag [--binary] [--limit=N]
 //!        [--verify] [--lint-proof] [--lint-bundle]
 //!        [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE]
 //!        [--verbose] [--quiet]
@@ -13,8 +13,6 @@
 //! with `--verify` the trace also covers the verification run.
 //! `--verbose` prints the reduction's phase breakdown and histograms.
 //!
-//! `--threads=N` shards the sweeping phase over `N` worker threads
-//! (deterministic for a given seed and thread count).
 //! `--lint-proof` statically lints the proof recorded by the `--verify`
 //! equivalence check (it implies nothing on its own: reduction itself
 //! records no refutation); `--lint-bundle` additionally checks the
@@ -49,7 +47,6 @@ fn run() -> Result<i32, String> {
         &[
             "binary",
             "limit",
-            "threads",
             "verify",
             "lint-proof",
             "lint-bundle",
@@ -62,13 +59,11 @@ fn run() -> Result<i32, String> {
     )
     .map_err(|e| e.to_string())?;
     if args.positional.len() != 2 {
-        return Err(
-            "usage: rfraig IN.aag OUT.aag [--binary] [--limit=N] [--threads=N] \
+        return Err("usage: rfraig IN.aag OUT.aag [--binary] [--limit=N] \
                     [--verify] [--lint-proof] [--lint-bundle] \
                     [--trace-out=FILE] [--trace-chrome=FILE] [--stats-json=FILE] \
                     [--verbose] [--quiet]"
-                .into(),
-        );
+            .into());
     }
     let in_path = &args.positional[0];
     let out_path = &args.positional[1];

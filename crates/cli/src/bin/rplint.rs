@@ -19,9 +19,8 @@
 //! and then the cross-artifact pass (`XB` codes) checks that the CNF is
 //! the Tseitin encoding of the AIG, that every proof input clause
 //! occurs in the CNF, and that the certificate metadata describes the
-//! proof. A `.cert` file's stitch boundaries also feed the proof lint's
-//! boundary checks, and a `.drat` file is RUP-checked against the
-//! bundle's CNF. Produce the artifacts with
+//! proof; a `.drat` file is RUP-checked against the bundle's CNF.
+//! Produce the artifacts with
 //! `rcec --proof=p.tc --emit-miter=m.aag --emit-cnf=m.cnf --emit-cert=p.cert`.
 //!
 //! **Fix mode.** `--fix` applies mechanical repairs to a TraceCheck
@@ -343,15 +342,10 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
         print_report(args, path, &report, true)?;
     }
 
-    // Proof-level lints, now that the certificate's stitch boundaries
-    // are known.
+    // Proof-level lints.
     let proof = proof_file.as_ref().and_then(|(_, p)| p.as_ref());
     if let (Some(p), Some((path, _))) = (proof, &proof_file) {
-        let mut proof_opts = opts.clone();
-        if let Some((_, info)) = &cert_file {
-            proof_opts.stitch_boundaries = info.stitch_boundaries.clone();
-        }
-        let report = lint::lint_proof(p, &proof_opts);
+        let report = lint::lint_proof(p, opts);
         if report.counts().errors > 0 {
             worst = exit::NEGATIVE;
         }

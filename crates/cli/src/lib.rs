@@ -77,20 +77,15 @@ impl Args {
     }
 }
 
-/// Applies whichever of the engine flags shared by `rcec`, `rfraig` and
-/// `rcecd` are present to `config`: `--limit=N` and `--threads=N`.
-/// Each tool's allowed-flag list decides which of them it accepts;
-/// absent flags leave `config` as it is.
+/// Applies the engine flag shared by `rcec` and `rfraig`, `--limit=N`,
+/// to `config` when it is present.
 ///
 /// # Errors
 ///
-/// A non-numeric count, or a zero thread count.
+/// A non-numeric conflict limit.
 pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result<(), String> {
     if let Some(v) = args.value("limit") {
         config.pair_conflict_limit = Some(v.parse().map_err(|e| format!("--limit: {e}"))?);
-    }
-    if let Some(v) = args.value("threads") {
-        config.threads = parse_count("threads", v)?;
     }
     Ok(())
 }
@@ -309,10 +304,10 @@ mod tests {
         assert_eq!(a.value("k"), Some("2"));
     }
 
-    const ENGINE_FLAGS: &[&str] = &["limit", "threads"];
+    const ENGINE_FLAGS: &[&str] = &["limit"];
 
     fn engine_config(raw: &[&str]) -> Result<cec::EngineConfig, String> {
-        let args = Args::parse(s(raw), ENGINE_FLAGS).unwrap();
+        let args = Args::parse(s(raw), ENGINE_FLAGS).map_err(|e| e.to_string())?;
         let mut config = cec::EngineConfig::default();
         apply_engine_flags(&args, &mut config)?;
         Ok(config)
@@ -321,17 +316,16 @@ mod tests {
     #[test]
     fn engine_flags_apply_when_present() {
         assert_eq!(engine_config(&[]).unwrap(), cec::EngineConfig::default());
-        let config = engine_config(&["--limit=7", "--threads=3"]).unwrap();
+        let config = engine_config(&["--limit=7"]).unwrap();
         assert_eq!(config.pair_conflict_limit, Some(7));
-        assert_eq!(config.threads, 3);
     }
 
     #[test]
     fn engine_flags_reject_bad_values() {
         for (raw, message) in [
-            ("--threads=0", "--threads: must be at least 1"),
             ("--limit=many", "--limit: invalid digit found in string"),
-            ("--threads=abc", "--threads: invalid digit found in string"),
+            // The round engine is gone, and its flag with it.
+            ("--threads=2", "unknown flag --threads"),
         ] {
             assert_eq!(engine_config(&[raw]).unwrap_err(), message, "{raw}");
         }

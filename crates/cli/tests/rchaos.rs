@@ -110,6 +110,26 @@ fn crash_and_resume_reproduce_the_uninterrupted_bytes() {
 }
 
 #[test]
+fn crash_specs_outside_the_phase_list_are_usage_errors() {
+    // `round` was the round engine's per-round checkpoint, and no phase
+    // checkpoints twice, so a `PHASE:HIT` count is meaningless.
+    let dir = tmp("crash-spec");
+    let dir_flag = format!("--dir={}", dir.display());
+    let out = rchaos(&["gen", &dir_flag, "--pair=adder", "--width=4"]);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    for spec in ["--crash=round", "--crash=sweep:2", "--abort-at=round:3"] {
+        let out = rchaos(&["prove", &dir_flag, spec]);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.contains("expected one of miter, sim, sweep, final_solve, trim"),
+            "{spec}: {err}"
+        );
+    }
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn kill_nine_mid_sweep_leaves_a_resumable_journal() {
     let base = tmp("abort-base");
     let aborted = tmp("abort-hit");

@@ -65,11 +65,10 @@ fn rcec_equivalent_with_checked_proof_file() {
 }
 
 #[test]
-fn rcec_parallel_proof_round_trips_through_rcheck() {
-    // Golden round-trip of the parallel sweeping mode: a 4-worker run
-    // emits a stitched proof file, rcheck independently replays it with
-    // both checkers, and a corrupted copy of the very same file is
-    // rejected with a nonzero exit.
+fn rcec_proof_round_trips_through_rcheck() {
+    // Golden round-trip: rcec emits a trimmed proof file, rcheck
+    // independently replays it with both checkers, and a corrupted copy
+    // of the very same file is rejected with a nonzero exit.
     let a_path = tmp("par-a.aag");
     let b_path = tmp("par-b.aag");
     let proof_path = tmp("par.trace");
@@ -81,7 +80,6 @@ fn rcec_parallel_proof_round_trips_through_rcheck() {
         &[
             a_path.to_str().unwrap(),
             b_path.to_str().unwrap(),
-            "--threads=4",
             &format!("--proof={}", proof_path.display()),
             "--trim",
             "--quiet",
@@ -349,39 +347,47 @@ fn rfraig_reduces_and_round_trips() {
 
 #[test]
 fn rplint_accepts_engine_proofs_and_lint_gate_passes() {
-    // rcec emits proofs (sequential and 4-thread) with its own
-    // --lint-proof gate on; rplint then audits the files standalone.
+    // rcec emits a proof with its own --lint-proof gate on; rplint then
+    // audits the file standalone.
     let a_path = tmp("plint-a.aag");
     let b_path = tmp("plint-b.aag");
+    let proof_path = tmp("plint.trace");
     write_aiger(&aig::gen::ripple_carry_adder(8), &a_path);
     write_aiger(&aig::gen::kogge_stone_adder(8), &b_path);
-    for threads in ["1", "4"] {
-        let proof_path = tmp(&format!("plint-{threads}.trace"));
-        let out = run(
-            env!("CARGO_BIN_EXE_rcec"),
-            &[
-                a_path.to_str().unwrap(),
-                b_path.to_str().unwrap(),
-                &format!("--threads={threads}"),
-                &format!("--proof={}", proof_path.display()),
-                "--lint-proof",
-                "--trim",
-                "--quiet",
-            ],
-        );
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("EQUIVALENT"));
+    let out = run(
+        env!("CARGO_BIN_EXE_rcec"),
+        &[
+            a_path.to_str().unwrap(),
+            b_path.to_str().unwrap(),
+            &format!("--proof={}", proof_path.display()),
+            "--lint-proof",
+            "--trim",
+            "--quiet",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("EQUIVALENT"));
 
-        let out = run(
-            env!("CARGO_BIN_EXE_rplint"),
-            &[proof_path.to_str().unwrap(), "--refutation"],
-        );
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("0 errors"));
-        let _ = fs::remove_file(proof_path);
+    let out = run(
+        env!("CARGO_BIN_EXE_rplint"),
+        &[proof_path.to_str().unwrap(), "--refutation"],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("0 errors"));
+    for p in [a_path, b_path, proof_path] {
+        let _ = fs::remove_file(p);
     }
-    let _ = fs::remove_file(a_path);
-    let _ = fs::remove_file(b_path);
+}
+
+#[test]
+fn rcec_and_rcecd_refuse_the_threads_flag() {
+    // The round engine is gone: `--threads` is an unknown flag.
+    for bin in [env!("CARGO_BIN_EXE_rcec"), env!("CARGO_BIN_EXE_rcecd")] {
+        let out = run(bin, &["--threads=2"]);
+        assert_eq!(out.status.code(), Some(2), "{out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown flag --threads"), "{err}");
+    }
 }
 
 #[test]
@@ -496,52 +502,47 @@ fn rcec_bdd_mode() {
 fn rcec_emits_bundle_and_rplint_audits_it_clean() {
     // The full third-party bundle audit loop: rcec exports its miter,
     // CNF, proof, and certificate; rplint re-checks the cross-artifact
-    // binding from the files alone — sequentially and 4-threaded.
+    // binding from the files alone.
     let a_path = tmp("bundle-a.aag");
     let b_path = tmp("bundle-b.aag");
+    let miter_path = tmp("bundle-m.aag");
+    let cnf_path = tmp("bundle-m.cnf");
+    let proof_path = tmp("bundle.trace");
+    let cert_path = tmp("bundle.cert");
     write_aiger(&aig::gen::ripple_carry_adder(8), &a_path);
     write_aiger(&aig::gen::kogge_stone_adder(8), &b_path);
-    for threads in ["1", "4"] {
-        let miter_path = tmp(&format!("bundle-{threads}-m.aag"));
-        let cnf_path = tmp(&format!("bundle-{threads}-m.cnf"));
-        let proof_path = tmp(&format!("bundle-{threads}.trace"));
-        let cert_path = tmp(&format!("bundle-{threads}.cert"));
-        let out = run(
-            env!("CARGO_BIN_EXE_rcec"),
-            &[
-                a_path.to_str().unwrap(),
-                b_path.to_str().unwrap(),
-                &format!("--threads={threads}"),
-                &format!("--proof={}", proof_path.display()),
-                &format!("--emit-miter={}", miter_path.display()),
-                &format!("--emit-cnf={}", cnf_path.display()),
-                &format!("--emit-cert={}", cert_path.display()),
-                "--lint-bundle",
-                "--quiet",
-            ],
-        );
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        assert!(String::from_utf8_lossy(&out.stdout).contains("EQUIVALENT"));
+    let out = run(
+        env!("CARGO_BIN_EXE_rcec"),
+        &[
+            a_path.to_str().unwrap(),
+            b_path.to_str().unwrap(),
+            &format!("--proof={}", proof_path.display()),
+            &format!("--emit-miter={}", miter_path.display()),
+            &format!("--emit-cnf={}", cnf_path.display()),
+            &format!("--emit-cert={}", cert_path.display()),
+            "--lint-bundle",
+            "--quiet",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    assert!(String::from_utf8_lossy(&out.stdout).contains("EQUIVALENT"));
 
-        let out = run(
-            env!("CARGO_BIN_EXE_rplint"),
-            &[
-                miter_path.to_str().unwrap(),
-                cnf_path.to_str().unwrap(),
-                proof_path.to_str().unwrap(),
-                cert_path.to_str().unwrap(),
-                "--refutation",
-            ],
-        );
-        assert_eq!(out.status.code(), Some(0), "{out:?}");
-        let text = String::from_utf8_lossy(&out.stdout);
-        assert!(text.contains("bundle:"), "{text}");
-        for p in [miter_path, cnf_path, proof_path, cert_path] {
-            let _ = fs::remove_file(p);
-        }
+    let out = run(
+        env!("CARGO_BIN_EXE_rplint"),
+        &[
+            miter_path.to_str().unwrap(),
+            cnf_path.to_str().unwrap(),
+            proof_path.to_str().unwrap(),
+            cert_path.to_str().unwrap(),
+            "--refutation",
+        ],
+    );
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("bundle:"), "{text}");
+    for p in [a_path, b_path, miter_path, cnf_path, proof_path, cert_path] {
+        let _ = fs::remove_file(p);
     }
-    let _ = fs::remove_file(a_path);
-    let _ = fs::remove_file(b_path);
 }
 
 #[test]
@@ -795,7 +796,6 @@ fn rcec_trace_exporters_and_stats_json() {
         &[
             a_path.to_str().unwrap(),
             b_path.to_str().unwrap(),
-            "--threads=4",
             "--check",
             &format!("--trace-out={}", jsonl_path.display()),
             &format!("--trace-chrome={}", chrome_path.display()),
@@ -824,7 +824,7 @@ fn rcec_trace_exporters_and_stats_json() {
     assert!(span_lines > 0, "no span events in journal");
 
     // Chrome trace: well-formed JSON array, one thread-name metadata row
-    // per worker plus the coordinator, and >= 1 event per worker tid.
+    // for the coordinator, and complete events on its tid.
     let chrome = fs::read_to_string(&chrome_path).unwrap();
     let v = parse(&chrome).expect("chrome trace parses");
     let events = v.as_array().expect("chrome trace is an array");
@@ -833,19 +833,14 @@ fn rcec_trace_exporters_and_stats_json() {
         .filter(|e| e.get("name").and_then(Value::as_str) == Some("thread_name"))
         .filter_map(|e| e.get("args")?.get("name")?.as_str())
         .collect();
-    assert!(names.contains(&"coordinator"), "{names:?}");
-    for w in 0..4 {
-        let label = format!("worker {w}");
-        assert!(names.iter().any(|n| **n == label), "missing row {label}");
-        let tid = w + 1;
-        assert!(
-            events.iter().any(|e| {
-                e.get("ph").and_then(Value::as_str) == Some("X")
-                    && e.get("tid").and_then(Value::as_u64) == Some(tid)
-            }),
-            "no complete event on worker tid {tid}"
-        );
-    }
+    assert_eq!(names, ["coordinator"]);
+    assert!(
+        events.iter().any(|e| {
+            e.get("ph").and_then(Value::as_str) == Some("X")
+                && e.get("tid").and_then(Value::as_u64) == Some(0)
+        }),
+        "no complete event on the coordinator's tid"
+    );
 
     // Stats JSON: full tree with phase breakdown; disjoint phases can
     // never sum past the elapsed wall-clock (a few us of rounding).
@@ -860,8 +855,7 @@ fn rcec_trace_exporters_and_stats_json() {
         sum > 0 && sum <= elapsed + 10,
         "sum={sum} elapsed={elapsed}"
     );
-    let workers = stats.get("workers").and_then(Value::as_array).unwrap();
-    assert_eq!(workers.len(), 4);
+    assert!(stats.get("workers").is_none());
     assert!(stats.get("sat_conflict_hist").is_some());
     assert!(stats.get("proof").is_some());
     assert!(phases.get("check_us").and_then(Value::as_u64).unwrap() > 0);

@@ -27,7 +27,7 @@
 
 use crate::journal::Durable;
 use crate::miter::Miter;
-use crate::outcome::{CecError, EngineStats, WorkerStats};
+use crate::outcome::{CecError, EngineStats};
 use crate::session::{EngineConfig, SharedContext};
 use crate::sim::{neighbourhood, SimClasses};
 use aig::{Aig, NodeId};
@@ -35,17 +35,15 @@ use cnf::tseitin::Partition;
 use cnf::{Lit, Var};
 use obs::json::Value;
 use obs::metrics::{Gauge, Mirror};
-use obs::{worker_tid, ArgVal, Recorder, TID_COORDINATOR};
+use obs::{ArgVal, TID_COORDINATOR};
 use proof::{ClauseId, StepRole};
-use sat::{SolveResult, Solver};
+use sat::{SolveResult, Solver, SolverConfig};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// A [`Discharger`]'s verdict on one candidate pair. Clause ids are in
-/// the proof id space of the solver that discharged it.
+/// The sweep's verdict on one candidate pair.
 enum PairVerdict {
-    /// Both implications proven; the canonical lemma steps (the roots a
-    /// parallel worker's proof is stitched from).
+    /// Both implications proven; the canonical lemma steps.
     Proved {
         fwd: Option<ClauseId>,
         bwd: Option<ClauseId>,
@@ -61,243 +59,6 @@ enum PairVerdict {
 /// A candidate pair `(node, root, phase)`: the claim `node ≡ root ^
 /// phase`.
 type Pair = (NodeId, NodeId, bool);
-
-/// Discharges candidate pairs on one incremental solver: two SAT calls
-/// under assumptions, each limited by the solver's conflict budget, and
-/// the commit of each proven direction as a canonical lemma clause that
-/// later calls resolve against. The sequential sweep owns one on the
-/// coordinator's solver; each parallel worker owns one on its private
-/// solver.
-pub(crate) struct Discharger {
-    pub(crate) solver: Solver,
-    /// Trace recorder and this solver's logical thread id in the trace.
-    recorder: Recorder,
-    tid: u32,
-    /// Counters of the calls made since the owner last took them
-    /// ([`Discharger::take_tally`]). `conflicts` and `elapsed` are left
-    /// to the owner.
-    tally: WorkerStats,
-}
-
-impl Discharger {
-    /// A discharger on a fresh solver over `num_vars` variables, each
-    /// solve limited to `budget` conflicts (`None` = unlimited), with
-    /// the recorder attached so the solver's restart / reduce-DB events
-    /// land in the trace.
-    fn new(
-        proof_mode: bool,
-        num_vars: u32,
-        budget: Option<u64>,
-        recorder: &Recorder,
-        tid: u32,
-    ) -> Self {
-        let mut solver = if proof_mode {
-            Solver::with_proof()
-        } else {
-            Solver::new()
-        };
-        solver.ensure_vars(num_vars);
-        solver.set_conflict_budget(budget);
-        solver.set_recorder(recorder.clone(), tid);
-        Discharger {
-            solver,
-            recorder: recorder.clone(),
-            tid,
-            tally: WorkerStats::default(),
-        }
-    }
-
-    /// Hands over the counters accumulated since the last take.
-    fn take_tally(&mut self) -> WorkerStats {
-        std::mem::take(&mut self.tally)
-    }
-
-    /// Attempts to prove `v_n ≡ target` with two incremental SAT calls,
-    /// one per lemma clause `(¬v_n ∨ target)` and `(v_n ∨ ¬target)`:
-    /// each is proven by refuting its negation under assumptions, then
-    /// committed in canonical form (so later pairs reuse it).
-    fn prove_pair(&mut self, graph: &Aig, n: NodeId, target: Lit) -> PairVerdict {
-        let vn = Var::new(n.index());
-        let mut lemmas = [None; 2];
-        for (lemma, canonical) in lemmas
-            .iter_mut()
-            .zip([[vn.negative(), target], [vn.positive(), !target]])
-        {
-            match self.traced_solve(&[!canonical[0], !canonical[1]], n) {
-                SolveResult::Sat => {
-                    self.tally.sat_cex += 1;
-                    return PairVerdict::Refuted {
-                        pattern: self.model_pattern(graph),
-                    };
-                }
-                SolveResult::Unknown => return PairVerdict::Skipped,
-                SolveResult::Unsat => self.tally.sat_unsat += 1,
-            }
-            *lemma = self.commit_lemma(&canonical);
-        }
-        self.tally.merges += 1;
-        let [fwd, bwd] = lemmas;
-        PairVerdict::Proved { fwd, bwd }
-    }
-
-    /// One sweeping SAT call with per-call telemetry: the conflict delta
-    /// is always recorded into the tally's histogram (cheap); a
-    /// `sat_call` span with node / verdict / conflict / decision /
-    /// propagation args is recorded when tracing is enabled.
-    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
-        self.tally.sat_calls += 1;
-        let before = *self.solver.stats();
-        let mut span = self.recorder.span("sat_call", self.tid);
-        let result = self.solver.solve_with(assumptions);
-        let after = self.solver.stats();
-        let conflicts = after.conflicts - before.conflicts;
-        self.tally.conflict_hist.record(conflicts);
-        if span.is_enabled() {
-            span.arg("node", u64::from(n.index()));
-            span.arg(
-                "verdict",
-                match result {
-                    SolveResult::Sat => "sat",
-                    SolveResult::Unsat => "unsat",
-                    SolveResult::Unknown => "unknown",
-                },
-            );
-            span.arg("conflicts", conflicts);
-            span.arg("decisions", after.decisions - before.decisions);
-            span.arg("propagations", after.propagations - before.propagations);
-        }
-        result
-    }
-
-    /// Commits the solver's final conflict clause and records the
-    /// canonical two-literal lemma, derived from it by weakening, as a
-    /// proof step. The final clause is over the negations of the pair's
-    /// two assumptions, so it is the lemma or a unit that subsumes it:
-    /// the lemma is not attached a second time.
-    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
-        let committed = self.solver.commit_final_clause();
-        self.tally.lemmas += 1;
-        let p = self.solver.proof()?;
-        let id = committed.expect("proof mode final clause id");
-        self.tally
-            .lemma_chain_hist
-            .record(p.step(id).antecedents.len() as u64);
-        let lemma = self.solver.record_derived_clause(canonical, &[id]);
-        self.solver.tag_proof_step(lemma, StepRole::Lemma);
-        Some(lemma)
-    }
-
-    /// The input pattern of the solver's current model.
-    fn model_pattern(&self, graph: &Aig) -> Vec<bool> {
-        graph
-            .inputs()
-            .iter()
-            .map(|node| self.solver.model_value(Var::new(node.index())))
-            .collect()
-    }
-}
-
-/// One clause of the shared database feed: the global clause stream
-/// (initial snapshot, then every lemma in merge order) that workers
-/// replay incrementally to stay in sync between rounds.
-#[derive(Clone)]
-struct FeedClause {
-    lits: Vec<Lit>,
-    /// Global proof step id (proof mode only).
-    id: Option<ClauseId>,
-    /// The worker whose proved pair produced this clause; that worker
-    /// already committed the canonical lemma locally and skips the
-    /// entry. `None` for snapshot and structural-merge clauses.
-    origin: Option<usize>,
-}
-
-/// One round's work order for a parallel-sweep worker thread: the
-/// worker's own state (shipped back and forth so the sequential merge
-/// phase can read its proof), the feed entries added since the last
-/// round, and the shard of pairs to discharge.
-struct WorkerJob {
-    state: WorkerState,
-    delta: std::sync::Arc<[FeedClause]>,
-    shard: Vec<(usize, NodeId, Lit)>,
-}
-
-/// What a worker thread sends back after a round.
-struct WorkerReport {
-    state: WorkerState,
-    /// Verdicts in discovery order, keyed by index into the round's
-    /// pair list.
-    results: Vec<(usize, PairVerdict)>,
-    stats: WorkerStats,
-}
-
-/// A persistent parallel-sweep worker: a [`Discharger`] whose private
-/// incremental solver lives across rounds (keeping its learnt clauses
-/// and saved phases), synced with the shared clause database by
-/// replaying the feed, plus the local→global proof id translation
-/// accumulated over all merges so far. Fully deterministic given its
-/// shard and feed history.
-struct WorkerState {
-    discharger: Discharger,
-    /// Local proof step id → global proof id. Originals are filled on
-    /// sync; derived steps are filled by [`proof::Proof::merge_cone`].
-    translation: Vec<Option<ClauseId>>,
-}
-
-impl WorkerState {
-    /// Replays the feed entries added since the last round, skipping
-    /// the clauses this worker proved itself (already present locally;
-    /// their proof steps are translated at merge time instead).
-    fn sync(&mut self, me: usize, delta: &[FeedClause]) {
-        let d = &mut self.discharger;
-        for fc in delta {
-            if fc.origin == Some(me) {
-                continue;
-            }
-            let local = d.solver.add_clause(&fc.lits);
-            if d.solver.proof_logging() {
-                let local = local.expect("feed holds no tautologies").as_usize();
-                if self.translation.len() <= local {
-                    self.translation.resize(local + 1, None);
-                }
-                debug_assert!(self.translation[local].is_none());
-                self.translation[local] = fc.id;
-            }
-        }
-    }
-
-    /// Runs one round: catches up with the feed, then discharges the
-    /// shard of `(index into the round's pair list, node, target)`
-    /// entries.
-    fn round(
-        mut self,
-        me: usize,
-        graph: &Aig,
-        delta: &[FeedClause],
-        shard: &[(usize, NodeId, Lit)],
-    ) -> WorkerReport {
-        let start = Instant::now();
-        let mut span = self
-            .discharger
-            .recorder
-            .span("worker_round", self.discharger.tid);
-        span.arg("pairs", shard.len());
-        span.arg("feed_delta", delta.len());
-        let conflicts_before = self.discharger.solver.stats().conflicts;
-        self.sync(me, delta);
-        let results = shard
-            .iter()
-            .map(|&(pair_idx, n, target)| (pair_idx, self.discharger.prove_pair(graph, n, target)))
-            .collect();
-        let mut stats = self.discharger.take_tally();
-        stats.conflicts = self.discharger.solver.stats().conflicts - conflicts_before;
-        stats.elapsed = start.elapsed();
-        WorkerReport {
-            state: self,
-            results,
-            stats,
-        }
-    }
-}
 
 /// A node's merge link: `node ≡ parent ^ phase`, with the two lemma
 /// clauses recording the equivalence in the proof (absent when proof
@@ -323,42 +84,32 @@ impl MergeLink {
     }
 }
 
-/// A live counter's name and its source in a stats struct.
-type CounterSource<S> = (&'static str, fn(&S) -> u64);
+/// A live counter's name and its source in the run's stats.
+type CounterSource = (&'static str, fn(&EngineStats) -> u64);
 
-/// The engine-wide live counters, each with its source in the run's
+/// The engine's live counters, each with its source in the run's
 /// stats.
-const ENGINE_COUNTERS: [CounterSource<EngineStats>; 6] = [
+const ENGINE_COUNTERS: [CounterSource; 5] = [
     ("cec.sat_calls", |s| s.sat_calls),
     ("cec.conflicts", |s| s.sat_conflict_hist.sum()),
     ("cec.lemmas", |s| s.lemmas),
     ("cec.structural_merges", |s| s.structural_merges),
     ("cec.refinements", |s| s.refinements),
-    ("cec.rounds", |s| s.rounds),
-];
-
-/// Each parallel worker's live counters, named after the worker, each
-/// with its source in the worker's stats.
-const WORKER_COUNTERS: [CounterSource<WorkerStats>; 3] = [
-    ("sat_calls", |w| w.sat_calls),
-    ("conflicts", |w| w.conflicts),
-    ("lemmas", |w| w.lemmas),
 ];
 
 pub(crate) struct Sweep<'g> {
     graph: &'g Aig,
     config: &'g EngineConfig,
     ctx: &'g SharedContext,
-    /// The coordinator's discharger: its solver holds the global clause
-    /// database and proof, and discharges every pair of the sequential
-    /// sweep.
-    discharger: Discharger,
+    /// The one incremental solver: it holds the clause database and the
+    /// proof, and discharges every candidate pair.
+    solver: Solver,
     /// Tseitin definition clause ids per AND node: `[t1, t2, t3]` for
     /// `(¬x∨a) (¬x∨b) (x∨¬a∨¬b)`. Slot 0 holds the constant's unit
     /// clause `(¬x₀)` three times.
     and_defs: Vec<Option<[Option<ClauseId>; 3]>>,
-    /// Nodes whose Tseitin clauses are attached to the coordinator's
-    /// solver and whose variables it may decide; fanin-closed (see
+    /// Nodes whose Tseitin clauses are attached to the solver and whose
+    /// variables it may decide; fanin-closed (see
     /// [`Sweep::load_cones`]).
     loaded: Vec<bool>,
     rep: Vec<Option<MergeLink>>,
@@ -390,14 +141,12 @@ impl<'g> Sweep<'g> {
     ) -> Self {
         // The pair budget reaches this solver only while `run` sweeps:
         // the final miter solve on it must run unbudgeted.
-        let mut discharger = Discharger::new(
-            config.proof,
-            graph.len() as u32,
-            None,
-            &ctx.recorder,
-            TID_COORDINATOR,
-        );
-        let solver = &mut discharger.solver;
+        let mut solver = Solver::with_config(SolverConfig {
+            proof_logging: config.proof,
+            ..SolverConfig::default()
+        });
+        solver.ensure_vars(graph.len() as u32);
+        solver.set_recorder(ctx.recorder.clone(), TID_COORDINATOR);
         let mut sides = a_boundary.filter(|_| config.proof).map(|b| (b, Vec::new()));
         let mut record = |id: Option<ClauseId>, node: usize| {
             if let (Some((boundary, sides)), Some(id)) = (&mut sides, id) {
@@ -430,7 +179,7 @@ impl<'g> Sweep<'g> {
             graph,
             config,
             ctx,
-            discharger,
+            solver,
             and_defs,
             loaded: vec![false; graph.len()],
             rep: vec![None; graph.len()],
@@ -470,7 +219,7 @@ impl<'g> Sweep<'g> {
             }
         }
         fresh.sort_unstable();
-        let solver = &mut self.discharger.solver;
+        let solver = &mut self.solver;
         for n in fresh {
             let defs = self.and_defs[n.as_usize()];
             match *self.graph.node(n) {
@@ -523,19 +272,13 @@ impl<'g> Sweep<'g> {
                 ([lf, pb], [lb, pf])
             };
             let fwd = self
-                .discharger
                 .solver
                 .add_derived_clause(&[vn.negative(), root_lit], &fwd_ants);
             let bwd = self
-                .discharger
                 .solver
                 .add_derived_clause(&[vn.positive(), !root_lit], &bwd_ants);
-            self.discharger
-                .solver
-                .tag_proof_step(fwd, StepRole::Composition);
-            self.discharger
-                .solver
-                .tag_proof_step(bwd, StepRole::Composition);
+            self.solver.tag_proof_step(fwd, StepRole::Composition);
+            self.solver.tag_proof_step(bwd, StepRole::Composition);
             Some((fwd, bwd))
         } else {
             None
@@ -602,9 +345,9 @@ impl<'g> Sweep<'g> {
         )
     }
 
-    /// Checkpoints the end-of-sweep state shared by both sweep modes.
+    /// Checkpoints the end-of-sweep state.
     fn sweep_checkpoint(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        let proof_len = self.discharger.solver.proof().map_or(0, |p| p.len() as u64);
+        let proof_len = self.solver.proof().map_or(0, |p| p.len() as u64);
         durable.checkpoint(
             "sweep",
             &[
@@ -616,25 +359,18 @@ impl<'g> Sweep<'g> {
         )
     }
 
-    /// Runs the sweep the config asks for, if any: the single-pass
-    /// sequential sweep at one thread, the round engine at more. Times
-    /// it into the `sweep` phase and span. The coordinator's solver
-    /// holds the pair budget only for the sweep, so the final miter
-    /// solve runs unbudgeted.
+    /// Runs the sweep if the config asks for one, timed into the `sweep`
+    /// phase and span. The solver holds the pair budget only for the
+    /// sweep, so the final miter solve runs unbudgeted.
     pub(crate) fn run(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         if !self.config.sweep {
             return Ok(());
         }
         let start = Instant::now();
-        self.discharger
-            .solver
+        self.solver
             .set_conflict_budget(self.config.pair_conflict_limit);
-        let swept = if self.config.threads > 1 {
-            self.run_parallel(durable)
-        } else {
-            self.run_sequential(durable)
-        };
-        self.discharger.solver.set_conflict_budget(None);
+        let swept = self.sweep_nodes(durable);
+        self.solver.set_conflict_budget(None);
         self.publish();
         swept?;
         let time = start.elapsed();
@@ -649,12 +385,8 @@ impl<'g> Sweep<'g> {
     /// Adds each live counter's growth since the last publish.
     fn publish(&mut self) {
         let stats = &self.stats;
-        let engine = ENGINE_COUNTERS.iter().map(|(_, count)| count(stats));
-        let workers = stats
-            .workers
-            .iter()
-            .flat_map(|w| WORKER_COUNTERS.iter().map(move |(_, count)| count(w)));
-        self.mirror.publish(engine.chain(workers));
+        self.mirror
+            .publish(ENGINE_COUNTERS.iter().map(|(_, count)| count(stats)));
     }
 
     /// Records a proven merge: the node's rep link and its two lemmas.
@@ -663,24 +395,89 @@ impl<'g> Sweep<'g> {
         self.stats.lemmas += 2;
     }
 
-    /// Folds a discharger's tally into the run's counters.
-    fn absorb(&mut self, calls: &WorkerStats) {
-        self.stats.sat_calls += calls.sat_calls;
-        self.stats.sat_unsat += calls.sat_unsat;
-        self.stats.sat_cex += calls.sat_cex;
-        self.stats.sat_conflict_hist.merge(&calls.conflict_hist);
-        self.stats.lemma_chain_hist.merge(&calls.lemma_chain_hist);
+    /// Attaches the pair's two cones and tries to prove `n ≡ root ^
+    /// phase` with two incremental SAT calls, one per lemma clause
+    /// `(¬v_n ∨ target)` and `(v_n ∨ ¬target)`: each is proven by
+    /// refuting its negation under assumptions, then committed in
+    /// canonical form (so later pairs reuse it).
+    fn prove_pair(&mut self, (n, root, phase): Pair) -> PairVerdict {
+        self.load_cones([n, root]);
+        let vn = Var::new(n.index());
+        let target = Var::new(root.index()).lit(phase);
+        let mut lemmas = [None; 2];
+        for (lemma, canonical) in lemmas
+            .iter_mut()
+            .zip([[vn.negative(), target], [vn.positive(), !target]])
+        {
+            match self.traced_solve(&[!canonical[0], !canonical[1]], n) {
+                SolveResult::Sat => {
+                    self.stats.sat_cex += 1;
+                    return PairVerdict::Refuted {
+                        pattern: self.model_pattern(),
+                    };
+                }
+                SolveResult::Unknown => return PairVerdict::Skipped,
+                SolveResult::Unsat => self.stats.sat_unsat += 1,
+            }
+            *lemma = self.commit_lemma(&canonical);
+        }
+        let [fwd, bwd] = lemmas;
+        PairVerdict::Proved { fwd, bwd }
     }
 
-    /// Attaches the pair's two cones, discharges the pair on the
-    /// coordinator's solver and folds the calls into the run's counters.
-    fn discharge(&mut self, (n, root, phase): Pair) -> PairVerdict {
-        self.load_cones([n, root]);
-        let target = Var::new(root.index()).lit(phase);
-        let verdict = self.discharger.prove_pair(self.graph, n, target);
-        let calls = self.discharger.take_tally();
-        self.absorb(&calls);
-        verdict
+    /// One sweeping SAT call with per-call telemetry: the conflict delta
+    /// is always recorded into the run's histogram (cheap); a `sat_call`
+    /// span with node / verdict / conflict / decision / propagation args
+    /// is recorded when tracing is enabled.
+    fn traced_solve(&mut self, assumptions: &[Lit], n: NodeId) -> SolveResult {
+        self.stats.sat_calls += 1;
+        let before = *self.solver.stats();
+        let mut span = self.ctx.recorder.span("sat_call", TID_COORDINATOR);
+        let result = self.solver.solve_with(assumptions);
+        let after = self.solver.stats();
+        let conflicts = after.conflicts - before.conflicts;
+        self.stats.sat_conflict_hist.record(conflicts);
+        if span.is_enabled() {
+            span.arg("node", u64::from(n.index()));
+            span.arg(
+                "verdict",
+                match result {
+                    SolveResult::Sat => "sat",
+                    SolveResult::Unsat => "unsat",
+                    SolveResult::Unknown => "unknown",
+                },
+            );
+            span.arg("conflicts", conflicts);
+            span.arg("decisions", after.decisions - before.decisions);
+            span.arg("propagations", after.propagations - before.propagations);
+        }
+        result
+    }
+
+    /// Commits the solver's final conflict clause and records the
+    /// canonical two-literal lemma, derived from it by weakening, as a
+    /// proof step. The final clause is over the negations of the pair's
+    /// two assumptions, so it is the lemma or a unit that subsumes it:
+    /// the lemma is not attached a second time.
+    fn commit_lemma(&mut self, canonical: &[Lit]) -> Option<ClauseId> {
+        let committed = self.solver.commit_final_clause();
+        let p = self.solver.proof()?;
+        let id = committed.expect("proof mode final clause id");
+        self.stats
+            .lemma_chain_hist
+            .record(p.step(id).antecedents.len() as u64);
+        let lemma = self.solver.record_derived_clause(canonical, &[id]);
+        self.solver.tag_proof_step(lemma, StepRole::Lemma);
+        Some(lemma)
+    }
+
+    /// The input pattern of the solver's current model.
+    fn model_pattern(&self) -> Vec<bool> {
+        self.graph
+            .inputs()
+            .iter()
+            .map(|node| self.solver.model_value(Var::new(node.index())))
+            .collect()
     }
 
     /// Applies one pair's verdict. A proof merges the node into the
@@ -726,10 +523,9 @@ impl<'g> Sweep<'g> {
         }
     }
 
-    /// The single-pass sequential sweep: every node in topological
-    /// order, discharged against its class leader on the coordinator's
-    /// solver.
-    fn run_sequential(&mut self, durable: &mut Durable) -> Result<(), CecError> {
+    /// The single-pass sweep: every node in topological order,
+    /// discharged against its class leader.
+    fn sweep_nodes(&mut self, durable: &mut Durable) -> Result<(), CecError> {
         let mut classes = self.simulate_classes();
         self.sim_checkpoint(&classes, durable)?;
         let watch_queues = self.ctx.metrics.is_enabled();
@@ -759,323 +555,12 @@ impl<'g> Sweep<'g> {
                 let (root, pm, _) = self.find(leader);
                 debug_assert!(root < n, "roots precede the node being processed");
                 let pair = (n, root, pm ^ compl);
-                let verdict = self.discharge(pair);
+                let verdict = self.prove_pair(pair);
                 self.apply_verdict(&mut classes, pair, verdict);
                 self.publish();
             }
             self.register_structure(n);
         }
-        self.sweep_checkpoint(durable)
-    }
-
-    /// The round-based parallel sweep.
-    ///
-    /// Each round:
-    ///
-    /// 1. **Structural phase** (sequential): one topological pass of
-    ///    resolution-only merges over a freshly rebuilt structure table
-    ///    (reps move between rounds, so stale keys must not survive).
-    /// 2. **Collect**: a *window* of the topologically first candidate
-    ///    pairs `(n, root, phase)` of the live classes, the same number
-    ///    per worker: 8 at first, then auto-tuned between rounds from
-    ///    the per-worker conflict imbalance. Class members
-    ///    always have `rep = None` (merged nodes are removed from their
-    ///    class), so targets are class leaders and no node is sharded
-    ///    twice. The small window preserves lemma locality: a pair's
-    ///    fanin-cone equivalences were usually merged in an earlier
-    ///    round and have already reached every worker.
-    /// 3. **Discharge**: the window is dealt round-robin onto the
-    ///    persistent workers; each scoped worker thread first replays
-    ///    the shared clause feed (the snapshot at start, then every
-    ///    merged lemma) into its private incremental solver, then
-    ///    proves / refutes / skips its pairs independently, logging
-    ///    into a private proof with worker-local clause ids.
-    /// 4. **Merge** (sequential, fixed worker-then-discovery order):
-    ///    each worker's new derivation cone is stitched into the global
-    ///    proof with remapped ids (the per-worker translation table
-    ///    persists, so later rounds reuse earlier stitches), proved
-    ///    lemmas join the global clause database and the feed,
-    ///    refutation patterns refine the classes.
-    ///
-    /// Every worker is deterministic given its shard and feed history,
-    /// and the merge order is fixed, so the run is reproducible for a
-    /// given seed and thread count. Each round strictly shrinks the
-    /// candidate work (merged/skipped nodes leave their classes; each
-    /// applied refutation either splits a class or was subsumed by an
-    /// earlier split this round), so the loop terminates.
-    fn run_parallel(&mut self, durable: &mut Durable) -> Result<(), CecError> {
-        let threads = self.config.threads;
-        let mut classes = self.simulate_classes();
-        self.sim_checkpoint(&classes, durable)?;
-        self.stats.workers = vec![WorkerStats::default(); threads];
-        let worker_counters = (0..threads).flat_map(|w| {
-            WORKER_COUNTERS
-                .iter()
-                .map(move |(name, _)| format!("cec.worker{w}.{name}"))
-        });
-        self.mirror.register(&self.ctx.metrics, worker_counters);
-
-        let num_vars = self.discharger.solver.num_vars();
-        let proof_mode = self.config.proof;
-        let graph = self.graph;
-        // Per-worker window, auto-tuned between rounds from the observed
-        // conflict imbalance.
-        let mut per_worker = 8;
-        if let Some(p) = self.discharger.solver.proof() {
-            // Anchor of the stitch segments: everything appended between
-            // here and the end of the last round is parallel-merge
-            // output, which the RP007 lint cross-checks.
-            self.stats
-                .stitch_boundaries
-                .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
-        }
-
-        // Workers rebuild their solvers from the snapshot below, so the
-        // whole miter is attached first, in node order.
-        self.load_cones((0..self.graph.len()).map(|idx| NodeId::new(idx as u32)));
-        let mut feed: Vec<FeedClause> = self
-            .discharger
-            .solver
-            .live_clauses()
-            .map(|(ls, id)| FeedClause {
-                lits: ls.to_vec(),
-                id,
-                origin: None,
-            })
-            .collect();
-        // Feed entries already shipped to the workers (all workers stay
-        // in lock-step because every round sends every worker a job).
-        let mut synced = 0usize;
-        // Worker states live here between rounds so the sequential
-        // merge phase can read their proofs; they ride along in the job
-        // and report of each round.
-        let mut states: Vec<Option<WorkerState>> = (0..threads)
-            .map(|w| {
-                Some(WorkerState {
-                    discharger: Discharger::new(
-                        proof_mode,
-                        num_vars,
-                        self.config.pair_conflict_limit,
-                        &self.ctx.recorder,
-                        worker_tid(w),
-                    ),
-                    translation: Vec::new(),
-                })
-            })
-            .collect();
-
-        // The worker threads are spawned once and fed one job per round
-        // (thread creation is far too slow to pay per round). An early
-        // return (injected crash, journal failure) drops the job senders
-        // on the way out, so the scope still joins the workers cleanly.
-        let rounds: Result<(), CecError> = std::thread::scope(|scope| {
-            let mut to_worker = Vec::with_capacity(threads);
-            let mut from_worker = Vec::with_capacity(threads);
-            for w in 0..threads {
-                let (job_tx, job_rx) = std::sync::mpsc::channel::<WorkerJob>();
-                let (report_tx, report_rx) = std::sync::mpsc::channel::<WorkerReport>();
-                to_worker.push(job_tx);
-                from_worker.push(report_rx);
-                scope.spawn(move || {
-                    for job in job_rx {
-                        let report = job.state.round(w, graph, &job.delta, &job.shard);
-                        if report_tx.send(report).is_err() {
-                            return;
-                        }
-                    }
-                });
-            }
-
-            loop {
-                // Phase 1: structural merges over a rebuilt table.
-                if self.config.structural_merging {
-                    let structural_start = Instant::now();
-                    self.struct_table.clear();
-                    for idx in 1..self.graph.len() {
-                        let n = NodeId::new(idx as u32);
-                        if self.rep[n.as_usize()].is_some() {
-                            continue;
-                        }
-                        if self.try_structural_merge(n).is_some() {
-                            classes.remove(n);
-                            let link = self.rep[n.as_usize()].expect("merged just now");
-                            feed.extend(link.clauses(n).map(|(lits, id)| FeedClause {
-                                lits: lits.to_vec(),
-                                id,
-                                origin: None,
-                            }));
-                        } else {
-                            self.register_structure(n);
-                        }
-                    }
-                    self.ctx.recorder.complete(
-                        "structural_pass",
-                        TID_COORDINATOR,
-                        structural_start,
-                        structural_start.elapsed(),
-                    );
-                }
-
-                // Phase 2: collect this round's window of candidate pairs.
-                let window = threads * per_worker;
-                let mut pairs: Vec<Pair> = Vec::new();
-                for idx in 1..self.graph.len() {
-                    let n = NodeId::new(idx as u32);
-                    if self.rep[n.as_usize()].is_some() {
-                        continue;
-                    }
-                    if let Some((leader, compl)) = classes.candidate(n) {
-                        let (root, pm, _) = self.find(leader);
-                        debug_assert!(root < n, "roots precede the node being processed");
-                        pairs.push((n, root, pm ^ compl));
-                        if pairs.len() == window {
-                            break;
-                        }
-                    }
-                }
-                if pairs.is_empty() {
-                    break;
-                }
-                self.stats.rounds += 1;
-                if self.ctx.metrics.is_enabled() {
-                    // num_candidates is a class scan; only pay it when
-                    // someone is watching.
-                    #[allow(clippy::cast_possible_wrap)]
-                    self.queue_candidates.set(classes.num_candidates() as i64);
-                }
-                self.stats.pair_windows.push(per_worker as u32);
-                let mut round_span = self.ctx.recorder.span("round", TID_COORDINATOR);
-                round_span.arg("round", self.stats.rounds);
-                round_span.arg("pairs", pairs.len());
-
-                // Phase 3: discharge shards on the persistent workers.
-                let delta: std::sync::Arc<[FeedClause]> = feed[synced..].to_vec().into();
-                for (w, job_tx) in to_worker.iter().enumerate() {
-                    let shard: Vec<(usize, NodeId, Lit)> = pairs
-                        .iter()
-                        .enumerate()
-                        .filter(|(i, _)| i % threads == w)
-                        .map(|(i, &(n, root, phase))| (i, n, Var::new(root.index()).lit(phase)))
-                        .collect();
-                    job_tx
-                        .send(WorkerJob {
-                            state: states[w].take().expect("state parked between rounds"),
-                            delta: delta.clone(),
-                            shard,
-                        })
-                        .expect("sweep worker alive");
-                }
-                synced = feed.len();
-                let reports: Vec<WorkerReport> = from_worker
-                    .iter()
-                    .map(|report_rx| report_rx.recv().expect("sweep worker alive"))
-                    .collect();
-
-                // Phase 4: merge results in worker-then-discovery order.
-                let stitch_span = self.ctx.recorder.span("stitch", TID_COORDINATOR);
-                let mut round_conflicts: Vec<u64> = Vec::with_capacity(threads);
-                for (w, report) in reports.into_iter().enumerate() {
-                    let WorkerReport {
-                        state,
-                        results,
-                        stats: round_stats,
-                    } = report;
-                    states[w] = Some(state);
-                    round_conflicts.push(round_stats.conflicts);
-                    self.absorb(&round_stats);
-                    self.stats.workers[w].absorb(&round_stats);
-
-                    if proof_mode {
-                        let roots: Vec<ClauseId> = results
-                            .iter()
-                            .filter_map(|(_, verdict)| match verdict {
-                                PairVerdict::Proved { fwd, bwd } => Some([*fwd, *bwd]),
-                                _ => None,
-                            })
-                            .flatten()
-                            .flatten()
-                            .collect();
-                        let WorkerState {
-                            discharger,
-                            translation,
-                        } = states[w].as_mut().expect("report returned the state");
-                        let local = discharger.solver.proof().expect("proof-mode worker logs");
-                        self.discharger
-                            .solver
-                            .merge_proof_cone(local, &roots, translation);
-                    }
-                    let translation = &states[w].as_ref().expect("state parked").translation;
-                    let translate = |id: Option<ClauseId>| {
-                        id.map(|id| {
-                            translation[id.as_usize()].expect("proved lemma is a merge root")
-                        })
-                    };
-                    for (pair_idx, mut verdict) in results {
-                        let pair @ (n, parent, phase) = pairs[pair_idx];
-                        if let PairVerdict::Proved { fwd, bwd } = &mut verdict {
-                            (*fwd, *bwd) = (translate(*fwd), translate(*bwd));
-                            let link = MergeLink {
-                                parent,
-                                phase,
-                                fwd: *fwd,
-                                bwd: *bwd,
-                            };
-                            for (lits, id) in link.clauses(n) {
-                                self.discharger.solver.add_proved_clause(&lits, id);
-                                feed.push(FeedClause {
-                                    lits: lits.to_vec(),
-                                    id,
-                                    origin: Some(w),
-                                });
-                            }
-                        }
-                        self.apply_verdict(&mut classes, pair, verdict);
-                    }
-                }
-                drop(stitch_span);
-                self.publish();
-
-                // Auto-tune the next round's window from this round's
-                // per-worker conflict imbalance (a deterministic signal):
-                // heavy imbalance → deal finer; balanced → deal coarser.
-                let max = round_conflicts.iter().copied().max().unwrap_or(0);
-                let min = round_conflicts.iter().copied().min().unwrap_or(0);
-                let sum: u64 = round_conflicts.iter().sum();
-                #[allow(clippy::cast_precision_loss)]
-                let mean = sum as f64 / threads as f64;
-                if mean > 0.0 {
-                    #[allow(clippy::cast_precision_loss)]
-                    let imbalance = (max - min) as f64 / mean;
-                    if imbalance > 1.0 {
-                        per_worker = (per_worker / 2).max(2);
-                    } else if imbalance < 0.25 {
-                        per_worker = (per_worker * 2).min(64);
-                    }
-                }
-                if let Some(p) = self.discharger.solver.proof() {
-                    self.stats
-                        .stitch_boundaries
-                        .push(u32::try_from(p.len()).expect("proof fits u32 ids"));
-                }
-                let proof_len = self.discharger.solver.proof().map_or(0, |p| p.len() as u64);
-                durable.checkpoint(
-                    "round",
-                    &[
-                        ("round", Value::U64(self.stats.rounds)),
-                        ("pairs", Value::U64(pairs.len() as u64)),
-                        ("lemmas", Value::U64(self.stats.lemmas)),
-                        ("refinements", Value::U64(self.stats.refinements)),
-                        ("proof_len", Value::U64(proof_len)),
-                        ("feed_len", Value::U64(feed.len() as u64)),
-                    ],
-                )?;
-            }
-            // Dropping the job senders ends the worker loops; the scope
-            // joins the threads.
-            drop(to_worker);
-            Ok(())
-        });
-        rounds?;
         self.sweep_checkpoint(durable)
     }
 
@@ -1111,19 +596,13 @@ impl<'g> Sweep<'g> {
                 let vn = Var::new(n.index());
                 let root_lit = Var::new(root.index()).lit(pm);
                 let fwd = self
-                    .discharger
                     .solver
                     .add_derived_clause(&[vn.negative(), root_lit], &[nf, mf]);
                 let bwd = self
-                    .discharger
                     .solver
                     .add_derived_clause(&[vn.positive(), !root_lit], &[nb, mb]);
-                self.discharger
-                    .solver
-                    .tag_proof_step(fwd, StepRole::Composition);
-                self.discharger
-                    .solver
-                    .tag_proof_step(bwd, StepRole::Composition);
+                self.solver.tag_proof_step(fwd, StepRole::Composition);
+                self.solver.tag_proof_step(bwd, StepRole::Composition);
                 (Some(fwd), Some(bwd))
             }
             Some((nf, nb)) => (Some(nf), Some(nb)),
@@ -1139,7 +618,7 @@ impl<'g> Sweep<'g> {
             // Without proofs we still need the lemma clauses in the
             // database for later calls to use.
             for (lits, _) in link.clauses(n) {
-                self.discharger.solver.add_clause(&lits);
+                self.solver.add_clause(&lits);
             }
         }
         self.record_merge(n, link);
@@ -1209,12 +688,9 @@ impl<'g> Sweep<'g> {
         chain.push(t1);
         chain.push(t2);
         let fwd = self
-            .discharger
             .solver
             .add_derived_clause(&[vn.negative(), vm.positive()], &chain);
-        self.discharger
-            .solver
-            .tag_proof_step(fwd, StepRole::Structural);
+        self.solver.tag_proof_step(fwd, StepRole::Structural);
 
         // bwd: (v_n ∨ ¬v_m) from t3 = (v_n ∨ ¬a_n ∨ ¬b_n):
         //   a_n → ra → a_m, b_n → rb → b_m, then u1, u2.
@@ -1234,12 +710,9 @@ impl<'g> Sweep<'g> {
         chain.push(u1);
         chain.push(u2);
         let bwd = self
-            .discharger
             .solver
             .add_derived_clause(&[vn.positive(), vm.negative()], &chain);
-        self.discharger
-            .solver
-            .tag_proof_step(bwd, StepRole::Structural);
+        self.solver.tag_proof_step(bwd, StepRole::Structural);
 
         (fwd, bwd)
     }
@@ -1291,10 +764,10 @@ impl<'g> Sweep<'g> {
         out.cleanup()
     }
 
-    /// Hands over the coordinator's solver (the global clause database
-    /// and proof), the run's counters and the interpolation labels.
+    /// Hands over the solver (the clause database and proof), the run's
+    /// counters and the interpolation labels.
     pub(crate) fn into_parts(self) -> (Solver, EngineStats, Option<Vec<(ClauseId, Partition)>>) {
-        (self.discharger.solver, self.stats, self.sides)
+        (self.solver, self.stats, self.sides)
     }
 }
 
@@ -1357,6 +830,7 @@ mod tests {
     use crate::outcome::CecOutcome;
     use crate::Session;
     use obs::metrics::Metrics;
+    use obs::Recorder;
 
     fn prove(a: &Aig, b: &Aig, config: EngineConfig) -> CecOutcome {
         Session::new(config, &SharedContext::disabled())
@@ -1561,13 +1035,13 @@ mod tests {
         // Attached up front, as the sweep once did: the constant's unit
         // clause and three definition clauses per AND.
         let eager = 1 + 3 * miter.graph.num_ands();
-        assert_eq!(sweep.discharger.solver.num_clauses(), 0);
+        assert_eq!(sweep.solver.num_clauses(), 0);
         sweep.run(&mut Durable::disabled()).expect("sweep runs");
         assert!(sweep.stats.lemmas > 0, "the parities merge");
-        let swept = sweep.discharger.solver.num_clauses();
+        let swept = sweep.solver.num_clauses();
         assert!(swept < eager, "{swept} clauses attached, eagerly {eager}");
         sweep.load_cones([miter.output.node()]);
-        let solver = &mut sweep.discharger.solver;
+        let solver = &mut sweep.solver;
         assert!(
             solver.num_clauses() >= eager,
             "the output cone is the miter"
@@ -1584,132 +1058,6 @@ mod tests {
             miter.evaluate(&pattern).2,
             "the model separates the outputs"
         );
-    }
-
-    fn tracecheck_bytes(p: &proof::Proof) -> Vec<u8> {
-        let mut buf = Vec::new();
-        proof::export::write_tracecheck(p, &mut buf).unwrap();
-        buf
-    }
-
-    #[test]
-    fn parallel_sweep_proof_checks() {
-        let a = ripple_carry_adder(6);
-        let b = kogge_stone_adder(6);
-        for threads in [2, 4] {
-            let opts = EngineConfig {
-                threads,
-                verify: true,
-                ..EngineConfig::default()
-            };
-            let outcome = prove(&a, &b, opts);
-            let cert = outcome.certificate().expect("equivalent");
-            proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
-            proof::check::check_rup(cert.proof.as_ref().unwrap()).unwrap();
-            assert!(cert.stats.rounds > 0, "parallel engine ran rounds");
-            assert_eq!(cert.stats.workers.len(), threads);
-            let worker_calls: u64 = cert.stats.workers.iter().map(|w| w.sat_calls).sum();
-            assert_eq!(worker_calls, cert.stats.sat_calls);
-        }
-    }
-
-    #[test]
-    fn parallel_sweep_is_deterministic() {
-        let a = ripple_carry_adder(5);
-        let b = kogge_stone_adder(5);
-        let opts = EngineConfig {
-            threads: 3,
-            ..EngineConfig::default()
-        };
-        let run = || {
-            let outcome = prove(&a, &b, opts.clone());
-            let cert = outcome.certificate().expect("equivalent");
-            tracecheck_bytes(cert.proof.as_ref().unwrap())
-        };
-        assert_eq!(run(), run(), "same seed + threads → identical proof");
-    }
-
-    #[test]
-    fn parallel_sweep_finds_counterexamples() {
-        let a = ripple_carry_adder(4);
-        let b = (0..40)
-            .filter_map(|s| mutate(&a, s))
-            .find(|m| aig::sim::exhaustive_diff(&a, m, 8).is_some())
-            .expect("differing mutant");
-        let opts = EngineConfig {
-            threads: 2,
-            verify: true,
-            ..EngineConfig::default()
-        };
-        let outcome = prove(&a, &b, opts);
-        let cex = outcome.counterexample().expect("inequivalent");
-        assert_ne!(cex.outputs_a, cex.outputs_b);
-    }
-
-    #[test]
-    fn parallel_sweep_respects_pair_budget() {
-        use aig::gen::{array_multiplier, carry_save_multiplier};
-        let opts = EngineConfig {
-            threads: 2,
-            pair_conflict_limit: Some(1),
-            verify: true,
-            ..EngineConfig::default()
-        };
-        let a = array_multiplier(3);
-        let b = carry_save_multiplier(3);
-        let outcome = prove(&a, &b, opts);
-        let cert = outcome.certificate().expect("equivalent");
-        proof::check::check_refutation(cert.proof.as_ref().unwrap()).unwrap();
-    }
-
-    #[test]
-    fn auto_tuned_window_stays_in_bounds() {
-        use aig::gen::{array_multiplier, carry_save_multiplier};
-        let a = array_multiplier(4);
-        let b = carry_save_multiplier(4);
-        let opts = EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        };
-        let outcome = prove(&a, &b, opts);
-        let cert = outcome.certificate().expect("equivalent");
-        let windows = &cert.stats.pair_windows;
-        assert!(!windows.is_empty(), "auto-tune records per-round windows");
-        assert!(windows.iter().all(|&w| (2..=64).contains(&w)));
-    }
-
-    #[test]
-    fn parallel_reduce_matches_sequential_semantics() {
-        use aig::gen::random_aig;
-        let base = random_aig(8, 60, 4, 9);
-        let copy = base.shuffle_rebuild(23);
-        let mut g = Aig::new();
-        let inputs = g.add_inputs(8);
-        for src in [&base, &copy] {
-            let mut map = vec![aig::Lit::FALSE; src.len()];
-            for (id, node) in src.iter() {
-                match *node {
-                    aig::Node::Const => {}
-                    aig::Node::Input { index } => map[id.as_usize()] = inputs[index as usize],
-                    aig::Node::And { a, b } => {
-                        let la = map[a.node().as_usize()].xor_complement(a.is_complemented());
-                        let lb = map[b.node().as_usize()].xor_complement(b.is_complemented());
-                        map[id.as_usize()] = g.and_unshared(la, lb);
-                    }
-                }
-            }
-            for o in src.outputs() {
-                g.add_output(map[o.node().as_usize()].xor_complement(o.is_complemented()));
-            }
-        }
-        let opts = EngineConfig {
-            threads: 4,
-            ..EngineConfig::default()
-        };
-        let reduced = reduce(&g, opts);
-        reduced.check().unwrap();
-        assert!(reduced.num_ands() < g.num_ands());
-        assert_eq!(aig::sim::exhaustive_diff(&g, &reduced, 8), None);
     }
 
     #[test]
@@ -1854,11 +1202,10 @@ mod tests {
     }
 
     #[test]
-    fn recorder_captures_phases_and_worker_tids() {
+    fn recorder_captures_phases_and_sat_calls() {
         let recorder = Recorder::new();
         let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
         let config = EngineConfig {
-            threads: 2,
             verify: true,
             lint_proof: true,
             ..EngineConfig::default()
@@ -1884,19 +1231,14 @@ mod tests {
         ] {
             assert!(names.contains(phase), "missing phase span {phase}");
         }
-        // SAT-call spans from both workers, on distinct nonzero tids.
-        let worker_tids: HashSet<u32> = events
+        // One SAT-call span per sweeping call, all on the engine's tid.
+        let sat_spans: Vec<u32> = events
             .iter()
-            .filter(|e| e.name == "sat_call" && e.tid != TID_COORDINATOR)
+            .filter(|e| e.name == "sat_call")
             .map(|e| e.tid)
             .collect();
-        assert_eq!(cert.stats.workers.len(), 2);
-        assert!(
-            worker_tids
-                .iter()
-                .all(|&t| t == worker_tid(0) || t == worker_tid(1)),
-            "unexpected worker tids: {worker_tids:?}"
-        );
+        assert_eq!(sat_spans.len() as u64, cert.stats.sat_calls);
+        assert!(sat_spans.iter().all(|&t| t == TID_COORDINATOR));
 
         // Phase breakdown: disjoint sub-intervals of the run, so the sum
         // never exceeds the elapsed wall-clock (plus timer noise).
@@ -1906,12 +1248,17 @@ mod tests {
             sum <= elapsed + std::time::Duration::from_millis(5),
             "phase sum {sum:?} exceeds elapsed {elapsed:?}"
         );
-        // Histograms were fed by the run.
+        // Histograms were fed by the run: one chain per lemma a SAT call
+        // proved; a structural merge's two lemmas come from no call.
         assert_eq!(cert.stats.sat_conflict_hist.count(), cert.stats.sat_calls);
-        assert_eq!(cert.stats.lemma_chain_hist.count(), cert.stats.lemmas);
+        assert!(cert.stats.structural_merges > 0);
+        assert_eq!(
+            cert.stats.lemma_chain_hist.count(),
+            cert.stats.lemmas - 2 * cert.stats.structural_merges
+        );
 
-        // The sequential sweep's solver records its restarts too: a t1
-        // multiplier check restarts on the coordinator's tid.
+        // The sweep's solver records its restarts too: a multiplier
+        // check restarts on the coordinator's tid.
         let (a, b) = aig::gen::family_pair("mul", 5).expect("known family");
         let outcome = Session::new(EngineConfig::default(), &ctx)
             .check(&a, &b)
@@ -1922,6 +1269,6 @@ mod tests {
             .iter()
             .filter(|e| e.name == "restart" && e.tid == TID_COORDINATOR)
             .count();
-        assert!(restarts > 0, "t1 run recorded no solver restarts");
+        assert!(restarts > 0, "the check recorded no solver restarts");
     }
 }

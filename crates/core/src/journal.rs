@@ -2,16 +2,16 @@
 //!
 //! [`Durable`] threads a checksummed write-ahead journal
 //! ([`obs::journal`]) through the engine's phase checkpoints
-//! (miter → sim → per-round sweep state → sweep → final_solve → trim →
-//! verdict) and doubles as the crash-injection hook: a
+//! (miter → sim → sweep → final_solve → trim → verdict) and doubles as
+//! the crash-injection hook: a
 //! [`CrashPoint`] armed on a `Durable` fires at its phase checkpoint,
 //! either as a typed [`CecError::CrashInjected`] or as a real
 //! `process::abort` (kill-9 equivalent) *after* the journal is synced.
 //!
 //! # Resume model
 //!
-//! The engine is byte-for-byte deterministic for a given input pair,
-//! option set, and thread count, so recovery does not reconstruct
+//! The engine is byte-for-byte deterministic for a given input pair
+//! and option set, so recovery does not reconstruct
 //! solver state from the journal — it *re-executes* deterministically
 //! and cross-validates every checkpoint it reaches against the
 //! journaled prefix. A journal whose header does not match the inputs
@@ -30,7 +30,6 @@ use aig::Aig;
 use obs::hash::fnv1a64_hex;
 use obs::journal::{read_journal_file, JournalWriter, Record};
 use obs::json::Value;
-use std::collections::HashMap;
 use std::path::Path;
 
 /// Journal format version written in the header record.
@@ -48,54 +47,38 @@ pub enum CrashMode {
     Abort,
 }
 
-/// A crash armed at the `hit`-th live occurrence of a phase checkpoint.
+/// A crash armed at a phase checkpoint. Every phase checkpoints once
+/// per run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CrashPoint {
-    /// Checkpoint phase name: `"miter"`, `"sim"`, `"round"`, `"sweep"`,
-    /// `"final_solve"`, or `"trim"`.
+    /// Checkpoint phase name: one of [`PHASES`].
     pub phase: String,
-    /// 1-based occurrence at which to fire (`"round"` is the only phase
-    /// that checkpoints more than once per run).
-    pub hit: u32,
     /// Error or abort.
     pub mode: CrashMode,
 }
 
 impl CrashPoint {
-    /// Parses a `phase[:hit]` spec (e.g. `"sweep"`, `"round:3"`).
+    /// Parses a phase name (e.g. `"sweep"`).
     ///
     /// # Errors
     ///
-    /// Unknown phase names and malformed hit counts.
+    /// Names that are not in [`PHASES`].
     pub fn parse(spec: &str, mode: CrashMode) -> Result<CrashPoint, String> {
-        let (phase, hit) = match spec.split_once(':') {
-            Some((p, h)) => {
-                let hit: u32 = h
-                    .parse()
-                    .map_err(|_| format!("bad crash hit count `{h}`"))?;
-                if hit == 0 {
-                    return Err("crash hit counts are 1-based".into());
-                }
-                (p, hit)
-            }
-            None => (spec, 1),
-        };
-        if !PHASES.contains(&phase) {
+        if !PHASES.contains(&spec) {
             return Err(format!(
-                "unknown crash phase `{phase}` (expected one of {})",
+                "unknown crash phase `{spec}` (expected one of {})",
                 PHASES.join(", ")
             ));
         }
         Ok(CrashPoint {
-            phase: phase.to_string(),
-            hit,
+            phase: spec.to_string(),
             mode,
         })
     }
 }
 
-/// Every phase name that checkpoints.
-pub const PHASES: &[&str] = &["miter", "sim", "round", "sweep", "final_solve", "trim"];
+/// Every phase name that checkpoints, in run order.
+pub const PHASES: &[&str] = &["miter", "sim", "sweep", "final_solve", "trim"];
 
 /// Durable run-state handle threaded through one engine run.
 ///
@@ -111,8 +94,6 @@ pub struct Durable {
     /// Index of the next replay record to validate.
     cursor: usize,
     crash: Option<CrashPoint>,
-    /// Live (non-replayed) checkpoint occurrences per phase.
-    hits: HashMap<String, u32>,
     /// Whether the loaded journal had a torn final line.
     truncated_tail: bool,
     /// Live counter of checkpoint records appended (disconnected until
@@ -138,12 +119,13 @@ fn header_body(config: &EngineConfig, a: &Aig, b: &Aig) -> Value {
         ("format".into(), Value::U64(JOURNAL_FORMAT)),
         ("a_hash".into(), hash_of(a)),
         ("b_hash".into(), hash_of(b)),
-        ("threads".into(), Value::U64(config.threads as u64)),
+        ("threads".into(), Value::U64(1)),
         ("sim_words".into(), Value::U64(config.sim_words as u64)),
         ("seed".into(), Value::U64(config.seed)),
-        // The window is always auto-tuned and one discharge schedule is
-        // left; both keys stay so journals written while they were
-        // options keep resuming.
+        // One sweep on one thread, with one discharge schedule, is left;
+        // the keys of the deleted options stay at the values that sweep
+        // wrote, so its journals keep resuming and the others' are
+        // refused as a header mismatch.
         ("pairs_per_worker".into(), Value::Null),
         ("engine".into(), Value::str("static")),
         (
@@ -294,25 +276,18 @@ impl Durable {
         for (k, v) in fields {
             entries.push(((*k).to_string(), v.clone()));
         }
-        self.record(&Value::Object(entries))?;
-        // Crash points fire only on live checkpoints: replayed ones were
+        // Crash points fire only on live checkpoints: a replayed one was
         // already survived by the crashed run.
-        let hit = self.hits.entry(phase.to_string()).or_insert(0);
-        *hit += 1;
-        if let Some(crash) = &self.crash {
-            if crash.phase == phase && crash.hit == *hit {
-                match crash.mode {
-                    CrashMode::Error => {
-                        return Err(CecError::CrashInjected {
-                            phase: phase.to_string(),
-                            hit: crash.hit,
-                        })
-                    }
-                    CrashMode::Abort => std::process::abort(),
-                }
-            }
+        let live = self.record(&Value::Object(entries))?;
+        match &self.crash {
+            Some(crash) if live && crash.phase == phase => match crash.mode {
+                CrashMode::Error => Err(CecError::CrashInjected {
+                    phase: phase.to_string(),
+                }),
+                CrashMode::Abort => std::process::abort(),
+            },
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Records the final verdict: equivalence flag plus the FNV-1a
@@ -345,11 +320,12 @@ impl Durable {
                 entries.push(("pattern".into(), Value::Array(pattern.collect())));
             }
         }
-        self.record(&Value::Object(entries))
+        self.record(&Value::Object(entries)).map(drop)
     }
 
-    /// Validates `body` against the replay prefix or appends it.
-    fn record(&mut self, body: &Value) -> Result<(), CecError> {
+    /// Validates `body` against the replay prefix or appends it; `true`
+    /// when it was appended, a live record.
+    fn record(&mut self, body: &Value) -> Result<bool, CecError> {
         if self.cursor < self.replay.len() {
             let expected = &self.replay[self.cursor];
             if expected.body != *body {
@@ -360,7 +336,7 @@ impl Durable {
             }
             self.cursor += 1;
             self.m_replayed.inc();
-            return Ok(());
+            return Ok(false);
         }
         let writer = self.writer.as_mut().expect("checked by callers");
         writer
@@ -368,7 +344,7 @@ impl Durable {
             .and_then(|_| writer.sync())
             .map_err(|e| CecError::Journal(format!("append record: {e}")))?;
         self.m_checkpoints.inc();
-        Ok(())
+        Ok(true)
     }
 }
 
@@ -378,14 +354,15 @@ mod tests {
 
     #[test]
     fn crash_spec_parsing() {
-        let c = CrashPoint::parse("round:3", CrashMode::Error).unwrap();
-        assert_eq!(c.phase, "round");
-        assert_eq!(c.hit, 3);
         let c = CrashPoint::parse("sweep", CrashMode::Abort).unwrap();
-        assert_eq!(c.hit, 1);
-        assert!(CrashPoint::parse("warp", CrashMode::Error).is_err());
-        assert!(CrashPoint::parse("sweep:0", CrashMode::Error).is_err());
-        assert!(CrashPoint::parse("sweep:x", CrashMode::Error).is_err());
+        assert_eq!((c.phase.as_str(), c.mode), ("sweep", CrashMode::Abort));
+        for bad in ["warp", "round", "sweep:2", "sweep:1"] {
+            let err = CrashPoint::parse(bad, CrashMode::Error).unwrap_err();
+            assert!(
+                err.contains("miter, sim, sweep, final_solve, trim"),
+                "{bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -409,7 +386,6 @@ mod tests {
         let mut d = Durable::disabled();
         d.arm(CrashPoint {
             phase: "sweep".into(),
-            hit: 1,
             mode: CrashMode::Error,
         });
         // No journal → no live checkpoint → no crash.

@@ -54,8 +54,6 @@ mod stats_json;
 pub use engine::miter_cnf;
 pub use journal::{CrashMode, CrashPoint, Durable};
 pub use miter::Miter;
-pub use outcome::{
-    CecError, CecOutcome, Certificate, Counterexample, EngineStats, PhaseTimes, WorkerStats,
-};
+pub use outcome::{CecError, CecOutcome, Certificate, Counterexample, EngineStats, PhaseTimes};
 pub use session::{EngineConfig, Session, SharedContext};
 pub use sim::SimClasses;

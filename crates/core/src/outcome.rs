@@ -20,8 +20,8 @@ pub struct PhaseTimes {
     pub miter: Duration,
     /// Random simulation seeding the candidate classes.
     pub sim: Duration,
-    /// The sweeping loop: structural merges, candidate SAT calls,
-    /// refinements, and (in parallel mode) worker rounds and stitching.
+    /// The sweeping loop: structural merges, candidate SAT calls and
+    /// refinements.
     pub sweep: Duration,
     /// The final solve of the asserted miter output.
     pub final_solve: Duration,
@@ -52,62 +52,6 @@ impl fmt::Display for PhaseTimes {
             self.trim.as_secs_f64(),
             self.check.as_secs_f64(),
             self.lint.as_secs_f64()
-        )
-    }
-}
-
-/// Counters for one parallel-sweep worker, aggregated over all rounds
-/// it participated in (see [`crate::EngineConfig::threads`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct WorkerStats {
-    /// Sweeping SAT calls issued by this worker.
-    pub sat_calls: u64,
-    /// SAT calls that returned UNSAT (half of an equivalence).
-    pub sat_unsat: u64,
-    /// SAT calls that returned a counterexample.
-    pub sat_cex: u64,
-    /// CDCL conflicts in this worker's private solvers.
-    pub conflicts: u64,
-    /// Candidate pairs this worker proved equivalent (merges).
-    pub merges: u64,
-    /// Equivalence lemma clauses this worker committed.
-    pub lemmas: u64,
-    /// Wall-clock time this worker spent across all rounds.
-    pub elapsed: Duration,
-    /// Distribution of CDCL conflicts per sweeping SAT call.
-    pub conflict_hist: LogHistogram,
-    /// Distribution of resolution-chain lengths per committed lemma
-    /// (empty with proof logging off).
-    pub lemma_chain_hist: LogHistogram,
-}
-
-impl WorkerStats {
-    /// Adds another tally of the same worker's counters to this one.
-    pub(crate) fn absorb(&mut self, other: &WorkerStats) {
-        self.sat_calls += other.sat_calls;
-        self.sat_unsat += other.sat_unsat;
-        self.sat_cex += other.sat_cex;
-        self.conflicts += other.conflicts;
-        self.merges += other.merges;
-        self.lemmas += other.lemmas;
-        self.elapsed += other.elapsed;
-        self.conflict_hist.merge(&other.conflict_hist);
-        self.lemma_chain_hist.merge(&other.lemma_chain_hist);
-    }
-}
-
-impl fmt::Display for WorkerStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "sat={}({}u/{}c) conflicts={} merges={} lemmas={} time={:.3}s",
-            self.sat_calls,
-            self.sat_unsat,
-            self.sat_cex,
-            self.conflicts,
-            self.merges,
-            self.lemmas,
-            self.elapsed.as_secs_f64()
         )
     }
 }
@@ -143,35 +87,20 @@ pub struct EngineStats {
     pub proof: Option<ProofStats>,
     /// Proof size after backward trimming (if a refutation was trimmed).
     pub trimmed: Option<ProofStats>,
-    /// Sweep rounds executed by the parallel engine (zero when the
-    /// sequential single-pass sweep ran).
-    pub rounds: u64,
-    /// Per-worker counters of the parallel sweep (empty when the
-    /// sequential sweep ran).
-    pub workers: Vec<WorkerStats>,
     /// SAT-solver counters, aggregated over all calls.
     pub solver: SolverStats,
     /// Wall-clock time of the whole check.
     pub elapsed: Duration,
     /// Per-phase wall-clock breakdown of [`EngineStats::elapsed`].
     pub phases: PhaseTimes,
-    /// Distribution of CDCL conflicts per sweeping SAT call (parallel
-    /// runs merge every worker's histogram in here).
+    /// Distribution of CDCL conflicts per sweeping SAT call.
     pub sat_conflict_hist: LogHistogram,
     /// Distribution of resolution-chain lengths per committed
     /// equivalence lemma (empty with proof logging off).
     pub lemma_chain_hist: LogHistogram,
-    /// Proof lengths recorded around the parallel sweep: the length when
-    /// the sweep began, then after each round's merge phase. Empty for
-    /// sequential runs or with proof logging off. Feeds the lint pass's
-    /// stitch-boundary consistency check (RP007).
-    pub stitch_boundaries: Vec<u32>,
     /// Diagnostic counts from the proof lint pass, when
     /// [`crate::EngineConfig::lint_proof`] ran.
     pub lints: Option<lint::LintCounts>,
-    /// Pairs-per-worker window used in each parallel round: the
-    /// trajectory of the auto-tuner reacting to round imbalance.
-    pub pair_windows: Vec<u32>,
 }
 
 impl fmt::Display for EngineStats {
@@ -244,13 +173,10 @@ impl Certificate {
 
     /// The certificate's metadata in the artifact-neutral form consumed
     /// by `lint::lint_bundle` and serialized as a `.cert` file: the
-    /// empty-clause step id, the parallel-round count with its stitch
-    /// boundaries, and the proof's step counts.
+    /// empty-clause step id and the proof's step counts.
     pub fn info(&self) -> lint::CertificateInfo {
         lint::CertificateInfo {
             empty_clause: self.empty_clause.map(ClauseId::index),
-            rounds: Some(self.stats.rounds),
-            stitch_boundaries: self.stats.stitch_boundaries.clone(),
             original: self.proof.as_ref().map(Proof::num_original),
             derived: self.proof.as_ref().map(Proof::num_derived),
             resolutions: self.proof.as_ref().map(Proof::num_resolutions),
@@ -339,10 +265,8 @@ pub enum CecError {
     /// subsequent resume continues from it.
     CrashInjected {
         /// The phase whose checkpoint fired (`"miter"`, `"sim"`,
-        /// `"round"`, `"sweep"`, `"final_solve"`, `"trim"`).
+        /// `"sweep"`, `"final_solve"`, `"trim"`).
         phase: String,
-        /// 1-based occurrence of that phase at which the crash fired.
-        hit: u32,
     },
     /// The write-ahead journal could not be written, read, or trusted
     /// (I/O failure, mid-file corruption, or a header that does not
@@ -393,9 +317,7 @@ impl fmt::Display for CecError {
                     "claimed counterexample does not distinguish the circuits"
                 )
             }
-            CecError::CrashInjected { phase, hit } => {
-                write!(f, "injected crash at phase `{phase}` (hit {hit})")
-            }
+            CecError::CrashInjected { phase } => write!(f, "injected crash at phase `{phase}`"),
             CecError::Journal(msg) => write!(f, "journal error: {msg}"),
             CecError::ReplayDivergence { seq, detail } => {
                 write!(f, "resume diverged from journal at seq {seq}: {detail}")

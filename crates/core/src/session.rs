@@ -2,7 +2,7 @@
 //! reduction, as an object over shared state.
 //!
 //! A run takes two different kinds of input: the *knobs* (seeds,
-//! budgets, thread counts — plain data, cheap to clone) and the
+//! budgets, ablation switches — plain data, cheap to clone) and the
 //! *process-wide handles* it reports into (the trace recorder and the
 //! live metrics registry — shared, reference-counted state). A
 //! long-running service that checks many pairs concurrently wants to
@@ -72,18 +72,6 @@ pub struct EngineConfig {
     /// sound; the final miter solve runs unbudgeted. `None` = complete
     /// sweeping.
     pub pair_conflict_limit: Option<u64>,
-    /// Worker threads for the sweeping phase. `1` (the default) runs the
-    /// classical sequential sweep; `> 1` deals windows of candidate
-    /// pairs round-robin onto persistent worker threads, each with a
-    /// private incremental solver kept in sync with the shared clause
-    /// database by replaying its clause feed, and stitches the workers'
-    /// derivations back into the one global proof in a fixed
-    /// worker-then-discovery order — so the verdict *and* the proof are
-    /// byte-for-byte deterministic for a given seed and thread count.
-    /// The window of pairs each worker is dealt per round is auto-tuned
-    /// between rounds from the per-worker conflict imbalance, a
-    /// deterministic signal.
-    pub threads: usize,
     /// Record a resolution proof.
     pub proof: bool,
     /// Run the static-analysis lint pass over the recorded proof before
@@ -114,7 +102,6 @@ impl Default for EngineConfig {
             structural_merging: true,
             sweep: true,
             pair_conflict_limit: None,
-            threads: 1,
             proof: true,
             lint_proof: false,
             lint_bundle: false,
@@ -133,15 +120,14 @@ pub struct SharedContext {
     /// Trace recorder. The default is [`obs::Recorder::disabled`] — no
     /// events, near-zero overhead. Attach an enabled recorder to capture
     /// per-phase spans, per-call SAT telemetry, and solver restart /
-    /// reduce-DB events, then export with [`obs::export`]. Parallel
-    /// workers record on logical thread ids `1..=threads`; the
-    /// coordinator records on `0`.
+    /// reduce-DB events, then export with [`obs::export`]. A check
+    /// records on logical thread id [`obs::TID_COORDINATOR`].
     pub recorder: Recorder,
     /// Live metrics registry. The default is
     /// [`obs::metrics::Metrics::disabled`] — every update costs one
     /// branch. Attach an enabled registry (and typically an
     /// [`obs::metrics::Sampler`]) to watch the engine's `cec.*`
-    /// counters, queue depths, per-worker rates and cache counters as a
+    /// counters, queue depths and cache counters as a
     /// `metrics-v1` time series while it runs. Metric names are listed
     /// in DESIGN.md.
     pub metrics: Metrics,
@@ -312,10 +298,9 @@ impl<'c> Session<'c> {
     ///
     /// Reads [`EngineConfig::proof`], [`EngineConfig::lint_proof`] and
     /// [`EngineConfig::verify`]. Ignores `lint_bundle` (this CNF is not
-    /// [`miter_cnf`]) and every simulation, sweep, scheduling and thread
-    /// field: `sim_words`, `seed`, `share_structure`,
-    /// `structural_merging`, `sweep`, `pair_conflict_limit` and
-    /// `threads`.
+    /// [`miter_cnf`]) and every simulation and sweep field:
+    /// `sim_words`, `seed`, `share_structure`, `structural_merging`,
+    /// `sweep` and `pair_conflict_limit`.
     ///
     /// # Errors
     ///
@@ -475,7 +460,6 @@ impl<'c> Session<'c> {
                     let lint_start = Instant::now();
                     let lint_opts = lint::LintOptions {
                         expect_refutation: true,
-                        stitch_boundaries: cert.stats.stitch_boundaries.clone(),
                         ..lint::LintOptions::default()
                     };
                     let mut report = lint::lint_proof(p, &lint_opts);
@@ -532,8 +516,8 @@ impl<'c> Session<'c> {
     /// functionally equivalent to the input on every output (verify
     /// with [`Session::check`] if desired) and never larger after
     /// cleanup. Returns the sweep's counters with it: SAT calls, merges,
-    /// refinements, per-phase times, and (in parallel mode) per-worker
-    /// stats; `elapsed` covers the sweep and the rebuild.
+    /// refinements and per-phase times; `elapsed` covers the sweep and
+    /// the rebuild.
     ///
     /// Proof logging is disabled internally: there is no refutation to
     /// certify, only a rewritten circuit. The config's `proof` and

@@ -2,12 +2,12 @@
 //!
 //! [`EngineStats::to_json`] renders the full stats tree — engine
 //! counters, per-phase wall-clock breakdown, per-call histograms,
-//! solver / proof / lint counters, and per-worker stats — as an
+//! and solver / proof / lint counters — as an
 //! [`obs::json::Value`] for the CLI's `--stats-json` flag and the
 //! bench harness. Durations are integer microseconds (`*_us` keys):
 //! lossless, deterministic, and diffable across runs.
 
-use crate::outcome::{EngineStats, PhaseTimes, WorkerStats};
+use crate::outcome::{EngineStats, PhaseTimes};
 use obs::json::Value;
 use proof::ProofStats;
 use sat::SolverStats;
@@ -70,23 +70,6 @@ fn lints_json(l: &lint::LintCounts) -> Value {
     ])
 }
 
-impl WorkerStats {
-    /// The worker's counters as a JSON object.
-    pub fn to_json(&self) -> Value {
-        obj(vec![
-            ("sat_calls", Value::U64(self.sat_calls)),
-            ("sat_unsat", Value::U64(self.sat_unsat)),
-            ("sat_cex", Value::U64(self.sat_cex)),
-            ("conflicts", Value::U64(self.conflicts)),
-            ("merges", Value::U64(self.merges)),
-            ("lemmas", Value::U64(self.lemmas)),
-            ("elapsed_us", us(self.elapsed)),
-            ("conflict_hist", self.conflict_hist.to_json()),
-            ("lemma_chain_hist", self.lemma_chain_hist.to_json()),
-        ])
-    }
-}
-
 impl EngineStats {
     /// The full stats tree as a JSON object — the payload of the CLI's
     /// `--stats-json` flag.
@@ -107,7 +90,6 @@ impl EngineStats {
             ("structural_merges", Value::U64(self.structural_merges)),
             ("pairs_skipped", Value::U64(self.pairs_skipped)),
             ("lemmas", Value::U64(self.lemmas)),
-            ("rounds", Value::U64(self.rounds)),
             ("elapsed_us", us(self.elapsed)),
             ("phases", phases_json(&self.phases)),
             ("sat_conflict_hist", self.sat_conflict_hist.to_json()),
@@ -120,36 +102,8 @@ impl EngineStats {
         if let Some(t) = &self.trimmed {
             members.push(("trimmed", proof_json(t)));
         }
-        if !self.workers.is_empty() {
-            members.push((
-                "workers",
-                Value::Array(self.workers.iter().map(WorkerStats::to_json).collect()),
-            ));
-        }
-        if !self.stitch_boundaries.is_empty() {
-            members.push((
-                "stitch_boundaries",
-                Value::Array(
-                    self.stitch_boundaries
-                        .iter()
-                        .map(|&b| Value::U64(u64::from(b)))
-                        .collect(),
-                ),
-            ));
-        }
         if let Some(l) = &self.lints {
             members.push(("lints", lints_json(l)));
-        }
-        if !self.pair_windows.is_empty() {
-            members.push((
-                "pair_windows",
-                Value::Array(
-                    self.pair_windows
-                        .iter()
-                        .map(|&w| Value::U64(u64::from(w)))
-                        .collect(),
-                ),
-            ));
         }
         obj(members)
     }
@@ -175,24 +129,6 @@ mod tests {
         assert_eq!(
             format!("{s}"),
             "nodes=12 classes=3 sat=7(6u/1c) struct=2 lemmas=6"
-        );
-    }
-
-    #[test]
-    fn worker_stats_display_golden() {
-        let w = WorkerStats {
-            sat_calls: 4,
-            sat_unsat: 3,
-            sat_cex: 1,
-            conflicts: 17,
-            merges: 1,
-            lemmas: 2,
-            elapsed: Duration::from_millis(1500),
-            ..WorkerStats::default()
-        };
-        assert_eq!(
-            format!("{w}"),
-            "sat=4(3u/1c) conflicts=17 merges=1 lemmas=2 time=1.500s"
         );
     }
 
@@ -227,12 +163,6 @@ mod tests {
         };
         s.sat_conflict_hist.record(0);
         s.sat_conflict_hist.record(9);
-        s.workers.push(WorkerStats {
-            sat_calls: 3,
-            elapsed: Duration::from_micros(700),
-            ..WorkerStats::default()
-        });
-        s.stitch_boundaries = vec![10, 20];
 
         let text = s.to_json().to_string();
         let v = parse(&text).expect("stats JSON parses");
@@ -261,21 +191,18 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(2)
         );
-        let workers = v.get("workers").and_then(Value::as_array).unwrap();
-        assert_eq!(workers.len(), 1);
-        assert_eq!(
-            workers[0].get("elapsed_us").and_then(Value::as_u64),
-            Some(700)
-        );
-        assert_eq!(
-            v.get("stitch_boundaries")
-                .and_then(Value::as_array)
-                .map(<[Value]>::len),
-            Some(2)
-        );
-        // Proof/lint blocks are absent when the run had none.
-        assert!(v.get("proof").is_none());
-        assert!(v.get("lints").is_none());
-        assert!(v.get("dispatch").is_none());
+        // Proof/lint blocks are absent when the run had none, and the
+        // deleted engines' keys are gone.
+        for key in [
+            "proof",
+            "lints",
+            "dispatch",
+            "rounds",
+            "workers",
+            "stitch_boundaries",
+            "pair_windows",
+        ] {
+            assert!(v.get(key).is_none(), "unexpected key {key}");
+        }
     }
 }

@@ -3,8 +3,8 @@
 //! The durability contract: a run aborted at *any* phase checkpoint and
 //! resumed from its journal must end in the same verdict, the same
 //! byte-for-byte TraceCheck proof, and the same byte-for-byte journal
-//! as a run that was never interrupted — sequentially and with a
-//! 4-thread stitched sweep.
+//! as a run that was never interrupted, even with the same crash armed
+//! again on the resumed run.
 
 use aig::gen;
 use aig::Aig;
@@ -20,13 +20,6 @@ fn tmp(name: &str) -> PathBuf {
     p
 }
 
-fn options(threads: usize) -> EngineConfig {
-    EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    }
-}
-
 /// TraceCheck serialization of an equivalent outcome's proof.
 fn tc_bytes(outcome: &CecOutcome) -> Vec<u8> {
     let cert = outcome.certificate().expect("equivalent");
@@ -36,15 +29,15 @@ fn tc_bytes(outcome: &CecOutcome) -> Vec<u8> {
     bytes
 }
 
-/// For one circuit pair and thread count: run uninterrupted, then crash
-/// at every phase checkpoint and resume, demanding byte-identical proof
-/// and journal each time.
-fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
-    let opts = options(threads);
+/// For one circuit pair: run uninterrupted, then crash at every phase
+/// checkpoint and resume, demanding byte-identical proof and journal
+/// each time.
+fn crash_matrix(name: &str, a: &Aig, b: &Aig) {
+    let opts = EngineConfig::default();
     let ctx = SharedContext::disabled();
     let session = Session::new(opts.clone(), &ctx);
 
-    let base_path = tmp(&format!("{name}-t{threads}-base.journal"));
+    let base_path = tmp(&format!("{name}-base.journal"));
     let mut base = Durable::begin(&base_path, &opts, a, b).expect("begin");
     let outcome = session
         .check_durable(a, b, &mut base)
@@ -53,40 +46,41 @@ fn crash_matrix(name: &str, a: &Aig, b: &Aig, threads: usize) {
     let base_journal = std::fs::read(&base_path).expect("baseline journal");
 
     for phase in PHASES {
-        // Sequential sweeps have no per-round checkpoint.
-        if *phase == "round" && threads == 1 {
-            continue;
-        }
-        let path = tmp(&format!("{name}-t{threads}-{phase}.journal"));
+        let path = tmp(&format!("{name}-{phase}.journal"));
         let mut d = Durable::begin(&path, &opts, a, b).expect("begin");
         d.arm(CrashPoint {
             phase: (*phase).to_string(),
-            hit: 1,
             mode: CrashMode::Error,
         });
         match session.check_durable(a, b, &mut d) {
-            Err(CecError::CrashInjected { phase: p, hit: 1 }) => assert_eq!(&p, phase),
-            other => panic!("{name} t{threads} {phase}: expected injected crash, got {other:?}"),
+            Err(CecError::CrashInjected { phase: p }) => assert_eq!(&p, phase),
+            other => panic!("{name} {phase}: expected injected crash, got {other:?}"),
         }
         drop(d);
 
+        // The same crash armed again does not fire: its checkpoint is
+        // replayed now, and a replayed checkpoint was already survived.
         let mut resumed = Durable::resume(&path, &opts, a, b).expect("resume");
+        resumed.arm(CrashPoint {
+            phase: (*phase).to_string(),
+            mode: CrashMode::Error,
+        });
         assert!(
             resumed.pending_replay() > 0,
             "{phase}: crash left no checkpoints"
         );
         let outcome = session
             .check_durable(a, b, &mut resumed)
-            .unwrap_or_else(|e| panic!("{name} t{threads} {phase}: resume failed: {e}"));
+            .unwrap_or_else(|e| panic!("{name} {phase}: resume failed: {e}"));
         assert_eq!(
             tc_bytes(&outcome),
             base_proof,
-            "{name} t{threads} {phase}: resumed proof differs"
+            "{name} {phase}: resumed proof differs"
         );
         assert_eq!(
             std::fs::read(&path).expect("resumed journal"),
             base_journal,
-            "{name} t{threads} {phase}: resumed journal differs"
+            "{name} {phase}: resumed journal differs"
         );
         let _ = std::fs::remove_file(&path);
     }
@@ -105,9 +99,7 @@ fn crash_resume_is_byte_identical_across_zoo() {
         ("popcount", gen::popcount_serial(8), gen::popcount_csa(8)),
     ];
     for (name, a, b) in &pairs {
-        for threads in [1, 4] {
-            crash_matrix(name, a, b, threads);
-        }
+        crash_matrix(name, a, b);
     }
 }
 
@@ -115,7 +107,7 @@ fn crash_resume_is_byte_identical_across_zoo() {
 fn resume_rejects_mismatched_options() {
     let a = gen::ripple_carry_adder(4);
     let b = gen::carry_lookahead_adder(4);
-    let opts = options(1);
+    let opts = EngineConfig::default();
     let path = tmp("mismatch.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
     Session::new(opts.clone(), &SharedContext::disabled())
@@ -145,7 +137,7 @@ fn resume_rejects_mismatched_options() {
 fn resume_detects_checkpoint_divergence() {
     let a = gen::ripple_carry_adder(4);
     let b = gen::carry_lookahead_adder(4);
-    let opts = options(1);
+    let opts = EngineConfig::default();
     let path = tmp("diverge.journal");
     // A journal whose header is honest but whose first checkpoint lies.
     let d = Durable::begin(&path, &opts, &a, &b).expect("begin");
@@ -176,7 +168,7 @@ fn inequivalent_runs_journal_the_counterexample() {
         aig::sim::exhaustive_diff(&a, &b, 9).is_some(),
         "mutation must change the function"
     );
-    let opts = options(1);
+    let opts = EngineConfig::default();
     let path = tmp("sat.journal");
     let mut d = Durable::begin(&path, &opts, &a, &b).expect("begin");
     let outcome = Session::new(opts.clone(), &SharedContext::disabled())

@@ -20,23 +20,25 @@
 //!   normalized clauses; a clause whose *variables* match a CNF clause
 //!   but whose signs differ is reported as a near miss (literal order is
 //!   normalized away, so permutation errors cannot arise).
-//! - **certificate ↔ proof** (`XB007`–`XB009`): the recorded
-//!   empty-clause id, stitch boundaries, and step counts must agree with
-//!   what the proof actually contains.
+//! - **certificate ↔ proof** (`XB007`, `XB009`): the recorded
+//!   empty-clause id and step counts must agree with what the proof
+//!   actually contains.
 
 use crate::{
     clause_dimacs, clause_vars, normalize_clause, Artifact, LintOptions, Location, Report, XB001,
-    XB002, XB003, XB004, XB005, XB006, XB007, XB008, XB009,
+    XB002, XB003, XB004, XB005, XB006, XB007, XB009,
 };
 use aig::Aig;
 use cnf::tseitin::and_clauses;
 use cnf::{Cnf, Lit, Var};
 use proof::Proof;
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::io::{self, Write};
+use std::str::FromStr;
 
 /// Certificate metadata in artifact-neutral form, as consumed by
-/// [`lint_bundle`]'s `XB007`–`XB009` checks.
+/// [`lint_bundle`]'s `XB007` and `XB009` checks.
 ///
 /// The engine's `Certificate` type lives above this crate in the
 /// dependency graph, so it mirrors itself into this struct (and into the
@@ -47,12 +49,6 @@ use std::io::{self, Write};
 pub struct CertificateInfo {
     /// Step id of the empty clause inside the proof.
     pub empty_clause: Option<u32>,
-    /// Parallel sweep rounds (zero for a sequential run).
-    pub rounds: Option<u64>,
-    /// Proof lengths recorded around the parallel sweep: the length when
-    /// stitching began, then after each round's merge — so a run with
-    /// `rounds = r > 0` records exactly `r + 1` boundaries.
-    pub stitch_boundaries: Vec<u32>,
     /// Number of input (original) steps in the proof.
     pub original: Option<usize>,
     /// Number of derived steps in the proof.
@@ -73,16 +69,6 @@ impl CertificateInfo {
         if let Some(e) = self.empty_clause {
             writeln!(w, "empty-clause {e}")?;
         }
-        if let Some(r) = self.rounds {
-            writeln!(w, "rounds {r}")?;
-        }
-        if !self.stitch_boundaries.is_empty() {
-            write!(w, "boundaries")?;
-            for b in &self.stitch_boundaries {
-                write!(w, " {b}")?;
-            }
-            writeln!(w)?;
-        }
         if let Some(n) = self.original {
             writeln!(w, "original {n}")?;
         }
@@ -96,12 +82,16 @@ impl CertificateInfo {
     }
 
     /// Parses the `.cert` text form written by [`CertificateInfo::write`].
-    /// Comment lines (`c ...`) and blank lines are ignored.
+    /// Comment lines (`c ...`) and blank lines are ignored. A `rounds 0`
+    /// line, which certificates of the one-thread sweep used to carry,
+    /// is accepted and ignored.
     ///
     /// # Errors
     ///
-    /// Returns a message naming the offending line on unknown keys or
-    /// malformed values.
+    /// Returns a message naming the offending line on unknown keys,
+    /// malformed or out-of-range values, and the parallel-sweep records
+    /// no certificate can carry any more: a non-zero `rounds` count and
+    /// a `boundaries` line.
     pub fn parse(text: &str) -> Result<CertificateInfo, String> {
         let mut info = CertificateInfo::default();
         for (line_no, line) in text.lines().enumerate() {
@@ -109,40 +99,54 @@ impl CertificateInfo {
             if line.is_empty() || line.starts_with('c') {
                 continue;
             }
+            let at = line_no + 1;
             let mut tokens = line.split_whitespace();
             let key = tokens.next().expect("non-empty line has a token");
-            let mut one = |what: &str| -> Result<u64, String> {
-                let tok = tokens
+            let mut value = || {
+                tokens
                     .next()
-                    .ok_or_else(|| format!("line {}: `{key}` needs a value", line_no + 1))?;
-                tok.parse()
-                    .map_err(|e| format!("line {}: bad {what} `{tok}`: {e}", line_no + 1))
+                    .ok_or_else(|| format!("line {at}: `{key}` needs a value"))
             };
             match key {
-                "empty-clause" => info.empty_clause = Some(one("step id")? as u32),
-                "rounds" => info.rounds = Some(one("round count")?),
-                "original" => info.original = Some(one("step count")? as usize),
-                "derived" => info.derived = Some(one("step count")? as usize),
-                "resolutions" => info.resolutions = Some(one("resolution count")?),
-                "boundaries" => {
-                    for tok in tokens.by_ref() {
-                        let b: u32 = tok.parse().map_err(|e| {
-                            format!("line {}: bad boundary `{tok}`: {e}", line_no + 1)
-                        })?;
-                        info.stitch_boundaries.push(b);
+                "empty-clause" => info.empty_clause = Some(number(at, "step id", value()?)?),
+                "rounds" => {
+                    let rounds: u64 = number(at, "round count", value()?)?;
+                    if rounds != 0 {
+                        return Err(format!(
+                            "line {at}: `rounds {rounds}` certifies a parallel sweep, \
+                             which no longer exists; only `rounds 0` is accepted"
+                        ));
                     }
                 }
-                other => return Err(format!("line {}: unknown key `{other}`", line_no + 1)),
+                "original" => info.original = Some(number(at, "step count", value()?)?),
+                "derived" => info.derived = Some(number(at, "step count", value()?)?),
+                "resolutions" => {
+                    info.resolutions = Some(number(at, "resolution count", value()?)?);
+                }
+                "boundaries" => {
+                    return Err(format!(
+                        "line {at}: `boundaries` records the stitch boundaries of a \
+                         parallel sweep, which no longer exists"
+                    ))
+                }
+                other => return Err(format!("line {at}: unknown key `{other}`")),
             }
-            if key != "boundaries" && tokens.next().is_some() {
-                return Err(format!(
-                    "line {}: trailing tokens after `{key}`",
-                    line_no + 1
-                ));
+            if tokens.next().is_some() {
+                return Err(format!("line {at}: trailing tokens after `{key}`"));
             }
         }
         Ok(info)
     }
+}
+
+/// Parses one `.cert` value, naming line `at` and the value's meaning
+/// on failure (a malformed number or one out of `T`'s range).
+fn number<T: FromStr>(at: usize, what: &str, tok: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    tok.parse()
+        .map_err(|e| format!("line {at}: bad {what} `{tok}`: {e}"))
 }
 
 /// The artifacts of one certification bundle. Any subset may be present;
@@ -364,41 +368,6 @@ fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usi
         _ => {}
     }
 
-    let boundaries = &c.stitch_boundaries;
-    if let Some(rounds) = c.rounds {
-        let expected = if rounds == 0 && boundaries.is_empty() {
-            0
-        } else {
-            rounds + 1
-        };
-        if boundaries.len() as u64 != expected {
-            report.emit(XB008, None, cap, || {
-                format!(
-                    "certificate records {rounds} parallel rounds but {} stitch \
-                     boundaries (a stitched run records rounds + 1)",
-                    boundaries.len()
-                )
-            });
-        }
-    }
-    for w in boundaries.windows(2) {
-        if w[1] < w[0] {
-            report.emit(XB008, None, cap, || {
-                format!("stitch boundaries decrease: {} after {}", w[1], w[0])
-            });
-        }
-    }
-    if let Some(&last) = boundaries.last() {
-        if last as usize > p.len() {
-            report.emit(XB008, None, cap, || {
-                format!(
-                    "stitch boundary {last} exceeds the proof length {}",
-                    p.len()
-                )
-            });
-        }
-    }
-
     let counts = [
         (
             "input",
@@ -466,7 +435,6 @@ mod tests {
             original: Some(p.num_original()),
             derived: Some(0),
             resolutions: Some(0),
-            rounds: Some(0),
             ..CertificateInfo::default()
         };
         let r = lint_bundle(
@@ -584,11 +552,9 @@ mod tests {
         let e = p.add_derived([], [a, b]);
         let good = CertificateInfo {
             empty_clause: Some(e.index()),
-            rounds: Some(0),
             original: Some(2),
             derived: Some(1),
             resolutions: Some(1),
-            ..CertificateInfo::default()
         };
         let clean = lint_bundle(
             &Bundle {
@@ -604,20 +570,11 @@ mod tests {
             empty_clause: Some(0),
             ..good.clone()
         };
-        let dropped_boundary = CertificateInfo {
-            rounds: Some(2),
-            stitch_boundaries: vec![1, 2],
-            ..good.clone()
-        };
         let wrong_stats = CertificateInfo {
             resolutions: Some(7),
             ..good.clone()
         };
-        for (cert, code) in [
-            (&wrong_empty, "XB007"),
-            (&dropped_boundary, "XB008"),
-            (&wrong_stats, "XB009"),
-        ] {
+        for (cert, code) in [(&wrong_empty, "XB007"), (&wrong_stats, "XB009")] {
             let r = lint_bundle(
                 &Bundle {
                     proof: Some(&p),
@@ -632,31 +589,9 @@ mod tests {
     }
 
     #[test]
-    fn decreasing_and_overlong_boundaries_are_xb008() {
-        let mut p = Proof::new();
-        p.add_original([Var::new(0).positive()]);
-        let r = lint_bundle(
-            &Bundle {
-                proof: Some(&p),
-                certificate: Some(&CertificateInfo {
-                    rounds: Some(1),
-                    stitch_boundaries: vec![5, 3],
-                    ..CertificateInfo::default()
-                }),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
-        // Decreasing *and* beyond the proof length.
-        assert_eq!(r.total("XB008"), 2, "{:?}", r.diagnostics());
-    }
-
-    #[test]
     fn cert_text_round_trips() {
         let info = CertificateInfo {
             empty_clause: Some(42),
-            rounds: Some(3),
-            stitch_boundaries: vec![10, 20, 30, 40],
             original: Some(7),
             derived: Some(35),
             resolutions: Some(99),
@@ -664,10 +599,38 @@ mod tests {
         let mut buf = Vec::new();
         info.write(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
+        assert!(!text.contains("rounds") && !text.contains("boundaries"));
         assert_eq!(CertificateInfo::parse(&text).unwrap(), info);
         assert!(CertificateInfo::parse("bogus 1\n").is_err());
-        assert!(CertificateInfo::parse("rounds\n").is_err());
-        assert!(CertificateInfo::parse("rounds 1 2\n").is_err());
+        assert!(CertificateInfo::parse("empty-clause\n").is_err());
+        assert!(CertificateInfo::parse("derived 1 2\n").is_err());
         assert!(CertificateInfo::parse("c comment\n\n").is_ok());
+    }
+
+    #[test]
+    fn one_thread_round_count_parses_and_parallel_records_are_refused() {
+        // Every certificate of a one-thread sweep carries `rounds 0`.
+        let old = "c resolution-cec certificate v1\nempty-clause 9\nrounds 0\nderived 3\n";
+        let info = CertificateInfo::parse(old).unwrap();
+        assert_eq!((info.empty_clause, info.derived), (Some(9), Some(3)));
+        for (text, line) in [
+            ("empty-clause 9\nrounds 2\n", "line 2"),
+            ("c v1\nempty-clause 9\nboundaries 4 7 9\n", "line 3"),
+            ("boundaries\n", "line 1"),
+            ("rounds\n", "line 1"),
+            ("rounds 0 1\n", "line 1"),
+        ] {
+            let err = CertificateInfo::parse(text).unwrap_err();
+            assert!(err.starts_with(line), "{text:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn empty_clause_id_past_u32_is_a_line_numbered_error() {
+        // 7946 + 2^32 once wrapped to c7946 and passed XB007.
+        let err = CertificateInfo::parse("c v1\nempty-clause 4294975242\n").unwrap_err();
+        assert!(err.starts_with("line 2: bad step id `4294975242`"), "{err}");
+        let max = CertificateInfo::parse("empty-clause 4294967295\n").unwrap();
+        assert_eq!(max.empty_clause, Some(u32::MAX));
     }
 }

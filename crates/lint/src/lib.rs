@@ -31,7 +31,10 @@
 //!
 //! Every lint is registered in [`REGISTRY`] with a stable code (`RPxxx`
 //! for proofs, `CFxxx` for CNF, `AGxxx` for AIG, `XBxxx` for bundles,
-//! `DRxxx` for DRAT files, `JNxxx` for journals). Codes in the `RP1xx` range perform *chain
+//! `DRxxx` for DRAT files, `JNxxx` for journals). A code is never
+//! reused: `RP007` and `XB008`, which checked the stitch boundaries of
+//! a parallel sweep that no longer exists, stay unassigned. Codes in
+//! the `RP1xx` range perform *chain
 //! analysis* — they gather antecedent clause literals — while `RP0xx`
 //! codes are purely structural; the [`LintOptions::chain`] switch
 //! selects between the fast structural pass and the full set (for DRAT
@@ -179,8 +182,6 @@ lints! {
         "a derived step lies outside the empty clause's antecedent cone");
     RP006 = ("RP006", "unused-input", Info, Proof, false,
         "an input clause is never used by the refutation cone");
-    RP007 = ("RP007", "stitch-boundary", Error, Proof, false,
-        "a parallel merge-cone stitch segment is inconsistent");
     RP008 = ("RP008", "parse-error", Error, Proof, false,
         "the TraceCheck file violates the step grammar");
     RP009 = ("RP009", "id-order", Error, Proof, false,
@@ -227,8 +228,6 @@ lints! {
         "a proof input step matches a CNF clause's variables but not its polarities");
     XB007 = ("XB007", "certificate-empty-clause", Error, Bundle, false,
         "the certificate's empty-clause step id disagrees with the proof");
-    XB008 = ("XB008", "certificate-boundaries", Error, Bundle, false,
-        "the certificate's stitch boundaries are inconsistent with its rounds or the proof");
     XB009 = ("XB009", "certificate-stats", Error, Bundle, false,
         "the certificate's step counts disagree with the proof");
     XB010 = ("XB010", "artifact-hash", Error, Bundle, false,
@@ -364,10 +363,6 @@ pub struct LintOptions {
     pub chain: bool,
     /// Require the proof to contain an empty clause ([`RP002`]).
     pub expect_refutation: bool,
-    /// Proof lengths recorded around the parallel sweep: the length
-    /// when stitching began, then after each round's merge. Enables the
-    /// [`RP007`] stitch-boundary consistency lint.
-    pub stitch_boundaries: Vec<u32>,
     /// Materialized diagnostics per lint; further findings are still
     /// *counted* but carry no message (shown as "N total" in output).
     pub max_per_lint: usize,
@@ -378,7 +373,6 @@ impl Default for LintOptions {
         LintOptions {
             chain: true,
             expect_refutation: false,
-            stitch_boundaries: Vec::new(),
             max_per_lint: 20,
         }
     }

@@ -26,7 +26,7 @@
 
 use crate::{
     cited_steps, dimacs, is_tautology, Artifact, LintOptions, Location, Report, Severity, RP001,
-    RP002, RP003, RP004, RP005, RP006, RP007, RP101, RP102, RP103, RP104, RP105, RP106,
+    RP002, RP003, RP004, RP005, RP006, RP101, RP102, RP103, RP104, RP105, RP106,
 };
 use cnf::Lit;
 use proof::chain::Chains;
@@ -120,60 +120,10 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
         }
     }
 
-    lint_stitch_boundaries(p, opts, &mut r);
-
     if opts.chain {
         lint_chains(p, opts, &mut r);
     }
     r
-}
-
-/// Consistency of the parallel sweep's merge-cone stitch segments.
-///
-/// `boundaries[0]` is the proof length when the parallel sweep began;
-/// each later entry is the length after one round's worker cones were
-/// stitched in. Inside `[boundaries[0], boundaries.last())` every step
-/// must be a *derived* stitch product (the Tseitin originals all precede
-/// the sweep and the miter assertion follows it), and the empty clause —
-/// derived by the final monolithic solve — must not fall inside a
-/// segment.
-fn lint_stitch_boundaries(p: &Proof, opts: &LintOptions, r: &mut Report) {
-    let b = &opts.stitch_boundaries;
-    if b.is_empty() {
-        return;
-    }
-    let cap = opts.max_per_lint;
-    let len = u32::try_from(p.len()).unwrap_or(u32::MAX);
-    for w in b.windows(2) {
-        if w[0] > w[1] {
-            r.emit(RP007, None, cap, || {
-                format!("stitch boundaries decrease: {} then {}", w[0], w[1])
-            });
-            return;
-        }
-    }
-    let last = *b.last().expect("checked non-empty");
-    if last > len {
-        r.emit(RP007, None, cap, || {
-            format!("stitch boundary {last} exceeds proof length {len}")
-        });
-        return;
-    }
-    for idx in b[0]..last {
-        let id = ClauseId::new(idx);
-        if p.step(id).is_original() {
-            r.emit(RP007, Some(Location::Step(idx)), cap, || {
-                "original clause recorded inside a parallel stitch segment".into()
-            });
-        }
-    }
-    if let Some(root) = p.empty_clause() {
-        if root.index() >= b[0] && root.index() < last {
-            r.emit(RP007, Some(Location::Step(root.index())), cap, || {
-                "empty clause derived inside a stitch segment instead of the final solve".into()
-            });
-        }
-    }
 }
 
 /// The chain-analysis pass (`RP1xx`); see the module docs.
@@ -507,44 +457,5 @@ mod tests {
         let r = lint_proof(&p, &LintOptions::structural());
         assert!(!r.has("RP104"));
         assert!(r.is_clean());
-    }
-
-    #[test]
-    fn stitch_boundary_violations_are_flagged() {
-        let p = refutation();
-        // Boundaries claiming the two derived steps (4, 5) plus the
-        // *original* step 3 were stitched: step 3 violates the segment.
-        let opts = LintOptions {
-            stitch_boundaries: vec![3, 6],
-            ..LintOptions::default()
-        };
-        let r = lint_proof(&p, &opts);
-        assert!(r.has("RP007"), "{:?}", r.diagnostics());
-
-        // A segment covering only derived sweep steps is consistent.
-        let opts = LintOptions {
-            stitch_boundaries: vec![4, 6],
-            ..LintOptions::default()
-        };
-        assert!(lint_proof(&p, &opts).is_clean());
-
-        // Decreasing or out-of-range boundaries are themselves defects.
-        for bad in [vec![5, 4], vec![4, 99]] {
-            let opts = LintOptions {
-                stitch_boundaries: bad,
-                ..LintOptions::default()
-            };
-            assert!(lint_proof(&p, &opts).has("RP007"));
-        }
-    }
-
-    #[test]
-    fn empty_clause_inside_segment_is_flagged() {
-        let p = refutation(); // empty clause is step 6
-        let opts = LintOptions {
-            stitch_boundaries: vec![4, 7],
-            ..LintOptions::default()
-        };
-        assert!(lint_proof(&p, &opts).has("RP007"));
     }
 }

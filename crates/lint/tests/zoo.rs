@@ -1,6 +1,5 @@
-//! Lints the proofs the engine emits for the whole circuit zoo —
-//! sequentially and with four sweep workers — and asserts zero
-//! error-severity findings, plus the acceptance benchmark: the
+//! Lints the proofs the engine emits for the whole circuit zoo and
+//! asserts zero error-severity findings, plus the acceptance benchmark: the
 //! structural-only pass must beat full replay by at least 5×.
 //!
 //! Dead steps and duplicate derivations are *expected* in untrimmed
@@ -79,10 +78,10 @@ fn equivalent_pairs() -> Vec<(&'static str, Aig, Aig)> {
     ]
 }
 
-fn lint_zoo(threads: usize) {
+#[test]
+fn zoo_proofs_lint_clean() {
     for (name, a, b) in equivalent_pairs() {
         let options = EngineConfig {
-            threads,
             lint_proof: true,
             lint_bundle: true,
             ..EngineConfig::default()
@@ -97,27 +96,11 @@ fn lint_zoo(threads: usize) {
         assert_eq!(
             report.counts().errors,
             0,
-            "{name} (threads={threads}): {:?}",
+            "{name}: {:?}",
             report.diagnostics()
         );
         assert_eq!(cert.stats.lints, Some(report.counts()));
-        if threads > 1 {
-            assert!(
-                !cert.stats.stitch_boundaries.is_empty(),
-                "{name}: parallel run must record stitch boundaries"
-            );
-        }
     }
-}
-
-#[test]
-fn zoo_proofs_lint_clean_sequential() {
-    lint_zoo(1);
-}
-
-#[test]
-fn zoo_proofs_lint_clean_parallel() {
-    lint_zoo(4);
 }
 
 /// Acceptance criterion: a structural-only lint pass over a 64-bit

@@ -3,7 +3,8 @@
 //!
 //! `bench-v2` is a strict superset of `bench-v1`: the `runs` array (one
 //! `--stats-json` tree per (pair, engine, threads) cell of the t7
-//! mixed-hardness zoo) keeps its exact shape, so `bench-v1`-era
+//! mixed-hardness zoo; every cell now runs one thread) keeps its exact
+//! shape, so `bench-v1`-era
 //! tooling keeps working, and a `scenarios` array is added with the
 //! ramping-load results of [`crate::ramp`] — each with its embedded
 //! `metrics-v1` snapshot series.
@@ -69,13 +70,14 @@ fn civil_from_days(z: i64) -> (i64, u32, u32) {
     (if m <= 2 { y + 1 } else { y }, m, d)
 }
 
-/// Runs the t7 zoo in-process — every pair × {1, 4} threads — and
-/// returns the `bench-v1`-shaped `runs` array (`{pair, engine, threads,
-/// stats}`), sorted the way the Python fold-up sorted its stats files.
-/// Every cell's `engine` is `static`: `rbench compare` matches cells by
-/// (pair, engine, threads), so the key keeps them aligned with older
-/// snapshots. `progress` is called once per cell with a label like
-/// `mul-4 static t4`.
+/// Runs the t7 zoo in-process — one cell per pair — and returns the
+/// `bench-v1`-shaped `runs` array (`{pair, engine, threads, stats}`),
+/// sorted the way the Python fold-up sorted its stats files. Every
+/// cell's `engine` is `static` and its `threads` 1: `rbench compare`
+/// matches cells by (pair, engine, threads), so the key keeps them
+/// aligned with the `t1` cells of older snapshots, whose other cells
+/// read as removed. `progress` is called once per cell with a label
+/// like `mul-4 static t1`.
 ///
 /// # Panics
 ///
@@ -86,23 +88,20 @@ pub fn snapshot_runs(progress: &mut dyn FnMut(&str)) -> Vec<Value> {
     for &(family, width) in ZOO {
         let (a, b) = aig::gen::family_pair(family, width).expect("zoo families are known");
         let pair = format!("{family}-{width}");
-        for threads in [1usize, 4] {
-            progress(&format!("{pair} static t{threads}"));
-            let config = cec::EngineConfig {
-                threads,
-                ..cec::EngineConfig::default()
-            };
-            let outcome = cec::Session::new(config, &cec::SharedContext::disabled())
-                .check(&a, &b)
-                .unwrap_or_else(|e| panic!("{pair}: {e}"));
-            assert!(outcome.is_equivalent(), "{pair}: zoo pair not equivalent");
-            runs.push(Value::Object(vec![
-                ("pair".into(), Value::str(&pair)),
-                ("engine".into(), Value::str("static")),
-                ("threads".into(), Value::U64(threads as u64)),
-                ("stats".into(), outcome.stats().to_json()),
-            ]));
-        }
+        progress(&format!("{pair} static t1"));
+        let outcome = cec::Session::new(
+            cec::EngineConfig::default(),
+            &cec::SharedContext::disabled(),
+        )
+        .check(&a, &b)
+        .unwrap_or_else(|e| panic!("{pair}: {e}"));
+        assert!(outcome.is_equivalent(), "{pair}: zoo pair not equivalent");
+        runs.push(Value::Object(vec![
+            ("pair".into(), Value::str(&pair)),
+            ("engine".into(), Value::str("static")),
+            ("threads".into(), Value::U64(1)),
+            ("stats".into(), outcome.stats().to_json()),
+        ]));
     }
     // The shell pipeline sorted by stats-file name
     // (`{pair}.{engine}.t{threads}.json`); match it so diffs against

@@ -8,8 +8,9 @@
 //! - [`write_chrome_trace`] emits the Chrome `trace_event` array
 //!   format (`[{"ph":"X",…},…]`), loadable in `chrome://tracing` and
 //!   [Perfetto](https://ui.perfetto.dev). Each logical thread id gets a
-//!   `thread_name` metadata record, so a parallel sweep renders as one
-//!   timeline row per worker plus the coordinator.
+//!   `thread_name` metadata record (`coordinator` for
+//!   [`TID_COORDINATOR`], `worker N` for tid N + 1), so each renders as
+//!   its own timeline row.
 
 use crate::json::{write_escaped, Value};
 use crate::{ArgVal, Event, EventKind, TID_COORDINATOR};
@@ -136,12 +137,12 @@ pub fn write_chrome_trace(events: &[Event], out: &mut impl Write) -> io::Result<
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::{worker_tid, Recorder};
+    use crate::Recorder;
 
     fn sample_events() -> Vec<Event> {
         let rec = Recorder::new();
         {
-            let mut s = rec.span("sat_call", worker_tid(0));
+            let mut s = rec.span("sat_call", 1);
             s.arg("conflicts", 17u64);
             s.arg("verdict", "unsat");
         }

@@ -14,7 +14,7 @@
 //!   duration) with optional key/value arguments.
 //! - [`export`]: a JSONL event journal and a Chrome
 //!   `trace_event`-format export (loads in `chrome://tracing` /
-//!   Perfetto, with parallel sweep workers as separate timeline rows).
+//!   Perfetto, with one timeline row per logical thread id).
 //! - [`json`]: a hand-rolled JSON writer *and* parser (no serde) used
 //!   by the exporters, by `cec`'s `--stats-json` serialization, and by
 //!   tests that validate the emitted artifacts.
@@ -31,9 +31,9 @@
 //! A [`Recorder`] is a cheap cloneable handle; clones share one event
 //! buffer behind a mutex that is only touched when tracing is enabled.
 //! Every event carries a *thread id* chosen by the instrumented code
-//! (the CEC engine uses [`TID_COORDINATOR`] for the main thread and
-//! [`worker_tid`] for sweep workers) so exports can reconstruct the
-//! parallel timeline without caring about OS thread identity.
+//! (the CEC engine records on [`TID_COORDINATOR`]) so exports can lay
+//! out one timeline row per logical thread without caring about OS
+//! thread identity.
 //!
 //! # Example
 //!
@@ -69,12 +69,6 @@ use std::time::{Duration, Instant};
 
 /// Thread id of the coordinating (main) thread in trace events.
 pub const TID_COORDINATOR: u32 = 0;
-
-/// Thread id of parallel-sweep worker `w` in trace events.
-#[inline]
-pub const fn worker_tid(w: usize) -> u32 {
-    w as u32 + 1
-}
 
 /// A value attached to an event as a named argument.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -131,7 +125,7 @@ pub enum EventKind {
 pub struct Event {
     /// Event name (span/phase label).
     pub name: &'static str,
-    /// Logical thread id (see [`TID_COORDINATOR`] / [`worker_tid`]).
+    /// Logical thread id (see [`TID_COORDINATOR`]).
     pub tid: u32,
     /// Span or instant.
     pub kind: EventKind,
@@ -318,8 +312,8 @@ impl Drop for Span {
 /// buckets: bucket 0 holds the value 0, bucket `i ≥ 1` holds values in
 /// `[2^(i-1), 2^i)`, and the last bucket absorbs everything larger.
 ///
-/// `Copy` and 32 buckets wide, so it can live inline in per-worker
-/// stats and be merged without allocation.
+/// `Copy` and 32 buckets wide, so it lives inline in the stats that
+/// record it, without allocation.
 ///
 /// # Example
 ///
@@ -383,16 +377,6 @@ impl LogHistogram {
         self.count += 1;
         self.sum = self.sum.saturating_add(v);
         self.max = self.max.max(v);
-    }
-
-    /// Accumulates another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *b += o;
-        }
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.
@@ -559,11 +543,11 @@ mod tests {
     fn recorder_works_across_threads() {
         let rec = Recorder::new();
         std::thread::scope(|s| {
-            for w in 0..4 {
+            for tid in 0..4u32 {
                 let r = rec.clone();
                 s.spawn(move || {
-                    let mut sp = r.span("worker_round", worker_tid(w));
-                    sp.arg("w", w);
+                    let mut sp = r.span("work", tid);
+                    sp.arg("tid", u64::from(tid));
                 });
             }
         });
@@ -591,14 +575,11 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_and_display() {
+    fn histogram_counts_and_display() {
         let mut a = LogHistogram::default();
-        let mut b = LogHistogram::default();
-        a.record(0);
-        a.record(5);
-        b.record(5);
-        b.record(1000);
-        a.merge(&b);
+        for v in [0, 5, 5, 1000] {
+            a.record(v);
+        }
         assert_eq!(a.count(), 4);
         assert_eq!(a.max(), 1000);
         assert_eq!(a.sum(), 1010);

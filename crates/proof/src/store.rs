@@ -386,64 +386,6 @@ impl Proof {
         crate::check::check_strict(self)
     }
 
-    /// Merges the derivation cone of another proof into this one.
-    ///
-    /// Appends every step of `other` that is backward-reachable from
-    /// `roots` and not already mapped, remapping antecedent ids into
-    /// this proof's id space via `map` (local id → id here). `map` is
-    /// both input and output: entries that are already `Some` are taken
-    /// as existing images (the original steps of `other` *must* be
-    /// pre-mapped this way; repeated merges of a growing `other` reuse
-    /// the steps merged by earlier calls), and every newly appended
-    /// step fills in its entry. The map is resized to `other.len()`.
-    ///
-    /// Unmapped steps are appended in ascending local-id order, so
-    /// merging the same cone into the same proof always yields identical
-    /// ids; roles are carried over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a reachable original step has no entry in `map`.
-    pub fn merge_cone(
-        &mut self,
-        other: &Proof,
-        roots: &[ClauseId],
-        map: &mut Vec<Option<ClauseId>>,
-    ) {
-        map.resize(other.len(), None);
-        let mut needed = vec![false; other.len()];
-        let mut stack: Vec<ClauseId> = roots
-            .iter()
-            .copied()
-            .filter(|r| map[r.as_usize()].is_none())
-            .collect();
-        while let Some(id) = stack.pop() {
-            if std::mem::replace(&mut needed[id.as_usize()], true) {
-                continue;
-            }
-            stack.extend(
-                other
-                    .step(id)
-                    .antecedents
-                    .iter()
-                    .filter(|a| map[a.as_usize()].is_none() && !needed[a.as_usize()]),
-            );
-        }
-        for (id, step) in other.iter() {
-            if !needed[id.as_usize()] || map[id.as_usize()].is_some() {
-                continue;
-            }
-            assert!(
-                !step.is_original(),
-                "reachable original step must be mapped"
-            );
-            let image = self.copy_step(other, id, |a| {
-                map[a.as_usize()].expect("antecedents precede their step in a valid proof")
-            });
-            map[id.as_usize()] = Some(image);
-        }
-    }
-
     /// Summary statistics for reports.
     pub fn stats(&self) -> ProofStats {
         let mut max_width = 0;
@@ -555,99 +497,6 @@ mod tests {
         assert_eq!(s.max_chain, 3);
         assert!(!s.refutation);
         assert!(format!("{s}").contains("resolutions=2"));
-    }
-
-    #[test]
-    fn merge_cone_remaps_and_preserves_validity() {
-        // Global proof holds the shared originals.
-        let mut global = Proof::new();
-        let g1 = global.add_original(lits(&[1, 2]));
-        let g2 = global.add_original(lits(&[-1, 2]));
-        let g3 = global.add_original(lits(&[-2, 3]));
-
-        // Worker proof: same originals loaded locally, plus derivations.
-        let mut local = Proof::new();
-        let l1 = local.add_original(lits(&[1, 2]));
-        let l2 = local.add_original(lits(&[-1, 2]));
-        let l3 = local.add_original(lits(&[-2, 3]));
-        let d1 = local.add_derived(lits(&[2]), [l1, l2]);
-        local.set_role(d1, StepRole::Learned);
-        let d2 = local.add_derived(lits(&[3]), [d1, l3]);
-        local.set_role(d2, StepRole::Lemma);
-        // A derivation outside the cone of d2's chain — must not merge.
-        let _junk = local.add_derived(lits(&[2, 3]), [d1, l3]);
-
-        let mut map = vec![Some(g1), Some(g2), Some(g3)];
-        global.merge_cone(&local, &[d2], &mut map);
-
-        assert_eq!(map[l1.as_usize()], Some(g1));
-        assert_eq!(map[_junk.as_usize()], None, "outside cone: not merged");
-        let gd2 = map[d2.as_usize()].expect("root merged");
-        assert_eq!(global.clause(gd2), lits(&[3]).as_slice());
-        assert_eq!(global.role(gd2), StepRole::Lemma);
-        let gd1 = map[d1.as_usize()].expect("antecedent merged");
-        assert_eq!(global.role(gd1), StepRole::Learned);
-        assert_eq!(global.step(gd2).antecedents, &[gd1, g3]);
-        assert!(global.check().is_ok());
-    }
-
-    #[test]
-    fn merge_cone_is_deterministic() {
-        let build = || {
-            let mut global = Proof::new();
-            let g1 = global.add_original(lits(&[1]));
-            let g2 = global.add_original(lits(&[-1, 2]));
-            let mut local = Proof::new();
-            let l1 = local.add_original(lits(&[1]));
-            let l2 = local.add_original(lits(&[-1, 2]));
-            let d = local.add_derived(lits(&[2]), [l2, l1]);
-            let mut map = vec![Some(g1), Some(g2)];
-            global.merge_cone(&local, &[d], &mut map);
-            (global.len(), map)
-        };
-        assert_eq!(build(), build());
-    }
-
-    #[test]
-    #[should_panic(expected = "must be mapped")]
-    fn merge_cone_rejects_unmapped_original() {
-        let mut global = Proof::new();
-        let mut local = Proof::new();
-        let l1 = local.add_original(lits(&[1]));
-        let l2 = local.add_original(lits(&[-1]));
-        let d = local.add_derived([], [l1, l2]);
-        global.merge_cone(&local, &[d], &mut Vec::new());
-    }
-
-    #[test]
-    fn merge_cone_reuses_previously_merged_steps() {
-        // Two successive merges of a growing local proof share the map:
-        // the second merge must reuse the steps stitched by the first
-        // instead of duplicating them.
-        let mut global = Proof::new();
-        let g1 = global.add_original(lits(&[1, 2]));
-        let g2 = global.add_original(lits(&[-1, 2]));
-        let g3 = global.add_original(lits(&[-2, 3]));
-
-        let mut local = Proof::new();
-        let l1 = local.add_original(lits(&[1, 2]));
-        let l2 = local.add_original(lits(&[-1, 2]));
-        let l3 = local.add_original(lits(&[-2, 3]));
-        let d1 = local.add_derived(lits(&[2]), [l1, l2]);
-
-        let mut map = vec![Some(g1), Some(g2), Some(g3)];
-        global.merge_cone(&local, &[d1], &mut map);
-        let gd1 = map[d1.as_usize()].expect("first root merged");
-        let len_after_first = global.len();
-
-        // The local proof grows (a later round), reusing d1.
-        let d2 = local.add_derived(lits(&[3]), [d1, l3]);
-        global.merge_cone(&local, &[d2], &mut map);
-        let gd2 = map[d2.as_usize()].expect("second root merged");
-        assert_eq!(map[d1.as_usize()], Some(gd1), "first image is stable");
-        assert_eq!(global.len(), len_after_first + 1, "d1 is not duplicated");
-        assert_eq!(global.step(gd2).antecedents, &[gd1, g3]);
-        assert!(global.check().is_ok());
     }
 
     #[test]

@@ -244,15 +244,6 @@ impl ClauseDb {
         })
     }
 
-    /// Iterates over all live clauses in insertion order, as
-    /// `(literals, proof id)`. The literal order within a clause is the
-    /// current watch order, not sorted.
-    pub fn live_iter(&self) -> impl Iterator<Item = (&[Lit], Option<ClauseId>)> + '_ {
-        self.refs()
-            .filter(|&r| !self.is_deleted(r))
-            .map(|r| (self.lits(r), self.proof_id(r)))
-    }
-
     /// All live learnt clause references, in insertion order.
     pub fn learnt_refs(&self) -> Vec<ClauseRef> {
         self.refs()
@@ -380,13 +371,7 @@ mod tests {
         assert_eq!(db.proof_id(c2), Some(ClauseId::new(9)));
         assert_eq!((db.lbd(c2), db.activity(c2)), (4, 2.5));
         assert_eq!(db.learnt_refs(), vec![c2]);
-        let live: Vec<_> = db.live_iter().map(|(ls, id)| (ls.to_vec(), id)).collect();
-        assert_eq!(
-            live,
-            vec![
-                (vec![l(0), l(1)], Some(ClauseId::new(3))),
-                (vec![l(5)], Some(ClauseId::new(9)))
-            ]
-        );
+        assert_eq!(db.refs().collect::<Vec<_>>(), vec![a2, c2]);
+        assert_eq!(db.proof_id(a2), Some(ClauseId::new(3)));
     }
 }

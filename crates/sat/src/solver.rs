@@ -492,65 +492,6 @@ impl Solver {
         })
     }
 
-    /// Adds a clause whose proof step *already exists* in this solver's
-    /// proof (or in no proof at all): the merged equivalence lemmas of
-    /// parallel sweep workers, whose derivations were stitched in via
-    /// [`Solver::merge_proof_cone`]. No new proof step is recorded.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a variable is unallocated, the clause is empty or
-    /// tautological, or proof logging is on but `id` is `None` (the
-    /// clause could then become an unjustified reason in later chains).
-    pub fn add_proved_clause(&mut self, lits: &[Lit], id: Option<ClauseId>) {
-        self.cancel_until(0);
-        self.with_sorted_copy(lits, |s, ls| {
-            for l in ls.iter() {
-                assert!(
-                    l.var().index() < s.num_vars(),
-                    "literal variable not allocated"
-                );
-            }
-            assert!(!ls.is_empty(), "empty proved clause must come from solving");
-            assert!(
-                ls.windows(2).all(|w| w[0].var() != w[1].var()),
-                "tautological proved clause"
-            );
-            assert!(
-                s.proof.is_none() || id.is_some(),
-                "proved clause needs a proof id when logging"
-            );
-            s.num_problem_clauses += 1;
-            s.insert_clause(ls, false, id);
-        });
-    }
-
-    /// Snapshots the live clause database: every live clause with its
-    /// proof step id, in insertion order. This is the deterministic
-    /// basis a parallel sweep worker rebuilds its private solver from.
-    pub fn live_clauses(&self) -> impl Iterator<Item = (&[Lit], Option<ClauseId>)> + '_ {
-        self.db.live_iter()
-    }
-
-    /// Merges the cone of `roots` from another proof into this solver's
-    /// proof (see [`proof::Proof::merge_cone`]); `map` is the persistent
-    /// local→global id translation table, updated in place.
-    ///
-    /// # Panics
-    ///
-    /// Panics if proof logging is disabled.
-    pub fn merge_proof_cone(
-        &mut self,
-        other: &Proof,
-        roots: &[ClauseId],
-        map: &mut Vec<Option<ClauseId>>,
-    ) {
-        self.proof
-            .as_mut()
-            .expect("merging derivations requires proof logging")
-            .merge_cone(other, roots, map);
-    }
-
     /// Core clause insertion at decision level 0 (watch setup, unit
     /// propagation, level-0 conflict handling).
     fn insert_clause(&mut self, ls: &mut [Lit], learnt: bool, id: Option<ClauseId>) {
@@ -1433,58 +1374,7 @@ mod tests {
         assert_eq!(proof.step(id).antecedents, [fc]);
         assert_eq!(proof.step(id).clause, lits(&v, &[-1, 2, 3]));
         assert!(proof::check::check_strict(proof).is_ok());
-        assert!(s.live_clauses().all(|(_, live)| live != Some(id)));
-        assert_eq!(
-            s.live_clauses().count(),
-            3,
-            "two originals and the final clause"
-        );
-    }
-
-    #[test]
-    fn snapshot_worker_merge_round_trip() {
-        // The parallel-sweep worker protocol in miniature: a global
-        // proof-logging solver, a worker rebuilt from its live-clause
-        // snapshot, a lemma proved in the worker, and the derivation
-        // cone stitched back into the global proof.
-        let mut global = Solver::with_proof();
-        let v = vars(&mut global, 3);
-        global.add_clause(&lits(&v, &[-1, 2]));
-        global.add_clause(&lits(&v, &[-2, 3]));
-
-        let snapshot: Vec<(Vec<Lit>, Option<ClauseId>)> = global
-            .live_clauses()
-            .map(|(ls, id)| (ls.to_vec(), id))
-            .collect();
-        assert_eq!(snapshot.len(), 2);
-
-        let mut worker = Solver::with_proof();
-        worker.ensure_vars(global.num_vars());
-        let mut original_map: Vec<Option<ClauseId>> = Vec::new();
-        for (ls, gid) in &snapshot {
-            let lid = worker.add_clause(ls).expect("logging on, no tautologies");
-            assert_eq!(lid.as_usize(), original_map.len());
-            original_map.push(*gid);
-        }
-        // Worker proves x → z and commits the lemma locally.
-        assert_eq!(worker.solve_with(&lits(&v, &[1, -3])), SolveResult::Unsat);
-        let fc = worker.commit_final_clause().unwrap();
-        let lemma = lits(&v, &[-1, 3]);
-        let lemma_id = worker.add_derived_clause(&lemma, &[fc]);
-        worker.tag_proof_step(lemma_id, StepRole::Lemma);
-
-        // Stitch the worker's derivation into the global proof.
-        let local = worker.into_proof().unwrap();
-        let mut map = original_map;
-        global.merge_proof_cone(&local, &[lemma_id], &mut map);
-        let gid = map[lemma_id.as_usize()].expect("root merged");
-        global.add_proved_clause(&lemma, Some(gid));
-        assert_eq!(global.proof().unwrap().role(gid), StepRole::Lemma);
-        assert!(proof::check::check_strict(global.proof().unwrap()).is_ok());
-        assert!(proof::check::check_rup(global.proof().unwrap()).is_ok());
-        // The merged lemma is live in the global database: x forces z.
-        assert_eq!(global.solve_with(&lits(&v, &[1])), SolveResult::Sat);
-        assert!(global.model_value(v[2]));
+        assert_eq!(s.num_clauses(), 3, "two originals and the final clause");
     }
 
     #[test]

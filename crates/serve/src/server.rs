@@ -22,8 +22,7 @@ pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7163` (port 0 picks a free one).
     pub addr: String,
     /// Worker-pool size: how many checks run concurrently. Each worker
-    /// runs one engine session at a time (which may itself use
-    /// `engine.threads` sweeping threads).
+    /// runs one engine session, one sequential sweep, at a time.
     pub workers: usize,
     /// Engine knobs every session is created with. `proof` must stay
     /// on — the cache stores certificates — and is forced on by

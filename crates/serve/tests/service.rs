@@ -78,25 +78,22 @@ fn repeated_batch_hits_cache_with_byte_identical_certificates() {
 
 #[test]
 fn a_fresh_answer_carries_the_proof_a_local_check_writes() {
-    // The daemon's engine knobs are a local check's: at two sweeping
-    // threads it serves the proof `rcec --threads=2` writes, that of
-    // `Session::check` on the canonical pair.
-    let mut config = loopback_config(&Metrics::disabled());
-    config.engine.threads = 2;
-    let (addr, handle) = start(config);
+    // The daemon's engine knobs are a local check's: at the default
+    // config it serves the proof `rcec` writes, that of `Session::check`
+    // on the canonical pair.
+    let (addr, handle) = start(loopback_config(&Metrics::disabled()));
     let mut client = Client::connect(&addr).expect("connect");
     let (a, b) = aig::gen::family_pair("adder", 12).expect("known family");
     let reply = client.check(&a, &b).expect("check");
     assert!(reply.equivalent && !reply.cache_hit);
 
     let pair = cache::CanonicalPair::new(&a, &b);
-    let engine = cec::EngineConfig {
-        threads: 2,
-        ..cec::EngineConfig::default()
-    };
-    let outcome = cec::Session::new(engine, &cec::SharedContext::disabled())
-        .check(&pair.a, &pair.b)
-        .expect("local check");
+    let outcome = cec::Session::new(
+        cec::EngineConfig::default(),
+        &cec::SharedContext::disabled(),
+    )
+    .check(&pair.a, &pair.b)
+    .expect("local check");
     let cert = outcome.certificate().expect("equivalent");
     let mut bytes = Vec::new();
     proof::export::write_tracecheck(cert.proof.as_ref().expect("proof on"), &mut bytes).unwrap();

@@ -1,11 +1,11 @@
 //! Golden engine fingerprints: proofs, counterexamples and run counters
 //! of a fixed set of checks, pinned byte for byte.
 //!
-//! Every check runs over the grid threads ∈ {1, 2, 4} × pair conflict
-//! limit ∈ {none, 4}, and contributes one line: the FNV-1a
-//! fingerprint of the TraceCheck proof (or of the counterexample bits),
-//! then every deterministic counter of the run. Two `reduce` lines add
-//! the fingerprint of a reduced AIGER graph. Times are left out; nothing
+//! Every check runs with pair conflict limit ∈ {none, 4}, and
+//! contributes one line: the FNV-1a fingerprint of the TraceCheck proof
+//! (or of the counterexample bits), then every deterministic counter of
+//! the run. A `reduce` line adds the fingerprint of a reduced AIGER
+//! graph. Times are left out; nothing
 //! else is. A refactor of the engine must leave `golden_expected.txt`
 //! unchanged. On a mismatch the test prints the lines it computed.
 //!
@@ -75,28 +75,25 @@ fn simulation_separates(a: &Aig, b: &Aig) -> bool {
 }
 
 /// Every configuration of the grid, labelled. Labels keep the words
-/// `static` and `share=off` from when a second discharge schedule and
-/// learnt sharing between workers shared the grid, so the lines stay
-/// comparable with the files of that time.
+/// `static`, `t1` and `share=off` from when a second discharge schedule,
+/// the round engine's thread counts and learnt sharing between its
+/// workers shared the grid, so the lines stay comparable with the files
+/// of that time.
 fn configs() -> Vec<(String, EngineConfig)> {
-    let mut configs = Vec::new();
-    for threads in [1, 2, 4] {
-        for limit in [None, Some(4)] {
+    [None, Some(4)]
+        .into_iter()
+        .map(|limit| {
             let label = format!(
-                "static t{threads} share=off limit={}",
+                "static t1 share=off limit={}",
                 limit.map_or_else(|| "none".to_string(), |l: u64| l.to_string())
             );
-            configs.push((
-                label,
-                EngineConfig {
-                    threads,
-                    pair_conflict_limit: limit,
-                    ..EngineConfig::default()
-                },
-            ));
-        }
-    }
-    configs
+            let config = EngineConfig {
+                pair_conflict_limit: limit,
+                ..EngineConfig::default()
+            };
+            (label, config)
+        })
+        .collect()
 }
 
 fn fnv(bytes: &[u8]) -> String {
@@ -105,8 +102,8 @@ fn fnv(bytes: &[u8]) -> String {
 
 /// Every deterministic counter of a run, in a fixed order.
 fn counters(s: &EngineStats) -> String {
-    let mut out = format!(
-        "sat={}/{}/{} ref={} struct={} skip={} lemmas={} rounds={} solver={}/{} hist={}/{}",
+    format!(
+        "sat={}/{}/{} ref={} struct={} skip={} lemmas={} solver={}/{} hist={}/{}",
         s.sat_calls,
         s.sat_unsat,
         s.sat_cex,
@@ -114,27 +111,11 @@ fn counters(s: &EngineStats) -> String {
         s.structural_merges,
         s.pairs_skipped,
         s.lemmas,
-        s.rounds,
         s.solver.conflicts,
         s.solver.propagations,
         s.sat_conflict_hist.count(),
         s.lemma_chain_hist.count(),
-    );
-    for (w, ws) in s.workers.iter().enumerate() {
-        write!(
-            out,
-            " w{w}={}/{}/{}/{}/{}/{}",
-            ws.sat_calls, ws.sat_unsat, ws.sat_cex, ws.conflicts, ws.merges, ws.lemmas
-        )
-        .unwrap();
-    }
-    write!(
-        out,
-        " windows={:?} stitch={:?}",
-        s.pair_windows, s.stitch_boundaries
     )
-    .unwrap();
-    out
 }
 
 fn check_line(name: &str, label: &str, outcome: &CecOutcome) -> String {
@@ -184,7 +165,7 @@ fn redundant_graph() -> Aig {
     g
 }
 
-/// Runs every check of the grid and both reductions, each on a fresh
+/// Runs every check of the grid and the reduction, each on a fresh
 /// context from `ctx`, and returns their golden lines. `inspect` sees
 /// each run's line, stats and context, and the verdict counter a check
 /// ticks (`None` for a reduction).
@@ -209,25 +190,18 @@ fn run_golden(
             writeln!(out, "{line}").unwrap();
         }
     }
-    let g = redundant_graph();
-    for threads in [1, 4] {
-        let config = EngineConfig {
-            threads,
-            ..EngineConfig::default()
-        };
-        let ctx = ctx();
-        let (reduced, stats) = Session::new(config, &ctx).reduce(&g);
-        let mut bytes = Vec::new();
-        aig::aiger::write_ascii(&reduced, &mut bytes).unwrap();
-        let line = format!(
-            "reduce t{threads}: aig={} ands={} {}",
-            fnv(&bytes),
-            reduced.num_ands(),
-            counters(&stats)
-        );
-        inspect(&line, &stats, None, &ctx);
-        writeln!(out, "{line}").unwrap();
-    }
+    let ctx = ctx();
+    let (reduced, stats) = Session::new(EngineConfig::default(), &ctx).reduce(&redundant_graph());
+    let mut bytes = Vec::new();
+    aig::aiger::write_ascii(&reduced, &mut bytes).unwrap();
+    let line = format!(
+        "reduce t1: aig={} ands={} {}",
+        fnv(&bytes),
+        reduced.num_ands(),
+        counters(&stats)
+    );
+    inspect(&line, &stats, None, &ctx);
+    writeln!(out, "{line}").unwrap();
     out
 }
 
@@ -334,8 +308,8 @@ fn monolithic_fingerprints_match_golden() {
 }
 
 /// The counters a run's final snapshot must hold, sorted by name: each
-/// engine counter with its stats source, the per-worker cells, and a
-/// check's three lifecycle counters.
+/// engine counter with its stats source, and a check's three lifecycle
+/// counters.
 fn mirrored(stats: &EngineStats, verdict: Option<&str>) -> Vec<(String, u64)> {
     let mut want: Vec<(String, u64)> = [
         ("cec.sat_calls", stats.sat_calls),
@@ -343,16 +317,10 @@ fn mirrored(stats: &EngineStats, verdict: Option<&str>) -> Vec<(String, u64)> {
         ("cec.lemmas", stats.lemmas),
         ("cec.structural_merges", stats.structural_merges),
         ("cec.refinements", stats.refinements),
-        ("cec.rounds", stats.rounds),
     ]
     .into_iter()
     .map(|(name, v)| (name.to_string(), v))
     .collect();
-    for (w, ws) in stats.workers.iter().enumerate() {
-        want.push((format!("cec.worker{w}.sat_calls"), ws.sat_calls));
-        want.push((format!("cec.worker{w}.conflicts"), ws.conflicts));
-        want.push((format!("cec.worker{w}.lemmas"), ws.lemmas));
-    }
     if let Some(verdict) = verdict {
         for name in ["cec.checks_started", "cec.checks_completed", verdict] {
             want.push((name.to_string(), 1));
@@ -380,7 +348,7 @@ fn live_counters_mirror_the_run_stats() {
             runs += 1;
         },
     );
-    assert_eq!(runs, 44);
+    assert_eq!(runs, 15);
     // Turning metrics on changes no proof, counterexample or counter.
     assert_golden(&actual);
 }

@@ -16,16 +16,12 @@ use resolution_cec::cec::{EngineConfig, Session, SharedContext};
 const MIN_COVERAGE: f64 = 0.95;
 
 /// The best `phases.sum() / elapsed` of three checks of a family pair.
-fn best_coverage(family: &str, width: usize, threads: usize) -> f64 {
+fn best_coverage(family: &str, width: usize) -> f64 {
     let (a, b) = gen::family_pair(family, width).expect("known family");
     let ctx = SharedContext::disabled();
-    let config = EngineConfig {
-        threads,
-        ..EngineConfig::default()
-    };
     (0..3)
         .map(|_| {
-            let outcome = Session::new(config.clone(), &ctx)
+            let outcome = Session::new(EngineConfig::default(), &ctx)
                 .check(&a, &b)
                 .expect("check runs");
             assert!(outcome.is_equivalent(), "{family}-{width}: verdict");
@@ -37,17 +33,11 @@ fn best_coverage(family: &str, width: usize, threads: usize) -> f64 {
 
 #[test]
 fn phases_cover_the_check() {
-    for (family, width, threads) in [
-        ("mul", 4, 1),
-        ("popcount", 10, 1),
-        ("mul", 4, 2),
-        ("adder", 32, 1),
-    ] {
-        let coverage = best_coverage(family, width, threads);
+    for (family, width) in [("mul", 4), ("popcount", 10), ("adder", 32)] {
+        let coverage = best_coverage(family, width);
         assert!(
             coverage >= MIN_COVERAGE,
-            "{family}-{width} at {threads} thread(s): phases cover {coverage:.3} of elapsed, \
-             below {MIN_COVERAGE}"
+            "{family}-{width}: phases cover {coverage:.3} of elapsed, below {MIN_COVERAGE}"
         );
     }
 }
