@@ -126,40 +126,36 @@ impl HardnessReport {
     #[must_use]
     #[allow(clippy::cast_precision_loss)]
     pub fn diagnostics(&self) -> Report {
-        const CAP: usize = 20;
         let mut r = Report::new(Artifact::Analysis);
         if let Some(f) = &self.aig {
             let ands = f.ands.max(1) as f64;
             if f.xor_chain_max >= 4 {
                 let depth = f.xor_chain_max;
-                r.emit(lint::AN001, None, CAP, || {
+                r.emit(lint::AN001, None, || {
                     format!("xor chain of depth {depth} (carry-save / parity reduction)")
                 });
             }
             if f.maj_chain_max >= 4 {
                 let depth = f.maj_chain_max;
-                r.emit(lint::AN002, None, CAP, || {
+                r.emit(lint::AN002, None, || {
                     format!("carry chain of length {depth} (ripple datapath)")
                 });
             }
             if self.class == InstanceClass::MultiplierGrid {
                 let (x, o) = (f.xor_roots, f.or_of_ands);
-                r.emit(lint::AN003, None, CAP, || {
+                r.emit(lint::AN003, None, || {
                     format!("multiplier-like grid: {x} xor cells, {o} carry cells")
                 });
             }
             if f.max_fanout >= 16 && f64::from(f.max_fanout) >= 8.0 * f.mean_fanout.max(1.0) {
                 let (fo, mean) = (f.max_fanout, f.mean_fanout);
-                r.emit(
-                    lint::AN004,
-                    Some(Location::Node(f.max_fanout_node)),
-                    CAP,
-                    || format!("fanout {fo} vs mean {mean:.2}"),
-                );
+                r.emit(lint::AN004, Some(Location::Node(f.max_fanout_node)), || {
+                    format!("fanout {fo} vs mean {mean:.2}")
+                });
             }
             if f64::from(f.max_cut) >= ands.sqrt().max(8.0) {
                 let (cut, n) = (f.max_cut, f.ands);
-                r.emit(lint::AN005, None, CAP, || {
+                r.emit(lint::AN005, None, || {
                     format!("interior frontier reaches {cut} live nodes over {n} ANDs")
                 });
             }
@@ -167,24 +163,24 @@ impl HardnessReport {
         if let Some(c) = &self.cnf {
             if c.vig_mean_degree >= 12.0 {
                 let d = c.vig_mean_degree;
-                r.emit(lint::AN006, None, CAP, || {
+                r.emit(lint::AN006, None, || {
                     format!("mean variable incidence {d:.2} clauses per variable")
                 });
             }
             if c.modularity < 0.3 && c.clauses > 0 {
                 let q = c.modularity;
-                r.emit(lint::AN007, None, CAP, || {
+                r.emit(lint::AN007, None, || {
                     format!("block-partition modularity {q:.3}")
                 });
             }
         }
         let score = self.score;
         if score >= 0.6 {
-            r.emit(lint::AN008, None, CAP, || {
+            r.emit(lint::AN008, None, || {
                 format!("hardness score {score:.3} >= 0.6")
             });
         } else if score <= 0.2 {
-            r.emit(lint::AN009, None, CAP, || {
+            r.emit(lint::AN009, None, || {
                 format!("hardness score {score:.3} <= 0.2")
             });
         }

@@ -851,7 +851,7 @@ pub struct LintCostRow {
 /// and `rplint <aig> <proof>` must), and strict proof replay
 /// (`check_refutation`); best of `samples`, the passes taken in turn.
 pub fn run_lint_cost(samples: usize) -> Vec<LintCostRow> {
-    use lint::{Bundle, LintOptions};
+    use lint::Bundle;
     let pair = crate::workloads::adder_scaling_pairs(&[64]).remove(0);
     let outcome = sweep_prove(&pair);
     let cert = outcome.certificate().expect("equivalent pair");
@@ -859,18 +859,17 @@ pub fn run_lint_cost(samples: usize) -> Vec<LintCostRow> {
     let info = cert.info();
     let miter = Miter::build(&pair.a, &pair.b, true);
     let formula = cec::miter_cnf(&miter);
-    let opts = LintOptions::default();
     let bundle = Bundle {
         aig: Some(&miter.graph),
         cnf: Some(&formula),
         proof: Some(p),
         certificate: Some(&info),
     };
-    let report = lint::lint_bundle(&bundle, &opts);
+    let report = lint::lint_bundle(&bundle);
     assert_eq!(report.counts().errors, 0, "{:?}", report.diagnostics());
     let passes: [(&str, &dyn Fn() -> usize); 3] = [
         ("lint_bundle", &|| {
-            lint::lint_bundle(&bundle, &opts).counts().errors
+            lint::lint_bundle(&bundle).counts().errors
         }),
         ("lint_bundle+cnf", &|| {
             let cnf = cec::miter_cnf(&miter);
@@ -878,7 +877,7 @@ pub fn run_lint_cost(samples: usize) -> Vec<LintCostRow> {
                 cnf: Some(&cnf),
                 ..bundle
             };
-            lint::lint_bundle(&with_cnf, &opts).counts().errors
+            lint::lint_bundle(&with_cnf).counts().errors
         }),
         ("check_refutation", &|| {
             proof::check::check_refutation(p)

@@ -3,7 +3,7 @@
 //! served.
 
 use crate::canon::{CacheKey, CanonicalPair};
-use cec::{miter_cnf, Miter};
+use cec::{miter_cnf, EngineConfig, Miter};
 use obs::metrics::{self, Metrics, Mirror};
 use std::collections::HashMap;
 use std::io::Write;
@@ -18,11 +18,6 @@ pub struct CacheConfig {
     /// Second-tier directory: evicted entries are written here and
     /// promoted back on lookup. `None` disables the disk tier.
     pub spill_dir: Option<PathBuf>,
-    /// Must match the engine's `share_structure` option — the replay
-    /// validation rebuilds the miter the same way the prover did, so a
-    /// cached refutation re-binds to exactly the clauses the engine
-    /// would feed its solver.
-    pub share_structure: bool,
 }
 
 impl Default for CacheConfig {
@@ -30,7 +25,6 @@ impl Default for CacheConfig {
         CacheConfig {
             capacity: 256,
             spill_dir: None,
-            share_structure: true,
         }
     }
 }
@@ -155,7 +149,7 @@ impl CertCache {
             self.read_spill(&pair.key)
         };
         let served = match candidate {
-            Some(verdict) if validate(pair, &verdict, self.config.share_structure) => {
+            Some(verdict) if validate(pair, &verdict) => {
                 // A disk-tier hit is promoted into memory.
                 if !self.map.contains_key(&key) {
                     self.install(key, verdict.clone());
@@ -308,7 +302,7 @@ impl CertCache {
 ///   re-bind.
 /// - A counterexample must actually distinguish the two circuits when
 ///   re-evaluated.
-fn validate(pair: &CanonicalPair, verdict: &CachedVerdict, share_structure: bool) -> bool {
+fn validate(pair: &CanonicalPair, verdict: &CachedVerdict) -> bool {
     match verdict {
         CachedVerdict::Equivalent { tracecheck } => {
             let Ok(p) = proof::import::read_tracecheck(tracecheck.as_slice()) else {
@@ -317,7 +311,7 @@ fn validate(pair: &CanonicalPair, verdict: &CachedVerdict, share_structure: bool
             if proof::check::check_refutation(&p).is_err() {
                 return false;
             }
-            originals_bind_to_miter(pair, &p, share_structure)
+            originals_bind_to_miter(pair, &p)
         }
         CachedVerdict::Inequivalent { pattern } => {
             if pattern.len() != pair.a.num_inputs() {
@@ -330,9 +324,11 @@ fn validate(pair: &CanonicalPair, verdict: &CachedVerdict, share_structure: bool
 
 /// Every original step of `p` must occur (as a literal multiset) among
 /// the clauses of the pair's miter CNF, each occurrence of a miter
-/// clause serving at most one original.
-fn originals_bind_to_miter(pair: &CanonicalPair, p: &proof::Proof, share_structure: bool) -> bool {
-    let miter = Miter::build(&pair.a, &pair.b, share_structure);
+/// clause serving at most one original. The miter is built as the
+/// default engine configuration builds it, the one every cached proof
+/// was recorded under.
+fn originals_bind_to_miter(pair: &CanonicalPair, p: &proof::Proof) -> bool {
+    let miter = Miter::build(&pair.a, &pair.b, EngineConfig::default().share_structure);
     let formula = miter_cnf(&miter);
     // The miter's clauses, copied into one arena and each sorted in
     // place: a sorted clause is its multiset, and a proof step's clause
@@ -525,7 +521,6 @@ mod tests {
         let config = CacheConfig {
             capacity: 1,
             spill_dir: Some(dir.clone()),
-            share_structure: true,
         };
         let metrics = Metrics::new();
         let mut cache = CertCache::new(config, &metrics).unwrap();
@@ -554,7 +549,6 @@ mod tests {
         let config = CacheConfig {
             capacity: 1,
             spill_dir: Some(dir.clone()),
-            share_structure: true,
         };
         let metrics = Metrics::new();
         let mut cache = CertCache::new(config, &metrics).unwrap();

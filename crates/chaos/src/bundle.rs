@@ -207,6 +207,7 @@ pub fn prove_and_emit(
         b,
         &mut durable,
     )?;
+    let tracecheck = durable.take_tracecheck();
     drop(durable);
 
     let miter = Miter::build(a, b, config.share_structure);
@@ -223,8 +224,7 @@ pub fn prove_and_emit(
     };
     if let Some(cert) = outcome.certificate() {
         if let Some(p) = &cert.proof {
-            let mut bytes = Vec::new();
-            proof::export::write_tracecheck(p, &mut bytes).expect("write to Vec cannot fail");
+            let bytes = tracecheck.expect("a journaled verdict keeps the proof it fingerprinted");
             fs::write(paths.proof(), bytes).map_err(|e| io_err("write proof.tc", &e))?;
             let mut bytes = Vec::new();
             proof::export::write_drat(p, &mut bytes).expect("write to Vec cannot fail");
@@ -248,27 +248,24 @@ pub fn prove_and_emit(
 fn check_manifest(
     paths: &BundlePaths,
     report: &mut Report,
-    cap: usize,
     verified: &mut HashMap<&'static str, Vec<u8>>,
 ) -> Option<bool> {
     let text = match fs::read_to_string(paths.manifest()) {
         Ok(t) => t,
         Err(e) => {
-            report.emit(XB011, None, cap, || {
-                format!("manifest.json unreadable: {e}")
-            });
+            report.emit(XB011, None, || format!("manifest.json unreadable: {e}"));
             return None;
         }
     };
     let doc = match json::parse(&text) {
         Ok(v) => v,
         Err(e) => {
-            report.emit(XB011, None, cap, || format!("manifest.json malformed: {e}"));
+            report.emit(XB011, None, || format!("manifest.json malformed: {e}"));
             return None;
         }
     };
     if doc.get("format").and_then(Value::as_u64) != Some(MANIFEST_FORMAT) {
-        report.emit(XB011, None, cap, || {
+        report.emit(XB011, None, || {
             format!("manifest format is not {MANIFEST_FORMAT}")
         });
         return None;
@@ -278,14 +275,14 @@ fn check_manifest(
         Some("inequivalent") => Some(false),
         other => {
             let other = other.map(str::to_string);
-            report.emit(XB011, None, cap, || {
+            report.emit(XB011, None, || {
                 format!("manifest verdict is {other:?}, not equivalent/inequivalent")
             });
             None
         }
     };
     let Some(entries) = doc.get("entries").and_then(Value::as_array) else {
-        report.emit(XB011, None, cap, || "manifest has no entries array".into());
+        report.emit(XB011, None, || "manifest has no entries array".into());
         return verdict;
     };
     let mut listed: Vec<&'static str> = Vec::new();
@@ -293,7 +290,7 @@ fn check_manifest(
         let file = entry.get("file").and_then(Value::as_str);
         let fnv = entry.get("fnv").and_then(Value::as_str);
         let (Some(file), Some(fnv)) = (file, fnv) else {
-            report.emit(XB011, None, cap, || {
+            report.emit(XB011, None, || {
                 "manifest entry lacks file/fnv fields".into()
             });
             continue;
@@ -303,14 +300,14 @@ fn check_manifest(
         // entries can never name files outside the bundle).
         let Some(name) = ARTIFACTS.iter().find(|n| **n == file).copied() else {
             let file = file.to_string();
-            report.emit(XB011, None, cap, || {
+            report.emit(XB011, None, || {
                 format!("manifest names unknown artifact `{file}`")
             });
             continue;
         };
         listed.push(name);
         match fs::read(paths.file(name)) {
-            Err(e) => report.emit(XB011, None, cap, || {
+            Err(e) => report.emit(XB011, None, || {
                 format!("manifest names absent file `{name}`: {e}")
             }),
             Ok(bytes) => {
@@ -319,7 +316,7 @@ fn check_manifest(
                     verified.insert(name, bytes);
                 } else {
                     let recorded = fnv.to_string();
-                    report.emit(XB010, None, cap, || {
+                    report.emit(XB010, None, || {
                         format!(
                             "`{name}`: content hash {actual} disagrees with \
                              manifest ({recorded})"
@@ -331,7 +328,7 @@ fn check_manifest(
     }
     for name in ARTIFACTS {
         if !listed.contains(name) && paths.file(name).exists() {
-            report.emit(XB011, None, cap, || {
+            report.emit(XB011, None, || {
                 format!("artifact `{name}` is on disk but not in the manifest")
             });
         }
@@ -347,9 +344,8 @@ fn check_manifest(
 pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
     let paths = BundlePaths::new(dir);
     let mut report = Report::new(Artifact::Bundle);
-    let cap = opts.max_per_lint;
     let mut verified: HashMap<&'static str, Vec<u8>> = HashMap::new();
-    let manifest_verdict = check_manifest(&paths, &mut report, cap, &mut verified);
+    let manifest_verdict = check_manifest(&paths, &mut report, &mut verified);
 
     // Per-artifact parses. A hash-verified artifact that still fails to
     // parse means the *producer* wrote garbage — a bundle-level defect.
@@ -378,7 +374,7 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
             });
     let proof = verified.get("proof.tc").and_then(|bytes| {
         let (tc_report, p) =
-            read_tracecheck(Cursor::new(bytes), opts).expect("reading from memory cannot fail");
+            read_tracecheck(Cursor::new(bytes)).expect("reading from memory cannot fail");
         report.absorb(tc_report);
         p
     });
@@ -404,15 +400,14 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
         }
     });
     let journal_records = verified.get("run.journal").and_then(|bytes| {
-        let jn_report =
-            lint_journal(Cursor::new(bytes), opts).expect("reading from memory cannot fail");
+        let jn_report = lint_journal(Cursor::new(bytes)).expect("reading from memory cannot fail");
         report.absorb(jn_report);
         obs::journal::read_journal(Cursor::new(bytes))
             .ok()
             .map(|j| j.records)
     });
     for (name, why) in unparseable {
-        report.emit(XB011, None, cap, || {
+        report.emit(XB011, None, || {
             format!("`{name}` is unparseable despite a matching hash: {why}")
         });
     }
@@ -432,15 +427,12 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
         (Some(a), Some(b)) => Some(Miter::build(a, b, share).graph),
         _ => None,
     };
-    report.absorb(lint_bundle(
-        &Bundle {
-            aig: miter_graph.as_ref(),
-            cnf: formula.as_ref(),
-            proof: proof.as_ref(),
-            certificate: certificate.as_ref(),
-        },
-        opts,
-    ));
+    report.absorb(lint_bundle(&Bundle {
+        aig: miter_graph.as_ref(),
+        cnf: formula.as_ref(),
+        proof: proof.as_ref(),
+        certificate: certificate.as_ref(),
+    }));
 
     // The journal's verdict record seals the run: its equivalence flag,
     // proof fingerprint, and counterexample must all still hold.
@@ -454,7 +446,7 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
         let equivalent = v.get("equivalent").map(|b| *b == Value::Bool(true));
         if let (Some(journaled), Some(claimed)) = (equivalent, manifest_verdict) {
             if journaled != claimed {
-                report.emit(XB011, None, cap, || {
+                report.emit(XB011, None, || {
                     format!(
                         "manifest verdict ({}) disagrees with the journal ({})",
                         if claimed {
@@ -478,7 +470,7 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
             let actual = fnv1a64_hex(bytes);
             if actual != hash {
                 let recorded = hash.to_string();
-                report.emit(XB010, None, cap, || {
+                report.emit(XB010, None, || {
                     format!(
                         "`proof.tc`: content hash {actual} disagrees with the \
                          journal's verdict record ({recorded})"
@@ -491,14 +483,14 @@ pub fn check_bundle(dir: &Path, opts: &LintOptions) -> Report {
             if let (Some(a), Some(b)) = (&a, &b) {
                 if bools.len() == a.num_inputs() && bools.len() == b.num_inputs() {
                     if a.evaluate(&bools) == b.evaluate(&bools) {
-                        report.emit(XB011, None, cap, || {
+                        report.emit(XB011, None, || {
                             "the journaled counterexample does not distinguish the \
                              circuits"
                                 .into()
                         });
                     }
                 } else {
-                    report.emit(XB011, None, cap, || {
+                    report.emit(XB011, None, || {
                         format!(
                             "the journaled counterexample has {} bits for {}-input \
                              circuits",

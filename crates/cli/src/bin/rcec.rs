@@ -23,26 +23,28 @@
 //! 2 error. `--proof=FILE` saves the returned TraceCheck certificate;
 //! whether the answer was a certificate-cache hit is noted on stderr.
 //!
-//! `--lint-proof` runs the static-analysis lint pass over the recorded
-//! proof and prints its report — far cheaper than `--check`'s full
-//! replay. Lint *errors* fail the run with exit 2. `--lint-bundle`
-//! extends the pass across artifacts: the engine re-derives its own
-//! miter CNF and statically checks AIG↔CNF↔proof↔certificate binding
-//! (the `XB` lint family).
+//! `--lint-proof` runs `rplint`'s proof pass over the proof `rcec`
+//! writes (the trimmed one with `--trim`) and prints its report — far
+//! cheaper than `--check`'s full replay. Lint *errors* fail the run
+//! with exit 2. `--lint-bundle` adds the bundle pass: it statically
+//! checks the AIG↔CNF↔proof↔certificate binding of the miter, its CNF,
+//! that proof and the certificate `--emit-cert` writes (the `XB` lint
+//! family).
 //!
 //! `--emit-miter`/`--emit-cnf`/`--emit-cert` export the miter graph
 //! (ASCII AIGER), its Tseitin CNF (DIMACS), and the certificate
 //! metadata, so a third party can re-run the same bundle analysis with
-//! `rplint miter.aag miter.cnf proof.tc cert.cert`. With `--trim` the
-//! emitted certificate describes the trimmed proof.
+//! `rplint miter.aag miter.cnf proof.tc cert.cert`: its proof and
+//! bundle passes add up to `rcec`'s report. With `--trim` the written
+//! proof and the emitted certificate are the trimmed ones.
 //!
 //! `--trace-out=FILE` writes the run's event journal as JSON Lines
 //! (one object per line); `--trace-chrome=FILE` writes the same events
 //! in Chrome `trace_event` format, loadable in `chrome://tracing` or
 //! Perfetto. `--stats-json=FILE` dumps the full machine-readable
 //! stats tree (counters, per-phase wall-clock breakdown, per-SAT-call
-//! conflict and per-lemma chain-length histograms, solver / proof /
-//! lint counters). `--verbose` prints the phase
+//! conflict and per-lemma chain-length histograms, solver / proof
+//! counters). `--verbose` prints the phase
 //! breakdown and histograms on stderr.
 //!
 //! `--metrics-out=FILE` attaches a live metrics registry and a
@@ -181,8 +183,6 @@ fn run() -> Result<i32, String> {
         structural_merging: !args.has("no-struct"),
         share_structure: !args.has("no-share"),
         sweep: !args.has("no-sweep"),
-        lint_proof: args.has("lint-proof"),
-        lint_bundle: args.has("lint-bundle"),
         verify: args.has("check"),
         ..EngineConfig::default()
     };
@@ -223,25 +223,36 @@ fn run() -> Result<i32, String> {
             if !quiet {
                 eprintln!("EQUIVALENT ({})", cert.stats);
             }
-            if let Some(report) = &cert.lint_report {
-                let stderr = std::io::stderr();
-                let mut w = stderr.lock();
-                report.write_text(&mut w).map_err(|e| e.to_string())?;
-                if !report.is_clean() {
-                    return Err(format!("proof lint failed: {}", report.counts()));
-                }
-            }
             let trimmed = if args.has("trim") {
                 cert.proof.as_ref().map(proof::trim_refutation)
             } else {
                 None
             };
+            // The proof and certificate metadata rcec writes.
+            let (written, info) = match &trimmed {
+                Some(t) => (
+                    Some(&t.proof),
+                    lint::CertificateInfo {
+                        empty_clause: Some(t.root.index()),
+                        original: Some(t.proof.num_original()),
+                        derived: Some(t.proof.num_derived()),
+                        resolutions: Some(t.proof.num_resolutions()),
+                    },
+                ),
+                None => (cert.proof.as_ref(), cert.info()),
+            };
+            // The identical deterministic construction the prover ran.
+            let miter = (args.has("lint-bundle")
+                || args.value("emit-miter").is_some()
+                || args.value("emit-cnf").is_some())
+            .then(|| cec::Miter::build(&a, &b, !args.has("no-share")));
+            if args.has("lint-proof") || args.has("lint-bundle") {
+                let p = written.ok_or("no proof recorded (internal error)")?;
+                let bundle = miter.as_ref().filter(|_| args.has("lint-bundle"));
+                cec_tools::lint_certificate(p, &info, bundle)?;
+            }
             if let Some(path) = args.value("proof") {
-                let p = cert
-                    .proof
-                    .as_ref()
-                    .ok_or("no proof recorded (internal error)")?;
-                let to_write = trimmed.as_ref().map_or(p, |t| &t.proof);
+                let to_write = written.ok_or("no proof recorded (internal error)")?;
                 let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
                 let mut w = BufWriter::new(f);
                 proof::export::write_tracecheck(to_write, &mut w)
@@ -251,9 +262,7 @@ fn run() -> Result<i32, String> {
                     eprintln!("proof written to {path} ({} steps)", to_write.len());
                 }
             }
-            if args.value("emit-miter").is_some() || args.value("emit-cnf").is_some() {
-                // The identical deterministic construction the prover ran.
-                let miter = cec::Miter::build(&a, &b, !args.has("no-share"));
+            if let Some(miter) = &miter {
                 if let Some(path) = args.value("emit-miter") {
                     let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
                     let mut w = BufWriter::new(f);
@@ -262,7 +271,7 @@ fn run() -> Result<i32, String> {
                         .map_err(|e| format!("{path}: {e}"))?;
                 }
                 if let Some(path) = args.value("emit-cnf") {
-                    let formula = cec::miter_cnf(&miter);
+                    let formula = cec::miter_cnf(miter);
                     let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
                     let mut w = BufWriter::new(f);
                     cnf::dimacs::write(&formula, &mut w)
@@ -271,15 +280,6 @@ fn run() -> Result<i32, String> {
                 }
             }
             if let Some(path) = args.value("emit-cert") {
-                let info = match &trimmed {
-                    Some(t) => lint::CertificateInfo {
-                        empty_clause: Some(t.root.index()),
-                        original: Some(t.proof.num_original()),
-                        derived: Some(t.proof.num_derived()),
-                        resolutions: Some(t.proof.num_resolutions()),
-                    },
-                    None => cert.info(),
-                };
                 let f = File::create(path).map_err(|e| format!("{path}: {e}"))?;
                 let mut w = BufWriter::new(f);
                 info.write(&mut w)

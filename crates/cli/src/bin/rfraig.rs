@@ -13,10 +13,11 @@
 //! with `--verify` the trace also covers the verification run.
 //! `--verbose` prints the reduction's phase breakdown and histograms.
 //!
-//! `--lint-proof` statically lints the proof recorded by the `--verify`
-//! equivalence check (it implies nothing on its own: reduction itself
-//! records no refutation); `--lint-bundle` additionally checks the
-//! cross-artifact AIG↔CNF↔proof↔certificate binding of that check.
+//! `--lint-proof` runs `rplint`'s proof pass over the proof recorded by
+//! the `--verify` equivalence check (it implies nothing on its own:
+//! reduction itself records no refutation); `--lint-bundle` adds the
+//! bundle pass, which checks the AIG↔CNF↔proof↔certificate binding of
+//! that check's miter. Lint errors fail the run with exit 2.
 //!
 //! Merges functionally equivalent nodes by SAT sweeping and writes the
 //! reduced circuit. With `--verify`, the reduction is proven
@@ -94,27 +95,24 @@ fn run() -> Result<i32, String> {
     if args.has("verify") {
         let config = EngineConfig {
             verify: true,
-            lint_proof: args.has("lint-proof"),
-            lint_bundle: args.has("lint-bundle"),
             // The reduction's pair budget does not carry over.
             pair_conflict_limit: None,
             ..config
         };
-        let outcome = Session::new(config, &ctx)
-            .check(&input, &reduced)
-            .map_err(|e| e.to_string())?;
-        if !outcome.is_equivalent() {
+        let session = Session::new(config, &ctx);
+        let outcome = session.check(&input, &reduced).map_err(|e| e.to_string())?;
+        let cec::CecOutcome::Equivalent(cert) = outcome else {
             return Err("internal error: reduction changed the function".into());
-        }
-        if let cec::CecOutcome::Equivalent(cert) = &outcome {
-            if let Some(report) = &cert.lint_report {
-                let stderr = std::io::stderr();
-                let mut w = stderr.lock();
-                report.write_text(&mut w).map_err(|e| e.to_string())?;
-                if !report.is_clean() {
-                    return Err(format!("proof lint failed: {}", report.counts()));
-                }
-            }
+        };
+        if args.has("lint-proof") || args.has("lint-bundle") {
+            let p = cert
+                .proof
+                .as_ref()
+                .ok_or("no proof recorded (internal error)")?;
+            let miter = args
+                .has("lint-bundle")
+                .then(|| cec::Miter::build(&input, &reduced, session.config().share_structure));
+            cec_tools::lint_certificate(p, &cert.info(), miter.as_ref())?;
         }
         if !args.has("quiet") {
             eprintln!("verified: reduction is equivalence-preserving (proof checked)");

@@ -222,26 +222,23 @@ fn lint_one(path: &str, kind: Kind, opts: &lint::LintOptions) -> Result<lint::Re
         Kind::Proof => lint::lint_tracecheck(r, opts).map_err(|e| format!("{path}: {e}"))?,
         Kind::Cnf => {
             let f = cnf::dimacs::read(&mut r).map_err(|e| format!("{path}: {e}"))?;
-            lint::lint_cnf(&f, opts)
+            lint::lint_cnf(&f)
         }
         Kind::Aig => {
             let g = aig::aiger::read_raw(r).map_err(|e| format!("{path}: {e}"))?;
-            lint::lint_aig(&g, opts)
+            lint::lint_aig(&g)
         }
         Kind::Drat => lint::lint_drat(r, None, opts).map_err(|e| format!("{path}: {e}"))?,
-        Kind::Journal => lint::lint_journal(r, opts).map_err(|e| format!("{path}: {e}"))?,
+        Kind::Journal => lint::lint_journal(r).map_err(|e| format!("{path}: {e}"))?,
         Kind::Cert => {
             let text = std::io::read_to_string(&mut r).map_err(|e| format!("{path}: {e}"))?;
             let info = lint::CertificateInfo::parse(&text).map_err(|e| format!("{path}: {e}"))?;
             // Alone, a certificate only has its grammar to check; the
             // binding checks need the proof next to it (bundle mode).
-            lint::lint_bundle(
-                &lint::Bundle {
-                    certificate: Some(&info),
-                    ..lint::Bundle::default()
-                },
-                opts,
-            )
+            lint::lint_bundle(&lint::Bundle {
+                certificate: Some(&info),
+                ..lint::Bundle::default()
+            })
         }
     })
 }
@@ -291,7 +288,7 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
                     return Err(dup(prev));
                 }
                 let g = aig::aiger::read_raw(r).map_err(|e| format!("{path}: {e}"))?;
-                let report = lint::lint_aig(&g, opts);
+                let report = lint::lint_aig(&g);
                 aig_file = Some((path.clone(), g));
                 report
             }
@@ -300,7 +297,7 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
                     return Err(dup(prev));
                 }
                 let f = cnf::dimacs::read(&mut r).map_err(|e| format!("{path}: {e}"))?;
-                let report = lint::lint_cnf(&f, opts);
+                let report = lint::lint_cnf(&f);
                 cnf_file = Some((path.clone(), f));
                 report
             }
@@ -308,8 +305,7 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
                 if let Some((prev, _)) = &proof_file {
                     return Err(dup(prev));
                 }
-                let (report, p) =
-                    lint::read_tracecheck(r, opts).map_err(|e| format!("{path}: {e}"))?;
+                let (report, p) = lint::read_tracecheck(r).map_err(|e| format!("{path}: {e}"))?;
                 proof_file = Some((path.clone(), p));
                 report
             }
@@ -334,7 +330,7 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
             }
             // Journals have no cross-artifact pass here (that is
             // `rchaos check`'s job); lint the file on its own.
-            Kind::Journal => lint::lint_journal(r, opts).map_err(|e| format!("{path}: {e}"))?,
+            Kind::Journal => lint::lint_journal(r).map_err(|e| format!("{path}: {e}"))?,
         };
         if report.counts().errors > 0 {
             worst = exit::NEGATIVE;
@@ -370,7 +366,7 @@ fn bundle_mode(args: &Args, opts: &lint::LintOptions, kinds: &[Kind]) -> Result<
         proof,
         certificate: cert_file.as_ref().map(|(_, c)| c),
     };
-    let report = lint::lint_bundle(&bundle, opts);
+    let report = lint::lint_bundle(&bundle);
     if report.counts().errors > 0 {
         worst = exit::NEGATIVE;
     }
@@ -402,7 +398,7 @@ fn fix_mode(args: &Args, opts: &lint::LintOptions, forced: Option<Kind>) -> Resu
     }
     let f = File::open(path).map_err(|e| format!("{path}: {e}"))?;
     let (mut file_report, p) =
-        lint::read_tracecheck(BufReader::new(f), opts).map_err(|e| format!("{path}: {e}"))?;
+        lint::read_tracecheck(BufReader::new(f)).map_err(|e| format!("{path}: {e}"))?;
     let Some(p) = p else {
         print_report(args, path, &file_report, false)?;
         return Err(format!(

@@ -1,6 +1,7 @@
 //! Shared plumbing for the command-line tools (`rcec`, `rsat`,
-//! `rcheck`, ...): a tiny flag parser, the engine flags the checking
-//! tools share, and file helpers. The binaries are thin
+//! `rcheck`, ...): a tiny flag parser, the engine flags and the
+//! certificate lint the checking tools share, and file helpers. The
+//! binaries are thin
 //! wrappers over the library crates — all logic lives in `cec`, `sat`,
 //! and `proof`.
 
@@ -86,6 +87,46 @@ impl Args {
 pub fn apply_engine_flags(args: &Args, config: &mut cec::EngineConfig) -> Result<(), String> {
     if let Some(v) = args.value("limit") {
         config.pair_conflict_limit = Some(v.parse().map_err(|e| format!("--limit: {e}"))?);
+    }
+    Ok(())
+}
+
+/// The `--lint-proof` / `--lint-bundle` audit of `rcec` and `rfraig`:
+/// `rplint`'s proof pass over the refutation `proof` and, given the
+/// `miter` it refutes, the bundle pass over the miter graph, its CNF,
+/// `proof` and `info`. The combined report goes to stderr, labelled
+/// `bundle` when the bundle pass ran.
+///
+/// # Errors
+///
+/// An error-severity finding (`proof lint failed: …`), or a failed
+/// write to stderr.
+pub fn lint_certificate(
+    proof: &proof::Proof,
+    info: &lint::CertificateInfo,
+    miter: Option<&cec::Miter>,
+) -> Result<(), String> {
+    let opts = lint::LintOptions {
+        expect_refutation: true,
+        ..lint::LintOptions::default()
+    };
+    let mut report = lint::lint_proof(proof, &opts);
+    if let Some(miter) = miter {
+        let formula = cec::miter_cnf(miter);
+        let mut bundle = lint::lint_bundle(&lint::Bundle {
+            aig: Some(&miter.graph),
+            cnf: Some(&formula),
+            proof: Some(proof),
+            certificate: Some(info),
+        });
+        bundle.absorb(report);
+        report = bundle;
+    }
+    report
+        .write_text(&mut std::io::stderr().lock())
+        .map_err(|e| e.to_string())?;
+    if !report.is_clean() {
+        return Err(format!("proof lint failed: {}", report.counts()));
     }
     Ok(())
 }

@@ -300,9 +300,9 @@ fn rcheck_requires_refutation_when_asked() {
     let _ = fs::remove_file(path);
 }
 
-#[test]
-fn rfraig_reduces_and_round_trips() {
-    // Two copies of the same function, no sharing: rfraig must shrink it.
+/// Two unshared copies of a 6-bit adder over the same inputs: a graph
+/// `rfraig` must shrink.
+fn planted_redundancy() -> aig::Aig {
     let base = aig::gen::ripple_carry_adder(6);
     let shuffled = base.shuffle_rebuild(5);
     let mut g = aig::Aig::new();
@@ -324,6 +324,12 @@ fn rfraig_reduces_and_round_trips() {
             g.add_output(map[o.node().as_usize()].xor_complement(o.is_complemented()));
         }
     }
+    g
+}
+
+#[test]
+fn rfraig_reduces_and_round_trips() {
+    let g = planted_redundancy();
     let in_path = tmp("fraig-in.aag");
     let out_path = tmp("fraig-out.aag");
     write_aiger(&g, &in_path);
@@ -343,6 +349,108 @@ fn rfraig_reduces_and_round_trips() {
     assert!(reduced.num_ands() < g.num_ands());
     let _ = fs::remove_file(in_path);
     let _ = fs::remove_file(out_path);
+}
+
+#[test]
+fn rfraig_lints_the_proof_of_its_verification() {
+    let in_path = tmp("fraig-lint-in.aag");
+    let out_path = tmp("fraig-lint-out.aag");
+    write_aiger(&planted_redundancy(), &in_path);
+    for (flag, summary) in [("--lint-proof", "proof: "), ("--lint-bundle", "bundle: ")] {
+        let out = run(
+            env!("CARGO_BIN_EXE_rfraig"),
+            &[
+                in_path.to_str().unwrap(),
+                out_path.to_str().unwrap(),
+                "--verify",
+                flag,
+                "--quiet",
+            ],
+        );
+        assert_eq!(out.status.code(), Some(0), "{flag}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            err.lines().last().is_some_and(|l| l.starts_with(summary)),
+            "{flag}: {err}"
+        );
+    }
+    let _ = fs::remove_file(in_path);
+    let _ = fs::remove_file(out_path);
+}
+
+/// The `[errors, warnings, infos]` of a lint summary line such as
+/// `bundle: 0 errors, 15 warnings, 0 infos`.
+fn summary_counts(line: &str) -> [usize; 3] {
+    let (_, counts) = line.split_once(": ").expect("a summary line");
+    let counts: Vec<usize> = counts
+        .split(", ")
+        .map(|c| c.split(' ').next().unwrap().parse().unwrap())
+        .collect();
+    counts.try_into().expect("three counts")
+}
+
+#[test]
+fn rcec_lint_counts_match_rplint_on_the_written_files() {
+    // rcec's report covers the proof and certificate it writes, so
+    // rplint's proof and bundle passes over the emitted files add up to
+    // it, with --trim and without.
+    let (a, b) = aig::gen::family_pair("adder", 8).expect("known family");
+    let paths: Vec<PathBuf> = ["a.aag", "b.aag", "m.aag", "m.cnf", "p.trace", "p.cert"]
+        .iter()
+        .map(|name| tmp(&format!("agree-{name}")))
+        .collect();
+    let [a_path, b_path, miter, cnf, proof, cert] = &paths[..] else {
+        unreachable!()
+    };
+    write_aiger(&a, a_path);
+    write_aiger(&b, b_path);
+    for trim in [false, true] {
+        let mut args = vec![
+            a_path.display().to_string(),
+            b_path.display().to_string(),
+            "--lint-proof".into(),
+            "--lint-bundle".into(),
+            format!("--proof={}", proof.display()),
+            format!("--emit-miter={}", miter.display()),
+            format!("--emit-cnf={}", cnf.display()),
+            format!("--emit-cert={}", cert.display()),
+            "--quiet".into(),
+        ];
+        if trim {
+            args.push("--trim".into());
+        }
+        let args: Vec<&str> = args.iter().map(String::as_str).collect();
+        let out = run(env!("CARGO_BIN_EXE_rcec"), &args);
+        assert_eq!(out.status.code(), Some(0), "trim={trim}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        let last = err.lines().last().expect("a lint report");
+        assert!(last.starts_with("bundle: "), "trim={trim}: {err}");
+        let rcec = summary_counts(last);
+
+        let files = [miter, cnf, proof, cert].map(|p| p.display().to_string());
+        let mut args: Vec<&str> = files.iter().map(String::as_str).collect();
+        args.push("--refutation");
+        let out = run(env!("CARGO_BIN_EXE_rplint"), &args);
+        assert_eq!(out.status.code(), Some(0), "trim={trim}: {out:?}");
+        let text = String::from_utf8_lossy(&out.stdout);
+        // The proof file's parse report, its proof pass, the bundle pass.
+        let summaries: Vec<&str> = text
+            .lines()
+            .filter(|l| l.starts_with("proof: ") || l.starts_with("bundle: "))
+            .collect();
+        let [_, proof_pass, bundle_pass] = summaries[..] else {
+            panic!("trim={trim}: {text}");
+        };
+        let (p, b) = (summary_counts(proof_pass), summary_counts(bundle_pass));
+        assert_eq!(
+            rcec,
+            [0, 1, 2].map(|i| p[i] + b[i]),
+            "trim={trim}: rcec {last:?}, rplint {proof_pass:?} + {bundle_pass:?}"
+        );
+    }
+    for p in paths {
+        let _ = fs::remove_file(p);
+    }
 }
 
 #[test]
@@ -468,7 +576,7 @@ fn rplint_lints_cnf_and_aig_files() {
 }
 
 #[test]
-fn rplint_usage_errors() {
+fn rplint_refuses_bad_usage() {
     let out = run(env!("CARGO_BIN_EXE_rplint"), &[]);
     assert_eq!(out.status.code(), Some(2));
     let out = run(env!("CARGO_BIN_EXE_rplint"), &["x", "--kind=nonsense"]);

@@ -255,8 +255,6 @@ impl<'g> Sweep<'g> {
         let plink = self.rep[link.parent.as_usize()].expect("parent has a link after find");
         debug_assert_eq!(plink.parent, root);
         let phase = link.phase ^ plink.phase;
-        let vn = Var::new(n.index());
-        let root_lit = Var::new(root.index()).lit(phase);
         let lemma = if self.config.proof {
             let (pf, pb) = (
                 plink.fwd.expect("proof mode lemma"),
@@ -271,15 +269,7 @@ impl<'g> Sweep<'g> {
             } else {
                 ([lf, pb], [lb, pf])
             };
-            let fwd = self
-                .solver
-                .add_derived_clause(&[vn.negative(), root_lit], &fwd_ants);
-            let bwd = self
-                .solver
-                .add_derived_clause(&[vn.positive(), !root_lit], &bwd_ants);
-            self.solver.tag_proof_step(fwd, StepRole::Composition);
-            self.solver.tag_proof_step(bwd, StepRole::Composition);
-            Some((fwd, bwd))
+            Some(self.compose(n, root, phase, fwd_ants, bwd_ants))
         } else {
             None
         };
@@ -290,6 +280,31 @@ impl<'g> Sweep<'g> {
             bwd: lemma.map(|l| l.1),
         });
         (root, phase, lemma)
+    }
+
+    /// Derives the two [`StepRole::Composition`] clauses of
+    /// `n ≡ root ^ phase`: `(¬v_n ∨ R)` from `fwd_ants` and
+    /// `(v_n ∨ ¬R)` from `bwd_ants`, where `R` is `root`'s literal at
+    /// `phase`.
+    fn compose(
+        &mut self,
+        n: NodeId,
+        root: NodeId,
+        phase: bool,
+        fwd_ants: [ClauseId; 2],
+        bwd_ants: [ClauseId; 2],
+    ) -> (ClauseId, ClauseId) {
+        let vn = Var::new(n.index());
+        let root_lit = Var::new(root.index()).lit(phase);
+        let fwd = self
+            .solver
+            .add_derived_clause(&[vn.negative(), root_lit], &fwd_ants);
+        let bwd = self
+            .solver
+            .add_derived_clause(&[vn.positive(), !root_lit], &bwd_ants);
+        self.solver.tag_proof_step(fwd, StepRole::Composition);
+        self.solver.tag_proof_step(bwd, StepRole::Composition);
+        (fwd, bwd)
     }
 
     /// Rep-normalized solver literal of an AIG edge, with the edge-level
@@ -593,16 +608,7 @@ impl<'g> Sweep<'g> {
                     mlink.fwd.expect("proof mode lemma"),
                     mlink.bwd.expect("proof mode lemma"),
                 );
-                let vn = Var::new(n.index());
-                let root_lit = Var::new(root.index()).lit(pm);
-                let fwd = self
-                    .solver
-                    .add_derived_clause(&[vn.negative(), root_lit], &[nf, mf]);
-                let bwd = self
-                    .solver
-                    .add_derived_clause(&[vn.positive(), !root_lit], &[nb, mb]);
-                self.solver.tag_proof_step(fwd, StepRole::Composition);
-                self.solver.tag_proof_step(bwd, StepRole::Composition);
+                let (fwd, bwd) = self.compose(n, root, pm, [nf, mf], [nb, mb]);
                 (Some(fwd), Some(bwd))
             }
             Some((nf, nb)) => (Some(nf), Some(nb)),
@@ -1207,7 +1213,6 @@ mod tests {
         let ctx = SharedContext::new(recorder.clone(), Metrics::disabled());
         let config = EngineConfig {
             verify: true,
-            lint_proof: true,
             ..EngineConfig::default()
         };
         let a = ripple_carry_adder(5);
@@ -1227,10 +1232,10 @@ mod tests {
             "final_solve",
             "trim",
             "check",
-            "lint",
         ] {
             assert!(names.contains(phase), "missing phase span {phase}");
         }
+        assert!(!names.contains("lint"), "the engine runs no lint");
         // One SAT-call span per sweeping call, all on the engine's tid.
         let sat_spans: Vec<u32> = events
             .iter()

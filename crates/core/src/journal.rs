@@ -101,6 +101,8 @@ pub struct Durable {
     m_checkpoints: obs::metrics::Counter,
     /// Live counter of journaled records validated on resume.
     m_replayed: obs::metrics::Counter,
+    /// The TraceCheck bytes [`Durable::verdict`] fingerprinted.
+    tracecheck: Option<Vec<u8>>,
 }
 
 /// Canonical header body for an input pair + engine config.
@@ -293,7 +295,8 @@ impl Durable {
     /// Records the final verdict: equivalence flag plus the FNV-1a
     /// fingerprint of the TraceCheck-serialized proof (UNSAT, when a
     /// proof was recorded) or the distinguishing input pattern (SAT).
-    /// Only a journaling handle serializes the proof.
+    /// Only a journaling handle serializes the proof; it keeps the
+    /// bytes for [`Durable::take_tracecheck`].
     ///
     /// # Errors
     ///
@@ -313,6 +316,7 @@ impl Durable {
                     proof::export::write_tracecheck(p, &mut bytes)
                         .expect("write to Vec cannot fail");
                     entries.push(("proof_hash".into(), Value::Str(fnv1a64_hex(&bytes))));
+                    self.tracecheck = Some(bytes);
                 }
             }
             CecOutcome::Inequivalent { counterexample, .. } => {
@@ -321,6 +325,12 @@ impl Durable {
             }
         }
         self.record(&Value::Object(entries)).map(drop)
+    }
+
+    /// The TraceCheck serialization of the proof whose fingerprint
+    /// [`Durable::verdict`] journaled, if it recorded one.
+    pub fn take_tracecheck(&mut self) -> Option<Vec<u8>> {
+        self.tracecheck.take()
     }
 
     /// Validates `body` against the replay prefix or appends it; `true`

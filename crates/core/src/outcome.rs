@@ -29,14 +29,12 @@ pub struct PhaseTimes {
     pub trim: Duration,
     /// Independent proof checking ([`crate::EngineConfig::verify`]).
     pub check: Duration,
-    /// Proof / bundle lint passes.
-    pub lint: Duration,
 }
 
 impl PhaseTimes {
     /// Total time attributed to a phase.
     pub fn sum(&self) -> Duration {
-        self.miter + self.sim + self.sweep + self.final_solve + self.trim + self.check + self.lint
+        self.miter + self.sim + self.sweep + self.final_solve + self.trim + self.check
     }
 }
 
@@ -44,14 +42,13 @@ impl fmt::Display for PhaseTimes {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "miter={:.3}s sim={:.3}s sweep={:.3}s final={:.3}s trim={:.3}s check={:.3}s lint={:.3}s",
+            "miter={:.3}s sim={:.3}s sweep={:.3}s final={:.3}s trim={:.3}s check={:.3}s",
             self.miter.as_secs_f64(),
             self.sim.as_secs_f64(),
             self.sweep.as_secs_f64(),
             self.final_solve.as_secs_f64(),
             self.trim.as_secs_f64(),
-            self.check.as_secs_f64(),
-            self.lint.as_secs_f64()
+            self.check.as_secs_f64()
         )
     }
 }
@@ -98,9 +95,6 @@ pub struct EngineStats {
     /// Distribution of resolution-chain lengths per committed
     /// equivalence lemma (empty with proof logging off).
     pub lemma_chain_hist: LogHistogram,
-    /// Diagnostic counts from the proof lint pass, when
-    /// [`crate::EngineConfig::lint_proof`] ran.
-    pub lints: Option<lint::LintCounts>,
 }
 
 impl fmt::Display for EngineStats {
@@ -136,9 +130,6 @@ pub struct Certificate {
     pub partition: Option<Vec<(ClauseId, cnf::tseitin::Partition)>>,
     /// Run counters.
     pub stats: EngineStats,
-    /// The proof lint report, when [`crate::EngineConfig::lint_proof`]
-    /// ran (its counts are also in [`EngineStats::lints`]).
-    pub lint_report: Option<lint::Report>,
 }
 
 impl Certificate {

@@ -31,7 +31,7 @@
 //! the load generator's in-process mode, batch drivers — holds one
 //! [`SharedContext`] and creates a session per check.
 
-use crate::engine::{miter_cnf, node_lit, Sweep};
+use crate::engine::{node_lit, Sweep};
 use crate::journal::Durable;
 use crate::miter::Miter;
 use crate::outcome::{CecError, CecOutcome, Certificate, Counterexample, EngineStats};
@@ -74,19 +74,6 @@ pub struct EngineConfig {
     pub pair_conflict_limit: Option<u64>,
     /// Record a resolution proof.
     pub proof: bool,
-    /// Run the static-analysis lint pass over the recorded proof before
-    /// returning: lint counts land in [`EngineStats::lints`] and the
-    /// full report in [`crate::Certificate::lint_report`]. Much cheaper
-    /// than [`EngineConfig::verify`]'s full replay, and localizes
-    /// defects instead of rejecting wholesale.
-    pub lint_proof: bool,
-    /// Run the cross-artifact bundle lint on top of the proof lint: the
-    /// engine re-derives its own miter CNF via [`miter_cnf`] and checks
-    /// AIG↔CNF↔proof↔certificate binding with [`lint::lint_bundle`].
-    /// Implies the proof lint; counts and report land in the same
-    /// places. [`Session::check_monolithic`] ignores it: its CNF is not
-    /// [`miter_cnf`].
-    pub lint_bundle: bool,
     /// Re-check the recorded proof with the independent checker before
     /// returning, and validate counterexamples by evaluation. Failures
     /// become [`CecError`]s instead of silently wrong verdicts.
@@ -103,8 +90,6 @@ impl Default for EngineConfig {
             sweep: true,
             pair_conflict_limit: None,
             proof: true,
-            lint_proof: false,
-            lint_bundle: false,
             verify: false,
         }
     }
@@ -273,17 +258,7 @@ impl<'c> Session<'c> {
             .iter()
             .map(|node| Var::new(node.index()))
             .collect();
-        let outcome = self.certify(
-            a,
-            b,
-            solver,
-            final_start,
-            &inputs,
-            stats,
-            sides,
-            Some(&miter),
-            durable,
-        )?;
+        let outcome = self.certify(a, b, solver, final_start, &inputs, stats, sides, durable)?;
         durable.verdict(&outcome)?;
         Ok(self.deliver(outcome, start))
     }
@@ -296,11 +271,10 @@ impl<'c> Session<'c> {
     /// an equivalent verdict always carries the interpolation
     /// partition when proofs are on.
     ///
-    /// Reads [`EngineConfig::proof`], [`EngineConfig::lint_proof`] and
-    /// [`EngineConfig::verify`]. Ignores `lint_bundle` (this CNF is not
-    /// [`miter_cnf`]) and every simulation and sweep field:
-    /// `sim_words`, `seed`, `share_structure`, `structural_merging`,
-    /// `sweep` and `pair_conflict_limit`.
+    /// Reads [`EngineConfig::proof`] and [`EngineConfig::verify`].
+    /// Ignores every simulation and sweep field: `sim_words`, `seed`,
+    /// `share_structure`, `structural_merging`, `sweep` and
+    /// `pair_conflict_limit`.
     ///
     /// # Errors
     ///
@@ -357,7 +331,6 @@ impl<'c> Session<'c> {
             &enc.shared_inputs,
             stats,
             sides,
-            None,
             &mut Durable::disabled(),
         )?;
         Ok(self.deliver(outcome, start))
@@ -368,12 +341,11 @@ impl<'c> Session<'c> {
     /// leaves. The final-solve phase is timed from `final_start`, which
     /// the caller takes before it finishes loading the solver. UNSAT
     /// records the proof's size, replays it under
-    /// [`EngineConfig::verify`], trims it and runs the proof lint —
-    /// plus, with [`EngineConfig::lint_bundle`] and a `miter`, the
-    /// bundle lint. SAT reads the counterexample off the model of the
-    /// primary-input variables `inputs` and, under `verify`, rejects one
-    /// that does not separate `a` from `b`. `sides` labels the original
-    /// clauses for interpolation.
+    /// [`EngineConfig::verify`] and trims it. SAT reads the
+    /// counterexample off the model of the primary-input variables
+    /// `inputs` and, under `verify`, rejects one that does not separate
+    /// `a` from `b`. `sides` labels the original clauses for
+    /// interpolation.
     #[allow(clippy::too_many_arguments)]
     fn certify(
         &self,
@@ -384,7 +356,6 @@ impl<'c> Session<'c> {
         inputs: &[Var],
         mut stats: EngineStats,
         sides: Option<Vec<(ClauseId, Partition)>>,
-        miter: Option<&Miter>,
         durable: &mut Durable,
     ) -> Result<CecOutcome, CecError> {
         let rec = &self.ctx.recorder;
@@ -432,7 +403,6 @@ impl<'c> Session<'c> {
                     proof: solver.into_proof(),
                     partition: sides,
                     stats,
-                    lint_report: None,
                 };
                 let Some(p) = &cert.proof else {
                     return Ok(CecOutcome::Equivalent(Box::new(cert)));
@@ -455,33 +425,6 @@ impl<'c> Session<'c> {
                 cert.stats.phases.trim = trim_start.elapsed();
                 rec.complete("trim", TID_COORDINATOR, trim_start, cert.stats.phases.trim);
                 durable.checkpoint("trim", &[("steps", Value::U64(t.proof.len() as u64))])?;
-                let bundle_miter = miter.filter(|_| self.config.lint_bundle);
-                if self.config.lint_proof || bundle_miter.is_some() {
-                    let lint_start = Instant::now();
-                    let lint_opts = lint::LintOptions {
-                        expect_refutation: true,
-                        ..lint::LintOptions::default()
-                    };
-                    let mut report = lint::lint_proof(p, &lint_opts);
-                    if let Some(miter) = bundle_miter {
-                        let bundle_cnf = miter_cnf(miter);
-                        let mut bundle = lint::lint_bundle(
-                            &lint::Bundle {
-                                aig: Some(&miter.graph),
-                                cnf: Some(&bundle_cnf),
-                                proof: Some(p),
-                                certificate: Some(&cert.info()),
-                            },
-                            &lint_opts,
-                        );
-                        bundle.absorb(report);
-                        report = bundle;
-                    }
-                    cert.stats.lints = Some(report.counts());
-                    cert.lint_report = Some(report);
-                    cert.stats.phases.lint = lint_start.elapsed();
-                    rec.complete("lint", TID_COORDINATOR, lint_start, cert.stats.phases.lint);
-                }
                 Ok(CecOutcome::Equivalent(Box::new(cert)))
             }
         }

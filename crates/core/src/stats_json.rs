@@ -2,7 +2,7 @@
 //!
 //! [`EngineStats::to_json`] renders the full stats tree — engine
 //! counters, per-phase wall-clock breakdown, per-call histograms,
-//! and solver / proof / lint counters — as an
+//! and solver / proof counters — as an
 //! [`obs::json::Value`] for the CLI's `--stats-json` flag and the
 //! bench harness. Durations are integer microseconds (`*_us` keys):
 //! lossless, deterministic, and diffable across runs.
@@ -34,7 +34,6 @@ fn phases_json(p: &PhaseTimes) -> Value {
         ("final_solve_us", us(p.final_solve)),
         ("trim_us", us(p.trim)),
         ("check_us", us(p.check)),
-        ("lint_us", us(p.lint)),
         ("sum_us", us(p.sum())),
     ])
 }
@@ -59,14 +58,6 @@ fn proof_json(p: &ProofStats) -> Value {
         ("max_width", Value::U64(p.max_width as u64)),
         ("total_literals", Value::U64(p.total_literals)),
         ("max_chain", Value::U64(p.max_chain as u64)),
-    ])
-}
-
-fn lints_json(l: &lint::LintCounts) -> Value {
-    obj(vec![
-        ("errors", Value::U64(l.errors as u64)),
-        ("warnings", Value::U64(l.warnings as u64)),
-        ("infos", Value::U64(l.infos as u64)),
     ])
 }
 
@@ -101,9 +92,6 @@ impl EngineStats {
         }
         if let Some(t) = &self.trimmed {
             members.push(("trimmed", proof_json(t)));
-        }
-        if let Some(l) = &self.lints {
-            members.push(("lints", lints_json(l)));
         }
         obj(members)
     }
@@ -143,7 +131,7 @@ mod tests {
         };
         assert_eq!(
             format!("{p}"),
-            "miter=0.001s sim=0.002s sweep=0.500s final=0.040s trim=0.000s check=0.000s lint=0.000s"
+            "miter=0.001s sim=0.002s sweep=0.500s final=0.040s trim=0.000s check=0.000s"
         );
         assert_eq!(p.sum(), Duration::from_millis(543));
     }
@@ -170,18 +158,24 @@ mod tests {
         assert_eq!(v.get("sat_calls").and_then(Value::as_u64), Some(3));
         assert_eq!(v.get("elapsed_us").and_then(Value::as_u64), Some(1234));
         let phases = v.get("phases").expect("phase breakdown present");
-        for key in [
-            "miter_us",
-            "sim_us",
-            "sweep_us",
-            "final_solve_us",
-            "trim_us",
-            "check_us",
-            "lint_us",
-            "sum_us",
-        ] {
-            assert!(phases.get(key).is_some(), "missing phase key {key}");
-        }
+        let keys: Vec<&str> = phases
+            .as_object()
+            .expect("phases is an object")
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "miter_us",
+                "sim_us",
+                "sweep_us",
+                "final_solve_us",
+                "trim_us",
+                "check_us",
+                "sum_us",
+            ]
+        );
         assert_eq!(phases.get("miter_us").and_then(Value::as_u64), Some(200));
         assert_eq!(phases.get("check_us").and_then(Value::as_u64), Some(55));
         assert_eq!(phases.get("sum_us").and_then(Value::as_u64), Some(1155));
@@ -191,8 +185,8 @@ mod tests {
                 .and_then(Value::as_u64),
             Some(2)
         );
-        // Proof/lint blocks are absent when the run had none, and the
-        // deleted engines' keys are gone.
+        // The proof block is absent when the run had none; the lint
+        // counts and the deleted engines' keys are gone.
         for key in [
             "proof",
             "lints",

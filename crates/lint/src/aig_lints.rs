@@ -1,6 +1,6 @@
 //! Lints for And-Inverter Graph netlists (`AGxxx`).
 
-use crate::{Artifact, LintOptions, Location, Report, AG001, AG002, AG003, AG004};
+use crate::{Artifact, Location, Report, AG001, AG002, AG003, AG004};
 use aig::{Aig, Node};
 use std::collections::HashMap;
 
@@ -13,9 +13,8 @@ use std::collections::HashMap;
 /// construction, so `AG002`/`AG003` fire only on netlists read from
 /// files or built with [`Aig::and_unshared`] — exactly the external
 /// artifacts `rplint` is for.
-pub fn lint_aig(g: &Aig, opts: &LintOptions) -> Report {
+pub fn lint_aig(g: &Aig) -> Report {
     let mut r = Report::new(Artifact::Aig);
-    let cap = opts.max_per_lint;
 
     // Backward reachability from the outputs. Fanins always precede
     // their gates, so one reverse sweep settles the whole graph.
@@ -40,23 +39,23 @@ pub fn lint_aig(g: &Aig, opts: &LintOptions) -> Report {
             Node::Const => {}
             Node::Input { .. } => {
                 if !live[id.as_usize()] {
-                    r.emit(AG004, Some(Location::Node(id.index())), cap, || {
+                    r.emit(AG004, Some(Location::Node(id.index())), || {
                         "primary input feeds no output cone".into()
                     });
                 }
             }
             Node::And { a, b } => {
                 if !live[id.as_usize()] {
-                    r.emit(AG001, Some(Location::Node(id.index())), cap, || {
+                    r.emit(AG001, Some(Location::Node(id.index())), || {
                         "AND node is not in the fanin cone of any output".into()
                     });
                 }
                 if a.is_const() || b.is_const() {
-                    r.emit(AG003, Some(Location::Node(id.index())), cap, || {
+                    r.emit(AG003, Some(Location::Node(id.index())), || {
                         "AND gate has a constant fanin".into()
                     });
                 } else if a.node() == b.node() {
-                    r.emit(AG003, Some(Location::Node(id.index())), cap, || {
+                    r.emit(AG003, Some(Location::Node(id.index())), || {
                         let what = if a == b {
                             "identical fanins (x AND x = x)"
                         } else {
@@ -75,7 +74,7 @@ pub fn lint_aig(g: &Aig, opts: &LintOptions) -> Report {
                 match seen.entry(key) {
                     std::collections::hash_map::Entry::Occupied(e) => {
                         let first = *e.get();
-                        r.emit(AG002, Some(Location::Node(id.index())), cap, || {
+                        r.emit(AG002, Some(Location::Node(id.index())), || {
                             format!(
                                 "AND gate duplicates node n{} (same fanin pair; \
                                  structural hashing would merge them)",
@@ -104,7 +103,7 @@ mod tests {
         let y = g.add_input();
         let f = g.xor(x, y);
         g.add_output(f);
-        let r = lint_aig(&g, &LintOptions::default());
+        let r = lint_aig(&g);
         assert!(r.is_clean());
         assert_eq!(r.counts().warnings, 0);
         assert_eq!(r.counts().infos, 0);
@@ -117,7 +116,7 @@ mod tests {
         let y = g.add_input();
         let _dangling = g.and_unshared(x, y);
         g.add_output(x);
-        let r = lint_aig(&g, &LintOptions::default());
+        let r = lint_aig(&g);
         assert_eq!(r.total("AG001"), 1);
         assert_eq!(r.total("AG004"), 1, "{:?}", r.diagnostics());
         let _ = y;
@@ -136,7 +135,7 @@ mod tests {
         let f = g.and_raw(c, d);
         let all = g.and_raw(e, f);
         g.add_output(all);
-        let r = lint_aig(&g, &LintOptions::default());
+        let r = lint_aig(&g);
         assert_eq!(r.total("AG002"), 1);
         assert_eq!(r.total("AG003"), 2);
     }

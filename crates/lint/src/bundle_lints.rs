@@ -25,8 +25,8 @@
 //!   actually contains.
 
 use crate::{
-    clause_dimacs, clause_vars, normalize_clause, Artifact, LintOptions, Location, Report, XB001,
-    XB002, XB003, XB004, XB005, XB006, XB007, XB009,
+    clause_dimacs, clause_vars, normalize_clause, Artifact, Location, Report, XB001, XB002, XB003,
+    XB004, XB005, XB006, XB007, XB009,
 };
 use aig::Aig;
 use cnf::tseitin::and_clauses;
@@ -165,18 +165,17 @@ pub struct Bundle<'a> {
 
 /// Statically checks that the bundle's artifacts bind to each other.
 /// All `XB` checks are structural (hash-indexed set comparisons), so the
-/// pass runs regardless of [`LintOptions::chain`].
-pub fn lint_bundle(bundle: &Bundle<'_>, opts: &LintOptions) -> Report {
+/// pass takes no [`LintOptions`](crate::LintOptions).
+pub fn lint_bundle(bundle: &Bundle<'_>) -> Report {
     let mut report = Report::new(Artifact::Bundle);
-    let cap = opts.max_per_lint;
     if let (Some(g), Some(f)) = (bundle.aig, bundle.cnf) {
-        lint_aig_cnf(g, f, &mut report, cap);
+        lint_aig_cnf(g, f, &mut report);
     }
     if let (Some(f), Some(p)) = (bundle.cnf, bundle.proof) {
-        lint_cnf_proof(f, p, &mut report, cap);
+        lint_cnf_proof(f, p, &mut report);
     }
     if let (Some(c), Some(p)) = (bundle.certificate, bundle.proof) {
-        lint_cert_proof(c, p, &mut report, cap);
+        lint_cert_proof(c, p, &mut report);
     }
     report
 }
@@ -197,9 +196,9 @@ fn take(idxs: Option<&Vec<usize>>, matched: &mut [bool]) -> Option<usize> {
 }
 
 /// AIG ↔ CNF: diff the actual CNF against the Tseitin reconstruction.
-fn lint_aig_cnf(g: &Aig, f: &Cnf, report: &mut Report, cap: usize) {
+fn lint_aig_cnf(g: &Aig, f: &Cnf, report: &mut Report) {
     if (f.num_vars() as usize) < g.len() {
-        report.emit(XB001, None, cap, || {
+        report.emit(XB001, None, || {
             format!(
                 "the CNF declares {} variables but the AIG has {} nodes \
                  (node i must map to variable i)",
@@ -258,7 +257,7 @@ fn lint_aig_cnf(g: &Aig, f: &Cnf, report: &mut Report, cap: usize) {
     }
     for (ci, i) in near {
         let e = &expected[i];
-        report.emit(XB003, Some(Location::Clause(ci as u32)), cap, || {
+        report.emit(XB003, Some(Location::Clause(ci as u32)), || {
             format!(
                 "clause {} matches the Tseitin definition clause {} of gate n{} \
                  ({}) on variables but differs in polarity",
@@ -270,7 +269,7 @@ fn lint_aig_cnf(g: &Aig, f: &Cnf, report: &mut Report, cap: usize) {
         });
     }
     for ci in unexplained {
-        report.emit(XB004, Some(Location::Clause(ci as u32)), cap, || {
+        report.emit(XB004, Some(Location::Clause(ci as u32)), || {
             format!(
                 "clause {} is not a Tseitin definition clause of any AND gate",
                 clause_dimacs(&f.clauses()[ci])
@@ -279,7 +278,7 @@ fn lint_aig_cnf(g: &Aig, f: &Cnf, report: &mut Report, cap: usize) {
     }
     for (i, e) in expected.iter().enumerate() {
         if !matched[i] {
-            report.emit(XB002, Some(Location::Node(e.node)), cap, || {
+            report.emit(XB002, Some(Location::Node(e.node)), || {
                 if e.node == 0 {
                     format!(
                         "the constant-pin unit clause {} is missing from the CNF",
@@ -304,7 +303,7 @@ fn aig_lit(l: aig::Lit) -> Lit {
 }
 
 /// CNF ↔ proof: every input step's clause must occur in the CNF.
-fn lint_cnf_proof(f: &Cnf, p: &Proof, report: &mut Report, cap: usize) {
+fn lint_cnf_proof(f: &Cnf, p: &Proof, report: &mut Report) {
     let mut clauses: HashMap<Vec<Lit>, usize> = HashMap::with_capacity(f.num_clauses());
     let mut vars: HashMap<Vec<u32>, usize> = HashMap::with_capacity(f.num_clauses());
     for (ci, clause) in f.clauses().iter().enumerate() {
@@ -322,7 +321,7 @@ fn lint_cnf_proof(f: &Cnf, p: &Proof, report: &mut Report, cap: usize) {
         }
         let loc = Some(Location::Step(id.index()));
         match vars.get(&clause_vars(step.clause)) {
-            Some(&ci) => report.emit(XB006, loc, cap, || {
+            Some(&ci) => report.emit(XB006, loc, || {
                 format!(
                     "input step records {} but the CNF's clause {ci} over the same \
                      variables is {} (sign flip; literal order is normalized)",
@@ -330,7 +329,7 @@ fn lint_cnf_proof(f: &Cnf, p: &Proof, report: &mut Report, cap: usize) {
                     clause_dimacs(&f.clauses()[ci])
                 )
             }),
-            None => report.emit(XB005, loc, cap, || {
+            None => report.emit(XB005, loc, || {
                 format!(
                     "input step records {}, which occurs nowhere in the CNF",
                     clause_dimacs(step.clause)
@@ -341,11 +340,11 @@ fn lint_cnf_proof(f: &Cnf, p: &Proof, report: &mut Report, cap: usize) {
 }
 
 /// Certificate ↔ proof: recorded metadata must describe this proof.
-fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usize) {
+fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report) {
     let actual = p.empty_clause().map(proof::ClauseId::index);
     match (c.empty_clause, actual) {
         (Some(claimed), Some(real)) if claimed != real => {
-            report.emit(XB007, Some(Location::Step(claimed)), cap, || {
+            report.emit(XB007, Some(Location::Step(claimed)), || {
                 format!(
                     "certificate points at step c{claimed} as the empty clause, \
                      but the proof's empty clause is c{real}"
@@ -353,7 +352,7 @@ fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usi
             });
         }
         (Some(claimed), None) => {
-            report.emit(XB007, Some(Location::Step(claimed)), cap, || {
+            report.emit(XB007, Some(Location::Step(claimed)), || {
                 format!(
                     "certificate points at step c{claimed} as the empty clause, \
                      but the proof contains none"
@@ -361,7 +360,7 @@ fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usi
             });
         }
         (None, Some(real)) => {
-            report.emit(XB007, Some(Location::Step(real)), cap, || {
+            report.emit(XB007, Some(Location::Step(real)), || {
                 format!("the proof refutes at step c{real} but the certificate records no empty-clause id")
             });
         }
@@ -384,7 +383,7 @@ fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usi
     for (what, claimed, real) in counts {
         if let Some(n) = claimed {
             if n != real {
-                report.emit(XB009, None, cap, || {
+                report.emit(XB009, None, || {
                     format!("certificate claims {n} {what} steps, the proof has {real}")
                 });
             }
@@ -395,7 +394,6 @@ fn lint_cert_proof(c: &CertificateInfo, p: &Proof, report: &mut Report, cap: usi
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LintOptions;
 
     /// x2 = x0 ∧ x1 over inputs n1, n2 with the AND at n3 — wait, node 0
     /// is the constant, so inputs are n1/n2 and the gate is n3.
@@ -410,10 +408,6 @@ mod tests {
 
     fn encoding(g: &Aig) -> Cnf {
         cnf::tseitin::encode(g).cnf
-    }
-
-    fn opts() -> LintOptions {
-        LintOptions::default()
     }
 
     fn proof_of(f: &Cnf) -> Proof {
@@ -437,15 +431,12 @@ mod tests {
             resolutions: Some(0),
             ..CertificateInfo::default()
         };
-        let r = lint_bundle(
-            &Bundle {
-                aig: Some(&g),
-                cnf: Some(&f),
-                proof: Some(&p),
-                certificate: Some(&info),
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            aig: Some(&g),
+            cnf: Some(&f),
+            proof: Some(&p),
+            certificate: Some(&info),
+        });
         assert!(r.is_clean(), "{:?}", r.diagnostics());
         assert_eq!(r.counts().warnings, 0, "{:?}", r.diagnostics());
     }
@@ -455,14 +446,11 @@ mod tests {
         let g = gate();
         let mut f = encoding(&g);
         f.clauses_mut().remove(2);
-        let r = lint_bundle(
-            &Bundle {
-                aig: Some(&g),
-                cnf: Some(&f),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            aig: Some(&g),
+            cnf: Some(&f),
+            ..Bundle::default()
+        });
         assert!(r.has("XB002"), "{:?}", r.diagnostics());
         assert!(!r.is_clean());
     }
@@ -478,14 +466,11 @@ mod tests {
             .find(|c| c.len() == 3)
             .expect("t3 present");
         victim[0] = !victim[0];
-        let r = lint_bundle(
-            &Bundle {
-                aig: Some(&g),
-                cnf: Some(&f),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            aig: Some(&g),
+            cnf: Some(&f),
+            ..Bundle::default()
+        });
         assert!(r.has("XB003"), "{:?}", r.diagnostics());
         assert!(!r.has("XB002"), "{:?}", r.diagnostics());
         assert!(!r.has("XB004"), "{:?}", r.diagnostics());
@@ -496,14 +481,11 @@ mod tests {
         let g = gate();
         let mut f = encoding(&g);
         f.add_clause(vec![Var::new(1).positive(), Var::new(4).positive()]);
-        let r = lint_bundle(
-            &Bundle {
-                aig: Some(&g),
-                cnf: Some(&f),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            aig: Some(&g),
+            cnf: Some(&f),
+            ..Bundle::default()
+        });
         assert!(r.has("XB004"), "{:?}", r.diagnostics());
         assert!(r.is_clean(), "XB004 is a warning");
     }
@@ -512,14 +494,11 @@ mod tests {
     fn narrow_cnf_is_xb001() {
         let g = gate();
         let f = Cnf::with_vars(2); // 4 nodes need 4 variables
-        let r = lint_bundle(
-            &Bundle {
-                aig: Some(&g),
-                cnf: Some(&f),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            aig: Some(&g),
+            cnf: Some(&f),
+            ..Bundle::default()
+        });
         assert!(r.has("XB001"), "{:?}", r.diagnostics());
     }
 
@@ -532,14 +511,11 @@ mod tests {
         p.add_original([Var::new(3).positive(), Var::new(1).negative()]);
         // Variables no CNF clause has together: foreign.
         p.add_original([Var::new(0).positive(), Var::new(2).positive()]);
-        let r = lint_bundle(
-            &Bundle {
-                cnf: Some(&f),
-                proof: Some(&p),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let r = lint_bundle(&Bundle {
+            cnf: Some(&f),
+            proof: Some(&p),
+            ..Bundle::default()
+        });
         assert_eq!(r.total("XB006"), 1, "{:?}", r.diagnostics());
         assert_eq!(r.total("XB005"), 1, "{:?}", r.diagnostics());
     }
@@ -556,14 +532,11 @@ mod tests {
             derived: Some(1),
             resolutions: Some(1),
         };
-        let clean = lint_bundle(
-            &Bundle {
-                proof: Some(&p),
-                certificate: Some(&good),
-                ..Bundle::default()
-            },
-            &opts(),
-        );
+        let clean = lint_bundle(&Bundle {
+            proof: Some(&p),
+            certificate: Some(&good),
+            ..Bundle::default()
+        });
         assert!(clean.is_clean(), "{:?}", clean.diagnostics());
 
         let wrong_empty = CertificateInfo {
@@ -575,14 +548,11 @@ mod tests {
             ..good.clone()
         };
         for (cert, code) in [(&wrong_empty, "XB007"), (&wrong_stats, "XB009")] {
-            let r = lint_bundle(
-                &Bundle {
-                    proof: Some(&p),
-                    certificate: Some(cert),
-                    ..Bundle::default()
-                },
-                &opts(),
-            );
+            let r = lint_bundle(&Bundle {
+                proof: Some(&p),
+                certificate: Some(cert),
+                ..Bundle::default()
+            });
             assert!(r.has(code), "{code}: {:?}", r.diagnostics());
             assert_eq!(r.counts().errors, 1, "{code}: {:?}", r.diagnostics());
         }

@@ -1,6 +1,6 @@
 //! Lints for CNF formulas (`CFxxx`).
 
-use crate::{Artifact, LintOptions, Location, Report, CF001, CF002, CF003, CF004};
+use crate::{Artifact, Location, Report, CF001, CF002, CF003, CF004};
 use cnf::{Cnf, Lit};
 use std::collections::HashMap;
 
@@ -8,9 +8,8 @@ use std::collections::HashMap;
 /// duplicate clauses up to literal order ([`CF002`]), tautological
 /// clauses ([`CF003`]), and contiguous unused variable ranges that
 /// indicate a gap in a Tseitin encoding ([`CF004`]).
-pub fn lint_cnf(f: &Cnf, opts: &LintOptions) -> Report {
+pub fn lint_cnf(f: &Cnf) -> Report {
     let mut r = Report::new(Artifact::Cnf);
-    let cap = opts.max_per_lint;
     let mut used = vec![false; f.num_vars() as usize];
     let mut seen: HashMap<Vec<Lit>, usize> = HashMap::new();
 
@@ -22,14 +21,14 @@ pub fn lint_cnf(f: &Cnf, opts: &LintOptions) -> Report {
         norm.sort_unstable();
         norm.dedup();
         if norm.windows(2).any(|w| w[0].var() == w[1].var()) {
-            r.emit(CF003, Some(Location::Clause(index as u32)), cap, || {
+            r.emit(CF003, Some(Location::Clause(index as u32)), || {
                 "clause contains a variable in both polarities".into()
             });
         }
         match seen.entry(norm) {
             std::collections::hash_map::Entry::Occupied(e) => {
                 let first = *e.get();
-                r.emit(CF002, Some(Location::Clause(index as u32)), cap, || {
+                r.emit(CF002, Some(Location::Clause(index as u32)), || {
                     format!("clause repeats clause {first} verbatim (up to literal order)")
                 });
             }
@@ -54,11 +53,11 @@ pub fn lint_cnf(f: &Cnf, opts: &LintOptions) -> Report {
         }
         let len = v - start;
         if len == 1 {
-            r.emit(CF001, Some(Location::Var(start as u32)), cap, || {
+            r.emit(CF001, Some(Location::Var(start as u32)), || {
                 "declared variable occurs in no clause".into()
             });
         } else {
-            r.emit(CF004, Some(Location::Var(start as u32)), cap, || {
+            r.emit(CF004, Some(Location::Var(start as u32)), || {
                 format!(
                     "variables {}..={} ({len} consecutive) occur in no clause",
                     start + 1,
@@ -84,7 +83,7 @@ mod tests {
         let mut f = Cnf::new();
         f.add_clause(vec![x(0).positive(), x(1).positive()]);
         f.add_clause(vec![x(0).negative(), x(1).negative()]);
-        let r = lint_cnf(&f, &LintOptions::default());
+        let r = lint_cnf(&f);
         assert!(r.is_clean());
         assert_eq!(r.counts().warnings, 0);
         assert_eq!(r.counts().infos, 0);
@@ -96,7 +95,7 @@ mod tests {
         f.add_clause(vec![x(0).positive(), x(1).positive()]);
         f.add_clause(vec![x(1).positive(), x(0).positive()]);
         f.add_clause(vec![x(2).positive(), x(2).negative()]);
-        let r = lint_cnf(&f, &LintOptions::default());
+        let r = lint_cnf(&f);
         assert_eq!(r.total("CF002"), 1);
         assert_eq!(r.total("CF003"), 1);
         assert!(r.is_clean()); // warnings only
@@ -114,7 +113,7 @@ mod tests {
             x(8).positive(),
             x(9).positive(),
         ]);
-        let r = lint_cnf(&f, &LintOptions::default());
+        let r = lint_cnf(&f);
         assert_eq!(r.total("CF001"), 1);
         assert_eq!(r.total("CF004"), 1);
         let gap = r

@@ -55,7 +55,6 @@ pub fn lint_drat<R: BufRead>(
     opts: &LintOptions,
 ) -> io::Result<Report> {
     let mut report = Report::new(Artifact::Drat);
-    let cap = opts.max_per_lint;
     let mut rup = Propagator::default();
     // Active copies by normalized literals, for deletion and duplicate
     // detection: each copy's propagator handle.
@@ -88,12 +87,12 @@ pub fn lint_drat<R: BufRead>(
         let lits = match parse_clause(&mut tokens) {
             Ok(lits) => lits,
             Err(message) => {
-                report.emit(DR001, loc, cap, || message);
+                report.emit(DR001, loc, || message);
                 continue;
             }
         };
         if let Some(tok) = tokens.next() {
-            report.emit(DR001, loc, cap, || {
+            report.emit(DR001, loc, || {
                 format!("trailing token `{tok}` after the terminating 0")
             });
             continue;
@@ -103,7 +102,7 @@ pub fn lint_drat<R: BufRead>(
         if deleting {
             match active.get_mut(&clause).and_then(Vec::pop) {
                 Some(handle) => rup.deactivate(handle),
-                None => report.emit(DR003, loc, cap, || {
+                None => report.emit(DR003, loc, || {
                     format!(
                         "deletion of {}, which is neither in the formula nor \
                          currently added",
@@ -117,12 +116,12 @@ pub fn lint_drat<R: BufRead>(
             saw_empty = true;
         }
         if active.get(&clause).is_some_and(|copies| !copies.is_empty()) {
-            report.emit(DR004, loc, cap, || {
+            report.emit(DR004, loc, || {
                 format!("clause {} is already active", clause_dimacs(&clause))
             });
         }
         if check_rup && !is_tautology(&clause) && !rup.implies(&clause) {
-            report.emit(DR002, loc, cap, || {
+            report.emit(DR002, loc, || {
                 format!(
                     "added clause {} is not a unit-propagation consequence of \
                      the accumulated formula",
@@ -135,7 +134,7 @@ pub fn lint_drat<R: BufRead>(
     }
 
     if opts.expect_refutation && !saw_empty {
-        report.emit(DR005, None, cap, || {
+        report.emit(DR005, None, || {
             "the trace never adds the empty clause, so it refutes nothing".to_owned()
         });
     }

@@ -9,9 +9,7 @@
 //! verdict record ([`JN006`](crate::JN006), info) — so only damage that
 //! a clean crash cannot produce is an error.
 
-use crate::{
-    Artifact, LintOptions, Location, Report, JN001, JN002, JN003, JN004, JN005, JN006, JN007,
-};
+use crate::{Artifact, Location, Report, JN001, JN002, JN003, JN004, JN005, JN006, JN007};
 use obs::journal::{parse_record, RecordDefect};
 use obs::json::Value;
 use std::io::{self, BufRead};
@@ -22,9 +20,8 @@ use std::io::{self, BufRead};
 ///
 /// Forwards I/O errors from `r`; every *content* defect becomes a
 /// diagnostic instead.
-pub fn lint_journal<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> {
+pub fn lint_journal<R: BufRead>(r: R) -> io::Result<Report> {
     let mut report = Report::new(Artifact::Journal);
-    let cap = opts.max_per_lint;
     let mut lines: Vec<(u32, String)> = Vec::new();
     for (i, line) in r.lines().enumerate() {
         let line = line?;
@@ -43,7 +40,7 @@ pub fn lint_journal<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> 
             Ok(record) => record,
             // A torn final line is the expected shape of a crash.
             Err(defect) if i + 1 == lines.len() && defect.is_torn_write() => {
-                report.emit(JN005, here, cap, || {
+                report.emit(JN005, here, || {
                     format!("final line is torn (dropped on load): {defect}")
                 });
                 continue;
@@ -58,7 +55,7 @@ pub fn lint_journal<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> 
                         JN003
                     }
                 };
-                report.emit(lint, here, cap, || defect.to_string());
+                report.emit(lint, here, || defect.to_string());
                 continue;
             }
         };
@@ -66,26 +63,24 @@ pub fn lint_journal<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> 
         let kind = record.body.get("type").and_then(Value::as_str);
         match kind.unwrap_or("") {
             "header" if record.seq == 0 => saw_header = true,
-            "header" => report.emit(JN007, here, cap, || {
+            "header" => report.emit(JN007, here, || {
                 "header record after the first record".into()
             }),
             "verdict" => saw_verdict = true,
             "checkpoint" => {}
-            kind => report.emit(JN001, here, cap, || {
+            kind => report.emit(JN001, here, || {
                 format!("unknown record type `{kind}` (expected header, checkpoint or verdict)")
             }),
         }
     }
 
     if !saw_header {
-        report.emit(JN004, None, cap, || {
+        report.emit(JN004, None, || {
             "journal does not begin with a header record".into()
         });
     }
     if !saw_verdict {
-        report.emit(JN006, None, cap, || {
-            "no verdict record — run incomplete".into()
-        });
+        report.emit(JN006, None, || "no verdict record — run incomplete".into());
     }
     Ok(report)
 }
@@ -127,7 +122,7 @@ mod tests {
     }
 
     fn lint(text: &str) -> Report {
-        lint_journal(Cursor::new(text), &LintOptions::default()).unwrap()
+        lint_journal(Cursor::new(text)).unwrap()
     }
 
     #[test]

@@ -363,9 +363,6 @@ pub struct LintOptions {
     pub chain: bool,
     /// Require the proof to contain an empty clause ([`RP002`]).
     pub expect_refutation: bool,
-    /// Materialized diagnostics per lint; further findings are still
-    /// *counted* but carry no message (shown as "N total" in output).
-    pub max_per_lint: usize,
 }
 
 impl Default for LintOptions {
@@ -373,7 +370,6 @@ impl Default for LintOptions {
         LintOptions {
             chain: true,
             expect_refutation: false,
-            max_per_lint: 20,
         }
     }
 }
@@ -397,9 +393,13 @@ struct LintTally {
     shown: usize,
 }
 
+/// Materialized diagnostics per lint; further findings are still
+/// *counted* but carry no message (shown as "N total" in output).
+const MAX_PER_LINT: usize = 20;
+
 /// The outcome of linting one artifact: materialized diagnostics plus
-/// complete per-lint and per-severity tallies (diagnostics beyond
-/// [`LintOptions::max_per_lint`] are counted but not materialized).
+/// complete per-lint and per-severity tallies (diagnostics beyond the
+/// first 20 of a lint are counted but not materialized).
 #[derive(Debug)]
 pub struct Report {
     /// What kind of artifact was linted.
@@ -421,15 +421,15 @@ impl Report {
     }
 
     /// Records a finding at the lint's default severity. The message
-    /// closure runs only if the finding is materialized (under `cap`).
+    /// closure runs only if the finding is materialized (one of the
+    /// lint's first 20).
     pub fn emit(
         &mut self,
         lint: &'static Lint,
         location: Option<Location>,
-        cap: usize,
         message: impl FnOnce() -> String,
     ) {
-        self.emit_severity(lint, lint.severity, location, cap, message);
+        self.emit_severity(lint, lint.severity, location, message);
     }
 
     /// Records a finding with an explicit severity override.
@@ -438,7 +438,6 @@ impl Report {
         lint: &'static Lint,
         severity: Severity,
         location: Option<Location>,
-        cap: usize,
         message: impl FnOnce() -> String,
     ) {
         match severity {
@@ -458,7 +457,7 @@ impl Report {
             }
         };
         tally.total += 1;
-        if tally.shown < cap {
+        if tally.shown < MAX_PER_LINT {
             tally.shown += 1;
             self.diags.push(Diagnostic {
                 lint,
@@ -703,27 +702,27 @@ mod tests {
     #[test]
     fn report_caps_but_counts_everything() {
         let mut r = Report::new(Artifact::Proof);
-        for i in 0..10 {
-            r.emit(RP005, Some(Location::Step(i)), 3, || format!("dead {i}"));
+        for i in 0..30 {
+            r.emit(RP005, Some(Location::Step(i)), || format!("dead {i}"));
         }
-        assert_eq!(r.diagnostics().len(), 3);
-        assert_eq!(r.total("RP005"), 10);
-        assert_eq!(r.counts().infos, 10);
+        assert_eq!(r.diagnostics().len(), 20);
+        assert_eq!(r.total("RP005"), 30);
+        assert_eq!(r.counts().infos, 30);
         assert!(r.is_clean());
         let mut buf = Vec::new();
         r.write_text(&mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
-        assert!(text.contains("10 findings total (3 shown)"), "{text}");
-        assert!(text.contains("proof: 0 errors, 0 warnings, 10 infos"));
+        assert!(text.contains("30 findings total (20 shown)"), "{text}");
+        assert!(text.contains("proof: 0 errors, 0 warnings, 30 infos"));
     }
 
     #[test]
     fn json_is_well_formed_and_escaped() {
         let mut r = Report::new(Artifact::Cnf);
-        r.emit(CF002, Some(Location::Clause(4)), 20, || {
+        r.emit(CF002, Some(Location::Clause(4)), || {
             "dup of \"clause\"\n0\tand \u{1} \\ état".into()
         });
-        r.emit(CF003, None, 20, || "x ∨ ¬x".into());
+        r.emit(CF003, None, || "x ∨ ¬x".into());
         assert_eq!(
             r.to_json(),
             concat!(
@@ -742,10 +741,10 @@ mod tests {
     #[test]
     fn absorb_merges_tallies() {
         let mut a = Report::new(Artifact::Proof);
-        a.emit(RP001, Some(Location::Step(1)), 20, || "fwd".into());
+        a.emit(RP001, Some(Location::Step(1)), || "fwd".into());
         let mut b = Report::new(Artifact::Proof);
-        b.emit(RP001, Some(Location::Step(2)), 20, || "fwd2".into());
-        b.emit(RP004, None, 20, || "dup".into());
+        b.emit(RP001, Some(Location::Step(2)), || "fwd2".into());
+        b.emit(RP004, None, || "dup".into());
         a.absorb(b);
         assert_eq!(a.total("RP001"), 2);
         assert_eq!(a.total("RP004"), 1);

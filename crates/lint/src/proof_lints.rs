@@ -38,7 +38,6 @@ use std::collections::HashMap;
 /// and [`LintOptions`] for the structural-only/full switch.
 pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     let mut r = Report::new(Artifact::Proof);
-    let cap = opts.max_per_lint;
 
     // Structural pass: one sweep over each step's own clause and ids.
     let mut seen: HashMap<&[Lit], ClauseId> = HashMap::new();
@@ -49,7 +48,7 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
         for &a in step.antecedents {
             if a.index() >= id.index() {
                 let what = if a == id { "itself" } else { "a later step" };
-                r.emit(RP001, Some(Location::Step(id.index())), cap, || {
+                r.emit(RP001, Some(Location::Step(id.index())), || {
                     format!("antecedent {a} references {what}")
                 });
             }
@@ -65,13 +64,13 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
                 (true, false) => (Severity::Warn, "input"),
                 (true, true) => (Severity::Error, "cited input"),
             };
-            r.emit_severity(RP003, sev, Some(Location::Step(id.index())), cap, || {
+            r.emit_severity(RP003, sev, Some(Location::Step(id.index())), || {
                 format!("{kind} clause contains a variable in both polarities")
             });
         }
         if !step.is_original() {
             if let Some(&first) = seen.get(step.clause) {
-                r.emit(RP004, Some(Location::Step(id.index())), cap, || {
+                r.emit(RP004, Some(Location::Step(id.index())), || {
                     format!("derived clause repeats step {first} verbatim")
                 });
                 continue; // keep the first id as the canonical one
@@ -84,7 +83,7 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     match p.empty_clause() {
         None => {
             if opts.expect_refutation {
-                r.emit(RP002, None, cap, || {
+                r.emit(RP002, None, || {
                     "no empty clause: the proof refutes nothing".into()
                 });
             }
@@ -108,11 +107,11 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
                     continue;
                 }
                 if step.is_original() {
-                    r.emit(RP006, Some(Location::Step(id.index())), cap, || {
+                    r.emit(RP006, Some(Location::Step(id.index())), || {
                         "input clause is never used by the refutation cone".into()
                     });
                 } else {
-                    r.emit(RP005, Some(Location::Step(id.index())), cap, || {
+                    r.emit(RP005, Some(Location::Step(id.index())), || {
                         "derived step lies outside the empty clause's cone".into()
                     });
                 }
@@ -121,14 +120,13 @@ pub fn lint_proof(p: &Proof, opts: &LintOptions) -> Report {
     }
 
     if opts.chain {
-        lint_chains(p, opts, &mut r);
+        lint_chains(p, &mut r);
     }
     r
 }
 
 /// The chain-analysis pass (`RP1xx`); see the module docs.
-fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
-    let cap = opts.max_per_lint;
+fn lint_chains(p: &Proof, r: &mut Report) {
     let mut chains = Chains::new(p);
     // Occurrence counters for the pivot census and pivot marks for the
     // replay, per slot, cleared through touched lists so one allocation
@@ -177,7 +175,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
             count[s as usize] = [0, 0];
         }
         if clash_pairs < needed {
-            r.emit(RP101, at, cap, || {
+            r.emit(RP101, at, || {
                 format!(
                     "chain of {} antecedents needs {needed} resolutions but its clauses \
                      contain only {clash_pairs} clashing variable pairs",
@@ -187,7 +185,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
             continue;
         }
         if let Some(l) = lone {
-            r.emit(RP102, at, cap, || {
+            r.emit(RP102, at, || {
                 format!(
                     "literal {} occurs in one polarity only (unresolvable) \
                      yet is missing from the recorded clause",
@@ -200,7 +198,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
         // Order replay.
         let replay = chains.resolve(id, |_, slot, var| {
             if std::mem::replace(&mut pivot_seen[slot as usize], true) {
-                r.emit(RP106, at, cap, || {
+                r.emit(RP106, at, || {
                     format!(
                         "irregular chain: pivot variable {} is resolved more than once",
                         var.index() + 1
@@ -216,7 +214,7 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
                     .iter()
                     .find(|l| recorded.binary_search(l).is_err())
                 {
-                    r.emit(RP103, at, cap, || {
+                    r.emit(RP103, at, || {
                         format!(
                             "replaying the chain in recorded order leaves literal {} \
                              which the recorded clause lacks",
@@ -227,13 +225,13 @@ fn lint_chains(p: &Proof, opts: &LintOptions, r: &mut Report) {
             }
             Err(CheckError::NoPivot { position, .. }) => {
                 let a = step.antecedents[position];
-                r.emit(RP105, at, cap, || {
+                r.emit(RP105, at, || {
                     format!("antecedent {a} (chain position {position}) shares no clashing variable with the running resolvent")
                 });
             }
             Err(CheckError::MultiplePivots { position, .. }) => {
                 let a = step.antecedents[position];
-                r.emit(RP104, at, cap, || {
+                r.emit(RP104, at, || {
                     format!("antecedent {a} (chain position {position}) clashes with the running resolvent on more than one variable")
                 });
             }

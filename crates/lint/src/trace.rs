@@ -25,7 +25,7 @@ use std::io::{self, BufRead};
 /// Forwards I/O errors from `r`; *format* problems never error, they
 /// are reported in the returned [`Report`].
 pub fn lint_tracecheck<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Report> {
-    let (mut report, proof) = read_tracecheck(r, opts)?;
+    let (mut report, proof) = read_tracecheck(r)?;
     if let Some(p) = proof {
         report.absorb(crate::lint_proof(&p, opts));
     }
@@ -43,12 +43,8 @@ pub fn lint_tracecheck<R: BufRead>(r: R, opts: &LintOptions) -> io::Result<Repor
 ///
 /// Forwards I/O errors from `r`; *format* problems never error, they
 /// are reported in the returned [`Report`].
-pub fn read_tracecheck<R: BufRead>(
-    r: R,
-    opts: &LintOptions,
-) -> io::Result<(Report, Option<Proof>)> {
+pub fn read_tracecheck<R: BufRead>(r: R) -> io::Result<(Report, Option<Proof>)> {
     let mut report = Report::new(Artifact::Proof);
-    let cap = opts.max_per_lint;
     let mut proof = Proof::new();
     let mut expected: u64 = 1;
     let mut file_ok = true;
@@ -62,7 +58,7 @@ pub fn read_tracecheck<R: BufRead>(
         };
         if let Some(id) = id {
             if id != expected {
-                report.emit(RP009, here, cap, || {
+                report.emit(RP009, here, || {
                     format!("expected step id {expected}, found {id}")
                 });
                 file_ok = false;
@@ -74,7 +70,7 @@ pub fn read_tracecheck<R: BufRead>(
         let step = match parsed {
             Ok(step) => step,
             Err(message) => {
-                report.emit(RP008, here, cap, || message);
+                report.emit(RP008, here, || message);
                 file_ok = false;
                 continue;
             }
@@ -85,7 +81,7 @@ pub fn read_tracecheck<R: BufRead>(
                 Ok(_) => "a later step",
                 Err(_) => "a nonexistent step",
             };
-            report.emit(RP001, here, cap, || {
+            report.emit(RP001, here, || {
                 format!("step {} cites {what} (antecedent {v})", step.id)
             });
             file_ok = false;

@@ -43,15 +43,12 @@ fn engine_bundle() -> EngineBundle {
 }
 
 fn lint(b: &EngineBundle, cnf: &Cnf, proof: &Proof, info: &CertificateInfo) -> lint::Report {
-    lint_bundle(
-        &Bundle {
-            aig: Some(&b.graph),
-            cnf: Some(cnf),
-            proof: Some(proof),
-            certificate: Some(info),
-        },
-        &LintOptions::default(),
-    )
+    lint_bundle(&Bundle {
+        aig: Some(&b.graph),
+        cnf: Some(cnf),
+        proof: Some(proof),
+        certificate: Some(info),
+    })
 }
 
 #[test]
@@ -126,14 +123,11 @@ fn fix_preserves_engine_refutations() {
 
     // The repaired proof still binds to the engine's CNF: dedup and
     // trim never invent input clauses.
-    let r = lint_bundle(
-        &Bundle {
-            cnf: Some(&b.cnf),
-            proof: Some(&fixed.proof),
-            ..Bundle::default()
-        },
-        &LintOptions::default(),
-    );
+    let r = lint_bundle(&Bundle {
+        cnf: Some(&b.cnf),
+        proof: Some(&fixed.proof),
+        ..Bundle::default()
+    });
     assert!(r.is_clean(), "{:?}", r.diagnostics());
 }
 
@@ -203,14 +197,11 @@ fn monolithic_bundle() -> MonolithicBundle {
 #[test]
 fn monolithic_bundle_is_clean_and_its_proof_binds_to_the_partitioned_cnf() {
     let m = monolithic_bundle();
-    let r = lint_bundle(
-        &Bundle {
-            cnf: Some(&m.cnf),
-            proof: Some(&m.proof),
-            ..Bundle::default()
-        },
-        &LintOptions::default(),
-    );
+    let r = lint_bundle(&Bundle {
+        cnf: Some(&m.cnf),
+        proof: Some(&m.proof),
+        ..Bundle::default()
+    });
     assert_eq!(r.counts().errors, 0, "{:?}", r.diagnostics());
     let dr = lint::lint_drat(&m.drat[..], Some(&m.cnf), &LintOptions::default()).unwrap();
     assert_eq!(dr.counts().errors, 0, "{:?}", dr.diagnostics());
@@ -231,14 +222,11 @@ fn dimacs_bit_flips_are_rejected_or_benign() {
             caught += 1;
             continue;
         };
-        let r = lint_bundle(
-            &Bundle {
-                cnf: Some(&parsed),
-                proof: Some(&m.proof),
-                ..Bundle::default()
-            },
-            &LintOptions::default(),
-        );
+        let r = lint_bundle(&Bundle {
+            cnf: Some(&parsed),
+            proof: Some(&m.proof),
+            ..Bundle::default()
+        });
         if r.counts().errors > 0 {
             assert!(
                 r.has("XB003") || r.has("XB005") || r.has("XB006") || r.has("XB001"),
@@ -268,7 +256,7 @@ fn tracecheck_bit_flips_are_rejected_or_still_valid_refutations() {
         let mut bytes = m.trace.clone();
         flip_bit(&mut bytes, seed);
         // A flip that breaks UTF-8 surfaces as an I/O-level rejection.
-        let Ok((mut report, parsed)) = lint::read_tracecheck(&bytes[..], &opts) else {
+        let Ok((mut report, parsed)) = lint::read_tracecheck(&bytes[..]) else {
             caught += 1;
             continue;
         };
@@ -281,14 +269,11 @@ fn tracecheck_bit_flips_are_rejected_or_still_valid_refutations() {
             continue;
         };
         report.absorb(lint::lint_proof(&p, &opts));
-        report.absorb(lint_bundle(
-            &Bundle {
-                cnf: Some(&m.cnf),
-                proof: Some(&p),
-                ..Bundle::default()
-            },
-            &opts,
-        ));
+        report.absorb(lint_bundle(&Bundle {
+            cnf: Some(&m.cnf),
+            proof: Some(&p),
+            ..Bundle::default()
+        }));
         if report.counts().errors > 0 {
             caught += 1;
         } else {

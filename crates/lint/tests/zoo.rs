@@ -80,26 +80,33 @@ fn equivalent_pairs() -> Vec<(&'static str, Aig, Aig)> {
 
 #[test]
 fn zoo_proofs_lint_clean() {
+    let opts = lint::LintOptions {
+        expect_refutation: true,
+        ..lint::LintOptions::default()
+    };
     for (name, a, b) in equivalent_pairs() {
-        let options = EngineConfig {
-            lint_proof: true,
-            lint_bundle: true,
-            ..EngineConfig::default()
-        };
-        let outcome = Session::new(options, &SharedContext::disabled())
+        let outcome = Session::new(EngineConfig::default(), &SharedContext::disabled())
             .check(&a, &b)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         let CecOutcome::Equivalent(cert) = outcome else {
             panic!("{name}: zoo pair not proven equivalent");
         };
-        let report = cert.lint_report.as_ref().expect("lint_proof ran");
+        let p = cert.proof.as_ref().expect("proof recorded");
+        let miter = cec::Miter::build(&a, &b, EngineConfig::default().share_structure);
+        let formula = cec::miter_cnf(&miter);
+        let mut report = lint::lint_bundle(&lint::Bundle {
+            aig: Some(&miter.graph),
+            cnf: Some(&formula),
+            proof: Some(p),
+            certificate: Some(&cert.info()),
+        });
+        report.absorb(lint::lint_proof(p, &opts));
         assert_eq!(
             report.counts().errors,
             0,
             "{name}: {:?}",
             report.diagnostics()
         );
-        assert_eq!(cert.stats.lints, Some(report.counts()));
     }
 }
 

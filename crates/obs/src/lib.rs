@@ -3,7 +3,7 @@
 //!
 //! The engine's verdict is the product of thousands of heterogeneous
 //! steps — simulation refinement, incremental SAT calls, structural
-//! merges, proof stitching, lint passes. This crate provides the window
+//! merges, proof trimming and checking. This crate provides the window
 //! into that work:
 //!
 //! - [`Recorder`]: a lightweight span/event sink. A

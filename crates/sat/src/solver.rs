@@ -39,15 +39,16 @@ pub enum SolveResult {
     Unknown,
 }
 
+/// Multiplicative VSIDS decay applied after each conflict.
+const VAR_DECAY: f64 = 0.95;
+/// Multiplicative clause-activity decay applied after each conflict.
+const CLAUSE_DECAY: f32 = 0.999;
+
 /// Tuning knobs for the solver.
 #[derive(Clone, Debug)]
 pub struct SolverConfig {
     /// Record resolution proofs for every clause (the paper's mode).
     pub proof_logging: bool,
-    /// Multiplicative VSIDS decay applied after each conflict.
-    pub var_decay: f64,
-    /// Multiplicative clause-activity decay applied after each conflict.
-    pub clause_decay: f32,
     /// Base number of conflicts between restarts (scaled by Luby).
     pub restart_base: u64,
     /// Initial learnt-clause limit as a fraction of problem clauses.
@@ -60,8 +61,6 @@ impl Default for SolverConfig {
     fn default() -> Self {
         SolverConfig {
             proof_logging: false,
-            var_decay: 0.95,
-            clause_decay: 0.999,
             restart_base: 100,
             learnt_size_factor: 1.0 / 3.0,
             learnt_size_inc: 1.1,
@@ -989,8 +988,8 @@ impl Solver {
                 }
                 self.assign(learnt[0], Some(r));
                 self.learnt = learnt;
-                self.var_inc /= self.config.var_decay;
-                self.cla_inc /= self.config.clause_decay;
+                self.var_inc /= VAR_DECAY;
+                self.cla_inc /= CLAUSE_DECAY;
             } else {
                 // No conflict.
                 if let Some(limit) = self.conflict_budget {

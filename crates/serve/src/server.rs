@@ -16,7 +16,9 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
 /// Everything `rcecd` needs to come up: where to listen, how many
-/// workers, the per-session engine knobs, and the cache shape.
+/// workers, and the cache shape. Every check runs at
+/// [`EngineConfig::default`], the configuration `rcec` runs without
+/// flags, so a fresh answer carries the proof `rcec` writes.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7163` (port 0 picks a free one).
@@ -24,13 +26,7 @@ pub struct ServerConfig {
     /// Worker-pool size: how many checks run concurrently. Each worker
     /// runs one engine session, one sequential sweep, at a time.
     pub workers: usize,
-    /// Engine knobs every session is created with. `proof` must stay
-    /// on — the cache stores certificates — and is forced on by
-    /// [`Server::bind`].
-    pub engine: EngineConfig,
-    /// Certificate-cache shape. `share_structure` is overwritten with
-    /// the engine's value so cached certificates re-bind to exactly the
-    /// miter construction the engine uses.
+    /// Certificate-cache shape.
     pub cache: CacheConfig,
     /// Metrics registry the engine, cache, and server all report into.
     pub metrics: Metrics,
@@ -41,7 +37,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:7163".to_string(),
             workers: 2,
-            engine: EngineConfig::default(),
             cache: CacheConfig::default(),
             metrics: Metrics::disabled(),
         }
@@ -49,7 +44,6 @@ impl Default for ServerConfig {
 }
 
 struct Shared {
-    config: EngineConfig,
     ctx: SharedContext,
     cache: Mutex<CertCache>,
     snapshot_seq: AtomicU64,
@@ -80,14 +74,11 @@ impl Server {
     /// # Errors
     ///
     /// Socket bind or cache spill-directory creation failures.
-    pub fn bind(mut config: ServerConfig) -> io::Result<Server> {
-        config.engine.proof = true;
-        config.cache.share_structure = config.engine.share_structure;
+    pub fn bind(config: ServerConfig) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let cache = CertCache::new(config.cache, &config.metrics)?;
         let ctx = SharedContext::new(Recorder::disabled(), config.metrics.clone());
         let shared = Arc::new(Shared {
-            config: config.engine,
             ctx,
             cache: Mutex::new(cache),
             snapshot_seq: AtomicU64::new(0),
@@ -301,7 +292,7 @@ fn run_check(shared: &Shared, a_text: &str, b_text: &str) -> Result<CheckReply, 
     let (verdict, cache_hit) = match cached {
         Some(v) => (v, true),
         None => {
-            let outcome = Session::new(shared.config.clone(), &shared.ctx)
+            let outcome = Session::new(EngineConfig::default(), &shared.ctx)
                 .check(&pair.a, &pair.b)
                 .map_err(|e| e.to_string())?;
             let v = match outcome {

@@ -104,7 +104,7 @@ fn feed_all_parsers(bytes: &[u8]) {
         ),
     }
     let strict = read.ok();
-    let lenient = lint::read_tracecheck(bytes, &opts)
+    let lenient = lint::read_tracecheck(bytes)
         .ok()
         .and_then(|(_, proof)| proof);
     match (&strict, &lenient) {
@@ -118,7 +118,7 @@ fn feed_all_parsers(bytes: &[u8]) {
     }
 
     let corrupt = matches!(read_journal(bytes), Err(JournalError::Corrupt { .. }));
-    let Ok(report) = lint::lint_journal(bytes, &opts) else {
+    let Ok(report) = lint::lint_journal(bytes) else {
         assert!(!corrupt, "lint could not read a corrupt journal: {shown:?}");
         return;
     };

@@ -227,8 +227,8 @@ fn engine_fingerprints_match_golden() {
     assert_golden(&run_golden(SharedContext::disabled, |_, _, _, _| {}));
 }
 
-/// The monolithic baseline's settings: `(label, proof, lint_proof,
-/// verify)`.
+/// The monolithic baseline's settings: `(label, proof, lint, verify)`,
+/// where `lint` runs `rplint`'s proof pass over the recorded proof.
 const MONOLITHIC_SETTINGS: [(&str, bool, bool, bool); 3] = [
     ("default", true, false, false),
     ("verify+lint", true, true, true),
@@ -239,7 +239,12 @@ const MONOLITHIC_SETTINGS: [(&str, bool, bool, bool); 3] = [
 /// clause, the partition size and A-side count, the trimmed proof's
 /// original/derived/resolution counts, the lint counts, the solver's
 /// conflicts/propagations/decisions and the miter node count.
-fn monolithic_line(name: &str, label: &str, outcome: &CecOutcome) -> String {
+fn monolithic_line(
+    name: &str,
+    label: &str,
+    outcome: &CecOutcome,
+    lints: Option<lint::LintCounts>,
+) -> String {
     let show = |v: Option<String>| v.unwrap_or_else(|| "-".to_string());
     let s = outcome.stats();
     let (verdict, empty, partition) = match outcome {
@@ -271,9 +276,7 @@ fn monolithic_line(name: &str, label: &str, outcome: &CecOutcome) -> String {
     let trimmed = s
         .trimmed
         .map(|t| format!("{}/{}/{}", t.original, t.derived, t.resolutions));
-    let lints = s
-        .lints
-        .map(|l| format!("{}/{}/{}", l.errors, l.warnings, l.infos));
+    let lints = lints.map(|l| format!("{}/{}/{}", l.errors, l.warnings, l.infos));
     format!(
         "{name} {label}: {verdict} empty={} partition={} trimmed={} lints={} solver={}/{}/{} nodes={}",
         show(empty),
@@ -291,17 +294,25 @@ fn monolithic_line(name: &str, label: &str, outcome: &CecOutcome) -> String {
 fn monolithic_fingerprints_match_golden() {
     let mut out = String::new();
     for (name, a, b) in pairs() {
-        for (label, proof, lint_proof, verify) in MONOLITHIC_SETTINGS {
+        for (label, proof, lint, verify) in MONOLITHIC_SETTINGS {
             let config = EngineConfig {
                 proof,
-                lint_proof,
                 verify,
                 ..EngineConfig::default()
             };
             let outcome = Session::new(config, &SharedContext::disabled())
                 .check_monolithic(&a, &b)
                 .unwrap_or_else(|e| panic!("{name} {label}: {e}"));
-            writeln!(out, "{}", monolithic_line(&name, label, &outcome)).unwrap();
+            let opts = lint::LintOptions {
+                expect_refutation: true,
+                ..lint::LintOptions::default()
+            };
+            let lints = outcome
+                .certificate()
+                .and_then(|cert| cert.proof.as_ref())
+                .filter(|_| lint)
+                .map(|p| lint::lint_proof(p, &opts).counts());
+            writeln!(out, "{}", monolithic_line(&name, label, &outcome, lints)).unwrap();
         }
     }
     assert_golden_against(EXPECTED_MONOLITHIC, &out);

@@ -2,7 +2,7 @@
 //! least 95 % of its `elapsed` time.
 //!
 //! `EngineStats::phases` times the miter, simulation, sweep, final
-//! solve, trim, replay check and lint; `elapsed` is the whole check.
+//! solve, trim and replay check; `elapsed` is the whole check.
 //! What falls between the phases is assembling the outcome (and, in a
 //! journaled run, the verdict's proof fingerprint), which should stay
 //! small against the rest. Each cell takes the best of three checks, so
